@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DegenerateCountsError,
     DegenerateSpectrumError,
+    StepCapError,
     ZeroBranchError,
 )
 from .mixers import (
@@ -80,12 +81,10 @@ from .statevector import (
 )
 from .weak_measurement import (
     OutcomeCounts,
-    StepDiagnostics,
     amplitude_modulation,
     analytic_state,
     peak_position,
     posterior_state,
-    step_diagnostics,
     success_probability,
     weak_step,
 )

@@ -11,8 +11,10 @@ walk            walk-model analytics: exact recurrence, closed forms, Monte Carl
 
 Every invocation writes a JSON sidecar with the resolved config and seed next
 to its data files.  CSV files carry a header row and 12-significant-digit
-floats.  Exit codes: 0 success, 2 configuration error, 3 capacity error; logs
-go to standard error.
+floats.  Exit codes: 0 success, 2 configuration error (including a run whose
+criteria never fire within run.max_steps_per_trajectory), 3 capacity error;
+logs go to standard error.  --threads is accepted and echoed into the run
+sidecar but has no effect: trajectories always run sequentially.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .control import (
     outer_loop,
     trajectory_rng,
 )
-from .errors import CapacityError, ConfigError, DegenerateSpectrumError
+from .errors import CapacityError, ConfigError, DegenerateSpectrumError, StepCapError
 from .mixers import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
@@ -446,7 +448,7 @@ def _sweep_variant_columns(
     return headers, columns, echoes
 
 
-def cmd_sweep_counts(config: dict, outdir: Path, seed, threads: int) -> None:
+def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
     instance = _parse_problem(config)
     _check_keys(config, "config", {"problem", "sweep"}, {"seed"})
     block = config["sweep"]
@@ -531,7 +533,7 @@ def cmd_sweep_counts(config: dict, outdir: Path, seed, threads: int) -> None:
 # postprocess
 
 
-def cmd_postprocess(config: dict, outdir: Path, seed, threads: int) -> None:
+def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
     instance = _parse_problem(config)
     _check_keys(config, "config", {"problem"}, {"postprocess", "seed"})
     block = config.get("postprocess", {})
@@ -591,7 +593,7 @@ def cmd_postprocess(config: dict, outdir: Path, seed, threads: int) -> None:
 # scramble-study
 
 
-def cmd_scramble_study(config: dict, outdir: Path, seed, threads: int) -> None:
+def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
     instance = _parse_problem(config)
     _check_keys(config, "config", {"problem", "scramble"}, {"seed"})
     block = config["scramble"]
@@ -711,7 +713,6 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
         "run",
         {"algorithm", "budget"},
         {
-            "record_diagnostics",
             "adaptive_threshold",
             "surplus_delta",
             "max_steps_per_trajectory",
@@ -750,14 +751,10 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
             initial_state=initial,
             criteria=criteria,
             mixer=mixer,
-            record_diagnostics=_as_bool(
-                run_block.get("record_diagnostics", False), "run.record_diagnostics"
-            ),
             adaptive_threshold=_as_bool(
                 run_block.get("adaptive_threshold", False), "run.adaptive_threshold"
             ),
             surplus_delta=_as_int(run_block.get("surplus_delta", 0), "run.surplus_delta"),
-            threads=threads,
             max_steps_per_trajectory=_as_int(
                 run_block.get("max_steps_per_trajectory", 1_000_000),
                 "run.max_steps_per_trajectory",
@@ -768,8 +765,9 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
 
     try:
         summary = outer_loop(instance, outer, budget, seed)
-    except ValueError as exc:
-        # Setup-consistency failures (threshold range, infeasible support, ...)
+    except (ValueError, StepCapError) as exc:
+        # Setup-consistency failures (threshold range, infeasible support,
+        # unreachable criteria, ...)
         raise ConfigError(f"run: {exc}") from exc
 
     n = instance.graph.n
@@ -819,7 +817,7 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
 # walk
 
 
-def cmd_walk(config: dict, outdir: Path, seed, threads: int) -> None:
+def cmd_walk(config: dict, outdir: Path, seed) -> None:
     _check_keys(config, "config", {"walk"}, {"seed"})
     block = config["walk"]
     _check_keys(
@@ -945,7 +943,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for runs")
+        p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -953,11 +951,14 @@ def main(argv=None) -> int:
     )
     handler, seed_required = _COMMANDS[args.command]
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be a positive integer")
         config = _load_config(args.config)
         seed = _resolve_seed(config, args.seed, required=seed_required)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        handler(config, outdir, seed, args.threads)
+        extra = {"threads": args.threads} if args.command == "run" else {}
+        handler(config, outdir, seed, **extra)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

@@ -10,12 +10,12 @@ a step/trajectory/target budget, optionally adapting criteria between runs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import StepCapError
 from .mixers import MixerSpec, apply_mixer
 from .problems import (
     BOUND_TOL,
@@ -212,20 +212,24 @@ def _check_initial_state(state: StateVector, tables: ControlTables) -> None:
             )
 
 
-def _run_loop(
+def run_algorithm2(
     instance: ProblemInstance,
     rescaling: Rescaling,
     initial_state: StateVector,
     criteria: CriteriaConfig,
-    rng: np.random.Generator,
     mixer: MixerSpec | None,
-    seed: tuple[int, int] | int | None,
-    record_diagnostics: bool,
-    max_steps: int,
-    tables: ControlTables | None,
+    rng: np.random.Generator,
+    *,
+    seed: tuple[int, int] | int | None = None,
+    record_diagnostics: bool = False,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trajectory:
-    if tables is None:
-        tables = prepare_tables(instance, rescaling)
+    """Feedback-controlled loop: weak steps, scramble-and-reset, then sample.
+
+    With mixer=None no scramble ever fires, which is algorithm 1.  Raises
+    StepCapError when no return criterion fires within max_steps steps.
+    """
+    tables = prepare_tables(instance, rescaling)
     _check_threshold_range(criteria, rescaling)
     _check_initial_state(initial_state, tables)
     if mixer is not None and criteria.threshold_T is None:
@@ -241,7 +245,7 @@ def _run_loop(
         if reason is not None:
             break
         if len(outcomes) >= max_steps:
-            raise RuntimeError(
+            raise StepCapError(
                 f"no return criterion fired within {max_steps} steps; "
                 "the criteria may be unreachable under this rescaling"
             )
@@ -290,53 +294,10 @@ def run_algorithm1(
     initial_state: StateVector,
     criteria: CriteriaConfig,
     rng: np.random.Generator,
-    *,
-    seed: tuple[int, int] | int | None = None,
-    record_diagnostics: bool = False,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    tables: ControlTables | None = None,
+    **kwargs,
 ) -> Trajectory:
-    """Measurement-driven loop: weak steps until a return criterion fires, then sample."""
-    return _run_loop(
-        instance,
-        rescaling,
-        initial_state,
-        criteria,
-        rng,
-        None,
-        seed,
-        record_diagnostics,
-        max_steps,
-        tables,
-    )
-
-
-def run_algorithm2(
-    instance: ProblemInstance,
-    rescaling: Rescaling,
-    initial_state: StateVector,
-    criteria: CriteriaConfig,
-    mixer: MixerSpec,
-    rng: np.random.Generator,
-    *,
-    seed: tuple[int, int] | int | None = None,
-    record_diagnostics: bool = False,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    tables: ControlTables | None = None,
-) -> Trajectory:
-    """Feedback-controlled loop: like run_algorithm1 plus the scramble-and-reset rule."""
-    return _run_loop(
-        instance,
-        rescaling,
-        initial_state,
-        criteria,
-        rng,
-        mixer,
-        seed,
-        record_diagnostics,
-        max_steps,
-        tables,
-    )
+    """Measurement-driven loop: run_algorithm2 with no mixer, hence no scrambles."""
+    return run_algorithm2(instance, rescaling, initial_state, criteria, None, rng, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -360,10 +321,10 @@ class Budget:
 class OuterConfig:
     """Everything the outer loop needs besides the instance and budget.
 
-    adaptive_threshold raises threshold_T to the best driving cost seen so
-    far after each trajectory; surplus_delta adds a fixed increment to
-    surplus_L after each trajectory (0 disables).  Adaptive updates force
-    sequential execution.
+    The mixer is used only by algorithm 2.  adaptive_threshold raises
+    threshold_T to the best driving cost seen so far after each trajectory;
+    surplus_delta adds a fixed increment to surplus_L after each trajectory
+    (0 disables).
     """
 
     algorithm: int
@@ -371,10 +332,8 @@ class OuterConfig:
     initial_state: StateVector
     criteria: CriteriaConfig
     mixer: MixerSpec | None = None
-    record_diagnostics: bool = False
     adaptive_threshold: bool = False
     surplus_delta: int = 0
-    threads: int = 1
     max_steps_per_trajectory: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
@@ -382,11 +341,6 @@ class OuterConfig:
             raise ValueError(f"algorithm must be 1 or 2, got {self.algorithm}")
         if self.algorithm == 2 and self.mixer is None:
             raise ValueError("algorithm 2 requires a mixer")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-        adaptive = self.adaptive_threshold or self.surplus_delta != 0
-        if adaptive and self.threads > 1:
-            raise ValueError("adaptive criteria updates require sequential execution")
         if self.adaptive_threshold and self.criteria.threshold_T is None:
             raise ValueError("adaptive_threshold requires threshold_T to be set")
         if self.surplus_delta != 0 and self.criteria.surplus_L is None:
@@ -411,24 +365,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _trajectory_payload_run(payload) -> Trajectory:
-    (instance, rescaling, initial_state, criteria, mixer, algorithm,
-     record_diagnostics, max_steps, seed, index) = payload
-    rng = trajectory_rng(seed, index)
-    tables = prepare_tables(instance, rescaling)
-    common = dict(
-        seed=(seed, index),
-        record_diagnostics=record_diagnostics,
-        max_steps=max_steps,
-        tables=tables,
-    )
-    if algorithm == 2:
-        return run_algorithm2(
-            instance, rescaling, initial_state, criteria, mixer, rng, **common
-        )
-    return run_algorithm1(instance, rescaling, initial_state, criteria, rng, **common)
-
-
 def _criteria_snapshot(criteria: CriteriaConfig) -> dict:
     return {
         "threshold_T": criteria.threshold_T,
@@ -442,43 +378,45 @@ def _criteria_snapshot(criteria: CriteriaConfig) -> dict:
 def outer_loop(
     instance: ProblemInstance, config: OuterConfig, budget: Budget, seed: int
 ) -> RunSummary:
-    """Run trajectories until the budget is exhausted or the target cost is hit.
+    """Run trajectories one after another until a budget or the target cost stops them.
 
-    Every trajectory's sample is recorded, including reset-terminated ones.
-    Results are reproducible from `seed` alone and independent of the thread
-    count: parallel dispatch collects trajectories in index order and truncates
-    at the first index satisfying a stop rule.
+    Trajectory i draws from trajectory_rng(seed, i), so results are
+    reproducible from `seed` alone.  Every trajectory's sample is recorded,
+    including reset-terminated ones.  A setup inconsistency (threshold range,
+    infeasible support) raises ValueError from the first trajectory.
     """
-    tables = prepare_tables(instance, config.rescaling)
-    _check_threshold_range(config.criteria, config.rescaling)
-    _check_initial_state(config.initial_state, tables)
-
     criteria = config.criteria
+    mixer = config.mixer if config.algorithm == 2 else None
+    adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [_criteria_snapshot(criteria)]
     trajectories: list[Trajectory] = []
     histogram: dict[float, int] = {}
     best_cost = -math.inf
     best_bitstring = -1
     total_steps = 0
-    adaptive = config.adaptive_threshold or config.surplus_delta != 0
-
-    def payload(index: int, crit: CriteriaConfig):
-        return (
+    index = 0
+    while budget.max_trajectories is None or index < budget.max_trajectories:
+        if adaptive and index > 0:
+            if config.adaptive_threshold:
+                criteria = replace(
+                    criteria, threshold_T=max(criteria.threshold_T, best_cost)
+                )
+            if config.surplus_delta != 0:
+                criteria = replace(
+                    criteria, surplus_L=criteria.surplus_L + config.surplus_delta
+                )
+            param_log.append(_criteria_snapshot(criteria))
+        traj = run_algorithm2(
             instance,
             config.rescaling,
             config.initial_state,
-            crit,
-            config.mixer,
-            config.algorithm,
-            config.record_diagnostics,
-            config.max_steps_per_trajectory,
-            seed,
-            index,
+            criteria,
+            mixer,
+            trajectory_rng(seed, index),
+            seed=(seed, index),
+            max_steps=config.max_steps_per_trajectory,
         )
-
-    def absorb(traj: Trajectory) -> bool:
-        """Fold one trajectory into the summary; True when a stop rule fired."""
-        nonlocal best_cost, best_bitstring, total_steps
+        index += 1
         trajectories.append(traj)
         total_steps += traj.steps
         histogram[traj.final_cost] = histogram.get(traj.final_cost, 0) + 1
@@ -486,50 +424,9 @@ def outer_loop(
             best_cost = traj.final_cost
             best_bitstring = traj.final_sample
         if budget.target_cost is not None and best_cost >= budget.target_cost:
-            return True
+            break
         if budget.max_total_steps is not None and total_steps >= budget.max_total_steps:
-            return True
-        return False
-
-    if config.threads == 1 or adaptive:
-        index = 0
-        while budget.max_trajectories is None or index < budget.max_trajectories:
-            if adaptive and index > 0:
-                if config.adaptive_threshold:
-                    criteria = replace(
-                        criteria,
-                        threshold_T=max(criteria.threshold_T, best_cost),
-                    )
-                if config.surplus_delta != 0:
-                    criteria = replace(
-                        criteria, surplus_L=criteria.surplus_L + config.surplus_delta
-                    )
-                param_log.append(_criteria_snapshot(criteria))
-            traj = _trajectory_payload_run(payload(index, criteria))
-            index += 1
-            if absorb(traj):
-                break
-    else:
-        block = config.threads * 4
-        index = 0
-        stop = False
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            while not stop:
-                count = block
-                if budget.max_trajectories is not None:
-                    count = min(count, budget.max_trajectories - index)
-                if count <= 0:
-                    break
-                futures = [
-                    pool.submit(_trajectory_payload_run, payload(index + j, criteria))
-                    for j in range(count)
-                ]
-                for fut in futures:
-                    if stop:
-                        fut.cancel()
-                        continue
-                    stop = absorb(fut.result())
-                index += count
+            break
 
     return RunSummary(
         best_bitstring=best_bitstring,

@@ -1,7 +1,10 @@
 """Error types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and CapacityError to exit code 3;
-everything else is an ordinary ValueError/RuntimeError.
+The CLI maps ConfigError to exit code 2 and CapacityError to exit code 3.
+A run whose trajectory hits max_steps_per_trajectory (StepCapError) also
+exits 2, with one "config error: run: no return criterion fired within N
+steps; ..." line and no artifacts.  Everything else is an ordinary
+ValueError/RuntimeError.
 """
 
 
@@ -11,6 +14,10 @@ class CapacityError(Exception):
 
 class ConfigError(Exception):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class StepCapError(RuntimeError):
+    """No return criterion fired within the per-trajectory step cap."""
 
 
 class DegenerateSpectrumError(ValueError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -40,18 +39,6 @@ class OutcomeCounts:
     @property
     def surplus(self) -> int:
         return self.k1 - self.k0
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Per-step observables: success probability, peak position, modulation curve.
-
-    peak is None until at least one outcome has been recorded.
-    """
-
-    p1: float
-    peak: float | None
-    modulation_at: Callable[[float], float]
 
 
 def _check_rescaled(state: StateVector, c: DiagonalHamiltonian) -> None:
@@ -159,15 +146,3 @@ def peak_position(counts: OutcomeCounts) -> float:
     if counts.total < 1:
         raise ValueError("peak position requires at least one recorded outcome")
     return 0.5 * math.asin(counts.surplus / counts.total)
-
-
-def step_diagnostics(
-    state: StateVector, c: DiagonalHamiltonian, counts: OutcomeCounts
-) -> StepDiagnostics:
-    """Bundle p1, the peak position, and the modulation curve for the counts."""
-    peak = peak_position(counts) if counts.total >= 1 else None
-    return StepDiagnostics(
-        p1=success_probability(state, c),
-        peak=peak,
-        modulation_at=lambda cost, _counts=counts: amplitude_modulation(cost, _counts),
-    )

@@ -409,6 +409,65 @@ def test_threshold_incompatible_with_rescaling_rejected(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
 
 
+def test_unreachable_criteria_exit_with_config_code(tmp_path, caplog):
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"surplus_L": 100000},
+            "run": {
+                "algorithm": 1,
+                "budget": {"max_trajectories": 1},
+                "max_steps_per_trajectory": 50,
+            },
+            "seed": 1,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(
+        "config error: run: no return criterion fired within 50 steps; "
+    )
+    assert "\n" not in message
+    assert list(out.iterdir()) == []
+
+
+def test_nonpositive_thread_count_rejected(tmp_path):
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"surplus_L": 5},
+            "run": {"algorithm": 1, "budget": {"max_trajectories": 1}},
+            "seed": 0,
+        },
+    )
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--threads", "0"]) == 2
+
+
+def test_run_record_diagnostics_key_rejected(tmp_path, caplog):
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"surplus_L": 5},
+            "run": {
+                "algorithm": 1,
+                "budget": {"max_trajectories": 1},
+                "record_diagnostics": True,
+            },
+            "seed": 0,
+        },
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "unknown key run.record_diagnostics" in caplog.text
+
+
 def test_oversized_instance_exits_with_capacity_code(tmp_path):
     edges = [[i, i + 1] for i in range(1, 30)]
     config = write_config(

@@ -16,7 +16,6 @@ from mdqo import (
     expectation,
     peak_position,
     posterior_state,
-    step_diagnostics,
     success_probability,
     weak_step,
 )
@@ -186,16 +185,6 @@ def test_peak_position_examples():
     assert peak_position(OutcomeCounts(10, 20)) == pytest.approx(0.5 * math.asin(1 / 3))
     with pytest.raises(ValueError):
         peak_position(OutcomeCounts(0, 0))
-
-
-def test_step_diagnostics_bundle(uniform5, c_tight):
-    diag = step_diagnostics(uniform5, c_tight, OutcomeCounts(10, 20))
-    assert diag.p1 == pytest.approx(success_probability(uniform5, c_tight))
-    assert diag.peak == pytest.approx(0.5 * math.asin(1 / 3))
-    assert diag.modulation_at(0.0) == pytest.approx(
-        amplitude_modulation(0.0, OutcomeCounts(10, 20))
-    )
-    assert step_diagnostics(uniform5, c_tight, OutcomeCounts(0, 0)).peak is None
 
 
 def test_half_angle_identity_cross_check(c_tight):
