@@ -27,7 +27,9 @@ COMMANDS = {
     "mis_sweep.json": "sweep-counts",
     "postprocess.json": "postprocess",
     "run_maxcut.json": "run",
+    "run_maxcut_n12.json": "run",
     "run_mis_feasible.json": "run",
+    "run_mis_penalty_n12.json": "run",
     "scramble.json": "scramble-study",
     "walk.json": "walk",
     "walk_mc.json": "walk",
