@@ -5,6 +5,12 @@ then samples the register.  The feedback-controlled variant additionally
 scrambles the state with a mixer whenever the aggregated outcome record looks
 unpromising, resetting the record.  The outer loop restarts trajectories under
 a step/trajectory/target budget, optionally adapting criteria between runs.
+
+Trajectories run on cost levels.  The branch operators are diagonal and
+commute, so between scrambles the state is a fixed base state times a factor
+that depends only on the cost level: a step updates one weight per distinct
+cost, and the 2**n amplitudes are touched only to weigh a base state, to
+scramble and to draw the final sample.
 """
 
 from __future__ import annotations
@@ -15,11 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StepCapError
+from .errors import StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer
 from .problems import (
     BOUND_TOL,
-    DiagonalHamiltonian,
     ProblemInstance,
     Rescaling,
     apply_rescaling,
@@ -27,12 +32,12 @@ from .problems import (
     build_mis,
     penalize,
 )
-from .statevector import StateVector, sample_bitstring
+from .statevector import StateVector, sample_index
 from .weak_measurement import (
+    ZERO_BRANCH_TOL,
     OutcomeCounts,
+    check_support_costs,
     peak_position,
-    success_probability,
-    weak_step,
 )
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
@@ -83,17 +88,6 @@ class CriteriaConfig:
 def rescaled_threshold(threshold_t: float, rescaling: Rescaling) -> float:
     """E(T) = epsilon * (alpha + T), the threshold on the rescaled cost scale."""
     return rescaling.epsilon * (rescaling.alpha + threshold_t)
-
-
-def _check_threshold_range(criteria: CriteriaConfig, rescaling: Rescaling) -> None:
-    if criteria.threshold_T is None:
-        return
-    e_t = rescaled_threshold(criteria.threshold_T, rescaling)
-    if e_t < -BOUND_TOL or e_t > math.pi / 4 + BOUND_TOL:
-        raise ValueError(
-            f"rescaled threshold E(T) = {e_t} falls outside [0, pi/4]; "
-            f"threshold_T = {criteria.threshold_T} is incompatible with this rescaling"
-        )
 
 
 def evaluate_return(
@@ -170,21 +164,38 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ControlTables:
-    """Precomputed per-run tables: rescaled driving cost, support, violation counts."""
+    """The cost-level table of one (instance, rescaling).
 
-    c: DiagonalHamiltonian
-    h_drive: DiagonalHamiltonian
+    Basis state x sits on level level[x], stored in the smallest unsigned
+    dtype that fits.  Every state on level l has the driving cost h[l] and
+    the rescaled cost c[l]; sin_sq and cos_sq are the branch weights
+    sin^2(c + pi/4) and cos^2(c + pi/4), sin_2c the success weight, and
+    outside marks levels whose c leaves [0, pi/4].  support marks the
+    feasible subspace in feasible-subspace mode; p_viol holds the dense
+    violation counts of MIS instances.
+    """
+
+    n: int
+    rescaling: Rescaling
+    level: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+    sin_sq: np.ndarray
+    cos_sq: np.ndarray
+    sin_2c: np.ndarray
+    outside: np.ndarray
     support: np.ndarray | None
-    p_viol: DiagonalHamiltonian | None
+    p_viol: np.ndarray | None
 
 
 @lru_cache(maxsize=8)
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
-    """Build (and cache) the rescaled driving cost for an instance.
+    """Build (and cache) the cost-level table for an instance.
 
     MIS without a penalty weight runs in feasible-subspace mode: the bare cost
     drives the dynamics and the rescaling is validated only on independent
-    sets.
+    sets.  Levels are the distinct driving costs, so the driving and the
+    rescaled cost are both constant on a level.
     """
     if instance.kind == "mis":
         h_bare, p_viol = build_mis(instance.graph)
@@ -198,11 +209,58 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         h_drive = build_maxcut(instance.graph)
         p_viol = None
         support = None
-    c = apply_rescaling(rescaling, h_drive, support)
-    return ControlTables(c=c, h_drive=h_drive, support=support, p_viol=p_viol)
+    c_dense = apply_rescaling(rescaling, h_drive, support)
+    h, first, level = np.unique(h_drive.values, return_index=True, return_inverse=True)
+    c = c_dense.values[first]
+    angle = c + math.pi / 4
+    return ControlTables(
+        n=instance.graph.n,
+        rescaling=rescaling,
+        level=level.astype(np.min_scalar_type(h.size - 1)),
+        h=h,
+        c=c,
+        sin_sq=np.sin(angle) ** 2,
+        cos_sq=np.cos(angle) ** 2,
+        sin_2c=np.sin(2.0 * c),
+        outside=(c < -BOUND_TOL) | (c > math.pi / 4 + BOUND_TOL),
+        support=support,
+        p_viol=None if p_viol is None else p_viol.values,
+    )
 
 
-def _check_initial_state(state: StateVector, tables: ControlTables) -> None:
+@dataclass(frozen=True)
+class _Base:
+    """A dense state that stays fixed between scrambles, weighed by cost level.
+
+    A trajectory's current state is state.amps * sqrt(q / w)[level] for its
+    level posterior q.  penalty holds the per-level sums of |amps|^2 times
+    the violation count, and is kept only for diagnostics.
+    """
+
+    state: StateVector
+    w: np.ndarray
+    penalty: np.ndarray | None
+
+
+def _check_criteria(
+    criteria: CriteriaConfig, mixer: MixerSpec | None, rescaling: Rescaling
+) -> None:
+    """The run's threshold must fall in [0, pi/4]; scrambling needs one."""
+    if criteria.threshold_T is not None:
+        e_t = rescaled_threshold(criteria.threshold_T, rescaling)
+        if e_t < -BOUND_TOL or e_t > math.pi / 4 + BOUND_TOL:
+            raise ValueError(
+                f"rescaled threshold E(T) = {e_t} falls outside [0, pi/4]; "
+                f"threshold_T = {criteria.threshold_T} is incompatible with this rescaling"
+            )
+    elif mixer is not None:
+        raise ValueError("the scrambling condition requires threshold_T")
+
+
+def _start(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
+    """Validate an initial state once per run and weigh it."""
+    if state.n != tables.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, cost n={tables.n}")
     if tables.support is not None:
         leaked = np.abs(state.amps[~tables.support]) > 0
         if leaked.any():
@@ -210,6 +268,137 @@ def _check_initial_state(state: StateVector, tables: ControlTables) -> None:
                 "initial state puts amplitude on infeasible strings in "
                 "feasible-subspace mode"
             )
+    return _weigh(tables, state, diagnostics)
+
+
+def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
+    """Sum |amps|^2 per level, after checking c on the state's support."""
+    mag = np.abs(state.amps)
+    if tables.outside.any() and np.any(mag > 0, where=tables.outside.take(tables.level)):
+        check_support_costs(tables.c[np.unique(tables.level[mag > 0])])
+    probs = np.square(mag, out=mag)
+    size = tables.h.size
+    penalty = None
+    if diagnostics and tables.p_viol is not None:
+        penalty = np.bincount(tables.level, probs * tables.p_viol, minlength=size)
+    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty)
+
+
+def _p1(tables: ControlTables, q: np.ndarray) -> float:
+    return 0.5 + 0.5 * float(q @ tables.sin_2c)
+
+
+def _level_step(
+    tables: ControlTables, q: np.ndarray, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """One weak step on the level posterior: draw the outcome, reweight, renormalize."""
+    b = 1 if rng.random() < _p1(tables, q) else 0
+    branch = q * (tables.sin_sq if b == 1 else tables.cos_sq)
+    branch_prob = float(branch.sum())
+    if branch_prob < ZERO_BRANCH_TOL:
+        raise ZeroBranchError(
+            f"conditioning on outcome {b} with branch probability {branch_prob}"
+        )
+    return b, branch / branch_prob
+
+
+def _ratio(base: _Base, q: np.ndarray) -> np.ndarray:
+    """q / w per level, 0 on levels the base does not reach."""
+    return np.divide(q, base.w, out=np.zeros_like(q), where=base.w > 0)
+
+
+def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVector:
+    scale = np.sqrt(_ratio(base, q)).take(tables.level)
+    return StateVector(base.state.n, base.state.amps * scale)
+
+
+def _sample(
+    tables: ControlTables, base: _Base, q: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Draw from |amps|^2 * (q / w)[level] in basis order, as sample_bitstring would."""
+    weights = np.abs(base.state.amps)
+    weights *= weights
+    weights *= _ratio(base, q).take(tables.level)
+    return sample_index(weights, rng)
+
+
+def _trajectory(
+    tables: ControlTables,
+    start: _Base,
+    criteria: CriteriaConfig,
+    mixer: MixerSpec | None,
+    rng: np.random.Generator,
+    seed: tuple[int, int] | int | None,
+    record_diagnostics: bool,
+    max_steps: int,
+) -> Trajectory:
+    """The trajectory loop, from a validated and weighed initial state.
+
+    A weak step reweights only the level posterior q.  A scramble
+    materialises the state, mixes it and makes the result the new base,
+    which is weighed before the next step reads it: so the step cap is
+    checked before a support leak is reported.
+    """
+    rescaling = tables.rescaling
+    base, q = start, start.w
+    state = None  # a mixed state that is not weighed yet
+    counts = OutcomeCounts(0, 0)
+    outcomes: list[int] = []
+    scramble_events: list[int] = []
+    records: list[StepRecord] = []
+    while True:
+        reason = evaluate_return(criteria, counts, rescaling)
+        if reason is not None:
+            break
+        if len(outcomes) >= max_steps:
+            raise StepCapError(
+                f"no return criterion fired within {max_steps} steps; "
+                "the criteria may be unreachable under this rescaling"
+            )
+        if base is None:
+            base = _weigh(tables, state, record_diagnostics)
+            q = base.w
+        b, q = _level_step(tables, q, rng)
+        outcomes.append(b)
+        counts = OutcomeCounts(counts.k0 + (b == 0), counts.k1 + (b == 1))
+        scrambled = False
+        if mixer is not None and _scramble_fires(criteria, counts, rescaling):
+            state = _materialise(tables, base, q)
+            base = q = None  # the old base must not outlive the mixer's copies
+            state = apply_mixer(state, mixer)
+            scramble_events.append(len(outcomes))
+            counts = OutcomeCounts(0, 0)
+            scrambled = True
+        if record_diagnostics:
+            if base is None:
+                base = _weigh(tables, state, record_diagnostics)
+                q = base.w
+            records.append(
+                StepRecord(
+                    step=len(outcomes),
+                    outcome=b,
+                    p1=_p1(tables, q),
+                    cost_expectation=float(q @ tables.h),
+                    peak=peak_position(counts) if counts.total >= 1 else None,
+                    scrambled=scrambled,
+                    penalty_expectation=(
+                        float(_ratio(base, q) @ base.penalty)
+                        if base.penalty is not None
+                        else None
+                    ),
+                )
+            )
+    final_sample = _sample(tables, base, q, rng)
+    return Trajectory(
+        outcomes=tuple(outcomes),
+        scramble_events=tuple(scramble_events),
+        counts=counts,
+        final_sample=final_sample,
+        final_cost=float(tables.h[tables.level[final_sample]]),
+        terminal_reason=reason,
+        seed=seed,
+        diagnostics=tuple(records) if record_diagnostics else None,
+    )
 
 
 def run_algorithm2(
@@ -226,65 +415,15 @@ def run_algorithm2(
 ) -> Trajectory:
     """Feedback-controlled loop: weak steps, scramble-and-reset, then sample.
 
-    With mixer=None no scramble ever fires, which is algorithm 1.  Raises
+    With mixer=None no scramble ever fires, which is algorithm 1.  The
+    criteria and the initial state are validated once, on entry.  Raises
     StepCapError when no return criterion fires within max_steps steps.
     """
     tables = prepare_tables(instance, rescaling)
-    _check_threshold_range(criteria, rescaling)
-    _check_initial_state(initial_state, tables)
-    if mixer is not None and criteria.threshold_T is None:
-        raise ValueError("the scrambling condition requires threshold_T")
-
-    state = initial_state
-    counts = OutcomeCounts(0, 0)
-    outcomes: list[int] = []
-    scramble_events: list[int] = []
-    records: list[StepRecord] = []
-    while True:
-        reason = evaluate_return(criteria, counts, rescaling)
-        if reason is not None:
-            break
-        if len(outcomes) >= max_steps:
-            raise StepCapError(
-                f"no return criterion fired within {max_steps} steps; "
-                "the criteria may be unreachable under this rescaling"
-            )
-        b, state = weak_step(state, tables.c, rng)
-        outcomes.append(b)
-        counts = OutcomeCounts(counts.k0 + (b == 0), counts.k1 + (b == 1))
-        scrambled = False
-        if mixer is not None and _scramble_fires(criteria, counts, rescaling):
-            state = apply_mixer(state, mixer)
-            scramble_events.append(len(outcomes))
-            counts = OutcomeCounts(0, 0)
-            scrambled = True
-        if record_diagnostics:
-            probs = state.probabilities()
-            records.append(
-                StepRecord(
-                    step=len(outcomes),
-                    outcome=b,
-                    p1=success_probability(state, tables.c),
-                    cost_expectation=float(np.sum(probs * tables.h_drive.values)),
-                    peak=peak_position(counts) if counts.total >= 1 else None,
-                    scrambled=scrambled,
-                    penalty_expectation=(
-                        float(np.sum(probs * tables.p_viol.values))
-                        if tables.p_viol is not None
-                        else None
-                    ),
-                )
-            )
-    final_sample = sample_bitstring(state, rng)
-    return Trajectory(
-        outcomes=tuple(outcomes),
-        scramble_events=tuple(scramble_events),
-        counts=counts,
-        final_sample=final_sample,
-        final_cost=float(tables.h_drive.values[final_sample]),
-        terminal_reason=reason,
-        seed=seed,
-        diagnostics=tuple(records) if record_diagnostics else None,
+    _check_criteria(criteria, mixer, rescaling)
+    start = _start(tables, initial_state, record_diagnostics)
+    return _trajectory(
+        tables, start, criteria, mixer, rng, seed, record_diagnostics, max_steps
     )
 
 
@@ -382,11 +521,16 @@ def outer_loop(
 
     Trajectory i draws from trajectory_rng(seed, i), so results are
     reproducible from `seed` alone.  Every trajectory's sample is recorded,
-    including reset-terminated ones.  A setup inconsistency (threshold range,
-    infeasible support) raises ValueError from the first trajectory.
+    including reset-terminated ones.  The criteria and the initial state are
+    validated once, before the first trajectory, and adapted criteria again
+    when they change: a setup inconsistency (threshold range, infeasible
+    support) raises ValueError there.
     """
     criteria = config.criteria
     mixer = config.mixer if config.algorithm == 2 else None
+    tables = prepare_tables(instance, config.rescaling)
+    _check_criteria(criteria, mixer, config.rescaling)
+    start = _start(tables, config.initial_state, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [_criteria_snapshot(criteria)]
     trajectories: list[Trajectory] = []
@@ -405,16 +549,17 @@ def outer_loop(
                 criteria = replace(
                     criteria, surplus_L=criteria.surplus_L + config.surplus_delta
                 )
+            _check_criteria(criteria, mixer, config.rescaling)
             param_log.append(_criteria_snapshot(criteria))
-        traj = run_algorithm2(
-            instance,
-            config.rescaling,
-            config.initial_state,
+        traj = _trajectory(
+            tables,
+            start,
             criteria,
             mixer,
             trajectory_rng(seed, index),
-            seed=(seed, index),
-            max_steps=config.max_steps_per_trajectory,
+            (seed, index),
+            False,
+            config.max_steps_per_trajectory,
         )
         index += 1
         trajectories.append(traj)

@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateSpectrumError
 
-# Largest qubit count for which dense 2**n tables are built; beyond this every
-# constructor fails loudly instead of switching representations.
-DENSE_CAP = 26
+# Largest qubit count for which dense 2**n tables are built, the size measured
+# to run end to end on an 8 GiB machine; beyond this every constructor fails
+# loudly instead of switching representations.
+DENSE_CAP = 20
 
 # Absolute tolerance for spectrum-bound validation.
 BOUND_TOL = 1e-12

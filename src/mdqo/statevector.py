@@ -189,6 +189,15 @@ def cost_distribution(state: StateVector, h: DiagonalHamiltonian) -> CostDistrib
 
 def sample_bitstring(state: StateVector, rng: np.random.Generator) -> int:
     """Draw one basis index with probability |amps[x]|^2."""
-    cdf = np.cumsum(state.probabilities())
+    return sample_index(state.probabilities(), rng)
+
+
+def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one index with probability weights[x], using one uniform draw.
+
+    The weights must sum to 1 up to rounding; the cumulative sum is taken in
+    index order and its last entry pinned to 1.
+    """
+    cdf = np.cumsum(weights)
     cdf[-1] = 1.0
     return int(np.searchsorted(cdf, rng.random(), side="right"))

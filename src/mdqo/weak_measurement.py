@@ -46,9 +46,12 @@ def _check_rescaled(state: StateVector, c: DiagonalHamiltonian) -> None:
     if c.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, cost n={c.n}")
     support = np.abs(state.amps) > 0
-    if not support.any():
-        return
-    vals = c.values[support]
+    if support.any():
+        check_support_costs(c.values[support])
+
+
+def check_support_costs(vals: np.ndarray) -> None:
+    """Validate 0 <= c <= pi/4 for the rescaled costs found on a state's support."""
     if vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL:
         raise ValueError(
             f"rescaled cost must lie in [0, pi/4] on the state support; "

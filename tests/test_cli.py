@@ -480,6 +480,51 @@ def test_oversized_instance_exits_with_capacity_code(tmp_path):
     assert main(["sweep-counts", "--config", str(config), "--out", str(tmp_path)]) == 3
 
 
+def test_run_scramble_support_leak_exits_with_config_code(tmp_path, caplog):
+    # a transverse-field scramble leaks feasible-subspace MIS onto infeasible
+    # strings whose rescaled cost exceeds pi/4
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "mis", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"threshold_T": 2.5},
+            "initial_state": {"kind": "feasible-uniform"},
+            "mixer": {"kind": "transverse-field", "chi": 0.4},
+            "run": {"algorithm": 2, "budget": {"max_trajectories": 20}},
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(
+        "config error: run: rescaled cost must lie in [0, pi/4] on the state support; "
+    )
+    assert "\n" not in message
+    assert list(out.iterdir()) == []
+
+
+def test_run_above_dense_cap_exits_with_capacity_code(tmp_path, caplog):
+    edges = [[i, i + 1] for i in range(1, 21)]
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "maxcut", "graph": {"n": 21, "edges": edges}},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"surplus_L": 5},
+            "run": {"algorithm": 1, "budget": {"max_trajectories": 1}},
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith("capacity error: n=21 exceeds the dense-table cap of 20")
+    assert "\n" not in message
+    assert list(out.iterdir()) == []
+
+
 def test_graph_file_input(tmp_path):
     graph_path = tmp_path / "graph.txt"
     graph_path.write_text(

@@ -15,6 +15,7 @@ from mdqo import (
     OuterConfig,
     ProblemInstance,
     StateVector,
+    StepCapError,
     basis_state,
     evaluate_return,
     feasible,
@@ -210,6 +211,41 @@ def test_feasible_mode_rejects_infeasible_start(mis_instance, mis_pair):
             mis_instance, resc, uniform_superposition(5),
             CriteriaConfig(surplus_L=3), np.random.default_rng(0),
         )
+
+
+LEAK_MESSAGE = "rescaled cost must lie in [0, pi/4] on the state support; "
+
+
+def leaking_run(mis_instance, mis_pair, **kwargs):
+    # A transverse-field scramble in feasible-subspace mode moves amplitude
+    # onto infeasible strings, where the rescaled cost reaches 5 * pi/12 >
+    # pi/4.  trajectory_rng(0, 0) fails its first step, which scrambles.
+    mask = feasible_mask(mis_instance)
+    initial = StateVector(5, mask / np.sqrt(mask.sum()))
+    h_bare, _ = mis_pair
+    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    return run_algorithm2(
+        mis_instance, resc, initial, CriteriaConfig(threshold_T=2.5),
+        MixerSpec(TRANSVERSE_FIELD, 0.4), trajectory_rng(0, 0), **kwargs,
+    )
+
+
+def test_scramble_support_leak_rejected(mis_instance, mis_pair):
+    with pytest.raises(ValueError) as info:
+        leaking_run(mis_instance, mis_pair)
+    assert str(info.value).startswith(LEAK_MESSAGE)
+    assert "1.30899" in str(info.value)
+
+
+def test_step_cap_precedes_support_leak(mis_instance, mis_pair):
+    # the scramble fills the one-step budget: the cap is checked before the
+    # next weak step would report the leak, but a diagnostics record reads
+    # the mixed state at once
+    with pytest.raises(StepCapError):
+        leaking_run(mis_instance, mis_pair, max_steps=1)
+    with pytest.raises(ValueError) as info:
+        leaking_run(mis_instance, mis_pair, max_steps=1, record_diagnostics=True)
+    assert str(info.value).startswith(LEAK_MESSAGE)
 
 
 def test_feasible_mode_samples_independent_sets(g5, mis_instance, mis_pair):
