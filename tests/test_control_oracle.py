@@ -14,6 +14,7 @@ import pytest
 from mdqo import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
+    AnsatzParams,
     CriteriaConfig,
     Graph,
     MixerSpec,
@@ -28,6 +29,7 @@ from mdqo import (
     expectation,
     feasible_mask,
     peak_position,
+    qaoa1_state,
     rescaled_threshold,
     rescaling_from_bounds,
     run_algorithm2,
@@ -113,13 +115,14 @@ def feasible_mis_algorithm2(n):
 
 
 def maxcut_algorithm2(n):
+    # a depth-1 ansatz start: complex amplitudes before the first scramble
     inst = ProblemInstance(random_graph(n, 4), "maxcut")
     h = driving_hamiltonian(inst)
     crit = CriteriaConfig(
         threshold_T=float(h.values.max()) / 2, ceiling_KT=30, min_steps_ell=4
     )
-    mixer = MixerSpec(TRANSVERSE_FIELD, 0.4)
-    return inst, tight(h), uniform_superposition(n), crit, mixer
+    initial = qaoa1_state(h, AnsatzParams(gamma=0.7, beta=0.3))
+    return inst, tight(h), initial, crit, MixerSpec(TRANSVERSE_FIELD, 0.4)
 
 
 CASES = [
