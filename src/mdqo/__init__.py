@@ -42,7 +42,6 @@ from .mixers import (
     MixerSpec,
     apply_mixer,
     feasible_initial_state,
-    mixer_connectivity_check,
     optimize_qaoa1,
     qaoa1_state,
 )

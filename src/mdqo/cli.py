@@ -63,7 +63,6 @@ from .problems import (
     build_maxcut,
     build_mis,
     driving_hamiltonian,
-    feasible_mask,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
@@ -294,15 +293,27 @@ def _parse_mixer(config: dict, graph: Graph, required: bool) -> MixerSpec | None
         raise ConfigError(f"mixer: {exc}") from exc
 
 
-def _feasible_uniform(instance: ProblemInstance) -> StateVector:
-    mask = feasible_mask(instance)
+def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
     amps = mask.astype(np.complex128)
     amps /= math.sqrt(int(mask.sum()))
-    return StateVector(instance.graph.n, amps)
+    return StateVector(n, amps)
+
+
+def _run_tables(instance: ProblemInstance) -> tuple[DiagonalHamiltonian, np.ndarray | None]:
+    """Driving Hamiltonian and, for MIS, the independent-set mask from one table build."""
+    if instance.kind != "mis":
+        return driving_hamiltonian(instance), None
+    h, p = build_mis(instance.graph)
+    if instance.penalty_weight is not None:
+        h = penalize(h, p, instance.penalty_weight)
+    return h, p.values == 0
 
 
 def _parse_initial_state(
-    config: dict, instance: ProblemInstance, h_drive: DiagonalHamiltonian
+    config: dict,
+    instance: ProblemInstance,
+    h_drive: DiagonalHamiltonian,
+    feasible: np.ndarray | None,
 ) -> tuple[StateVector, dict]:
     n = instance.graph.n
     if "initial_state" not in config:
@@ -321,7 +332,9 @@ def _parse_initial_state(
         if kind == "uniform":
             return uniform_superposition(n), echo
         if kind == "feasible-uniform":
-            return _feasible_uniform(instance), echo
+            if feasible is None:
+                raise ValueError("feasibility is defined for MIS instances only")
+            return _feasible_uniform(n, feasible), echo
         if kind == "basis":
             if "bitstring" not in block:
                 raise ConfigError("initial_state: basis kind requires bitstring")
@@ -493,11 +506,11 @@ def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
             ]
         h_bare, p_viol = build_mis(instance.graph)
         if "feasible" in variants:
-            feasible_instance = ProblemInstance(instance.graph, "mis")
+            mask = p_viol.values == 0
             hdr, cols, ech = _sweep_variant_columns(
                 "feasible", h_bare, None, None,
-                feasible_mask(feasible_instance),
-                _feasible_uniform(feasible_instance),
+                mask,
+                _feasible_uniform(instance.graph.n, mask),
                 bound_entries, k0_list, surplus,
             )
             headers += hdr
@@ -732,14 +745,10 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
         budget_kwargs["target_cost"] = _as_number(
             budget_block["target_cost"], "run.budget.target_cost"
         )
-    h_drive = driving_hamiltonian(instance)
-    support = (
-        feasible_mask(instance)
-        if instance.kind == "mis" and instance.penalty_weight is None
-        else None
-    )
+    h_drive, feasible = _run_tables(instance)
+    support = feasible if instance.penalty_weight is None else None
     rescaling, echo = _resolve_rescaling(entry, h_drive, support)
-    initial, initial_echo = _parse_initial_state(config, instance, h_drive)
+    initial, initial_echo = _parse_initial_state(config, instance, h_drive, feasible)
     criteria = _parse_criteria(config)
     mixer = _parse_mixer(config, instance.graph, required=algorithm == 2)
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .problems import Graph, ProblemInstance, DiagonalHamiltonian, feasible_mask
+from .problems import Graph, DiagonalHamiltonian
 from .statevector import (
     StateVector,
-    apply_controlled_x_rotation,
+    _rotate,
     apply_diagonal_phase,
     apply_x_rotation_all,
     basis_state,
@@ -25,9 +24,6 @@ from .statevector import (
 
 TRANSVERSE_FIELD = "transverse-field"
 MIS_CONTROLLED = "mis-controlled"
-
-# Feasible-subspace dimension cap for the dense connectivity check.
-CONNECTIVITY_DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     TRANSVERSE_FIELD rotates every qubit by chi.  MIS_CONTROLLED applies, in
     ascending vertex order, an X rotation on each vertex controlled on all its
     neighbors being 0; the factors do not commute, so the order is part of the
-    contract.
+    contract.  All rotations act in place on one copy of the amplitudes.
     """
     if spec.kind == TRANSVERSE_FIELD:
         return apply_x_rotation_all(state, spec.chi)
@@ -73,51 +69,15 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     assert graph is not None
     if graph.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
-    out = state
-    for u in range(graph.n):
-        out = apply_controlled_x_rotation(out, u, graph.neighbors(u), spec.chi)
-    return out
+    amps = state.amps.copy()
+    _rotate(amps, graph.n, [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
+    return StateVector(graph.n, amps)
 
 
 def feasible_initial_state(graph: Graph, chi0: float) -> StateVector:
     """Feasible-supported state from |0...0> via one mis-controlled mixer pass."""
     spec = MixerSpec(MIS_CONTROLLED, chi0, graph)
     return apply_mixer(basis_state(graph.n, 0), spec)
-
-
-def mixer_connectivity_check(spec: MixerSpec, instance: ProblemInstance) -> bool:
-    """Whether repeated mixer application connects every feasible pair.
-
-    Builds the mixer matrix restricted to the feasible basis and accumulates
-    nonzero entries of its powers up to the feasible dimension; true iff every
-    ordered pair (including the diagonal) becomes reachable.  A diagnostic for
-    tests, not a run-time step.
-    """
-    if instance.kind == "mis":
-        mask = feasible_mask(instance)
-    else:
-        mask = np.ones(2**instance.graph.n, dtype=bool)
-    basis = np.flatnonzero(mask)
-    dim = basis.size
-    if dim > CONNECTIVITY_DIM_CAP:
-        raise CapacityError(
-            f"feasible dimension {dim} exceeds connectivity-check cap {CONNECTIVITY_DIM_CAP}"
-        )
-    if dim <= 1:
-        return True
-    cols = []
-    for x in basis:
-        out = apply_mixer(basis_state(instance.graph.n, int(x)), spec)
-        cols.append(out.amps[basis])
-    mat = np.column_stack(cols)
-    reachable = np.abs(mat) > 1e-12
-    power = mat
-    for _ in range(dim - 1):
-        if reachable.all():
-            return True
-        power = mat @ power
-        reachable |= np.abs(power) > 1e-12
-    return bool(reachable.all())
 
 
 def qaoa1_state(h: DiagonalHamiltonian, params: AnsatzParams) -> StateVector:

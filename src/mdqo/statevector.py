@@ -73,21 +73,49 @@ def apply_diagonal_phase(state: StateVector, h: DiagonalHamiltonian, gamma: floa
     return StateVector(state.n, state.amps * np.exp(-1j * gamma * h.values))
 
 
-def _rotation_pairs(amps: np.ndarray, n: int, u: int) -> np.ndarray:
-    """View of amps with axis 1 selecting bit u; mutating the view mutates amps."""
-    return amps.reshape(2 ** (n - u - 1), 2, 2**u)
+def _rotate(
+    amps: np.ndarray, n: int, targets: list[tuple[int, tuple[int, ...]]], chi: float
+) -> None:
+    """Apply X rotations by chi to amps in place, one (u, controls) target at a time.
+
+    Target qubit u's pairs are mixed only where every control bit is 0.  As
+    an n-axis array, bit u is axis n-1-u: basic slicing fixes each control
+    axis to 0 and splits the target axis, and the trailing Ellipsis keeps a
+    0-d view when every other qubit is a control.  Both halves are copied
+    into four contiguous buffers reused for every target and mixed by the
+    ufunc calls that c*a0 - 1j*s*a1 and c*a1 - 1j*s*a0 make, operands in the
+    same order.  Contiguous operands keep numpy on one inner loop whatever
+    the view's strides, so the bytes match the plain expression; reused
+    buffers spare a fresh 2**(n-1) temporary, and its page faults, per target.
+    """
+    c, s = math.cos(chi), math.sin(chi)
+    js = 1j * s
+    tensor = amps.reshape((2,) * n)
+    size = max(2 ** (n - 1 - len(set(controls))) for _, controls in targets)
+    buffers = np.empty((4, size), dtype=np.complex128)
+    for u, controls in targets:
+        idx: list = [slice(None)] * n
+        for ctl in controls:
+            idx[n - 1 - ctl] = 0
+        idx[n - 1 - u] = 0
+        view0 = tensor[(*idx, ...)]
+        idx[n - 1 - u] = 1
+        view1 = tensor[(*idx, ...)]
+        a0, a1, t0, t1 = (b[: view0.size].reshape(view0.shape) for b in buffers)
+        np.copyto(a0, view0)
+        np.copyto(a1, view1)
+        np.multiply(c, a0, out=t0)
+        np.multiply(js, a1, out=t1)
+        np.subtract(t0, t1, out=view0)
+        np.multiply(c, a1, out=t0)
+        np.multiply(js, a0, out=t1)
+        np.subtract(t0, t1, out=view1)
 
 
 def apply_x_rotation_all(state: StateVector, beta: float) -> StateVector:
     """Apply the uniform single-qubit X rotation exp(-i * beta * X) to every qubit."""
-    c, s = math.cos(beta), math.sin(beta)
     amps = state.amps.copy()
-    for u in range(state.n):
-        view = _rotation_pairs(amps, state.n, u)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :].copy()
-        view[:, 0, :] = c * a0 - 1j * s * a1
-        view[:, 1, :] = c * a1 - 1j * s * a0
+    _rotate(amps, state.n, [(u, ()) for u in range(state.n)], beta)
     return StateVector(state.n, amps)
 
 
@@ -108,17 +136,7 @@ def apply_controlled_x_rotation(
         if not 0 <= ctl < state.n:
             raise ValueError(f"control qubit {ctl} out of range for n={state.n}")
     amps = state.amps.copy()
-    x = np.arange(2**state.n, dtype=np.int64)
-    active = (x >> u) & 1 == 0
-    for ctl in controls:
-        active &= (x >> ctl) & 1 == 0
-    rows = x[active]
-    partners = rows | (1 << u)
-    c, s = math.cos(chi), math.sin(chi)
-    a0 = amps[rows]
-    a1 = amps[partners]
-    amps[rows] = c * a0 - 1j * s * a1
-    amps[partners] = c * a1 - 1j * s * a0
+    _rotate(amps, state.n, [(u, controls)], chi)
     return StateVector(state.n, amps)
 
 

@@ -274,6 +274,55 @@ def test_run_feasible_mis_trajectories(tmp_path):
     assert sidecar["resolved"]["rescaling"]["epsilon"] == pytest.approx(math.pi / 12)
 
 
+def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
+    # The driving Hamiltonian, the feasible support and the feasible-uniform
+    # start share one build; the control loop's level table is the other.
+    import mdqo.cli
+    import mdqo.control
+    import mdqo.problems
+
+    builds = []
+    original = mdqo.problems.build_mis
+
+    def counted(graph):
+        builds.append(graph.n)
+        return original(graph)
+
+    for module in (mdqo.problems, mdqo.cli, mdqo.control):
+        monkeypatch.setattr(module, "build_mis", counted)
+    mdqo.control.prepare_tables.cache_clear()
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "mis", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"threshold_T": 2.9, "ceiling_KT": 40},
+            "initial_state": {"kind": "feasible-uniform"},
+            "mixer": {"kind": "mis-controlled", "chi_tilde": 4},
+            "run": {"algorithm": 2, "budget": {"max_trajectories": 3}},
+            "seed": 1,
+        },
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert builds == [5, 5]
+
+
+def test_feasible_uniform_start_rejected_for_maxcut(tmp_path, caplog):
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"threshold_T": 2.0},
+            "initial_state": {"kind": "feasible-uniform"},
+            "run": {"algorithm": 1, "budget": {"max_trajectories": 1}},
+            "seed": 0,
+        },
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "initial_state: feasibility is defined for MIS instances only" in caplog.text
+
+
 def test_walk_artifacts(tmp_path):
     config = write_config(
         tmp_path,

@@ -9,6 +9,7 @@ from mdqo import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
     AnsatzParams,
+    CapacityError,
     Graph,
     MixerSpec,
     ProblemInstance,
@@ -17,7 +18,6 @@ from mdqo import (
     expectation,
     feasible_initial_state,
     feasible_mask,
-    mixer_connectivity_check,
     optimize_qaoa1,
     qaoa1_state,
     uniform_superposition,
@@ -25,6 +25,43 @@ from mdqo import (
 from mdqo.problems import DiagonalHamiltonian
 
 from conftest import random_state
+
+# Feasible-subspace dimension cap for the dense connectivity check.
+CONNECTIVITY_DIM_CAP = 4096
+
+
+def mixer_connectivity_check(spec: MixerSpec, instance: ProblemInstance) -> bool:
+    """Whether repeated mixer application connects every feasible pair.
+
+    Builds the mixer matrix restricted to the feasible basis and accumulates
+    nonzero entries of its powers up to the feasible dimension; true iff every
+    ordered pair (including the diagonal) becomes reachable.
+    """
+    if instance.kind == "mis":
+        mask = feasible_mask(instance)
+    else:
+        mask = np.ones(2**instance.graph.n, dtype=bool)
+    basis = np.flatnonzero(mask)
+    dim = basis.size
+    if dim > CONNECTIVITY_DIM_CAP:
+        raise CapacityError(
+            f"feasible dimension {dim} exceeds connectivity-check cap {CONNECTIVITY_DIM_CAP}"
+        )
+    if dim <= 1:
+        return True
+    cols = []
+    for x in basis:
+        out = apply_mixer(basis_state(instance.graph.n, int(x)), spec)
+        cols.append(out.amps[basis])
+    mat = np.column_stack(cols)
+    reachable = np.abs(mat) > 1e-12
+    power = mat
+    for _ in range(dim - 1):
+        if reachable.all():
+            return True
+        power = mat @ power
+        reachable |= np.abs(power) > 1e-12
+    return bool(reachable.all())
 
 
 def test_mixer_spec_validation(g5):
@@ -145,6 +182,23 @@ def test_optimize_qaoa1_deterministic_on_constant_cost():
     assert optimize_qaoa1(flat, 8) == params
     with pytest.raises(ValueError):
         optimize_qaoa1(flat, 1)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 2), (2, 5), (3, 8)])
+def test_optimize_qaoa1_tie_break_on_zero_cost(n, resolution):
+    # Every grid value is exactly 0.0, so the smallest pair (0, 0) must win.
+    zero = DiagonalHamiltonian(n, np.zeros(2**n))
+    assert optimize_qaoa1(zero, resolution) == AnsatzParams(0.0, 0.0)
+
+
+@pytest.mark.parametrize("resolution", [4, 8])
+def test_optimize_qaoa1_tie_break_on_symmetric_cost(resolution):
+    # For H = diag(1, -1), <H> = sin(2 beta) sin(2 gamma) peaks at both
+    # (pi/4, pi/4) and (3pi/4, 3pi/4); the grid values tie exactly, and the
+    # lexicographically smaller pair must win.
+    z = DiagonalHamiltonian(1, np.array([1.0, -1.0]))
+    quarter = math.pi * (resolution // 4) / resolution
+    assert optimize_qaoa1(z, resolution) == AnsatzParams(quarter, quarter)
 
 
 def test_feasible_initial_state(g5, mis_instance, mis_pair):
