@@ -9,18 +9,22 @@ scramble-study  effect of mixer scrambling on a stuck aggregated state
 run             stochastic control-loop trajectories under a budget
 walk            walk-model analytics: exact recurrence, closed forms, Monte Carlo
 
+Every command reads and checks its whole config, through one `_Block` per JSON
+object, before its first compute call; each message names the full key path.
 Every invocation writes a JSON sidecar with the resolved config and seed next
 to its data files.  CSV files carry a header row and 12-significant-digit
-floats.  Exit codes: 0 success, 2 configuration error (including a run whose
-criteria never fire within run.max_steps_per_trajectory), 3 capacity error;
-logs go to standard error.  --threads is accepted and echoed into the run
-sidecar but has no effect: trajectories always run sequentially.
+floats.  Exit codes: 0 success, 2 configuration error (including a --seed
+below 0, negative outcome counts and a run whose criteria never fire within
+run.max_steps_per_trajectory), 3 capacity error; logs go to standard error.
+--threads is accepted and echoed into the run sidecar but has no effect:
+trajectories always run sequentially.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -38,6 +42,7 @@ from .analysis import (
     walk_monte_carlo,
 )
 from .control import (
+    DEFAULT_MAX_STEPS,
     Budget,
     CriteriaConfig,
     OuterConfig,
@@ -57,12 +62,12 @@ from .mixers import (
 from .problems import (
     DiagonalHamiltonian,
     Graph,
+    InstanceTables,
     ProblemInstance,
     Rescaling,
     apply_rescaling,
-    build_maxcut,
-    build_mis,
     driving_hamiltonian,
+    instance_tables,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
@@ -87,10 +92,13 @@ _BOUND_SHORTHAND = {
     "tight": {"name": "tight", "mode": "brute-force"},
     "loose": {"name": "loose", "mode": "coefficient-sum"},
 }
+_BOUND_MODES = ("brute-force", "coefficient-sum", "user-supplied")
+_INITIAL_KINDS = ("uniform", "feasible-uniform", "basis", "qaoa1", "mixer-prepared")
+_MIXER_KINDS = (TRANSVERSE_FIELD, MIS_CONTROLLED)
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config reader
 
 
 def _load_config(path: str) -> dict:
@@ -100,197 +108,222 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past 4300 digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be a JSON object")
     return obj
 
 
-def _check_keys(block, path: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be an object")
-    for key in block:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key {path}.{key}")
-    for key in required:
-        if key not in block:
-            raise ConfigError(f"missing required key {path}.{key}")
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be a boolean, got {value!r}")
-    return value
-
-
-def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string, got {value!r}")
+def _value(value, path: str, kind: type, minimum=None, choices=None, null: bool = False):
+    """One config value: its type (ints pass as numbers), then its range or choices."""
+    if null and value is None:
+        return None
+    if kind is float and type(value) is int and abs(value) < 2**1024:  # float() overflows past it
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{path} must be one of {choices}, got {value!r}")
+    if minimum is not None and value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ConfigError(f"{path} must be {bound}, got {value!r}")
     return value
 
 
-def _as_list(value, path: str) -> list:
+def _nonempty_list(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path} must be a nonempty list")
     return value
 
 
-def _parse_int_grid(block, path: str) -> list[int]:
-    """Either {"values": [...]} or an inclusive {"start", "stop", "step"} range."""
-    if isinstance(block, list):
-        return [_as_int(v, f"{path}[]") for v in block]
-    _check_keys(block, path, set(), {"values", "start", "stop", "step"})
-    if "values" in block:
-        if any(k in block for k in ("start", "stop", "step")):
-            raise ConfigError(f"{path}: give either values or start/stop/step, not both")
-        return [_as_int(v, f"{path}.values[]") for v in _as_list(block["values"], path)]
-    for key in ("start", "stop"):
-        if key not in block:
-            raise ConfigError(f"missing required key {path}.{key}")
-    start = _as_int(block["start"], f"{path}.start")
-    stop = _as_int(block["stop"], f"{path}.stop")
-    step = _as_int(block.get("step", 1), f"{path}.step")
-    if step < 1:
-        raise ConfigError(f"{path}.step must be positive")
-    if stop < start:
-        raise ConfigError(f"{path}: stop < start")
-    return list(range(start, stop + 1, step))
+def _pair(value, path: str, kind: type, minimum=None) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be a pair")
+    return tuple(_value(v, f"{path}[{i}]", kind, minimum) for i, v in enumerate(value))
 
 
-def _parse_problem(config: dict) -> ProblemInstance:
-    if "problem" not in config:
-        raise ConfigError("missing required key problem")
-    block = config["problem"]
-    _check_keys(block, "problem", {"kind", "graph"}, {"penalty_weight"})
-    kind = _as_str(block["kind"], "problem.kind", ("maxcut", "mis"))
-    graph_block = block["graph"]
-    if not isinstance(graph_block, dict):
-        raise ConfigError("problem.graph must be an object")
+class _Block:
+    """One JSON object of a config, read through typed getters.
+
+    Built once per object from its key path ("" at the top level) and its
+    required and optional keys, so unknown and missing keys fail at once.
+    Getters return `default` for an absent key and name the full key path
+    in every message.
+    """
+
+    def __init__(self, data, path: str, required=(), optional=()) -> None:
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path} must be an object")
+        self.data, self.path = data, path
+        for key in data:
+            if key not in required and key not in optional:
+                raise ConfigError(f"unknown key {self.key(key)}")
+        for key in required:
+            if key not in data:
+                raise ConfigError(f"missing required key {self.key(key)}")
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.data
+
+    def key(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def raw(self, key: str, default=_REQUIRED):
+        if key in self.data:
+            return self.data[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {self.key(key)}")
+        return default
+
+    def get(self, key, kind: type, default=_REQUIRED, minimum=None, choices=None, null=False):
+        if key not in self.data and default is not _REQUIRED:
+            return default
+        return _value(self.raw(key), self.key(key), kind, minimum, choices, null)
+
+    def items(self, key, kind: type, default=_REQUIRED, minimum=None, choices=None, null=False):
+        """A nonempty list, every entry checked as by get."""
+        path = self.key(key)
+        values = _nonempty_list(self.raw(key, default), path)
+        return [_value(v, f"{path}[{i}]", kind, minimum, choices, null)
+                for i, v in enumerate(values)]
+
+    def pair(self, key: str, kind: type, minimum=None) -> tuple:
+        return _pair(self.raw(key), self.key(key), kind, minimum)
+
+    def block(self, key: str, required=(), optional=()) -> _Block:
+        """The nested object at key; an absent one reads as empty."""
+        return _Block(self.data.get(key, {}), self.key(key), required, optional)
+
+    def grid(self, key: str, minimum=None) -> list[int]:
+        """An int list, {"values": [...]} or an inclusive {"start", "stop", "step"} range."""
+        if isinstance(self.data.get(key), list):
+            return self.items(key, int, minimum=minimum)
+        grid = self.block(key, (), ("values", "start", "stop", "step"))
+        if "values" in grid:
+            if any(k in grid for k in ("start", "stop", "step")):
+                raise ConfigError(f"{grid.path}: give either values or start/stop/step, not both")
+            return grid.items("values", int, minimum=minimum)
+        start = grid.get("start", int, minimum=minimum)
+        stop = grid.get("stop", int)
+        step = grid.get("step", int, 1, minimum=1)
+        if stop < start:
+            raise ConfigError(f"{grid.path}: stop < start")
+        return list(range(start, stop + 1, step))
+
+
+def _parse_problem(cfg: _Block) -> ProblemInstance:
+    problem = cfg.block("problem", ("kind", "graph"), ("penalty_weight",))
+    kind = problem.get("kind", str, choices=("maxcut", "mis"))
+    from_file = isinstance(problem.data["graph"], dict) and "path" in problem.data["graph"]
+    graph_block = problem.block("graph", ("path",) if from_file else ("n", "edges"))
     try:
-        if "path" in graph_block:
-            _check_keys(graph_block, "problem.graph", {"path"}, set())
-            graph = parse_edge_list(Path(graph_block["path"]).read_text())
+        if from_file:
+            graph = parse_edge_list(Path(graph_block.get("path", str)).read_text())
         else:
-            _check_keys(graph_block, "problem.graph", {"n", "edges"}, set())
-            n = _as_int(graph_block["n"], "problem.graph.n")
-            edges = _as_list(graph_block["edges"], "problem.graph.edges")
-            pairs = []
-            for i, e in enumerate(edges):
-                if not isinstance(e, list) or len(e) != 2:
-                    raise ConfigError(f"problem.graph.edges[{i}] must be a pair")
-                pairs.append((_as_int(e[0], "edge"), _as_int(e[1], "edge")))
-            graph = Graph.from_1indexed(n, pairs)
+            edges = graph_block.key("edges")
+            pairs = [
+                _pair(e, f"{edges}[{i}]", int)
+                for i, e in enumerate(_nonempty_list(graph_block.raw("edges"), edges))
+            ]
+            graph = Graph.from_1indexed(graph_block.get("n", int), pairs)
     except OSError as exc:
         raise ConfigError(f"cannot read graph file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"problem.graph: {exc}") from exc
-    penalty = None
-    if "penalty_weight" in block:
-        penalty = _as_number(block["penalty_weight"], "problem.penalty_weight")
+    penalty = problem.get("penalty_weight", float, None)
     try:
         return ProblemInstance(graph=graph, kind=kind, penalty_weight=penalty)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
 
 
-def _normalize_bound_entry(entry, path: str) -> dict:
-    if isinstance(entry, str):
-        if entry not in _BOUND_SHORTHAND:
-            raise ConfigError(f"{path}: unknown bound shorthand {entry!r}")
-        return dict(_BOUND_SHORTHAND[entry])
-    _check_keys(entry, path, {"name", "mode"}, {"bounds"})
-    mode = _as_str(
-        entry["mode"], f"{path}.mode", ("brute-force", "coefficient-sum", "user-supplied")
-    )
-    out = {"name": _as_str(entry["name"], f"{path}.name"), "mode": mode}
+def _bound_entry(value, path: str, named: bool = True) -> dict:
+    """A spectrum-bound entry: a shorthand, or an object with a mode.
+
+    Named entries (the study commands' bound lists) may be a shorthand and
+    must carry a name; the run's rescaling block names itself after its mode
+    by default.
+    """
+    if named and isinstance(value, str):
+        if value not in _BOUND_SHORTHAND:
+            raise ConfigError(f"{path}: unknown bound shorthand {value!r}")
+        return dict(_BOUND_SHORTHAND[value])
+    block = _Block(value, path, ("name", "mode") if named else ("mode",), ("name", "bounds"))
+    mode = block.get("mode", str, choices=_BOUND_MODES)
+    entry = {"name": block.get("name", str, mode), "mode": mode}
     if mode == "user-supplied":
-        if "bounds" not in entry:
-            raise ConfigError(f"{path}: user-supplied mode requires bounds [s, t]")
-        pair = entry["bounds"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}.bounds must be a pair [s, t]")
-        out["bounds"] = [_as_number(pair[0], "s"), _as_number(pair[1], "t")]
-    elif "bounds" in entry:
+        entry["bounds"] = block.pair("bounds", float)
+    elif "bounds" in block:
         raise ConfigError(f"{path}.bounds only applies to user-supplied mode")
-    return out
+    return entry
 
 
 def _resolve_rescaling(
     entry: dict, h: DiagonalHamiltonian, support
 ) -> tuple[Rescaling, dict]:
     """Build the rescaling for a normalized bound entry; returns it plus an echo dict."""
-    user = tuple(entry["bounds"]) if entry["mode"] == "user-supplied" else None
+    user = entry["bounds"] if entry["mode"] == "user-supplied" else None
     try:
         bounds = spectrum_bounds(h, entry["mode"], support=support, user=user)
         rescaling = rescaling_from_bounds(bounds)
     except (ValueError, DegenerateSpectrumError) as exc:
         raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
-    echo = {
-        "name": entry["name"],
-        "mode": entry["mode"],
-        "s": bounds.s,
-        "t": bounds.t,
-        "alpha": rescaling.alpha,
-        "epsilon": rescaling.epsilon,
-    }
+    echo = {"name": entry["name"], "mode": entry["mode"], "s": bounds.s, "t": bounds.t,
+            "alpha": rescaling.alpha, "epsilon": rescaling.epsilon}
     return rescaling, echo
 
 
-def _parse_criteria(config: dict) -> CriteriaConfig:
-    if "criteria" not in config:
-        raise ConfigError("missing required key criteria")
-    block = config["criteria"]
-    _check_keys(
-        block,
-        "criteria",
-        set(),
-        {"threshold_T", "surplus_L", "ceiling_KT", "reset_R", "min_steps_ell"},
-    )
-    kwargs = {}
-    if "threshold_T" in block:
-        kwargs["threshold_T"] = _as_number(block["threshold_T"], "criteria.threshold_T")
-    for key in ("surplus_L", "ceiling_KT", "reset_R", "min_steps_ell"):
-        if key in block:
-            kwargs[key] = _as_int(block[key], f"criteria.{key}")
+def _rescaled(
+    entry: dict, h: DiagonalHamiltonian, support=None
+) -> tuple[DiagonalHamiltonian, dict]:
+    """The rescaled cost table of a study command, plus its echo dict.
+
+    Coefficient-sum bounds of a penalised MIS cost are not honest on every
+    graph (an isolated vertex lowers the minimum), so the range check of
+    apply_rescaling is a config error too.
+    """
+    rescaling, echo = _resolve_rescaling(entry, h, support)
     try:
-        return CriteriaConfig(**kwargs)
+        return apply_rescaling(rescaling, h, support), echo
+    except ValueError as exc:
+        raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
+
+
+def _parse_criteria(cfg: _Block) -> CriteriaConfig:
+    block = cfg.block(
+        "criteria", (), ("threshold_T", "surplus_L", "ceiling_KT", "reset_R", "min_steps_ell")
+    )
+    try:
+        return CriteriaConfig(
+            threshold_T=block.get("threshold_T", float, None),
+            surplus_L=block.get("surplus_L", int, None),
+            ceiling_KT=block.get("ceiling_KT", int, None),
+            reset_R=block.get("reset_R", int, None),
+            min_steps_ell=block.get("min_steps_ell", int, 0),
+        )
     except ValueError as exc:
         raise ConfigError(f"criteria: {exc}") from exc
 
 
-def _parse_mixer(config: dict, graph: Graph, required: bool) -> MixerSpec | None:
-    if "mixer" not in config:
+def _parse_mixer(cfg: _Block, graph: Graph, required: bool) -> MixerSpec | None:
+    if "mixer" not in cfg:
         if required:
             raise ConfigError("missing required key mixer (algorithm 2 needs one)")
         return None
-    block = config["mixer"]
-    _check_keys(block, "mixer", {"kind"}, {"chi", "chi_tilde"})
-    kind = _as_str(block["kind"], "mixer.kind", (TRANSVERSE_FIELD, MIS_CONTROLLED))
+    block = cfg.block("mixer", ("kind",), ("chi", "chi_tilde"))
+    kind = block.get("kind", str, choices=_MIXER_KINDS)
     if ("chi" in block) == ("chi_tilde" in block):
         raise ConfigError("mixer: give exactly one of chi or chi_tilde")
     if "chi" in block:
-        chi = _as_number(block["chi"], "mixer.chi")
+        chi = block.get("chi", float)
     else:
-        chi = _as_int(block["chi_tilde"], "mixer.chi_tilde") * CHI_TILDE_UNIT
-    try:
-        return MixerSpec(kind=kind, chi=chi, graph=graph if kind == MIS_CONTROLLED else None)
-    except ValueError as exc:
-        raise ConfigError(f"mixer: {exc}") from exc
+        chi = block.get("chi_tilde", int) * CHI_TILDE_UNIT
+    return MixerSpec(kind=kind, chi=chi, graph=graph if kind == MIS_CONTROLLED else None)
 
 
 def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
@@ -299,77 +332,49 @@ def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
     return StateVector(n, amps)
 
 
-def _run_tables(instance: ProblemInstance) -> tuple[DiagonalHamiltonian, np.ndarray | None]:
-    """Driving Hamiltonian and, for MIS, the independent-set mask from one table build."""
-    if instance.kind != "mis":
-        return driving_hamiltonian(instance), None
-    h, p = build_mis(instance.graph)
-    if instance.penalty_weight is not None:
-        h = penalize(h, p, instance.penalty_weight)
-    return h, p.values == 0
-
-
-def _parse_initial_state(
-    config: dict,
-    instance: ProblemInstance,
-    h_drive: DiagonalHamiltonian,
-    feasible: np.ndarray | None,
-) -> tuple[StateVector, dict]:
+def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
+    """The checked initial-state block, as the echo dict the state is built from."""
+    if "initial_state" not in cfg:
+        return {"kind": "uniform"}
+    block = cfg.block("initial_state", ("kind",), ("bitstring", "grid_resolution", "chi0"))
+    echo: dict = {"kind": block.get("kind", str, choices=_INITIAL_KINDS)}
     n = instance.graph.n
-    if "initial_state" not in config:
-        return uniform_superposition(n), {"kind": "uniform"}
-    block = config["initial_state"]
-    _check_keys(
-        block, "initial_state", {"kind"}, {"bitstring", "grid_resolution", "chi0"}
-    )
-    kind = _as_str(
-        block["kind"],
-        "initial_state.kind",
-        ("uniform", "feasible-uniform", "basis", "qaoa1", "mixer-prepared"),
-    )
-    echo: dict = {"kind": kind}
-    try:
-        if kind == "uniform":
-            return uniform_superposition(n), echo
-        if kind == "feasible-uniform":
-            if feasible is None:
-                raise ValueError("feasibility is defined for MIS instances only")
-            return _feasible_uniform(n, feasible), echo
-        if kind == "basis":
-            if "bitstring" not in block:
-                raise ConfigError("initial_state: basis kind requires bitstring")
-            bits = _as_str(block["bitstring"], "initial_state.bitstring")
-            if len(bits) != n:
-                raise ConfigError(f"initial_state.bitstring must have length {n}")
-            echo["bitstring"] = bits
-            return basis_state(n, bitstring_to_index(bits)), echo
-        if kind == "qaoa1":
-            resolution = _as_int(block.get("grid_resolution", 256), "grid_resolution")
-            params = optimize_qaoa1(h_drive, resolution)
-            echo.update(
-                {"grid_resolution": resolution, "gamma": params.gamma, "beta": params.beta}
-            )
-            return qaoa1_state(h_drive, params), echo
-        # mixer-prepared
-        if "chi0" not in block:
-            raise ConfigError("initial_state: mixer-prepared kind requires chi0")
-        chi0 = _as_number(block["chi0"], "initial_state.chi0")
+    if echo["kind"] == "feasible-uniform" and instance.kind != "mis":
+        raise ConfigError("initial_state: feasibility is defined for MIS instances only")
+    if echo["kind"] == "basis":
+        bits = echo["bitstring"] = block.get("bitstring", str)
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ConfigError(f"initial_state.bitstring must be {n} characters 0 or 1")
+    elif echo["kind"] == "qaoa1":
+        echo["grid_resolution"] = block.get("grid_resolution", int, 256, minimum=2)
+    elif echo["kind"] == "mixer-prepared":
+        echo["chi0"] = block.get("chi0", float)
         if instance.kind != "mis":
             raise ConfigError("initial_state: mixer-prepared applies to MIS instances")
-        echo["chi0"] = chi0
-        return feasible_initial_state(instance.graph, chi0), echo
-    except ValueError as exc:
-        raise ConfigError(f"initial_state: {exc}") from exc
+    return echo
+
+
+def _initial_state(echo: dict, instance: ProblemInstance, tables: InstanceTables) -> StateVector:
+    """Build the state a checked initial-state echo describes; qaoa1 adds its angles."""
+    n = instance.graph.n
+    kind = echo["kind"]
+    if kind == "uniform":
+        return uniform_superposition(n)
+    if kind == "feasible-uniform":
+        return _feasible_uniform(n, tables.feasible)
+    if kind == "basis":
+        return basis_state(n, bitstring_to_index(echo["bitstring"]))
+    if kind == "qaoa1":
+        params = optimize_qaoa1(tables.drive, echo["grid_resolution"])
+        echo.update(gamma=params.gamma, beta=params.beta)
+        return qaoa1_state(tables.drive, params)
+    return feasible_initial_state(instance.graph, echo["chi0"])
 
 
 def _resolve_seed(config: dict, cli_seed: int | None, required: bool) -> int | None:
-    seed = config.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, "seed")
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
+    seed = _value(config.get("seed"), "seed", int, minimum=0, null=True)
     if cli_seed is not None:
-        seed = cli_seed
+        seed = _value(cli_seed, "--seed", int, minimum=0)
     if required and seed is None:
         raise ConfigError("a seed is required for stochastic runs (config key seed or --seed)")
     return seed
@@ -404,12 +409,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_sidecar(outdir: Path, command: str, config: dict, seed, extra: dict) -> None:
-    payload = {
-        "command": command,
-        "config": config,
-        "resolved": dict(extra),
-        "seed": seed,
-    }
+    payload = {"command": command, "config": config, "resolved": dict(extra), "seed": seed}
     _write_json(outdir / f"{command.replace('-', '_')}_config.json", payload)
 
 
@@ -417,125 +417,69 @@ def _write_sidecar(outdir: Path, command: str, config: dict, seed, extra: dict) 
 # sweep-counts
 
 
-def _sweep_variant_columns(
-    label: str,
-    h_drive: DiagonalHamiltonian,
-    h_report_extra: DiagonalHamiltonian | None,
-    extra_label: str | None,
-    support,
-    initial: StateVector,
-    bound_entries: list[dict],
-    k0_list: list[int],
-    surplus: list[int],
-) -> tuple[list[str], list[list[float]], list[dict]]:
-    """Column block for one sweep variant: (H, p1[, extra]) per bound per k0."""
-    headers: list[str] = []
-    columns: list[list[float]] = []
+def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
+    cfg = _Block(config, "", ("problem", "sweep"), ("seed",))
+    instance = _parse_problem(cfg)
+    sweep = cfg.block("sweep", ("k0", "bounds", "surplus_grid"), ("variants", "penalty_weights"))
+    k0_list = sweep.items("k0", int, minimum=0)
+    surplus = sweep.grid("surplus_grid", minimum=0)
+    bound_entries = [
+        _bound_entry(e, f"sweep.bounds[{i}]")
+        for i, e in enumerate(_nonempty_list(sweep.raw("bounds"), "sweep.bounds"))
+    ]
+
+    # (label, driving cost, extra reported cost P, support, initial state)
+    n = instance.graph.n
+    uniform = uniform_superposition(n)
+    if instance.kind == "maxcut":
+        if "variants" in sweep or "penalty_weights" in sweep:
+            raise ConfigError("sweep.variants/penalty_weights apply to MIS instances only")
+        variants = [("maxcut", driving_hamiltonian(instance), None, None, uniform)]
+    else:
+        kinds = sweep.items(
+            "variants",
+            str,
+            ["feasible", "penalized"] if "penalty_weights" in sweep else ["feasible"],
+            choices=("feasible", "penalized"),
+        )
+        lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
+        bare = instance_tables(ProblemInstance(instance.graph, "mis"))
+        variants = []
+        if "feasible" in kinds:
+            initial = _feasible_uniform(n, bare.support)
+            variants.append(("feasible", bare.drive, None, bare.support, initial))
+        for lam in lams:
+            h_pen = penalize(bare.drive, bare.violations, lam)
+            variants.append((f"penalized_lam{lam:g}", h_pen, bare.violations, None, uniform))
+
+    scaled = []
     echoes: list[dict] = []
-    for entry in bound_entries:
-        rescaling, echo = _resolve_rescaling(entry, h_drive, support)
-        echo["variant"] = label
-        echoes.append(echo)
-        c = apply_rescaling(rescaling, h_drive, support)
+    for label, h_drive, h_extra, support, initial in variants:
+        for entry in bound_entries:
+            c, echo = _rescaled(entry, h_drive, support)
+            echo["variant"] = label
+            echoes.append(echo)
+            scaled.append((f"{label}_{entry['name']}", h_drive, h_extra, initial, c))
+
+    headers: list[str] = ["L"]
+    columns: list[list[float]] = []
+    for name, h_drive, h_extra, initial, c in scaled:
         for k0 in k0_list:
-            if k0 < 0:
-                raise ConfigError(f"sweep.k0 entries must be nonnegative, got {k0}")
-            prefix = f"{label}_{entry['name']}_k0_{k0}"
             col_h: list[float] = []
             col_p1: list[float] = []
             col_extra: list[float] = []
             for ell in surplus:
-                counts = OutcomeCounts(k0, k0 + ell)
-                state, _ = analytic_state(initial, c, counts)
+                state, _ = analytic_state(initial, c, OutcomeCounts(k0, k0 + ell))
                 col_h.append(expectation(state, h_drive))
                 col_p1.append(success_probability(state, c))
-                if h_report_extra is not None:
-                    col_extra.append(expectation(state, h_report_extra))
-            headers.append(f"H_{prefix}")
-            columns.append(col_h)
-            headers.append(f"p1_{prefix}")
-            columns.append(col_p1)
-            if h_report_extra is not None:
-                headers.append(f"{extra_label}_{prefix}")
+                if h_extra is not None:
+                    col_extra.append(expectation(state, h_extra))
+            prefix = f"{name}_k0_{k0}"
+            headers += [f"H_{prefix}", f"p1_{prefix}"]
+            columns += [col_h, col_p1]
+            if h_extra is not None:
+                headers.append(f"P_{prefix}")
                 columns.append(col_extra)
-    return headers, columns, echoes
-
-
-def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
-    instance = _parse_problem(config)
-    _check_keys(config, "config", {"problem", "sweep"}, {"seed"})
-    block = config["sweep"]
-    _check_keys(
-        block,
-        "sweep",
-        {"k0", "bounds", "surplus_grid"},
-        {"variants", "penalty_weights"},
-    )
-    k0_list = [_as_int(v, "sweep.k0[]") for v in _as_list(block["k0"], "sweep.k0")]
-    surplus = _parse_int_grid(block["surplus_grid"], "sweep.surplus_grid")
-    if any(ell < 0 for ell in surplus):
-        raise ConfigError("sweep.surplus_grid values must be nonnegative")
-    bound_entries = [
-        _normalize_bound_entry(e, f"sweep.bounds[{i}]")
-        for i, e in enumerate(_as_list(block["bounds"], "sweep.bounds"))
-    ]
-
-    headers: list[str] = ["L"]
-    columns: list[list[float]] = []
-    echoes: list[dict] = []
-    if instance.kind == "maxcut":
-        if "variants" in block or "penalty_weights" in block:
-            raise ConfigError("sweep.variants/penalty_weights apply to MIS instances only")
-        h = build_maxcut(instance.graph)
-        hdr, cols, ech = _sweep_variant_columns(
-            "maxcut", h, None, None, None,
-            uniform_superposition(instance.graph.n),
-            bound_entries, k0_list, surplus,
-        )
-        headers += hdr
-        columns += cols
-        echoes += ech
-    else:
-        variants = block.get("variants")
-        if variants is None:
-            variants = ["feasible", "penalized"] if "penalty_weights" in block else ["feasible"]
-        else:
-            variants = [
-                _as_str(v, "sweep.variants[]", ("feasible", "penalized"))
-                for v in _as_list(variants, "sweep.variants")
-            ]
-        h_bare, p_viol = build_mis(instance.graph)
-        if "feasible" in variants:
-            mask = p_viol.values == 0
-            hdr, cols, ech = _sweep_variant_columns(
-                "feasible", h_bare, None, None,
-                mask,
-                _feasible_uniform(instance.graph.n, mask),
-                bound_entries, k0_list, surplus,
-            )
-            headers += hdr
-            columns += cols
-            echoes += ech
-        if "penalized" in variants:
-            if "penalty_weights" not in block:
-                raise ConfigError("sweep.penalty_weights is required for the penalized variant")
-            lams = [
-                _as_number(v, "sweep.penalty_weights[]")
-                for v in _as_list(block["penalty_weights"], "sweep.penalty_weights")
-            ]
-            for lam in lams:
-                try:
-                    h_pen = penalize(h_bare, p_viol, lam)
-                except ValueError as exc:
-                    raise ConfigError(f"sweep.penalty_weights: {exc}") from exc
-                hdr, cols, ech = _sweep_variant_columns(
-                    f"penalized_lam{lam:g}", h_pen, p_viol, "P", None,
-                    uniform_superposition(instance.graph.n),
-                    bound_entries, k0_list, surplus,
-                )
-                headers += hdr
-                columns += cols
-                echoes += ech
 
     rows = [[surplus[i]] + [col[i] for col in columns] for i in range(len(surplus))]
     _write_csv(outdir / "sweep_counts.csv", headers, rows)
@@ -547,31 +491,21 @@ def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
 
 
 def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
-    instance = _parse_problem(config)
-    _check_keys(config, "config", {"problem"}, {"postprocess", "seed"})
-    block = config.get("postprocess", {})
-    _check_keys(block, "postprocess", set(), {"grid_resolution", "k1", "bound"})
-    resolution = _as_int(block.get("grid_resolution", 256), "postprocess.grid_resolution")
-    k1_list = [
-        _as_int(v, "postprocess.k1[]")
-        for v in _as_list(block.get("k1", [1, 2, 3]), "postprocess.k1")
-    ]
-    bound_entry = _normalize_bound_entry(block.get("bound", "tight"), "postprocess.bound")
+    cfg = _Block(config, "", ("problem",), ("postprocess", "seed"))
+    instance = _parse_problem(cfg)
+    post = cfg.block("postprocess", (), ("grid_resolution", "k1", "bound"))
+    resolution = post.get("grid_resolution", int, 256, minimum=2)
+    k1_list = post.items("k1", int, [1, 2, 3], minimum=0)
+    bound_entry = _bound_entry(post.raw("bound", "tight"), "postprocess.bound")
 
     h = driving_hamiltonian(instance)
-    rescaling, echo = _resolve_rescaling(bound_entry, h, None)
-    c = apply_rescaling(rescaling, h)
-    try:
-        params = optimize_qaoa1(h, resolution)
-    except ValueError as exc:
-        raise ConfigError(f"postprocess: {exc}") from exc
+    c, echo = _rescaled(bound_entry, h)
+    params = optimize_qaoa1(h, resolution)
     states: list[tuple[str, StateVector]] = [
         ("uniform", uniform_superposition(h.n)),
         ("qaoa1", qaoa1_state(h, params)),
     ]
     for k1 in k1_list:
-        if k1 < 0:
-            raise ConfigError("postprocess.k1 entries must be nonnegative")
         state, _ = analytic_state(states[1][1], c, OutcomeCounts(0, k1))
         states.append((f"qaoa1_k1_{k1}", state))
 
@@ -589,17 +523,8 @@ def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
 
     summary_rows = [[label, dist.mean] for label, dist in dists]
     _write_csv(outdir / "postprocess_summary.csv", ["state", "H"], summary_rows)
-    _write_sidecar(
-        outdir,
-        "postprocess",
-        config,
-        seed,
-        {
-            "rescaling": echo,
-            "qaoa1": {"gamma": params.gamma, "beta": params.beta,
-                      "grid_resolution": resolution},
-        },
-    )
+    qaoa1 = {"gamma": params.gamma, "beta": params.beta, "grid_resolution": resolution}
+    _write_sidecar(outdir, "postprocess", config, seed, {"rescaling": echo, "qaoa1": qaoa1})
 
 
 # ---------------------------------------------------------------------------
@@ -607,43 +532,34 @@ def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
 
 
 def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
-    instance = _parse_problem(config)
-    _check_keys(config, "config", {"problem", "scramble"}, {"seed"})
-    block = config["scramble"]
-    _check_keys(
-        block,
-        "scramble",
-        {"start_counts"},
-        {"bound", "mixer_kind", "top", "bottom"},
-    )
-    pair = block["start_counts"]
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError("scramble.start_counts must be a pair [k0, k1]")
-    start_counts = OutcomeCounts(
-        _as_int(pair[0], "scramble.start_counts[0]"),
-        _as_int(pair[1], "scramble.start_counts[1]"),
-    )
-    bound_entry = _normalize_bound_entry(block.get("bound", "tight"), "scramble.bound")
-    mixer_kind = _as_str(
-        block.get("mixer_kind", TRANSVERSE_FIELD),
-        "scramble.mixer_kind",
-        (TRANSVERSE_FIELD, MIS_CONTROLLED),
-    )
+    cfg = _Block(config, "", ("problem", "scramble"), ("seed",))
+    instance = _parse_problem(cfg)
+    block = cfg.block("scramble", ("start_counts",), ("bound", "mixer_kind", "top", "bottom"))
+    start_counts = OutcomeCounts(*block.pair("start_counts", int, minimum=0))
+    bound_entry = _bound_entry(block.raw("bound", "tight"), "scramble.bound")
+    mixer_kind = block.get("mixer_kind", str, TRANSVERSE_FIELD, choices=_MIXER_KINDS)
     if "top" not in block and "bottom" not in block:
         raise ConfigError("scramble: at least one of top/bottom panels is required")
+    if "top" in block:
+        top = block.block("top", ("k1_grid",), ("k0_tilde", "chi_tilde"))
+        top_k0 = top.get("k0_tilde", int, 0, minimum=0)
+        chi_tildes = top.items("chi_tilde", int, [1, 2, 3, 4, 5, 6])
+        k1_grid = top.grid("k1_grid", minimum=0)
+    if "bottom" in block:
+        bottom = block.block("bottom", ("surplus_grid",), ("k0_tilde", "chi_tilde"))
+        chi_t = bottom.get("chi_tilde", int, 3)
+        k0_tildes = bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0)
+        surplus = bottom.grid("surplus_grid", minimum=0)
 
     h = driving_hamiltonian(instance)
-    rescaling, echo = _resolve_rescaling(bound_entry, h, None)
-    c = apply_rescaling(rescaling, h)
+    c, echo = _rescaled(bound_entry, h)
     initial = uniform_superposition(h.n)
     start, _ = analytic_state(initial, c, start_counts)
 
-    def mixer(chi: float) -> MixerSpec:
-        return MixerSpec(
-            kind=mixer_kind,
-            chi=chi,
-            graph=instance.graph if mixer_kind == MIS_CONTROLLED else None,
-        )
+    mixer_graph = instance.graph if mixer_kind == MIS_CONTROLLED else None
+
+    def scramble(chi_tilde: int) -> StateVector:
+        return apply_mixer(start, MixerSpec(mixer_kind, chi_tilde * CHI_TILDE_UNIT, mixer_graph))
 
     def continued(base: StateVector, k0: int, k1: int) -> float:
         state, _ = analytic_state(base, c, OutcomeCounts(k0, k1))
@@ -652,36 +568,18 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
     resolved: dict = {"rescaling": echo, "start_counts": [start_counts.k0, start_counts.k1]}
 
     if "top" in block:
-        top = block["top"]
-        _check_keys(top, "scramble.top", {"k1_grid"}, {"k0_tilde", "chi_tilde"})
-        k0_t = _as_int(top.get("k0_tilde", 0), "scramble.top.k0_tilde")
-        chi_tildes = [
-            _as_int(v, "scramble.top.chi_tilde[]")
-            for v in _as_list(top.get("chi_tilde", [1, 2, 3, 4, 5, 6]), "scramble.top.chi_tilde")
-        ]
-        k1_grid = _parse_int_grid(top["k1_grid"], "scramble.top.k1_grid")
-        scrambled = {ct: apply_mixer(start, mixer(ct * CHI_TILDE_UNIT)) for ct in chi_tildes}
+        scrambled = {ct: scramble(ct) for ct in chi_tildes}
         header = ["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes]
         rows = []
         for k1 in k1_grid:
-            row = [k1, continued(start, k0_t, k1)]
-            row += [continued(scrambled[ct], k0_t, k1) for ct in chi_tildes]
+            row = [k1, continued(start, top_k0, k1)]
+            row += [continued(scrambled[ct], top_k0, k1) for ct in chi_tildes]
             rows.append(row)
         _write_csv(outdir / "scramble_top.csv", header, rows)
-        resolved["top"] = {"k0_tilde": k0_t, "chi_tilde": chi_tildes}
+        resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
 
     if "bottom" in block:
-        bottom = block["bottom"]
-        _check_keys(
-            bottom, "scramble.bottom", {"surplus_grid"}, {"k0_tilde", "chi_tilde"}
-        )
-        chi_t = _as_int(bottom.get("chi_tilde", 3), "scramble.bottom.chi_tilde")
-        k0_tildes = [
-            _as_int(v, "scramble.bottom.k0_tilde[]")
-            for v in _as_list(bottom.get("k0_tilde", [0, 1, 2, 3]), "scramble.bottom.k0_tilde")
-        ]
-        surplus = _parse_int_grid(bottom["surplus_grid"], "scramble.bottom.surplus_grid")
-        scrambled = apply_mixer(start, mixer(chi_t * CHI_TILDE_UNIT))
+        scrambled = scramble(chi_t)
         header = ["L_tilde"]
         for k0_t in k0_tildes:
             header += [f"H_k0_{k0_t}", f"H_baseline_k0_{k0_t}"]
@@ -703,74 +601,45 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
 
 
 def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
-    instance = _parse_problem(config)
-    _check_keys(
-        config,
-        "config",
-        {"problem", "rescaling", "criteria", "run"},
-        {"initial_state", "mixer", "seed"},
+    cfg = _Block(
+        config, "", ("problem", "rescaling", "criteria", "run"), ("initial_state", "mixer", "seed")
     )
-    resc_block = config["rescaling"]
-    _check_keys(resc_block, "rescaling", {"mode"}, {"bounds", "name"})
-    entry = _normalize_bound_entry(
-        {
-            "name": resc_block.get("name", resc_block["mode"]),
-            "mode": resc_block["mode"],
-            **({"bounds": resc_block["bounds"]} if "bounds" in resc_block else {}),
-        },
-        "rescaling",
-    )
-    run_block = config["run"]
-    _check_keys(
-        run_block,
+    instance = _parse_problem(cfg)
+    entry = _bound_entry(cfg.raw("rescaling"), "rescaling", named=False)
+    run = cfg.block(
         "run",
-        {"algorithm", "budget"},
-        {
-            "adaptive_threshold",
-            "surplus_delta",
-            "max_steps_per_trajectory",
-            "trajectory_csv",
-        },
+        ("algorithm", "budget"),
+        ("adaptive_threshold", "surplus_delta", "max_steps_per_trajectory", "trajectory_csv"),
     )
-    algorithm = _as_int(run_block["algorithm"], "run.algorithm")
-    budget_block = run_block["budget"]
-    _check_keys(
-        budget_block, "run.budget", set(), {"max_trajectories", "max_total_steps", "target_cost"}
-    )
-    budget_kwargs = {}
-    for key in ("max_trajectories", "max_total_steps"):
-        if budget_block.get(key) is not None:
-            budget_kwargs[key] = _as_int(budget_block[key], f"run.budget.{key}")
-    if budget_block.get("target_cost") is not None:
-        budget_kwargs["target_cost"] = _as_number(
-            budget_block["target_cost"], "run.budget.target_cost"
-        )
-    h_drive, feasible = _run_tables(instance)
-    support = feasible if instance.penalty_weight is None else None
-    rescaling, echo = _resolve_rescaling(entry, h_drive, support)
-    initial, initial_echo = _parse_initial_state(config, instance, h_drive, feasible)
-    criteria = _parse_criteria(config)
-    mixer = _parse_mixer(config, instance.graph, required=algorithm == 2)
-
+    algorithm = run.get("algorithm", int, choices=(1, 2))
+    budget = run.block("budget", (), ("max_trajectories", "max_total_steps", "target_cost"))
     try:
-        budget = Budget(**budget_kwargs)
-        outer = OuterConfig(
-            algorithm=algorithm,
-            rescaling=rescaling,
-            initial_state=initial,
-            criteria=criteria,
-            mixer=mixer,
-            adaptive_threshold=_as_bool(
-                run_block.get("adaptive_threshold", False), "run.adaptive_threshold"
-            ),
-            surplus_delta=_as_int(run_block.get("surplus_delta", 0), "run.surplus_delta"),
-            max_steps_per_trajectory=_as_int(
-                run_block.get("max_steps_per_trajectory", 1_000_000),
-                "run.max_steps_per_trajectory",
-            ),
+        budget = Budget(
+            max_trajectories=budget.get("max_trajectories", int, None, null=True),
+            max_total_steps=budget.get("max_total_steps", int, None, null=True),
+            target_cost=budget.get("target_cost", float, None, null=True),
         )
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from exc
+    options = {
+        "adaptive_threshold": run.get("adaptive_threshold", bool, False),
+        "surplus_delta": run.get("surplus_delta", int, 0),
+        "max_steps_per_trajectory": run.get("max_steps_per_trajectory", int, DEFAULT_MAX_STEPS),
+    }
+    trajectory_csv = run.get("trajectory_csv", bool, False)
+    criteria = _parse_criteria(cfg)
+    mixer = _parse_mixer(cfg, instance.graph, required=algorithm == 2)
+    initial_echo = _parse_initial_state(cfg, instance)
+
+    tables = instance_tables(instance)
+    rescaling, echo = _resolve_rescaling(entry, tables.drive, tables.support)
+    try:
+        # checked before the initial state, whose qaoa1 kind runs a grid search
+        outer = OuterConfig(algorithm, rescaling, None, criteria, mixer, **options)
+    except ValueError as exc:
+        raise ConfigError(f"run: {exc}") from exc
+    initial = _initial_state(initial_echo, instance, tables)
+    outer = dataclasses.replace(outer, initial_state=initial)
 
     try:
         summary = outer_loop(instance, outer, budget, seed)
@@ -784,9 +653,7 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
         "best_bitstring": summary.best_bitstring,
         "best_bitstring_text": index_to_bitstring(summary.best_bitstring, n),
         "best_cost": summary.best_cost,
-        "cost_histogram": {
-            f"{cost:.12g}": count for cost, count in summary.cost_histogram.items()
-        },
+        "cost_histogram": {f"{c:.12g}": k for c, k in summary.cost_histogram.items()},
         "param_log": list(summary.param_log),
         "seed": seed,
         "total_steps": summary.total_steps,
@@ -794,32 +661,20 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
     }
     _write_json(outdir / "run_summary.json", payload)
 
-    if _as_bool(run_block.get("trajectory_csv", False), "run.trajectory_csv"):
+    if trajectory_csv:
         header = [
             "index", "steps", "k0", "k1", "scrambles",
             "terminal_reason", "final_sample", "final_cost",
         ]
-        rows = []
-        for i, traj in enumerate(summary.trajectories):
-            rows.append([
-                i,
-                traj.steps,
-                traj.counts.k0,
-                traj.counts.k1,
-                len(traj.scramble_events),
-                traj.terminal_reason,
-                index_to_bitstring(traj.final_sample, n),
-                traj.final_cost,
-            ])
+        rows = [
+            [i, traj.steps, traj.counts.k0, traj.counts.k1, len(traj.scramble_events),
+             traj.terminal_reason, index_to_bitstring(traj.final_sample, n), traj.final_cost]
+            for i, traj in enumerate(summary.trajectories)
+        ]
         _write_csv(outdir / "trajectories.csv", header, rows)
 
-    _write_sidecar(
-        outdir,
-        "run",
-        config,
-        seed,
-        {"rescaling": echo, "initial_state": initial_echo, "threads": threads},
-    )
+    resolved = {"rescaling": echo, "initial_state": initial_echo, "threads": threads}
+    _write_sidecar(outdir, "run", config, seed, resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -827,27 +682,21 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
 
 
 def cmd_walk(config: dict, outdir: Path, seed) -> None:
-    _check_keys(config, "config", {"walk"}, {"seed"})
-    block = config["walk"]
-    _check_keys(
-        block,
-        "walk",
-        {"p", "L"},
-        {"R", "mc_trials", "mc_step_cap", "include_run_rule"},
-    )
-    p_list = [_as_number(v, "walk.p[]") for v in _as_list(block["p"], "walk.p")]
-    l_list = [_as_int(v, "walk.L[]") for v in _as_list(block["L"], "walk.L")]
-    r_list = block.get("R", [None])
-    if not isinstance(r_list, list) or not r_list:
-        raise ConfigError("walk.R must be a nonempty list (entries integer or null)")
-    r_values = [None if v is None else _as_int(v, "walk.R[]") for v in r_list]
-    trials = _as_int(block.get("mc_trials", 0), "walk.mc_trials")
-    if trials < 0:
-        raise ConfigError("walk.mc_trials must be nonnegative")
-    step_cap = _as_int(block.get("mc_step_cap", 10**8), "walk.mc_step_cap")
-    include_run_rule = _as_bool(block.get("include_run_rule", True), "walk.include_run_rule")
+    cfg = _Block(config, "", ("walk",), ("seed",))
+    block = cfg.block("walk", ("p", "L"), ("R", "mc_trials", "mc_step_cap", "include_run_rule"))
+    p_list = block.items("p", float)
+    l_list = block.items("L", int)
+    r_values = block.items("R", int, [None], null=True)
+    trials = block.get("mc_trials", int, 0, minimum=0)
+    step_cap = block.get("mc_step_cap", int, 10**8)
+    include_run_rule = block.get("include_run_rule", bool, True)
     if trials > 0 and seed is None:
         raise ConfigError("walk: Monte Carlo trials need a seed (config key seed or --seed)")
+    try:
+        models = [WalkModel(p=p, L=length, R=r) for p in p_list for length in l_list
+                  for r in r_values]
+    except ValueError as exc:
+        raise ConfigError(f"walk: {exc}") from exc
 
     stream = 0
 
@@ -863,40 +712,33 @@ def cmd_walk(config: dict, outdir: Path, seed) -> None:
         "mc_mean", "mc_stderr", "mc_capped", "mc_within_3sigma",
     ]
     rows = []
-    for p in p_list:
-        for length in l_list:
-            for r in r_values:
-                try:
-                    model = WalkModel(p=p, L=length, R=r)
-                except ValueError as exc:
-                    raise ConfigError(f"walk: {exc}") from exc
-                bound = expected_steps_surplus_bound(p, length) if p > 0.5 else None
-                if r is None:
-                    exact = bound  # the no-reset hitting time L/(2p-1) when it exists
-                    closed = None
-                else:
-                    exact = expected_steps_with_reset_exact(model)
-                    closed = expected_steps_with_reset_closed_form(model)
-                row = [
-                    p, length, r, exact, bound,
-                    closed.printed if closed else None,
-                    closed.corrected if closed else None,
-                    closed.printed_matches if closed else None,
-                    closed.corrected_matches if closed else None,
-                ]
-                if trials > 0:
-                    mc = walk_monte_carlo(
-                        model, trials, next_rng(), max_total_steps=step_cap
-                    )
-                    within = (
-                        abs(mc.mean - exact) <= 3.0 * mc.stderr
-                        if exact is not None and mc.completed > 1
-                        else None
-                    )
-                    row += [mc.mean, mc.stderr, mc.capped, within]
-                else:
-                    row += [None, None, None, None]
-                rows.append(row)
+    for model in models:
+        p, length, r = model.p, model.L, model.R
+        bound = expected_steps_surplus_bound(p, length) if p > 0.5 else None
+        if r is None:
+            exact = bound  # the no-reset hitting time L/(2p-1) when it exists
+            closed = None
+        else:
+            exact = expected_steps_with_reset_exact(model)
+            closed = expected_steps_with_reset_closed_form(model)
+        row = [
+            p, length, r, exact, bound,
+            closed.printed if closed else None,
+            closed.corrected if closed else None,
+            closed.printed_matches if closed else None,
+            closed.corrected_matches if closed else None,
+        ]
+        if trials > 0:
+            mc = walk_monte_carlo(model, trials, next_rng(), max_total_steps=step_cap)
+            within = (
+                abs(mc.mean - exact) <= 3.0 * mc.stderr
+                if exact is not None and mc.completed > 1
+                else None
+            )
+            row += [mc.mean, mc.stderr, mc.capped, within]
+        else:
+            row += [None, None, None, None]
+        rows.append(row)
     _write_csv(outdir / "walk.csv", header, rows)
 
     if include_run_rule:

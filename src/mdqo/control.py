@@ -28,9 +28,7 @@ from .problems import (
     ProblemInstance,
     Rescaling,
     apply_rescaling,
-    build_maxcut,
-    build_mis,
-    penalize,
+    instance_tables,
 )
 from .statevector import StateVector, sample_index
 from .weak_measurement import (
@@ -192,24 +190,14 @@ class ControlTables:
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
     """Build (and cache) the cost-level table for an instance.
 
-    MIS without a penalty weight runs in feasible-subspace mode: the bare cost
-    drives the dynamics and the rescaling is validated only on independent
-    sets.  Levels are the distinct driving costs, so the driving and the
+    The driving cost and the support come from instance_tables (in
+    feasible-subspace mode the rescaling is validated only on independent
+    sets).  Levels are the distinct driving costs, so the driving and the
     rescaled cost are both constant on a level.
     """
-    if instance.kind == "mis":
-        h_bare, p_viol = build_mis(instance.graph)
-        if instance.penalty_weight is not None:
-            h_drive = penalize(h_bare, p_viol, instance.penalty_weight)
-            support = None
-        else:
-            h_drive = h_bare
-            support = p_viol.values == 0
-    else:
-        h_drive = build_maxcut(instance.graph)
-        p_viol = None
-        support = None
-    c_dense = apply_rescaling(rescaling, h_drive, support)
+    dense = instance_tables(instance)
+    h_drive, p_viol = dense.drive, dense.violations
+    c_dense = apply_rescaling(rescaling, h_drive, dense.support)
     h, first, level = np.unique(h_drive.values, return_index=True, return_inverse=True)
     c = c_dense.values[first]
     angle = c + math.pi / 4
@@ -223,7 +211,7 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         cos_sq=np.cos(angle) ** 2,
         sin_2c=np.sin(2.0 * c),
         outside=(c < -BOUND_TOL) | (c > math.pi / 4 + BOUND_TOL),
-        support=support,
+        support=dense.support,
         p_viol=None if p_viol is None else p_viol.values,
     )
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,20 +307,47 @@ def feasible(instance: ProblemInstance, x: int) -> bool:
     return True
 
 
+class InstanceTables(NamedTuple):
+    """The dense tables of one instance; see instance_tables."""
+
+    drive: DiagonalHamiltonian
+    violations: DiagonalHamiltonian | None
+    feasible: np.ndarray | None
+    support: np.ndarray | None
+
+
+@lru_cache(maxsize=8)
+def instance_tables(instance: ProblemInstance) -> InstanceTables:
+    """Driving cost, violation counts and feasible support of an instance, built once.
+
+    For MIS, violations counts the edges inside each set and feasible marks
+    the independent sets; both are None for MaxCut.  MIS without a penalty
+    weight runs in feasible-subspace mode: the bare cost drives the dynamics
+    and support is the feasible mask, on which rescalings are validated.
+    Otherwise support is None, and a penalty weight lam drives with
+    H - lam * P.  Results are cached per instance and their arrays are
+    read-only.
+    """
+    if instance.kind == "maxcut":
+        return InstanceTables(build_maxcut(instance.graph), None, None, None)
+    h, p = build_mis(instance.graph)
+    feasible = p.values == 0
+    feasible.setflags(write=False)  # cached: every caller gets this array
+    if instance.penalty_weight is None:
+        return InstanceTables(h, p, feasible, feasible)
+    return InstanceTables(penalize(h, p, instance.penalty_weight), p, feasible, None)
+
+
 def feasible_mask(instance: ProblemInstance) -> np.ndarray:
-    """Boolean mask over all basis indices marking independent sets."""
+    """Boolean mask over all basis indices marking independent sets (read-only)."""
     if instance.kind != "mis":
         raise ValueError("feasibility is defined for MIS instances only")
-    _, p = build_mis(instance.graph)
-    return p.values == 0
+    return instance_tables(instance).feasible
 
 
 def cost_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
     """The bare (unpenalized) cost Hamiltonian of the instance."""
-    if instance.kind == "maxcut":
-        return build_maxcut(instance.graph)
-    h, _ = build_mis(instance.graph)
-    return h
+    return instance_tables(ProblemInstance(instance.graph, instance.kind)).drive
 
 
 def driving_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
@@ -326,7 +355,4 @@ def driving_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
 
     For MIS with a penalty weight this is H - lam * P; otherwise the bare cost.
     """
-    if instance.kind == "mis" and instance.penalty_weight is not None:
-        h, p = build_mis(instance.graph)
-        return penalize(h, p, instance.penalty_weight)
-    return cost_hamiltonian(instance)
+    return instance_tables(instance).drive

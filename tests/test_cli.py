@@ -275,9 +275,8 @@ def test_run_feasible_mis_trajectories(tmp_path):
 
 
 def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
-    # The driving Hamiltonian, the feasible support and the feasible-uniform
-    # start share one build; the control loop's level table is the other.
-    import mdqo.cli
+    # The driving Hamiltonian, the feasible support, the feasible-uniform
+    # start and the control loop's level table all share one build.
     import mdqo.control
     import mdqo.problems
 
@@ -288,8 +287,8 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
         builds.append(graph.n)
         return original(graph)
 
-    for module in (mdqo.problems, mdqo.cli, mdqo.control):
-        monkeypatch.setattr(module, "build_mis", counted)
+    monkeypatch.setattr(mdqo.problems, "build_mis", counted)
+    mdqo.problems.instance_tables.cache_clear()
     mdqo.control.prepare_tables.cache_clear()
     config = write_config(
         tmp_path,
@@ -304,7 +303,7 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
         },
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert builds == [5, 5]
+    assert builds == [5]
 
 
 def test_feasible_uniform_start_rejected_for_maxcut(tmp_path, caplog):
@@ -409,6 +408,14 @@ def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["sweep-counts", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_oversized_integer_literal_rejected(tmp_path, caplog):
+    path = tmp_path / "big.json"
+    path.write_text('{"walk": {"p": [0.8], "L": [' + "9" * 5000 + "]}}")
+    assert main(["walk", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "is not valid JSON" in message
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -590,3 +597,240 @@ def test_graph_file_input(tmp_path):
     assert main(["postprocess", "--config", str(config), "--out", str(out)]) == 0
     summary = {row["state"]: float(row["H"]) for row in read_csv(out / "postprocess_summary.csv")}
     assert summary["uniform"] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# config checks run before any compute
+
+COMPUTE_ENTRIES = (
+    "outer_loop",
+    "optimize_qaoa1",
+    "analytic_state",
+    "apply_mixer",
+    "walk_monte_carlo",
+    "expected_steps_surplus_bound",
+    "expected_steps_with_reset_exact",
+    "expected_steps_run",
+)
+
+
+class ComputeReached(Exception):
+    """Raised by a stubbed compute entry point of mdqo.cli."""
+
+
+@pytest.fixture
+def compute_stubs(monkeypatch):
+    import mdqo.cli
+
+    calls = []
+
+    def stub(name):
+        def stubbed(*args, **kwargs):
+            calls.append(name)
+            raise ComputeReached(name)
+
+        return stubbed
+
+    for name in COMPUTE_ENTRIES:
+        monkeypatch.setattr(mdqo.cli, name, stub(name))
+    return calls
+
+
+DELETE = object()
+
+
+def _with(payload, path, value):
+    """A deep copy of payload with the entry at path (keys and indices) replaced or deleted."""
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+SCRAMBLE = {
+    "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+    "scramble": {
+        "start_counts": [50, 160],
+        "top": {"k1_grid": [0, 5], "k0_tilde": 0},
+        "bottom": {"surplus_grid": {"start": 0, "stop": 10}, "k0_tilde": [0, 1]},
+    },
+}
+RUN = {
+    "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+    "rescaling": {"mode": "brute-force"},
+    "criteria": {"surplus_L": 5},
+    "run": {"algorithm": 1, "budget": {"max_trajectories": 1}},
+    "seed": 0,
+}
+WALK_MC = {"walk": {"p": [0.8], "L": [3], "mc_trials": 10}, "seed": 1}
+POSTPROCESS = {"problem": {"kind": "maxcut", "graph": G5_BLOCK}, "postprocess": {}}
+SWEEP = {
+    "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+    "sweep": {"k0": [0, 5], "bounds": ["tight"], "surplus_grid": [0, 10]},
+}
+
+BAD_CONFIGS = {
+    "scramble start count": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "start_counts"], [-1, 160]), [],
+        "scramble.start_counts[0] must be nonnegative, got -1",
+    ),
+    "scramble top k0": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "k0_tilde"], -2), [],
+        "scramble.top.k0_tilde must be nonnegative, got -2",
+    ),
+    "scramble top k1 grid": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "k1_grid"], [0, -5]), [],
+        "scramble.top.k1_grid[1] must be nonnegative, got -5",
+    ),
+    "scramble bottom k0": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "bottom", "k0_tilde"], [0, -1]), [],
+        "scramble.bottom.k0_tilde[1] must be nonnegative, got -1",
+    ),
+    "scramble bottom surplus grid": (
+        "scramble-study",
+        _with(SCRAMBLE, ["scramble", "bottom", "surplus_grid", "start"], -10),
+        [],
+        "scramble.bottom.surplus_grid.start must be nonnegative, got -10",
+    ),
+    "walk negative cli seed": ("walk", WALK_MC, ["--seed", "-3"], "--seed must be nonnegative"),
+    "run negative cli seed": ("run", RUN, ["--seed", "-1"], "--seed must be nonnegative"),
+    "config seed": ("run", _with(RUN, ["seed"], -4), [], "seed must be nonnegative, got -4"),
+    "graph path type": (
+        "postprocess", _with(POSTPROCESS, ["problem", "graph"], {"path": 5}), [],
+        "problem.graph.path must be a string, got 5",
+    ),
+    "edge endpoint": (
+        "postprocess", _with(POSTPROCESS, ["problem", "graph", "edges", 1], ["2", 3]), [],
+        "problem.graph.edges[1][0] must be an integer, got '2'",
+    ),
+    "user bound": (
+        "run",
+        _with(RUN, ["rescaling"], {"mode": "user-supplied", "bounds": [0, "5"]}),
+        [],
+        "rescaling.bounds[1] must be a finite number, got '5'",
+    ),
+    "qaoa1 resolution": (
+        "run",
+        _with(RUN, ["initial_state"], {"kind": "qaoa1", "grid_resolution": "64"}),
+        [],
+        "initial_state.grid_resolution must be an integer, got '64'",
+    ),
+    "postprocess k1": (
+        "postprocess", _with(POSTPROCESS, ["postprocess"], {"k1": [1, -1]}), [],
+        "postprocess.k1[1] must be nonnegative, got -1",
+    ),
+    "postprocess resolution": (
+        "postprocess", _with(POSTPROCESS, ["postprocess"], {"grid_resolution": 1}), [],
+        "postprocess.grid_resolution must be at least 2, got 1",
+    ),
+    "sweep k0": (
+        "sweep-counts", _with(SWEEP, ["sweep", "k0"], [0, -1]), [],
+        "sweep.k0[1] must be nonnegative, got -1",
+    ),
+    "walk model after valid rows": (
+        "walk", _with(WALK_MC, ["walk", "L"], [3, 0]), [], "walk: L must be at least 1, got 0",
+    ),
+    "walk p": (
+        "walk", _with(WALK_MC, ["walk", "p"], [0.8, 1.5]), [], "walk: p must lie in (0, 1]",
+    ),
+    "trajectory csv flag": (
+        "run", _with(RUN, ["run", "trajectory_csv"], "yes"), [],
+        "run.trajectory_csv must be a boolean, got 'yes'",
+    ),
+    "adaptive threshold before a qaoa1 start": (
+        "run",
+        _with(
+            _with(RUN, ["initial_state"], {"kind": "qaoa1"}),
+            ["run", "adaptive_threshold"],
+            True,
+        ),
+        [],
+        "run: adaptive_threshold requires threshold_T to be set",
+    ),
+    "non-finite number": (
+        "sweep-counts",
+        _with(
+            _with(SWEEP, ["problem", "kind"], "mis"), ["sweep", "penalty_weights"], [math.nan]
+        ),
+        [],
+        "sweep.penalty_weights[0] must be a finite number, got nan",
+    ),
+    "int past the float range": (
+        "run", _with(RUN, ["criteria", "threshold_T"], 10**400), [],
+        "criteria.threshold_T must be a finite number, got 1000",
+    ),
+    "dishonest coefficient bound": (
+        "sweep-counts",
+        {
+            "problem": {"kind": "mis", "graph": {"n": 4, "edges": [[1, 2], [2, 3]]}},
+            "sweep": {
+                "k0": [0],
+                "bounds": ["loose"],
+                "surplus_grid": [0],
+                "penalty_weights": [3],
+                "variants": ["penalized"],
+            },
+        },
+        [],
+        "bound 'loose': rescaled cost leaves [0, pi/4]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_before_compute(case, tmp_path, caplog, compute_stubs):
+    command, payload, flags, expected = BAD_CONFIGS[case]
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith("config error: ")
+    assert expected in message
+    assert "\n" not in message
+    assert not out.exists() or list(out.iterdir()) == []
+    assert compute_stubs == []
+
+
+MUTATIONS = (DELETE, -1, "x", {}, [], 0.5, None)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, (*path, key))
+
+
+def test_mutated_shipped_configs_end_cleanly_or_reach_compute(tmp_path, caplog, compute_stubs):
+    # Every leaf of every shipped config, deleted or replaced, either exits
+    # 0/2/3 or reaches a compute entry point; nothing else escapes.
+    from test_golden import COMMANDS, ROOT
+
+    cases = 0
+    for name, command in sorted(COMMANDS.items()):
+        shipped = json.loads((ROOT / "configs" / name).read_text())
+        for path in _leaf_paths(shipped):
+            for mutation in MUTATIONS:
+                config = write_config(tmp_path, _with(shipped, path, mutation))
+                caplog.clear()
+                try:
+                    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+                except ComputeReached:
+                    continue
+                finally:
+                    cases += 1
+                assert code in (0, 2, 3), (name, path, mutation)
+                if code:
+                    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+                    assert len(errors) == 1, (name, path, mutation)
+    assert cases > 1000

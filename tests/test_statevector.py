@@ -162,3 +162,13 @@ def test_sample_bitstring_frequencies():
     rng = np.random.default_rng(42)
     draws = [sample_bitstring(state, rng) for _ in range(20_000)]
     assert np.mean(draws) == pytest.approx(0.8, abs=0.02)
+
+
+def test_norm_check_reads_complex_amplitudes():
+    # the check sums re^2 + im^2 over the float64 view of the amplitudes
+    amps = np.full(4, 0.5 * (1 + 1j) / math.sqrt(2))
+    StateVector(2, amps * (1 + 1e-12))
+    with pytest.raises(ValueError, match="state norm .* deviates from 1"):
+        StateVector(2, amps * (1 + 1e-9))
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector(2, amps.real)
