@@ -184,37 +184,41 @@ def walk_monte_carlo(
     failure, so absorption means L consecutive successes.  A hard aggregate
     step cap keeps divergent parameter choices (p <= 1/2, no reset) bounded;
     walks still running at the cap are reported, not averaged.
+
+    Each step draws one uniform per running walk, in trial order, and costs
+    O(running walks); `steps` stays 0 for a walk still running at the cap.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if max_total_steps < 1:
+        raise ValueError("max_total_steps must be at least 1")
     if rule not in ("surplus", "consecutive"):
         raise ValueError(f"unknown stopping rule {rule!r}")
     p, L, R = model.p, model.L, model.R
-    positions = np.zeros(trials, dtype=np.int64)
+    pos = np.zeros(trials, dtype=np.int64)
+    idx = np.arange(trials)
     steps = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    total = 0
-    while active.any():
-        n_active = int(active.sum())
-        if total + n_active > max_total_steps:
-            break
-        total += n_active
-        success = rng.random(n_active) < p
-        pos = positions[active]
+    total = t = 0
+    while pos.size and total + pos.size <= max_total_steps:
+        total += pos.size
+        t += 1
+        success = rng.random(pos.size) < p
         if rule == "consecutive":
-            pos = np.where(success, pos + 1, 0)
+            pos = (pos + 1) * success
         else:
-            pos = pos + np.where(success, 1, -1)
+            pos += success
+            pos -= ~success
             if R is not None:
                 pos[pos <= -R] = 0
-        positions[active] = pos
-        steps[active] += 1
-        active[active] = pos < L
-    completed = ~active
-    n_done = int(completed.sum())
+        done = pos >= L
+        if done.any():
+            steps[idx[done]] = t
+            running = ~done
+            pos, idx = pos[running], idx[running]
+    done_steps = steps[steps > 0].astype(np.float64)
+    n_done = done_steps.size
     if n_done == 0:
         return MonteCarloResult(math.nan, math.nan, 0, trials)
-    done_steps = steps[completed].astype(np.float64)
     mean = float(done_steps.mean())
     stderr = float(done_steps.std(ddof=1) / math.sqrt(n_done)) if n_done > 1 else math.inf
     return MonteCarloResult(mean, stderr, n_done, trials - n_done)

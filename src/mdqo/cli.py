@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MC_STEP_CAP,
     WalkModel,
     expected_steps_run,
     expected_steps_surplus_bound,
@@ -123,7 +124,8 @@ def _value(value, path: str, kind: type, minimum=None, choices=None, null: bool 
     """One config value: its type (ints pass as numbers), then its range or choices."""
     if null and value is None:
         return None
-    if kind is float and type(value) is int and abs(value) < 2**1024:  # float() overflows past it
+    # float() of an int overflows from 2**1024 - 2**970 up (it rounds to 2**1024)
+    if kind is float and type(value) is int and abs(value) < 2**1024 - 2**970:
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
@@ -310,6 +312,11 @@ def _parse_criteria(cfg: _Block) -> CriteriaConfig:
         raise ConfigError(f"criteria: {exc}") from exc
 
 
+def _chi(chi_tilde: int, path: str) -> float:
+    """The mixer angle of an integer chi_tilde, which must convert to a float."""
+    return _value(chi_tilde, path, float) * CHI_TILDE_UNIT
+
+
 def _parse_mixer(cfg: _Block, graph: Graph, required: bool) -> MixerSpec | None:
     if "mixer" not in cfg:
         if required:
@@ -322,7 +329,7 @@ def _parse_mixer(cfg: _Block, graph: Graph, required: bool) -> MixerSpec | None:
     if "chi" in block:
         chi = block.get("chi", float)
     else:
-        chi = block.get("chi_tilde", int) * CHI_TILDE_UNIT
+        chi = _chi(block.get("chi_tilde", int), block.key("chi_tilde"))
     return MixerSpec(kind=kind, chi=chi, graph=graph if kind == MIS_CONTROLLED else None)
 
 
@@ -544,10 +551,13 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
         top = block.block("top", ("k1_grid",), ("k0_tilde", "chi_tilde"))
         top_k0 = top.get("k0_tilde", int, 0, minimum=0)
         chi_tildes = top.items("chi_tilde", int, [1, 2, 3, 4, 5, 6])
+        top_chis = {ct: _chi(ct, f"scramble.top.chi_tilde[{i}]")
+                    for i, ct in enumerate(chi_tildes)}
         k1_grid = top.grid("k1_grid", minimum=0)
     if "bottom" in block:
         bottom = block.block("bottom", ("surplus_grid",), ("k0_tilde", "chi_tilde"))
         chi_t = bottom.get("chi_tilde", int, 3)
+        bottom_chi = _chi(chi_t, "scramble.bottom.chi_tilde")
         k0_tildes = bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0)
         surplus = bottom.grid("surplus_grid", minimum=0)
 
@@ -558,8 +568,8 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
 
     mixer_graph = instance.graph if mixer_kind == MIS_CONTROLLED else None
 
-    def scramble(chi_tilde: int) -> StateVector:
-        return apply_mixer(start, MixerSpec(mixer_kind, chi_tilde * CHI_TILDE_UNIT, mixer_graph))
+    def scramble(chi: float) -> StateVector:
+        return apply_mixer(start, MixerSpec(mixer_kind, chi, mixer_graph))
 
     def continued(base: StateVector, k0: int, k1: int) -> float:
         state, _ = analytic_state(base, c, OutcomeCounts(k0, k1))
@@ -568,7 +578,7 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
     resolved: dict = {"rescaling": echo, "start_counts": [start_counts.k0, start_counts.k1]}
 
     if "top" in block:
-        scrambled = {ct: scramble(ct) for ct in chi_tildes}
+        scrambled = {ct: scramble(chi) for ct, chi in top_chis.items()}
         header = ["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes]
         rows = []
         for k1 in k1_grid:
@@ -579,7 +589,7 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
         resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
 
     if "bottom" in block:
-        scrambled = scramble(chi_t)
+        scrambled = scramble(bottom_chi)
         header = ["L_tilde"]
         for k0_t in k0_tildes:
             header += [f"H_k0_{k0_t}", f"H_baseline_k0_{k0_t}"]
@@ -688,7 +698,7 @@ def cmd_walk(config: dict, outdir: Path, seed) -> None:
     l_list = block.items("L", int)
     r_values = block.items("R", int, [None], null=True)
     trials = block.get("mc_trials", int, 0, minimum=0)
-    step_cap = block.get("mc_step_cap", int, 10**8)
+    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=1)
     include_run_rule = block.get("include_run_rule", bool, True)
     if trials > 0 and seed is None:
         raise ConfigError("walk: Monte Carlo trials need a seed (config key seed or --seed)")

@@ -188,6 +188,9 @@ def test_monte_carlo_validation():
         walk_monte_carlo(WalkModel(0.75, 2, 1), 0, rng)
     with pytest.raises(ValueError):
         walk_monte_carlo(WalkModel(0.75, 2, 1), 10, rng, rule="run")
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_total_steps"):
+            walk_monte_carlo(WalkModel(0.75, 2, 1), 10, rng, max_total_steps=cap)
 
 
 def test_sweep_eigenstate_has_flat_cost(maxcut_h):

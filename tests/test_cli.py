@@ -764,6 +764,32 @@ BAD_CONFIGS = {
         "run", _with(RUN, ["criteria", "threshold_T"], 10**400), [],
         "criteria.threshold_T must be a finite number, got 1000",
     ),
+    "walk step cap": (
+        "walk", _with(WALK_MC, ["walk", "mc_step_cap"], -1), [],
+        "walk.mc_step_cap must be at least 1, got -1",
+    ),
+    "mixer chi_tilde past the float range": (
+        "run",
+        _with(
+            _with(RUN, ["run", "algorithm"], 2),
+            ["mixer"],
+            {"kind": "transverse-field", "chi_tilde": 10**400},
+        ),
+        [],
+        "mixer.chi_tilde must be a finite number, got 1000",
+    ),
+    "scramble top chi_tilde past the float range": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "chi_tilde"], [1, 10**400]), [],
+        "scramble.top.chi_tilde[1] must be a finite number, got 1000",
+    ),
+    "scramble bottom chi_tilde past the float range": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "bottom", "chi_tilde"], -(10**400)), [],
+        "scramble.bottom.chi_tilde must be a finite number, got -1000",
+    ),
+    "int that float() rounds past the float range": (
+        "run", _with(RUN, ["criteria", "threshold_T"], 2**1024 - 2**970), [],
+        "criteria.threshold_T must be a finite number, got 1797",
+    ),
     "dishonest coefficient bound": (
         "sweep-counts",
         {
