@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .problems import DiagonalHamiltonian
 from .statevector import StateVector
@@ -101,8 +100,8 @@ def expected_steps_with_reset_exact(model: WalkModel) -> float:
         elif j - 1 == -R:
             a[i, idx(0)] -= q
     try:
-        e = scipy.linalg.solve(a, b)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - unreachable for p in (0,1)
+        e = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - unreachable for p in (0,1)
         raise RuntimeError(f"singular recurrence system for {model}") from exc
     return float(e[idx(0)])
 

@@ -39,7 +39,6 @@ from .analysis import (
     expected_steps_run,
     expected_steps_surplus_bound,
     expected_steps_with_reset_closed_form,
-    expected_steps_with_reset_exact,
     walk_monte_carlo,
 )
 from .control import (
@@ -698,7 +697,8 @@ def cmd_walk(config: dict, outdir: Path, seed) -> None:
     l_list = block.items("L", int)
     r_values = block.items("R", int, [None], null=True)
     trials = block.get("mc_trials", int, 0, minimum=0)
-    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=1)
+    # The cap counts aggregate steps, so one below mc_trials never takes a step.
+    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=max(trials, 1))
     include_run_rule = block.get("include_run_rule", bool, True)
     if trials > 0 and seed is None:
         raise ConfigError("walk: Monte Carlo trials need a seed (config key seed or --seed)")
@@ -729,8 +729,8 @@ def cmd_walk(config: dict, outdir: Path, seed) -> None:
             exact = bound  # the no-reset hitting time L/(2p-1) when it exists
             closed = None
         else:
-            exact = expected_steps_with_reset_exact(model)
             closed = expected_steps_with_reset_closed_form(model)
+            exact = closed.exact
         row = [
             p, length, r, exact, bound,
             closed.printed if closed else None,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateCountsError, ZeroBranchError
 from .problems import BOUND_TOL, DiagonalHamiltonian
@@ -41,13 +40,14 @@ class OutcomeCounts:
         return self.k1 - self.k0
 
 
-def _check_rescaled(state: StateVector, c: DiagonalHamiltonian) -> None:
-    """Validate 0 <= c <= pi/4 wherever the state has support."""
+def _check_rescaled(state: StateVector, c: DiagonalHamiltonian) -> np.ndarray:
+    """Validate 0 <= c <= pi/4 wherever the state has support; return the support mask."""
     if c.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, cost n={c.n}")
     support = np.abs(state.amps) > 0
     if support.any():
         check_support_costs(c.values[support])
+    return support
 
 
 def check_support_costs(vals: np.ndarray) -> None:
@@ -113,8 +113,7 @@ def analytic_state(
     feasible-subspace rescaling) and would otherwise poison the whole state
     with NaNs despite carrying zero amplitude.
     """
-    _check_rescaled(state0, c)
-    support = np.abs(state0.amps) > 0
+    support = _check_rescaled(state0, c)
     if not support.any():
         raise DegenerateCountsError("state has empty support")
     angle = np.clip(c.values[support], 0.0, math.pi / 4) + math.pi / 4
@@ -124,17 +123,17 @@ def analytic_state(
             logw += counts.k0 * np.log(np.cos(angle))
         if counts.k1:
             logw += counts.k1 * np.log(np.sin(angle))
-    weights_sq = np.abs(state0.amps[support]) ** 2
-    log_norm = 0.5 * float(logsumexp(2.0 * logw, b=weights_sq))
+    top = logw.max()
+    amps = np.zeros_like(state0.amps)
+    amps[support] = state0.amps[support] * np.exp(logw - top)
+    norm = np.linalg.norm(amps)
+    log_norm = float(top + np.log(norm))
     if not np.isfinite(log_norm):
         raise DegenerateCountsError(
             f"all modulation weights vanish on the state support for counts "
             f"({counts.k0}, {counts.k1})"
         )
-    rel = np.exp(logw - logw.max())
-    amps = np.zeros_like(state0.amps)
-    amps[support] = state0.amps[support] * rel
-    amps /= np.linalg.norm(amps)
+    amps /= norm
     return StateVector(state0.n, amps), log_norm
 
 

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,21 @@ G5_BLOCK = {
     "n": 5,
     "edges": [[1, 2], [2, 3], [3, 4], [1, 3], [2, 4], [2, 5]],
 }
+
+
+def test_cli_import_loads_no_scipy():
+    import mdqo
+
+    src = str(Path(mdqo.__file__).resolve().parent.parent)
+    code = "import sys, mdqo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -609,7 +628,7 @@ COMPUTE_ENTRIES = (
     "apply_mixer",
     "walk_monte_carlo",
     "expected_steps_surplus_bound",
-    "expected_steps_with_reset_exact",
+    "expected_steps_with_reset_closed_form",
     "expected_steps_run",
 )
 
@@ -766,7 +785,11 @@ BAD_CONFIGS = {
     ),
     "walk step cap": (
         "walk", _with(WALK_MC, ["walk", "mc_step_cap"], -1), [],
-        "walk.mc_step_cap must be at least 1, got -1",
+        "walk.mc_step_cap must be at least 10, got -1",
+    ),
+    "walk step cap below trials": (
+        "walk", _with(WALK_MC, ["walk", "mc_step_cap"], 5), [],
+        "walk.mc_step_cap must be at least 10, got 5",
     ),
     "mixer chi_tilde past the float range": (
         "run",

@@ -127,10 +127,21 @@ def test_weak_step_matches_success_probability(uniform5, c_tight):
     assert abs(hits / n - p1) < 3 * sigma
 
 
+def reference_log_norm(state, c, counts):
+    """0.5 log sum_x |psi_x|^2 A_x^2, summed exactly by math.fsum."""
+    terms = (
+        abs(a) ** 2 * amplitude_modulation(float(cx), counts) ** 2
+        for a, cx in zip(state.amps, c.values)
+    )
+    return 0.5 * math.log(math.fsum(terms))
+
+
 def test_analytic_state_zero_counts(uniform5, c_tight):
-    state, log_norm = analytic_state(uniform5, c_tight, OutcomeCounts(0, 0))
+    counts = OutcomeCounts(0, 0)
+    state, log_norm = analytic_state(uniform5, c_tight, counts)
     np.testing.assert_allclose(state.amps, uniform5.amps)
     assert log_norm == pytest.approx(0.0, abs=1e-14)
+    assert abs(log_norm - reference_log_norm(uniform5, c_tight, counts)) < 1e-12
 
 
 def test_analytic_state_equals_sequential_posteriors(uniform5, c_tight):
@@ -142,13 +153,17 @@ def test_analytic_state_equals_sequential_posteriors(uniform5, c_tight):
     for b in outcomes:
         state, prob = posterior_state(state, c_tight, b)
         log_norm += 0.5 * math.log(prob)
-    direct, direct_log = analytic_state(uniform5, c_tight, OutcomeCounts(4, 9))
+    counts = OutcomeCounts(4, 9)
+    direct, direct_log = analytic_state(uniform5, c_tight, counts)
     assert np.max(np.abs(direct.amps - state.amps)) < 1e-10
     assert direct_log == pytest.approx(log_norm, abs=1e-9)
+    assert abs(direct_log - reference_log_norm(uniform5, c_tight, counts)) < 1e-12
 
 
 def test_analytic_state_marker(uniform5, c_tight, maxcut_h):
-    state, _ = analytic_state(uniform5, c_tight, OutcomeCounts(50, 160))
+    counts = OutcomeCounts(50, 160)
+    state, log_norm = analytic_state(uniform5, c_tight, counts)
+    assert abs(log_norm - reference_log_norm(uniform5, c_tight, counts)) < 1e-12
     assert expectation(state, maxcut_h) == pytest.approx(2.0, abs=0.1)
     assert success_probability(state, c_tight) == pytest.approx(0.794, abs=0.01)
 
