@@ -519,12 +519,11 @@ def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
     # the uniform state weights every string, so its support lists all costs
     support = dists[0][1].support
     header = ["cost"] + [f"p_{label}" for label, _ in dists]
+    probs = [state.probabilities() for _, state in states]
     rows = []
     for cost in support:
         mask = np.abs(h.values - cost) <= 1e-9
-        row = [float(cost)]
-        row += [float(np.sum(state.probabilities()[mask])) for _, state in states]
-        rows.append(row)
+        rows.append([float(cost)] + [float(np.sum(p[mask])) for p in probs])
     _write_csv(outdir / "postprocess_density.csv", header, rows)
 
     summary_rows = [[label, dist.mean] for label, dist in dists]

@@ -198,13 +198,14 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
     dense = instance_tables(instance)
     h_drive, p_viol = dense.drive, dense.violations
     c_dense = apply_rescaling(rescaling, h_drive, dense.support)
-    h, first, level = np.unique(h_drive.values, return_index=True, return_inverse=True)
-    c = c_dense.values[first]
+    h, level = h_drive.levels
+    c = np.empty_like(h)
+    c[level] = c_dense.values  # the rescaled cost is constant on a level
     angle = c + math.pi / 4
     return ControlTables(
         n=instance.graph.n,
         rescaling=rescaling,
-        level=level.astype(np.min_scalar_type(h.size - 1)),
+        level=level,
         h=h,
         c=c,
         sin_sq=np.sin(angle) ** 2,
@@ -297,7 +298,7 @@ def _ratio(base: _Base, q: np.ndarray) -> np.ndarray:
 
 def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVector:
     scale = np.sqrt(_ratio(base, q)).take(tables.level)
-    return StateVector(base.state.n, base.state.amps * scale)
+    return StateVector._own(base.state.n, base.state.amps * scale)
 
 
 def _sample(

@@ -69,9 +69,7 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     assert graph is not None
     if graph.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
-    amps = state.amps.copy()
-    _rotate(amps, graph.n, [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
-    return StateVector(graph.n, amps)
+    return _rotate(state, [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
 
 
 def feasible_initial_state(graph: Graph, chi0: float) -> StateVector:

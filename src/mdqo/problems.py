@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +146,19 @@ class DiagonalHamiltonian:
             raise ValueError("cost values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct values and each index's level in the smallest unsigned dtype.
+
+        values[level] == self.values: exactly equal floats share a level, so a
+        ufunc gives a level's value the bits it gives each entry.  Read-only.
+        """
+        values, level = np.unique(self.values, return_inverse=True)
+        level = level.astype(np.min_scalar_type(values.size - 1))
+        for table in (values, level):
+            table.setflags(write=False)
+        return values, level
 
 
 def build_maxcut(graph: Graph) -> DiagonalHamiltonian:

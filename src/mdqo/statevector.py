@@ -24,7 +24,18 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128, copy=True)
+        self._adopt(self.n, np.array(self.amps, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def _own(cls, n: int, amps: np.ndarray) -> StateVector:
+        """Wrap complex128 amplitudes that internal code has just built and hands over: no copy."""
+        return object.__new__(cls)._adopt(n, amps)
+
+    def _adopt(self, n: int, amps: np.ndarray) -> StateVector:
+        """Check amps and make them, read-only and uncopied, this state's amplitudes."""
+        object.__setattr__(self, "n", n)
+        if amps.dtype != np.complex128:
+            raise ValueError(f"expected complex128 amplitudes, got {amps.dtype}")
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
         flat = amps.view(np.float64)  # einsum's own loop, not a threaded BLAS dot
@@ -33,6 +44,7 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+        return self
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -75,9 +87,9 @@ def apply_diagonal_phase(state: StateVector, h: DiagonalHamiltonian, gamma: floa
 
 
 def _rotate(
-    amps: np.ndarray, n: int, targets: list[tuple[int, tuple[int, ...]]], chi: float
-) -> None:
-    """Apply X rotations by chi to amps in place, one (u, controls) target at a time.
+    state: StateVector, targets: list[tuple[int, tuple[int, ...]]], chi: float
+) -> StateVector:
+    """Rotate a copy of state's amplitudes by chi, one (u, controls) target at a time.
 
     Target qubit u's pairs are mixed only where every control bit is 0.  As
     an n-axis array, bit u is axis n-1-u: basic slicing fixes each control
@@ -89,6 +101,7 @@ def _rotate(
     the view's strides, so the bytes match the plain expression; reused
     buffers spare a fresh 2**(n-1) temporary, and its page faults, per target.
     """
+    n, amps = state.n, state.amps.copy()
     c, s = math.cos(chi), math.sin(chi)
     js = 1j * s
     tensor = amps.reshape((2,) * n)
@@ -111,13 +124,12 @@ def _rotate(
         np.multiply(c, a1, out=t0)
         np.multiply(js, a0, out=t1)
         np.subtract(t0, t1, out=view1)
+    return StateVector._own(n, amps)
 
 
 def apply_x_rotation_all(state: StateVector, beta: float) -> StateVector:
     """Apply the uniform single-qubit X rotation exp(-i * beta * X) to every qubit."""
-    amps = state.amps.copy()
-    _rotate(amps, state.n, [(u, ()) for u in range(state.n)], beta)
-    return StateVector(state.n, amps)
+    return _rotate(state, [(u, ()) for u in range(state.n)], beta)
 
 
 def apply_controlled_x_rotation(
@@ -136,9 +148,7 @@ def apply_controlled_x_rotation(
     for ctl in controls:
         if not 0 <= ctl < state.n:
             raise ValueError(f"control qubit {ctl} out of range for n={state.n}")
-    amps = state.amps.copy()
-    _rotate(amps, state.n, [(u, controls)], chi)
-    return StateVector(state.n, amps)
+    return _rotate(state, [(u, controls)], chi)
 
 
 def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:

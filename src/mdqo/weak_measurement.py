@@ -62,7 +62,8 @@ def check_support_costs(vals: np.ndarray) -> None:
 def success_probability(state: StateVector, c: DiagonalHamiltonian) -> float:
     """p1 = 1/2 + (1/2) <sin 2C>; at least 1/2 whenever 0 <= C <= pi/4."""
     _check_rescaled(state, c)
-    mean_sin = float(np.sum(state.probabilities() * np.sin(2.0 * c.values)))
+    values, level = c.levels
+    mean_sin = float(np.sum(state.probabilities() * np.sin(2.0 * values).take(level)))
     return 0.5 + 0.5 * mean_sin
 
 
@@ -104,19 +105,24 @@ def analytic_state(
     """State after k0 failures and k1 successes from state0, plus the log-norm.
 
     Amplitudes are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4) and
-    renormalized once.  The modulation is evaluated in log space per basis
-    state, so large counts neither underflow nor overflow; log_norm is the log
-    of the pre-normalization norm.
-
-    Log-weights are computed only on the support of state0: off-support cost
-    values may fall outside [0, pi/4] (e.g. infeasible strings under a
-    feasible-subspace rescaling) and would otherwise poison the whole state
-    with NaNs despite carrying zero amplitude.
+    renormalized once; log_norm is the log of the pre-normalization norm.  The
+    modulation is evaluated in log space, so large counts neither underflow
+    nor overflow, once per cost level (c.levels) that state0's support
+    reaches: off-support cost values may fall outside [0, pi/4] (e.g.
+    infeasible strings under a feasible-subspace rescaling) and would
+    otherwise poison the whole state with NaNs despite carrying zero amplitude.
     """
-    support = _check_rescaled(state0, c)
+    if c.n != state0.n:
+        raise ValueError(f"dimension mismatch: state n={state0.n}, cost n={c.n}")
+    support = np.abs(state0.amps) > 0
     if not support.any():
         raise DegenerateCountsError("state has empty support")
-    angle = np.clip(c.values[support], 0.0, math.pi / 4) + math.pi / 4
+    values, level = c.levels
+    hit = slice(None) if support.all() else np.bincount(level[support], minlength=values.size) > 0
+    vals = values[hit]
+    if vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL:
+        check_support_costs(c.values[support])  # raises with the dense values' message
+    angle = np.clip(vals, 0.0, math.pi / 4) + math.pi / 4
     logw = np.zeros(angle.shape, dtype=np.float64)
     with np.errstate(divide="ignore"):
         if counts.k0:
@@ -124,8 +130,10 @@ def analytic_state(
         if counts.k1:
             logw += counts.k1 * np.log(np.sin(angle))
     top = logw.max()
-    amps = np.zeros_like(state0.amps)
-    amps[support] = state0.amps[support] * np.exp(logw - top)
+    weight = np.zeros(values.size)
+    weight[hit] = np.exp(logw - top)
+    amps = state0.amps * weight.take(level)
+    amps[~support] = 0.0  # +0 off the support, whatever zeros state0 holds there
     norm = np.linalg.norm(amps)
     log_norm = float(top + np.log(norm))
     if not np.isfinite(log_norm):
@@ -134,7 +142,7 @@ def analytic_state(
             f"({counts.k0}, {counts.k1})"
         )
     amps /= norm
-    return StateVector(state0.n, amps), log_norm
+    return StateVector._own(state0.n, amps), log_norm
 
 
 def amplitude_modulation(c: float, counts: OutcomeCounts) -> float:

@@ -1,0 +1,218 @@
+"""The cost-level closed form against the dense body it replaced.
+
+analytic_state and success_probability evaluate their transcendentals once
+per cost level (DiagonalHamiltonian.levels).  The references below are the
+dense bodies, one evaluation per basis state; every state, log-norm, p1 and
+error message must match them exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mdqo import (
+    AnsatzParams,
+    DegenerateCountsError,
+    DiagonalHamiltonian,
+    Graph,
+    OutcomeCounts,
+    StateVector,
+    analytic_state,
+    apply_rescaling,
+    basis_state,
+    build_maxcut,
+    build_mis,
+    penalize,
+    qaoa1_state,
+    rescaling_from_bounds,
+    spectrum_bounds,
+    success_probability,
+    uniform_superposition,
+)
+from mdqo.problems import BOUND_TOL
+
+from conftest import G5_EDGES_1INDEXED
+
+COUNTS = [(0, 0), (0, 3), (0, 11), (3, 0), (11, 0), (4, 9), (50, 160)]
+
+
+def reference_support(state: StateVector, c: DiagonalHamiltonian) -> np.ndarray:
+    if c.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, cost n={c.n}")
+    support = np.abs(state.amps) > 0
+    if support.any():
+        vals = c.values[support]
+        if vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL:
+            raise ValueError(
+                f"rescaled cost must lie in [0, pi/4] on the state support; "
+                f"found range [{vals.min()}, {vals.max()}]"
+            )
+    return support
+
+
+def reference_analytic_state(
+    state0: StateVector, c: DiagonalHamiltonian, counts: OutcomeCounts
+) -> tuple[np.ndarray, float]:
+    """Log-weights per basis state on the support, one normalising norm."""
+    support = reference_support(state0, c)
+    if not support.any():
+        raise DegenerateCountsError("state has empty support")
+    angle = np.clip(c.values[support], 0.0, math.pi / 4) + math.pi / 4
+    logw = np.zeros(angle.shape, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        if counts.k0:
+            logw += counts.k0 * np.log(np.cos(angle))
+        if counts.k1:
+            logw += counts.k1 * np.log(np.sin(angle))
+    top = logw.max()
+    amps = np.zeros_like(state0.amps)
+    amps[support] = state0.amps[support] * np.exp(logw - top)
+    norm = np.linalg.norm(amps)
+    log_norm = float(top + np.log(norm))
+    if not np.isfinite(log_norm):
+        raise DegenerateCountsError(
+            f"all modulation weights vanish on the state support for counts "
+            f"({counts.k0}, {counts.k1})"
+        )
+    amps /= norm
+    return amps, log_norm
+
+
+def reference_success_probability(state: StateVector, c: DiagonalHamiltonian) -> float:
+    reference_support(state, c)
+    mean_sin = float(np.sum(state.probabilities() * np.sin(2.0 * c.values)))
+    return 0.5 + 0.5 * mean_sin
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, DegenerateCountsError) as exc:
+        return type(exc), str(exc)
+
+
+def check_same(state0: StateVector, c: DiagonalHamiltonian, k0: int, k1: int) -> None:
+    counts = OutcomeCounts(k0, k1)
+    got = outcome(analytic_state, state0, c, counts)
+    expected = outcome(reference_analytic_state, state0, c, counts)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    state, log_norm = got
+    assert state.amps.tobytes() == expected[0].tobytes()
+    assert log_norm == expected[1]
+    assert success_probability(state, c) == reference_success_probability(state, c)
+
+
+def costs(graph: Graph) -> list[tuple[str, DiagonalHamiltonian, np.ndarray | None]]:
+    """MaxCut, feasible-subspace MIS and penalised MIS cost tables of a graph.
+
+    Each entry is (name, rescaled cost, feasible mask or None).  The
+    feasible-subspace table is rescaled on the independent sets only, so its
+    infeasible strings leave [0, pi/4]: below 0 for the penalised variant,
+    above pi/4 for the bare cost.
+    """
+    maxcut = build_maxcut(graph)
+    h, p = build_mis(graph)
+    feasible = p.values == 0
+    pen = penalize(h, p, 1.5)
+    out = [("maxcut", maxcut, "brute-force", None), ("maxcut-loose", maxcut, "coefficient-sum", None)]
+    out.append(("mis-feasible", h, "brute-force", feasible))
+    out.append(("mis-feasible-penalised", pen, "brute-force", feasible))
+    out.append(("mis-penalised", pen, "brute-force", None))
+    tables = []
+    for name, table, mode, support in out:
+        bounds = spectrum_bounds(table, mode, support=support)
+        if bounds.s + bounds.t <= 0:
+            continue  # a constant cost has no rescaling
+        c = apply_rescaling(rescaling_from_bounds(bounds), table, support)
+        tables.append((name, c, support))
+    return tables
+
+
+def starts(graph: Graph, feasible: np.ndarray | None, rng: np.random.Generator):
+    """Uniform, basis, feasible-uniform and complex depth-1 start states."""
+    n = graph.n
+    out = [uniform_superposition(n), basis_state(n, int(rng.integers(2**n)))]
+    if feasible is not None:
+        amps = feasible / math.sqrt(feasible.sum())
+        out.append(StateVector(n, amps))
+        out.append(basis_state(n, int(rng.choice(np.flatnonzero(feasible)))))
+    out.append(qaoa1_state(build_maxcut(graph), AnsatzParams(0.37, 0.81)))
+    return out
+
+
+def random_graph(rng: np.random.Generator, n: int) -> Graph:
+    return Graph(
+        n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
+    )
+
+
+def all_graphs() -> list[Graph]:
+    rng = np.random.default_rng(29)
+    return [Graph.from_1indexed(5, G5_EDGES_1INDEXED)] + [
+        random_graph(rng, n) for n in range(1, 13)
+    ]
+
+
+@pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_analytic_state_matches_reference(graph):
+    rng = np.random.default_rng(graph.n)
+    for _, c, feasible in costs(graph):
+        for state0 in starts(graph, feasible, rng):
+            for k0, k1 in COUNTS:
+                check_same(state0, c, k0, k1)
+
+
+def test_out_of_range_support_gives_the_dense_message():
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED)
+    (_, c, _), = [t for t in costs(graph) if t[0] == "mis-feasible-penalised"]
+    outside = np.flatnonzero((c.values < 0) | (c.values > math.pi / 4))
+    for state0 in (uniform_superposition(5), basis_state(5, int(outside[0]))):
+        with pytest.raises(ValueError, match="rescaled cost must lie in"):
+            analytic_state(state0, c, OutcomeCounts(1, 2))
+        check_same(state0, c, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_degenerate_paths_give_the_dense_messages():
+    c = DiagonalHamiltonian(2, [0.0, 0.3, math.pi / 4, 0.1])
+    # every weight on the support underflows to zero: cos(pi/2)**(10**308)
+    with pytest.raises(DegenerateCountsError, match="vanish"):
+        analytic_state(basis_state(2, 2), c, OutcomeCounts(10**308, 0))
+    check_same(basis_state(2, 2), c, 10**308, 0)
+    # a state with no support at all can only be built around the checks
+    empty = object.__new__(StateVector)
+    object.__setattr__(empty, "n", 2)
+    object.__setattr__(empty, "amps", np.zeros(4, dtype=np.complex128))
+    with pytest.raises(DegenerateCountsError, match="empty support"):
+        analytic_state(empty, c, OutcomeCounts(1, 1))
+    check_same(empty, c, 1, 1)
+
+
+def test_signed_zeros():
+    c = DiagonalHamiltonian(2, [0.0, -0.0, 0.5, -0.0])
+    values, level = c.levels
+    assert values.size == 2
+    for x in range(4):
+        for k0, k1 in COUNTS:
+            check_same(basis_state(2, x), c, k0, k1)
+    check_same(uniform_superposition(2), c, 4, 9)
+    # negative zeros off the support come out as +0
+    state0 = StateVector(2, np.array([complex(-0.0, -0.0), 0.6, 0.8j, complex(0.0, -0.0)]))
+    for k0, k1 in COUNTS:
+        check_same(state0, c, k0, k1)
+
+
+@pytest.mark.parametrize("graph", all_graphs()[:4], ids=lambda g: f"n{g.n}m{g.m}")
+def test_levels_table(graph):
+    for _, c, _ in costs(graph):
+        values, level = c.levels
+        assert np.array_equal(values[level], c.values)
+        assert np.all(np.diff(values) > 0)
+        assert level.dtype == np.min_scalar_type(values.size - 1)
+        assert not values.flags.writeable and not level.flags.writeable
+        assert c.levels is c.levels

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from mdqo import (
+    MIS_CONTROLLED,
+    TRANSVERSE_FIELD,
+    MixerSpec,
+    OutcomeCounts,
+    ProblemInstance,
     StateVector,
+    analytic_state,
+    apply_mixer,
     apply_controlled_x_rotation,
     apply_diagonal_phase,
     apply_x_rotation_all,
@@ -18,6 +25,7 @@ from mdqo import (
     sample_bitstring,
     uniform_superposition,
 )
+from mdqo.control import _materialise, _start, prepare_tables
 from mdqo.problems import DiagonalHamiltonian
 
 from conftest import random_state
@@ -172,3 +180,32 @@ def test_norm_check_reads_complex_amplitudes():
         StateVector(2, amps * (1 + 1e-9))
     with pytest.raises(ValueError, match="state norm"):
         StateVector(2, amps.real)
+
+
+def test_owning_constructor_keeps_the_checks():
+    with pytest.raises(ValueError, match="complex128"):
+        StateVector._own(1, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="expected 4 amplitudes"):
+        StateVector._own(2, np.array([1.0, 0.0], dtype=np.complex128))
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector._own(1, np.array([1.0, 1.0], dtype=np.complex128))
+    amps = np.array([0.0, 1.0], dtype=np.complex128)
+    state = StateVector._own(1, amps)
+    assert state.n == 1 and state.amps is amps and not amps.flags.writeable
+
+
+def test_built_states_are_read_only_and_own_their_amplitudes(g5, c_tight, tight_rescaling):
+    state = random_state(7)
+    tables = prepare_tables(ProblemInstance(g5, "maxcut"), tight_rescaling)
+    base = _start(tables, state, False)
+    outputs = [
+        apply_x_rotation_all(state, 0.3),
+        apply_controlled_x_rotation(state, 1, (0, 2), 0.3),
+        apply_mixer(state, MixerSpec(TRANSVERSE_FIELD, 0.3)),
+        apply_mixer(state, MixerSpec(MIS_CONTROLLED, 0.3, g5)),
+        analytic_state(state, c_tight, OutcomeCounts(2, 5))[0],
+        _materialise(tables, base, base.w),
+    ]
+    for out in outputs:
+        assert not out.amps.flags.writeable
+        assert not np.shares_memory(out.amps, state.amps)
