@@ -13,9 +13,11 @@ Every command reads and checks its whole config, through one `_Block` per JSON
 object, before its first compute call; each message names the full key path.
 Every invocation writes a JSON sidecar with the resolved config and seed next
 to its data files.  CSV files carry a header row and 12-significant-digit
-floats.  Exit codes: 0 success, 2 configuration error (including a --seed
-below 0, negative outcome counts and a run whose criteria never fire within
-run.max_steps_per_trajectory), 3 capacity error; logs go to standard error.
+floats.  Exit codes: 0 success, 2 configuration error (including an unknown
+key, i.e. one the command does not read, even if it belongs to another kind; a
+--seed below 0; negative outcome counts; and a run whose criteria never fire
+within run.max_steps_per_trajectory), 3 capacity error; logs go to standard
+error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -136,12 +138,6 @@ def _value(value, path: str, kind: type, minimum=None, choices=None, null: bool 
     return value
 
 
-def _nonempty_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a nonempty list")
-    return value
-
-
 def _pair(value, path: str, kind: type, minimum=None) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path} must be a pair")
@@ -151,22 +147,20 @@ def _pair(value, path: str, kind: type, minimum=None) -> tuple:
 class _Block:
     """One JSON object of a config, read through typed getters.
 
-    Built once per object from its key path ("" at the top level) and its
-    required and optional keys, so unknown and missing keys fail at once.
-    Getters return `default` for an absent key and name the full key path
-    in every message.
+    Built from the object, its key path ("" at the top level) and the block it
+    was read from.  Getters record the key they read, return `default` for an
+    absent key and name the full key path in every message; close() rejects
+    each key that no getter of this block or of a block opened from it read.
     """
 
-    def __init__(self, data, path: str, required=(), optional=()) -> None:
+    def __init__(self, data, path: str, parent: _Block | None = None) -> None:
         if not isinstance(data, dict):
             raise ConfigError(f"{path} must be an object")
         self.data, self.path = data, path
-        for key in data:
-            if key not in required and key not in optional:
-                raise ConfigError(f"unknown key {self.key(key)}")
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"missing required key {self.key(key)}")
+        self.read: set[str] = set()
+        self.opened: list[_Block] = []
+        if parent is not None:
+            parent.opened.append(self)
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
@@ -175,6 +169,7 @@ class _Block:
         return f"{self.path}.{key}" if self.path else key
 
     def raw(self, key: str, default=_REQUIRED):
+        self.read.add(key)
         if key in self.data:
             return self.data[key]
         if default is _REQUIRED:
@@ -186,28 +181,41 @@ class _Block:
             return default
         return _value(self.raw(key), self.key(key), kind, minimum, choices, null)
 
+    def entry(self, key: str, default=_REQUIRED) -> tuple:
+        """(value, key path) of the unchecked value at key."""
+        return self.raw(key, default), self.key(key)
+
+    def entries(self, key: str, default=_REQUIRED) -> list[tuple]:
+        """(value, key path) of each entry of the nonempty list at key."""
+        values, path = self.entry(key, default)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{path} must be a nonempty list")
+        return [(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
     def items(self, key, kind: type, default=_REQUIRED, minimum=None, choices=None, null=False):
         """A nonempty list, every entry checked as by get."""
-        path = self.key(key)
-        values = _nonempty_list(self.raw(key, default), path)
-        return [_value(v, f"{path}[{i}]", kind, minimum, choices, null)
-                for i, v in enumerate(values)]
+        return [_value(v, p, kind, minimum, choices, null) for v, p in self.entries(key, default)]
 
     def pair(self, key: str, kind: type, minimum=None) -> tuple:
-        return _pair(self.raw(key), self.key(key), kind, minimum)
+        return _pair(*self.entry(key), kind, minimum)
 
-    def block(self, key: str, required=(), optional=()) -> _Block:
-        """The nested object at key; an absent one reads as empty."""
-        return _Block(self.data.get(key, {}), self.key(key), required, optional)
+    def block(self, key: str, default=_REQUIRED) -> _Block:
+        return _Block(*self.entry(key, default), self)
+
+    def close(self) -> None:
+        """Reject every key that no getter of this block or of a nested one has read."""
+        for key in self.data:
+            if key not in self.read:
+                raise ConfigError(f"unknown key {self.key(key)}")
+        for child in self.opened:
+            child.close()
 
     def grid(self, key: str, minimum=None) -> list[int]:
         """An int list, {"values": [...]} or an inclusive {"start", "stop", "step"} range."""
         if isinstance(self.data.get(key), list):
             return self.items(key, int, minimum=minimum)
-        grid = self.block(key, (), ("values", "start", "stop", "step"))
+        grid = self.block(key)
         if "values" in grid:
-            if any(k in grid for k in ("start", "stop", "step")):
-                raise ConfigError(f"{grid.path}: give either values or start/stop/step, not both")
             return grid.items("values", int, minimum=minimum)
         start = grid.get("start", int, minimum=minimum)
         stop = grid.get("stop", int)
@@ -217,33 +225,29 @@ class _Block:
         return list(range(start, stop + 1, step))
 
 
-def _parse_problem(cfg: _Block) -> ProblemInstance:
-    problem = cfg.block("problem", ("kind", "graph"), ("penalty_weight",))
+def _parse_problem(cfg: _Block, penalized: bool = True) -> ProblemInstance:
+    """The problem block; penalized=False leaves penalty_weight unread, so unknown."""
+    problem = cfg.block("problem")
     kind = problem.get("kind", str, choices=("maxcut", "mis"))
-    from_file = isinstance(problem.data["graph"], dict) and "path" in problem.data["graph"]
-    graph_block = problem.block("graph", ("path",) if from_file else ("n", "edges"))
+    graph_block = problem.block("graph")
     try:
-        if from_file:
+        if "path" in graph_block:
             graph = parse_edge_list(Path(graph_block.get("path", str)).read_text())
         else:
-            edges = graph_block.key("edges")
-            pairs = [
-                _pair(e, f"{edges}[{i}]", int)
-                for i, e in enumerate(_nonempty_list(graph_block.raw("edges"), edges))
-            ]
+            pairs = [_pair(e, path, int) for e, path in graph_block.entries("edges")]
             graph = Graph.from_1indexed(graph_block.get("n", int), pairs)
     except OSError as exc:
         raise ConfigError(f"cannot read graph file: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"problem.graph: {exc}") from exc
-    penalty = problem.get("penalty_weight", float, None)
+        raise ConfigError(f"{graph_block.path}: {exc}") from exc
+    penalty = problem.get("penalty_weight", float, None) if penalized else None
     try:
         return ProblemInstance(graph=graph, kind=kind, penalty_weight=penalty)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
 
 
-def _bound_entry(value, path: str, named: bool = True) -> dict:
+def _bound_entry(owner: _Block, value, path: str, named: bool = True) -> dict:
     """A spectrum-bound entry: a shorthand, or an object with a mode.
 
     Named entries (the study commands' bound lists) may be a shorthand and
@@ -254,13 +258,11 @@ def _bound_entry(value, path: str, named: bool = True) -> dict:
         if value not in _BOUND_SHORTHAND:
             raise ConfigError(f"{path}: unknown bound shorthand {value!r}")
         return dict(_BOUND_SHORTHAND[value])
-    block = _Block(value, path, ("name", "mode") if named else ("mode",), ("name", "bounds"))
+    block = _Block(value, path, owner)
     mode = block.get("mode", str, choices=_BOUND_MODES)
-    entry = {"name": block.get("name", str, mode), "mode": mode}
+    entry = {"name": block.get("name", str, _REQUIRED if named else mode), "mode": mode}
     if mode == "user-supplied":
         entry["bounds"] = block.pair("bounds", float)
-    elif "bounds" in block:
-        raise ConfigError(f"{path}.bounds only applies to user-supplied mode")
     return entry
 
 
@@ -296,9 +298,7 @@ def _rescaled(
 
 
 def _parse_criteria(cfg: _Block) -> CriteriaConfig:
-    block = cfg.block(
-        "criteria", (), ("threshold_T", "surplus_L", "ceiling_KT", "reset_R", "min_steps_ell")
-    )
+    block = cfg.block("criteria")
     try:
         return CriteriaConfig(
             threshold_T=block.get("threshold_T", float, None),
@@ -316,12 +316,10 @@ def _chi(chi_tilde: int, path: str) -> float:
     return _value(chi_tilde, path, float) * CHI_TILDE_UNIT
 
 
-def _parse_mixer(cfg: _Block, graph: Graph, required: bool) -> MixerSpec | None:
+def _parse_mixer(cfg: _Block, graph: Graph) -> MixerSpec:
     if "mixer" not in cfg:
-        if required:
-            raise ConfigError("missing required key mixer (algorithm 2 needs one)")
-        return None
-    block = cfg.block("mixer", ("kind",), ("chi", "chi_tilde"))
+        raise ConfigError("missing required key mixer (algorithm 2 needs one)")
+    block = cfg.block("mixer")
     kind = block.get("kind", str, choices=_MIXER_KINDS)
     if ("chi" in block) == ("chi_tilde" in block):
         raise ConfigError("mixer: give exactly one of chi or chi_tilde")
@@ -340,9 +338,7 @@ def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
 
 def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     """The checked initial-state block, as the echo dict the state is built from."""
-    if "initial_state" not in cfg:
-        return {"kind": "uniform"}
-    block = cfg.block("initial_state", ("kind",), ("bitstring", "grid_resolution", "chi0"))
+    block = cfg.block("initial_state", {"kind": "uniform"})
     echo: dict = {"kind": block.get("kind", str, choices=_INITIAL_KINDS)}
     n = instance.graph.n
     if echo["kind"] == "feasible-uniform" and instance.kind != "mis":
@@ -350,7 +346,7 @@ def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     if echo["kind"] == "basis":
         bits = echo["bitstring"] = block.get("bitstring", str)
         if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ConfigError(f"initial_state.bitstring must be {n} characters 0 or 1")
+            raise ConfigError(f"{block.key('bitstring')} must be {n} characters 0 or 1")
     elif echo["kind"] == "qaoa1":
         echo["grid_resolution"] = block.get("grid_resolution", int, 256, minimum=2)
     elif echo["kind"] == "mixer-prepared":
@@ -377,8 +373,8 @@ def _initial_state(echo: dict, instance: ProblemInstance, tables: InstanceTables
     return feasible_initial_state(instance.graph, echo["chi0"])
 
 
-def _resolve_seed(config: dict, cli_seed: int | None, required: bool) -> int | None:
-    seed = _value(config.get("seed"), "seed", int, minimum=0, null=True)
+def _resolve_seed(cfg: _Block, cli_seed: int | None, required: bool) -> int | None:
+    seed = cfg.get("seed", int, None, minimum=0, null=True)
     if cli_seed is not None:
         seed = _value(cli_seed, "--seed", int, minimum=0)
     if required and seed is None:
@@ -414,8 +410,8 @@ def _write_json(path: Path, payload: dict) -> None:
     log.info("wrote %s", path)
 
 
-def _write_sidecar(outdir: Path, command: str, config: dict, seed, extra: dict) -> None:
-    payload = {"command": command, "config": config, "resolved": dict(extra), "seed": seed}
+def _write_sidecar(outdir: Path, command: str, cfg: _Block, seed, extra: dict) -> None:
+    payload = {"command": command, "config": cfg.data, "resolved": dict(extra), "seed": seed}
     _write_json(outdir / f"{command.replace('-', '_')}_config.json", payload)
 
 
@@ -423,32 +419,24 @@ def _write_sidecar(outdir: Path, command: str, config: dict, seed, extra: dict) 
 # sweep-counts
 
 
-def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
-    cfg = _Block(config, "", ("problem", "sweep"), ("seed",))
-    instance = _parse_problem(cfg)
-    sweep = cfg.block("sweep", ("k0", "bounds", "surplus_grid"), ("variants", "penalty_weights"))
+def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
+    instance = _parse_problem(cfg, penalized=False)  # it sweeps sweep.penalty_weights
+    sweep = cfg.block("sweep")
     k0_list = sweep.items("k0", int, minimum=0)
     surplus = sweep.grid("surplus_grid", minimum=0)
-    bound_entries = [
-        _bound_entry(e, f"sweep.bounds[{i}]")
-        for i, e in enumerate(_nonempty_list(sweep.raw("bounds"), "sweep.bounds"))
-    ]
+    bound_entries = [_bound_entry(sweep, v, path) for v, path in sweep.entries("bounds")]
+    if instance.kind == "mis":
+        default = ["feasible", "penalized"] if "penalty_weights" in sweep else ["feasible"]
+        kinds = sweep.items("variants", str, default, choices=("feasible", "penalized"))
+        lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
+    cfg.close()
 
     # (label, driving cost, extra reported cost P, support, initial state)
     n = instance.graph.n
     uniform = uniform_superposition(n)
     if instance.kind == "maxcut":
-        if "variants" in sweep or "penalty_weights" in sweep:
-            raise ConfigError("sweep.variants/penalty_weights apply to MIS instances only")
         variants = [("maxcut", driving_hamiltonian(instance), None, None, uniform)]
     else:
-        kinds = sweep.items(
-            "variants",
-            str,
-            ["feasible", "penalized"] if "penalty_weights" in sweep else ["feasible"],
-            choices=("feasible", "penalized"),
-        )
-        lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
         bare = instance_tables(ProblemInstance(instance.graph, "mis"))
         variants = []
         if "feasible" in kinds:
@@ -489,20 +477,20 @@ def cmd_sweep_counts(config: dict, outdir: Path, seed) -> None:
 
     rows = [[surplus[i]] + [col[i] for col in columns] for i in range(len(surplus))]
     _write_csv(outdir / "sweep_counts.csv", headers, rows)
-    _write_sidecar(outdir, "sweep-counts", config, seed, {"rescalings": echoes})
+    _write_sidecar(outdir, "sweep-counts", cfg, seed, {"rescalings": echoes})
 
 
 # ---------------------------------------------------------------------------
 # postprocess
 
 
-def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
-    cfg = _Block(config, "", ("problem",), ("postprocess", "seed"))
+def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
-    post = cfg.block("postprocess", (), ("grid_resolution", "k1", "bound"))
+    post = cfg.block("postprocess", {})
     resolution = post.get("grid_resolution", int, 256, minimum=2)
     k1_list = post.items("k1", int, [1, 2, 3], minimum=0)
-    bound_entry = _bound_entry(post.raw("bound", "tight"), "postprocess.bound")
+    bound_entry = _bound_entry(post, *post.entry("bound", "tight"))
+    cfg.close()
 
     h = driving_hamiltonian(instance)
     c, echo = _rescaled(bound_entry, h)
@@ -529,35 +517,35 @@ def cmd_postprocess(config: dict, outdir: Path, seed) -> None:
     summary_rows = [[label, dist.mean] for label, dist in dists]
     _write_csv(outdir / "postprocess_summary.csv", ["state", "H"], summary_rows)
     qaoa1 = {"gamma": params.gamma, "beta": params.beta, "grid_resolution": resolution}
-    _write_sidecar(outdir, "postprocess", config, seed, {"rescaling": echo, "qaoa1": qaoa1})
+    _write_sidecar(outdir, "postprocess", cfg, seed, {"rescaling": echo, "qaoa1": qaoa1})
 
 
 # ---------------------------------------------------------------------------
 # scramble-study
 
 
-def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
-    cfg = _Block(config, "", ("problem", "scramble"), ("seed",))
+def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
-    block = cfg.block("scramble", ("start_counts",), ("bound", "mixer_kind", "top", "bottom"))
+    block = cfg.block("scramble")
     start_counts = OutcomeCounts(*block.pair("start_counts", int, minimum=0))
-    bound_entry = _bound_entry(block.raw("bound", "tight"), "scramble.bound")
+    bound_entry = _bound_entry(block, *block.entry("bound", "tight"))
     mixer_kind = block.get("mixer_kind", str, TRANSVERSE_FIELD, choices=_MIXER_KINDS)
     if "top" not in block and "bottom" not in block:
         raise ConfigError("scramble: at least one of top/bottom panels is required")
     if "top" in block:
-        top = block.block("top", ("k1_grid",), ("k0_tilde", "chi_tilde"))
+        top = block.block("top")
         top_k0 = top.get("k0_tilde", int, 0, minimum=0)
         chi_tildes = top.items("chi_tilde", int, [1, 2, 3, 4, 5, 6])
-        top_chis = {ct: _chi(ct, f"scramble.top.chi_tilde[{i}]")
+        top_chis = {ct: _chi(ct, f"{top.key('chi_tilde')}[{i}]")
                     for i, ct in enumerate(chi_tildes)}
         k1_grid = top.grid("k1_grid", minimum=0)
     if "bottom" in block:
-        bottom = block.block("bottom", ("surplus_grid",), ("k0_tilde", "chi_tilde"))
+        bottom = block.block("bottom")
         chi_t = bottom.get("chi_tilde", int, 3)
-        bottom_chi = _chi(chi_t, "scramble.bottom.chi_tilde")
+        bottom_chi = _chi(chi_t, bottom.key("chi_tilde"))
         k0_tildes = bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0)
         surplus = bottom.grid("surplus_grid", minimum=0)
+    cfg.close()
 
     h = driving_hamiltonian(instance)
     c, echo = _rescaled(bound_entry, h)
@@ -601,26 +589,19 @@ def cmd_scramble_study(config: dict, outdir: Path, seed) -> None:
         _write_csv(outdir / "scramble_bottom.csv", header, rows)
         resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
 
-    _write_sidecar(outdir, "scramble-study", config, seed, resolved)
+    _write_sidecar(outdir, "scramble-study", cfg, seed, resolved)
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
-    cfg = _Block(
-        config, "", ("problem", "rescaling", "criteria", "run"), ("initial_state", "mixer", "seed")
-    )
+def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     instance = _parse_problem(cfg)
-    entry = _bound_entry(cfg.raw("rescaling"), "rescaling", named=False)
-    run = cfg.block(
-        "run",
-        ("algorithm", "budget"),
-        ("adaptive_threshold", "surplus_delta", "max_steps_per_trajectory", "trajectory_csv"),
-    )
+    entry = _bound_entry(cfg, *cfg.entry("rescaling"), named=False)
+    run = cfg.block("run")
     algorithm = run.get("algorithm", int, choices=(1, 2))
-    budget = run.block("budget", (), ("max_trajectories", "max_total_steps", "target_cost"))
+    budget = run.block("budget")
     try:
         budget = Budget(
             max_trajectories=budget.get("max_trajectories", int, None, null=True),
@@ -636,8 +617,10 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
     }
     trajectory_csv = run.get("trajectory_csv", bool, False)
     criteria = _parse_criteria(cfg)
-    mixer = _parse_mixer(cfg, instance.graph, required=algorithm == 2)
+    # only algorithm 2 scrambles, so algorithm 1 leaves a mixer block unread
+    mixer = _parse_mixer(cfg, instance.graph) if algorithm == 2 else None
     initial_echo = _parse_initial_state(cfg, instance)
+    cfg.close()
 
     tables = instance_tables(instance)
     rescaling, echo = _resolve_rescaling(entry, tables.drive, tables.support)
@@ -657,11 +640,14 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
         raise ConfigError(f"run: {exc}") from exc
 
     n = instance.graph.n
+    histogram: dict[str, int] = {}
+    for c, k in summary.cost_histogram.items():  # costs that print alike share a key
+        histogram[f"{c:.12g}"] = histogram.get(f"{c:.12g}", 0) + k
     payload = {
         "best_bitstring": summary.best_bitstring,
         "best_bitstring_text": index_to_bitstring(summary.best_bitstring, n),
         "best_cost": summary.best_cost,
-        "cost_histogram": {f"{c:.12g}": k for c, k in summary.cost_histogram.items()},
+        "cost_histogram": histogram,
         "param_log": list(summary.param_log),
         "seed": seed,
         "total_steps": summary.total_steps,
@@ -682,23 +668,23 @@ def cmd_run(config: dict, outdir: Path, seed, threads: int) -> None:
         _write_csv(outdir / "trajectories.csv", header, rows)
 
     resolved = {"rescaling": echo, "initial_state": initial_echo, "threads": threads}
-    _write_sidecar(outdir, "run", config, seed, resolved)
+    _write_sidecar(outdir, "run", cfg, seed, resolved)
 
 
 # ---------------------------------------------------------------------------
 # walk
 
 
-def cmd_walk(config: dict, outdir: Path, seed) -> None:
-    cfg = _Block(config, "", ("walk",), ("seed",))
-    block = cfg.block("walk", ("p", "L"), ("R", "mc_trials", "mc_step_cap", "include_run_rule"))
+def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
+    block = cfg.block("walk")
     p_list = block.items("p", float)
     l_list = block.items("L", int)
     r_values = block.items("R", int, [None], null=True)
     trials = block.get("mc_trials", int, 0, minimum=0)
     # The cap counts aggregate steps, so one below mc_trials never takes a step.
-    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=max(trials, 1))
+    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=trials) if trials else None
     include_run_rule = block.get("include_run_rule", bool, True)
+    cfg.close()
     if trials > 0 and seed is None:
         raise ConfigError("walk: Monte Carlo trials need a seed (config key seed or --seed)")
     try:
@@ -776,7 +762,7 @@ def cmd_walk(config: dict, outdir: Path, seed) -> None:
                 rows2.append(row)
         _write_csv(outdir / "walk_runs.csv", header2, rows2)
 
-    _write_sidecar(outdir, "walk", config, seed, {"mc_streams_used": stream})
+    _write_sidecar(outdir, "walk", cfg, seed, {"mc_streams_used": stream})
 
 
 # ---------------------------------------------------------------------------
@@ -813,12 +799,12 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be a positive integer")
-        config = _load_config(args.config)
-        seed = _resolve_seed(config, args.seed, required=seed_required)
+        cfg = _Block(_load_config(args.config), "")
+        seed = _resolve_seed(cfg, args.seed, required=seed_required)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         extra = {"threads": args.threads} if args.command == "run" else {}
-        handler(config, outdir, seed, **extra)
+        handler(cfg, outdir, seed, **extra)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2

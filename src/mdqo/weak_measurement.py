@@ -124,14 +124,15 @@ def analytic_state(
         check_support_costs(c.values[support])  # raises with the dense values' message
     angle = np.clip(vals, 0.0, math.pi / 4) + math.pi / 4
     logw = np.zeros(angle.shape, dtype=np.float64)
-    with np.errstate(divide="ignore"):
+    weight = np.zeros(values.size)
+    # log(0) and huge counts give -inf, and -inf - -inf gives NaN (caught below)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if counts.k0:
             logw += counts.k0 * np.log(np.cos(angle))
         if counts.k1:
             logw += counts.k1 * np.log(np.sin(angle))
-    top = logw.max()
-    weight = np.zeros(values.size)
-    weight[hit] = np.exp(logw - top)
+        top = logw.max()
+        weight[hit] = np.exp(logw - top)
     amps = state0.amps * weight.take(level)
     amps[~support] = 0.0  # +0 off the support, whatever zeros state0 holds there
     norm = np.linalg.norm(amps)

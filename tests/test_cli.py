@@ -6,18 +6,22 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mdqo import ProblemInstance, bitstring_to_index, feasible
 from mdqo.cli import main
-from mdqo.problems import Graph
+from mdqo.mixers import optimize_qaoa1
+from mdqo.problems import Graph, driving_hamiltonian
 
 G5_BLOCK = {
     "n": 5,
     "edges": [[1, 2], [2, 3], [3, 4], [1, 3], [2, 4], [2, 5]],
 }
+G5 = Graph.from_1indexed(5, [tuple(e) for e in G5_BLOCK["edges"]])
 
 
 def test_cli_import_loads_no_scipy():
@@ -113,6 +117,19 @@ def test_sweep_counts_mis_feasible_dominates_penalized(tmp_path):
     assert by_variant["penalized_lam3"]["epsilon"] == pytest.approx(math.pi / 64)
 
 
+def test_sweep_counts_huge_counts_leak_no_warning(tmp_path):
+    from test_golden import ROOT
+
+    payload = json.loads((ROOT / "configs" / "maxcut_sweep.json").read_text())
+    payload["sweep"].update(k0=[10**308], surplus_grid=[0])
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep-counts", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "sweep_counts.csv").read_text().splitlines()[1] == "0,0,0.5,0,0.5"
+
+
 def test_postprocess_artifacts(tmp_path):
     config = write_config(
         tmp_path,
@@ -193,6 +210,63 @@ def test_run_deterministic_zero_steps(tmp_path):
     assert summary["trajectories_run"] == 3
     assert summary["cost_histogram"] == {"5": 3}
     assert summary["seed"] == 4
+
+
+def test_run_histogram_counts_every_trajectory(tmp_path):
+    # penalised MIS costs such as 1.4 and 1.4000000000000004 print alike
+    from test_golden import ROOT
+
+    payload = json.loads((ROOT / "configs" / "run_maxcut.json").read_text())
+    payload["problem"].update(kind="mis", penalty_weight=0.6)
+    payload["criteria"] = {"ceiling_KT": 3}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+    summary = json.loads((out / "run_summary.json").read_text())
+    rows = read_csv(out / "trajectories.csv")
+    assert summary["trajectories_run"] == len(rows) == 200
+    assert summary["cost_histogram"] == Counter(row["final_cost"] for row in rows)
+    assert sum(summary["cost_histogram"].values()) == 200
+
+
+def test_run_qaoa1_start_uses_the_grid_optimum(tmp_path):
+    payload = {
+        "problem": {"kind": "maxcut", "graph": G5_BLOCK},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"surplus_L": 5},
+        "initial_state": {"kind": "qaoa1", "grid_resolution": 16},
+        "run": {"algorithm": 1, "budget": {"max_trajectories": 3}},
+        "seed": 2,
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+    params = optimize_qaoa1(driving_hamiltonian(ProblemInstance(G5, "maxcut")), 16)
+    echo = json.loads((out / "run_config.json").read_text())["resolved"]["initial_state"]
+    assert echo == {"kind": "qaoa1", "grid_resolution": 16,
+                    "gamma": params.gamma, "beta": params.beta}
+
+
+def test_run_mixer_prepared_mis_start_stays_feasible(tmp_path):
+    payload = {
+        "problem": {"kind": "mis", "graph": G5_BLOCK},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"surplus_L": 5},
+        "initial_state": {"kind": "mixer-prepared", "chi0": 0.4},
+        "run": {"algorithm": 1, "budget": {"max_trajectories": 30}, "trajectory_csv": True},
+        "seed": 3,
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+
+    instance = ProblemInstance(G5, "mis")
+    rows = read_csv(out / "trajectories.csv")
+    assert len(rows) == 30
+    for row in rows:
+        assert feasible(instance, bitstring_to_index(row["final_sample"]))
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -280,9 +354,7 @@ def test_run_feasible_mis_trajectories(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
-    instance = ProblemInstance(
-        Graph.from_1indexed(5, [tuple(e) for e in G5_BLOCK["edges"]]), "mis"
-    )
+    instance = ProblemInstance(G5, "mis")
     rows = read_csv(out / "trajectories.csv")
     assert len(rows) == 50
     for row in rows:
@@ -812,6 +884,75 @@ BAD_CONFIGS = {
     "int that float() rounds past the float range": (
         "run", _with(RUN, ["criteria", "threshold_T"], 2**1024 - 2**970), [],
         "criteria.threshold_T must be a finite number, got 1797",
+    ),
+    "basis bitstring length": (
+        "run", _with(RUN, ["initial_state"], {"kind": "basis", "bitstring": "1001"}), [],
+        "initial_state.bitstring must be 5 characters 0 or 1",
+    ),
+    "algorithm 2 without a mixer": (
+        "run", _with(RUN, ["run", "algorithm"], 2), [],
+        "missing required key mixer (algorithm 2 needs one)",
+    ),
+    "scramble without panels": (
+        "scramble-study", _with(SCRAMBLE, ["scramble"], {"start_counts": [50, 160]}), [],
+        "scramble: at least one of top/bottom panels is required",
+    ),
+    "mixer-prepared maxcut": (
+        "run", _with(RUN, ["initial_state"], {"kind": "mixer-prepared", "chi0": 0.3}), [],
+        "initial_state: mixer-prepared applies to MIS instances",
+    ),
+    "top-level array": ("walk", [WALK_MC], [], "top-level config must be a JSON object"),
+    "key of another initial-state kind": (
+        "run", _with(RUN, ["initial_state"], {"kind": "uniform", "grid_resolution": 16}), [],
+        "unknown key initial_state.grid_resolution",
+    ),
+    "mixer under algorithm 1": (
+        "run", _with(RUN, ["mixer"], {"kind": "transverse-field", "chi": 0.3}), [],
+        "unknown key mixer",
+    ),
+    "bounds of a computed rescaling": (
+        "run", _with(RUN, ["rescaling", "bounds"], [0, 5]), [], "unknown key rescaling.bounds",
+    ),
+    "grid values and range": (
+        "scramble-study",
+        _with(SCRAMBLE, ["scramble", "bottom", "surplus_grid", "values"], [0, 5]),
+        [],
+        "unknown key scramble.bottom.surplus_grid.start",
+    ),
+    "maxcut sweep variants": (
+        "sweep-counts", _with(SWEEP, ["sweep", "variants"], ["feasible"]), [],
+        "unknown key sweep.variants",
+    ),
+    "penalty weights of an unpenalised sweep": (
+        "sweep-counts",
+        _with(
+            _with(
+                _with(SWEEP, ["problem", "kind"], "mis"), ["sweep", "variants"], ["feasible"]
+            ),
+            ["sweep", "penalty_weights"],
+            [3],
+        ),
+        [],
+        "unknown key sweep.penalty_weights",
+    ),
+    "walk step cap without trials": (
+        "walk", _with(WALK_MC, ["walk"], {"p": [0.8], "L": [3], "mc_step_cap": 50}), [],
+        "unknown key walk.mc_step_cap",
+    ),
+    "walk key typo": (
+        "walk", _with(WALK_MC, ["walk", "mc_trial"], 10), [], "unknown key walk.mc_trial",
+    ),
+    "postprocess key typo": (
+        "postprocess", _with(POSTPROCESS, ["postprocess", "bounds"], "tight"), [],
+        "unknown key postprocess.bounds",
+    ),
+    "problem penalty weight of a sweep": (
+        "sweep-counts",
+        _with(
+            _with(SWEEP, ["problem", "kind"], "mis"), ["problem", "penalty_weight"], 7.0
+        ),
+        [],
+        "unknown key problem.penalty_weight",
     ),
     "dishonest coefficient bound": (
         "sweep-counts",

@@ -1,6 +1,7 @@
 """Tests for the weak-measurement primitive and the aggregated analytic state."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdqo import (
+    DegenerateCountsError,
     OutcomeCounts,
     ZeroBranchError,
     amplitude_modulation,
@@ -175,6 +177,16 @@ def test_analytic_state_survives_huge_counts(uniform5, c_tight, maxcut_h):
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
     assert math.isfinite(log_norm) and log_norm < 0
     assert expectation(state, maxcut_h) == pytest.approx(5.0, abs=1e-6)
+
+
+def test_degenerate_counts_raise_without_a_warning():
+    # cos(pi/2)**(10**308) overflows the log weight to -inf and -inf - -inf is NaN;
+    # both stay inside analytic_state, which reports the error itself
+    c = DiagonalHamiltonian(2, [0.0, 0.3, math.pi / 4, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateCountsError, match="vanish"):
+            analytic_state(basis_state(2, 2), c, OutcomeCounts(10**308, 0))
 
 
 def test_analytic_state_nonuniform_start(c_tight):
