@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .problems import DiagonalHamiltonian
 from .statevector import StateVector
 
@@ -20,6 +21,10 @@ MC_STEP_CAP = 10**8
 
 # Relative tolerance for flagging closed-form vs exact-solver agreement.
 CLOSED_FORM_RTOL = 1e-9
+
+# Most unknowns R + L - 1 of the exact reset-walk solve: its dense matrix
+# then takes 128 MiB.
+EXACT_SOLVER_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,8 @@ class WalkModel:
 def expected_steps_run(p: float, L: int) -> float:
     """Expected steps until a run of L consecutive successes: (1 - p^L) / ((1-p) p^L).
 
-    p = 1 returns the limit value L exactly.
+    p = 1 returns the limit value L exactly; a denominator that underflows
+    to 0 returns inf.
     """
     if L < 1:
         raise ValueError(f"L must be at least 1, got {L}")
@@ -54,7 +60,8 @@ def expected_steps_run(p: float, L: int) -> float:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if p == 1.0:
         return float(L)
-    return (1.0 - p**L) / ((1.0 - p) * p**L)
+    denominator = (1.0 - p) * p**L
+    return (1.0 - p**L) / denominator if denominator else math.inf
 
 
 def expected_steps_surplus_bound(p: float, L: int) -> float:
@@ -68,6 +75,19 @@ def expected_steps_surplus_bound(p: float, L: int) -> float:
     return L / (2.0 * p - 1.0)
 
 
+def check_exact_size(model: WalkModel) -> int:
+    """The exact solver's R + L - 1 unknowns; CapacityError past EXACT_SOLVER_CAP."""
+    if model.R is None:
+        raise ValueError("reset depth R is required for the reset walk")
+    size = model.R + model.L - 1
+    if size > EXACT_SOLVER_CAP:
+        raise CapacityError(
+            f"the reset walk at p={model.p} needs R + L - 1 = {size} unknowns, "
+            f"past the exact solver's cap of {EXACT_SOLVER_CAP}"
+        )
+    return size
+
+
 def expected_steps_with_reset_exact(model: WalkModel) -> float:
     """Expected absorption time E_0 of the reset walk, from the exact recurrence.
 
@@ -79,10 +99,8 @@ def expected_steps_with_reset_exact(model: WalkModel) -> float:
 
     a dense solve in the R + L - 1 unknowns E_{-R+1..L-1}.
     """
-    if model.R is None:
-        raise ValueError("reset depth R is required for the reset walk")
+    size = check_exact_size(model)
     p, q, L, R = model.p, model.q, model.L, model.R
-    size = R + L - 1
     lo = -R + 1
 
     def idx(j: int) -> int:
@@ -122,6 +140,14 @@ class ClosedFormResult:
     corrected_matches: bool
 
 
+def _power(ratio: float, L: int) -> float:
+    """ratio ** L, or inf where it overflows the float range."""
+    try:
+        return ratio**L
+    except OverflowError:
+        return math.inf
+
+
 def expected_steps_with_reset_closed_form(model: WalkModel) -> ClosedFormResult:
     """Evaluate L/(2p-1) - R q^R / ((p-q)(p^R - q^R)) * (1 - r^L) for both r = p/q, q/p."""
     if model.R is None:
@@ -136,9 +162,14 @@ def expected_steps_with_reset_closed_form(model: WalkModel) -> ClosedFormResult:
         printed = math.inf
     else:
         base = L / (2.0 * p - 1.0)
-        correction = R * q**R / ((p - q) * (p**R - q**R))
-        printed = base - correction * (1.0 - (p / q) ** L)
-        corrected = base - correction * (1.0 - (q / p) ** L)
+        denominator = (p - q) * (p**R - q**R)
+        if denominator:
+            correction = R * q**R / denominator
+        else:  # p^R and q^R both underflow: scale them by max(p, q)^R
+            top = max(p, q)
+            correction = R * (q / top) ** R / ((p - q) * ((p / top) ** R - (q / top) ** R))
+        printed = base - correction * (1.0 - _power(p / q, L))
+        corrected = base - correction * (1.0 - _power(q / p, L))
 
     def matches(value: float) -> bool:
         return (

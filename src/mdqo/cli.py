@@ -15,9 +15,10 @@ Every invocation writes a JSON sidecar with the resolved config and seed next
 to its data files.  CSV files carry a header row and 12-significant-digit
 floats.  Exit codes: 0 success, 2 configuration error (including an unknown
 key, i.e. one the command does not read, even if it belongs to another kind; a
---seed below 0; negative outcome counts; and a run whose criteria never fire
-within run.max_steps_per_trajectory), 3 capacity error; logs go to standard
-error.
+--seed below 0; negative outcome counts; an outcome count, a k1 = k0 + L of a
+surplus grid or a walk.L past the float range; and a run whose criteria never
+fire within run.max_steps_per_trajectory), 3 capacity error (n above the dense
+cap, a reset walk above the exact solver's cap); logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -38,6 +40,7 @@ import numpy as np
 from .analysis import (
     MC_STEP_CAP,
     WalkModel,
+    check_exact_size,
     expected_steps_run,
     expected_steps_surplus_bound,
     expected_steps_with_reset_closed_form,
@@ -51,7 +54,7 @@ from .control import (
     outer_loop,
     trajectory_rng,
 )
-from .errors import CapacityError, ConfigError, DegenerateSpectrumError, StepCapError
+from .errors import CapacityError, ConfigError, StepCapError
 from .mixers import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
@@ -76,6 +79,7 @@ from .problems import (
     spectrum_bounds,
 )
 from .statevector import (
+    GROUP_TOL,
     StateVector,
     basis_state,
     bitstring_to_index,
@@ -274,7 +278,7 @@ def _resolve_rescaling(
     try:
         bounds = spectrum_bounds(h, entry["mode"], support=support, user=user)
         rescaling = rescaling_from_bounds(bounds)
-    except (ValueError, DegenerateSpectrumError) as exc:
+    except ValueError as exc:  # DegenerateSpectrumError included
         raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
     echo = {"name": entry["name"], "mode": entry["mode"], "s": bounds.s, "t": bounds.t,
             "alpha": rescaling.alpha, "epsilon": rescaling.epsilon}
@@ -314,6 +318,14 @@ def _parse_criteria(cfg: _Block) -> CriteriaConfig:
 def _chi(chi_tilde: int, path: str) -> float:
     """The mixer angle of an integer chi_tilde, which must convert to a float."""
     return _value(chi_tilde, path, float) * CHI_TILDE_UNIT
+
+
+def _float_sized(values, path: str):
+    """Integers that reach float arithmetic (outcome counts, walk lengths): each
+    must convert to a float, as chi_tilde does in _chi."""
+    for i, value in enumerate(values):
+        _value(value, f"{path}[{i}]", float)
+    return values
 
 
 def _parse_mixer(cfg: _Block, graph: Graph) -> MixerSpec:
@@ -422,8 +434,10 @@ def _write_sidecar(outdir: Path, command: str, cfg: _Block, seed, extra: dict) -
 def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg, penalized=False)  # it sweeps sweep.penalty_weights
     sweep = cfg.block("sweep")
-    k0_list = sweep.items("k0", int, minimum=0)
+    k0_list = _float_sized(sweep.items("k0", int, minimum=0), sweep.key("k0"))
     surplus = sweep.grid("surplus_grid", minimum=0)
+    _value(max(k0_list) + max(surplus), f"k1 = {sweep.key('k0')} + {sweep.key('surplus_grid')}",
+           float)
     bound_entries = [_bound_entry(sweep, v, path) for v, path in sweep.entries("bounds")]
     if instance.kind == "mis":
         default = ["feasible", "penalized"] if "penalty_weights" in sweep else ["feasible"]
@@ -488,7 +502,7 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
     post = cfg.block("postprocess", {})
     resolution = post.get("grid_resolution", int, 256, minimum=2)
-    k1_list = post.items("k1", int, [1, 2, 3], minimum=0)
+    k1_list = _float_sized(post.items("k1", int, [1, 2, 3], minimum=0), post.key("k1"))
     bound_entry = _bound_entry(post, *post.entry("bound", "tight"))
     cfg.close()
 
@@ -510,7 +524,7 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     probs = [state.probabilities() for _, state in states]
     rows = []
     for cost in support:
-        mask = np.abs(h.values - cost) <= 1e-9
+        mask = np.abs(h.values - cost) <= GROUP_TOL
         rows.append([float(cost)] + [float(np.sum(p[mask])) for p in probs])
     _write_csv(outdir / "postprocess_density.csv", header, rows)
 
@@ -527,7 +541,8 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
 def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
     block = cfg.block("scramble")
-    start_counts = OutcomeCounts(*block.pair("start_counts", int, minimum=0))
+    start_pair = block.pair("start_counts", int, minimum=0)
+    start_counts = OutcomeCounts(*_float_sized(start_pair, block.key("start_counts")))
     bound_entry = _bound_entry(block, *block.entry("bound", "tight"))
     mixer_kind = block.get("mixer_kind", str, TRANSVERSE_FIELD, choices=_MIXER_KINDS)
     if "top" not in block and "bottom" not in block:
@@ -535,16 +550,21 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     if "top" in block:
         top = block.block("top")
         top_k0 = top.get("k0_tilde", int, 0, minimum=0)
+        _value(top_k0, top.key("k0_tilde"), float)
         chi_tildes = top.items("chi_tilde", int, [1, 2, 3, 4, 5, 6])
         top_chis = {ct: _chi(ct, f"{top.key('chi_tilde')}[{i}]")
                     for i, ct in enumerate(chi_tildes)}
-        k1_grid = top.grid("k1_grid", minimum=0)
+        k1_grid = _float_sized(top.grid("k1_grid", minimum=0), top.key("k1_grid"))
     if "bottom" in block:
         bottom = block.block("bottom")
         chi_t = bottom.get("chi_tilde", int, 3)
         bottom_chi = _chi(chi_t, bottom.key("chi_tilde"))
-        k0_tildes = bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0)
+        k0_tildes = _float_sized(
+            bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0), bottom.key("k0_tilde")
+        )
         surplus = bottom.grid("surplus_grid", minimum=0)
+        _value(max(k0_tildes) + max(surplus),
+               f"k1 = {bottom.key('k0_tilde')} + {bottom.key('surplus_grid')}", float)
     cfg.close()
 
     h = driving_hamiltonian(instance)
@@ -626,7 +646,7 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     rescaling, echo = _resolve_rescaling(entry, tables.drive, tables.support)
     try:
         # checked before the initial state, whose qaoa1 kind runs a grid search
-        outer = OuterConfig(algorithm, rescaling, None, criteria, mixer, **options)
+        outer = OuterConfig(rescaling, None, criteria, mixer, **options)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from exc
     initial = _initial_state(initial_echo, instance, tables)
@@ -678,7 +698,7 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
 def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
     block = cfg.block("walk")
     p_list = block.items("p", float)
-    l_list = block.items("L", int)
+    l_list = _float_sized(block.items("L", int), block.key("L"))
     r_values = block.items("R", int, [None], null=True)
     trials = block.get("mc_trials", int, 0, minimum=0)
     # The cap counts aggregate steps, so one below mc_trials never takes a step.
@@ -692,14 +712,22 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
                   for r in r_values]
     except ValueError as exc:
         raise ConfigError(f"walk: {exc}") from exc
+    for model in models:
+        if model.R is not None:
+            check_exact_size(model)
 
-    stream = 0
+    streams = itertools.count()
 
-    def next_rng() -> np.random.Generator:
-        nonlocal stream
-        rng = trajectory_rng(seed, stream)
-        stream += 1
-        return rng
+    def monte_carlo(model: WalkModel, value, rule: str = "surplus") -> list:
+        """Mean, stderr, capped and the 3-sigma flag against value; four None without trials."""
+        if not trials:
+            return [None] * 4
+        rng = trajectory_rng(seed, next(streams))
+        mc = walk_monte_carlo(model, trials, rng, rule=rule, max_total_steps=step_cap)
+        within = None
+        if value is not None and mc.completed > 1:
+            within = abs(mc.mean - value) <= 3.0 * mc.stderr
+        return [mc.mean, mc.stderr, mc.capped, within]
 
     header = [
         "p", "L", "R", "exact", "bound",
@@ -723,17 +751,7 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
             closed.printed_matches if closed else None,
             closed.corrected_matches if closed else None,
         ]
-        if trials > 0:
-            mc = walk_monte_carlo(model, trials, next_rng(), max_total_steps=step_cap)
-            within = (
-                abs(mc.mean - exact) <= 3.0 * mc.stderr
-                if exact is not None and mc.completed > 1
-                else None
-            )
-            row += [mc.mean, mc.stderr, mc.capped, within]
-        else:
-            row += [None, None, None, None]
-        rows.append(row)
+        rows.append(row + monte_carlo(model, exact))
     _write_csv(outdir / "walk.csv", header, rows)
 
     if include_run_rule:
@@ -742,27 +760,14 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
         for p in p_list:
             for length in l_list:
                 expected = expected_steps_run(p, length)
-                row = [p, length, expected]
-                if trials > 0:
-                    mc = walk_monte_carlo(
-                        WalkModel(p=p, L=length),
-                        trials,
-                        next_rng(),
-                        rule="consecutive",
-                        max_total_steps=step_cap,
-                    )
-                    within = (
-                        abs(mc.mean - expected) <= 3.0 * mc.stderr
-                        if mc.completed > 1
-                        else None
-                    )
-                    row += [mc.mean, mc.stderr, within]
-                else:
-                    row += [None, None, None]
-                rows2.append(row)
+                mean, stderr, _, within = monte_carlo(
+                    WalkModel(p=p, L=length), expected, "consecutive"
+                )
+                rows2.append([p, length, expected, mean, stderr, within])
         _write_csv(outdir / "walk_runs.csv", header2, rows2)
 
-    _write_sidecar(outdir, "walk", cfg, seed, {"mc_streams_used": stream})
+    # the next stream index is the number of streams drawn
+    _write_sidecar(outdir, "walk", cfg, seed, {"mc_streams_used": next(streams)})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ scramble and to draw the final sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -449,13 +449,12 @@ class Budget:
 class OuterConfig:
     """Everything the outer loop needs besides the instance and budget.
 
-    The mixer is used only by algorithm 2.  adaptive_threshold raises
-    threshold_T to the best driving cost seen so far after each trajectory;
-    surplus_delta adds a fixed increment to surplus_L after each trajectory
-    (0 disables).
+    A mixer makes the loop algorithm 2; with mixer=None nothing scrambles,
+    which is algorithm 1.  adaptive_threshold raises threshold_T to the best
+    driving cost seen so far after each trajectory; surplus_delta adds a
+    fixed increment to surplus_L after each trajectory (0 disables).
     """
 
-    algorithm: int
     rescaling: Rescaling
     initial_state: StateVector
     criteria: CriteriaConfig
@@ -465,10 +464,6 @@ class OuterConfig:
     max_steps_per_trajectory: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
-        if self.algorithm not in (1, 2):
-            raise ValueError(f"algorithm must be 1 or 2, got {self.algorithm}")
-        if self.algorithm == 2 and self.mixer is None:
-            raise ValueError("algorithm 2 requires a mixer")
         if self.adaptive_threshold and self.criteria.threshold_T is None:
             raise ValueError("adaptive_threshold requires threshold_T to be set")
         if self.surplus_delta != 0 and self.criteria.surplus_L is None:
@@ -493,16 +488,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _criteria_snapshot(criteria: CriteriaConfig) -> dict:
-    return {
-        "threshold_T": criteria.threshold_T,
-        "surplus_L": criteria.surplus_L,
-        "ceiling_KT": criteria.ceiling_KT,
-        "reset_R": criteria.reset_R,
-        "min_steps_ell": criteria.min_steps_ell,
-    }
-
-
 def outer_loop(
     instance: ProblemInstance, config: OuterConfig, budget: Budget, seed: int
 ) -> RunSummary:
@@ -516,12 +501,11 @@ def outer_loop(
     support) raises ValueError there.
     """
     criteria = config.criteria
-    mixer = config.mixer if config.algorithm == 2 else None
     tables = prepare_tables(instance, config.rescaling)
-    _check_criteria(criteria, mixer, config.rescaling)
+    _check_criteria(criteria, config.mixer, config.rescaling)
     start = _start(tables, config.initial_state, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
-    param_log = [_criteria_snapshot(criteria)]
+    param_log = [asdict(criteria)]
     trajectories: list[Trajectory] = []
     histogram: dict[float, int] = {}
     best_cost = -math.inf
@@ -538,13 +522,13 @@ def outer_loop(
                 criteria = replace(
                     criteria, surplus_L=criteria.surplus_L + config.surplus_delta
                 )
-            _check_criteria(criteria, mixer, config.rescaling)
-            param_log.append(_criteria_snapshot(criteria))
+            _check_criteria(criteria, config.mixer, config.rescaling)
+            param_log.append(asdict(criteria))
         traj = _trajectory(
             tables,
             start,
             criteria,
-            mixer,
+            config.mixer,
             trajectory_rng(seed, index),
             (seed, index),
             False,

@@ -9,7 +9,7 @@ ValueError/RuntimeError.
 
 
 class CapacityError(Exception):
-    """Problem size exceeds the dense-representation cap."""
+    """Problem size exceeds the dense-representation or the exact walk solver's cap."""
 
 
 class ConfigError(Exception):

@@ -17,6 +17,8 @@ from mdqo import (
     uniform_superposition,
     walk_monte_carlo,
 )
+from mdqo.analysis import EXACT_SOLVER_CAP, check_exact_size
+from mdqo.errors import CapacityError
 from mdqo.problems import DiagonalHamiltonian
 
 
@@ -25,6 +27,10 @@ def test_run_rule_expected_steps():
     assert expected_steps_run(0.5, 2) == pytest.approx(6.0)
     assert expected_steps_run(0.75, 1) == pytest.approx(4.0 / 3.0)
     assert expected_steps_run(1.0, 7) == 7.0
+    # (1 - p) p^L is subnormal up to L = 2584 at p = 0.75 and 0 from 2585 on
+    assert math.isfinite(expected_steps_run(0.75, 2462))
+    assert expected_steps_run(0.75, 2584) == math.inf
+    assert expected_steps_run(0.75, 2585) == math.inf
     with pytest.raises(ValueError):
         expected_steps_run(0.5, 0)
     with pytest.raises(ValueError):
@@ -81,6 +87,24 @@ def test_reset_walk_requires_reset_depth():
         WalkModel(0.75, 2, 0)
     with pytest.raises(ValueError):
         WalkModel(0.0, 2, 1)
+
+
+def test_exact_solver_size_cap():
+    assert check_exact_size(WalkModel(0.75, 2, EXACT_SOLVER_CAP - 1)) == EXACT_SOLVER_CAP
+    with pytest.raises(CapacityError, match="R \\+ L - 1 = 4097 unknowns"):
+        expected_steps_with_reset_exact(WalkModel(0.75, 3, EXACT_SOLVER_CAP - 1))
+    with pytest.raises(CapacityError):
+        expected_steps_with_reset_closed_form(WalkModel(0.75, 2, 10**400))
+
+
+def test_closed_form_overflowing_ratio_is_infinite():
+    # (p/q)^200 = 99^200 and (q/p)^200 overflow the float range
+    steep = expected_steps_with_reset_closed_form(WalkModel(0.99, 200, 1))
+    assert steep.printed == math.inf
+    assert steep.corrected_matches
+    shallow = expected_steps_with_reset_closed_form(WalkModel(0.01, 200, 1))
+    assert shallow.corrected == math.inf
+    assert not shallow.corrected_matches
 
 
 def test_closed_form_variants_reference_point():

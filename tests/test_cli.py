@@ -470,6 +470,41 @@ def test_walk_monte_carlo_requires_seed(tmp_path):
     assert main(["walk", "--config", str(config), "--out", str(tmp_path)]) == 2
 
 
+def test_walk_run_rule_with_an_underflowing_denominator_is_infinite(tmp_path):
+    # (1 - p) p^L underflows to 0 from L = 2585 on at p = 0.75
+    config = write_config(
+        tmp_path, {"walk": {"p": [0.75], "L": [5000], "R": [None], "include_run_rule": True}}
+    )
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 0
+    [row] = read_csv(out / "walk_runs.csv")
+    assert row["expected"] == "inf"
+    assert read_csv(out / "walk.csv")[0]["exact"] == "10000"
+
+
+def test_walk_closed_form_with_underflowing_powers_is_finite(tmp_path):
+    # 0.6^1500 and 0.4^1500 both underflow to 0; (p/q)^200 = 99^200 overflows
+    config = write_config(tmp_path, {"walk": {"p": [0.6, 0.99], "L": [3, 200], "R": [1, 1500]}})
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 0
+    rows = {(row["p"], row["L"], row["R"]): row for row in read_csv(out / "walk.csv")}
+    assert rows[("0.6", "3", "1500")]["closed_corrected"] == "15"
+    assert rows[("0.6", "3", "1500")]["corrected_matches"] == "true"
+    assert rows[("0.99", "200", "1")]["closed_printed"] == "inf"
+    assert rows[("0.99", "200", "1")]["corrected_matches"] == "true"
+
+
+def test_walk_past_the_exact_solver_cap_exits_with_capacity_code(tmp_path, caplog, compute_stubs):
+    config = write_config(tmp_path, {"walk": {"p": [0.75], "L": [2], "R": [1, 10**400]}})
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 3
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith("capacity error: the reset walk at p=0.75 needs R + L - 1 = 1000")
+    assert message.endswith("unknowns, past the exact solver's cap of 4096")
+    assert compute_stubs == []
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_run_requires_seed(tmp_path):
     config = write_config(
         tmp_path,
@@ -825,6 +860,50 @@ BAD_CONFIGS = {
     ),
     "walk model after valid rows": (
         "walk", _with(WALK_MC, ["walk", "L"], [3, 0]), [], "walk: L must be at least 1, got 0",
+    ),
+    "walk L past the float range": (
+        "walk", _with(WALK_MC, ["walk", "L"], [3, 10**400]), [],
+        "walk.L[1] must be a finite number, got 1000",
+    ),
+    "sweep k0 past the float range": (
+        "sweep-counts", _with(SWEEP, ["sweep", "k0"], [0, 4 * 10**308]), [],
+        "sweep.k0[1] must be a finite number, got 4000",
+    ),
+    "sweep k1 past the float range": (
+        "sweep-counts",
+        _with(_with(SWEEP, ["sweep", "k0"], [10**308]), ["sweep", "surplus_grid"], [0, 10**308]),
+        [],
+        "k1 = sweep.k0 + sweep.surplus_grid must be a finite number, got 2000",
+    ),
+    "postprocess k1 past the float range": (
+        "postprocess", _with(POSTPROCESS, ["postprocess"], {"k1": [4 * 10**308]}), [],
+        "postprocess.k1[0] must be a finite number, got 4000",
+    ),
+    "scramble start count past the float range": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "start_counts"], [4 * 10**308, 0]), [],
+        "scramble.start_counts[0] must be a finite number, got 4000",
+    ),
+    "scramble top k0 past the float range": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "k0_tilde"], 4 * 10**308), [],
+        "scramble.top.k0_tilde must be a finite number, got 4000",
+    ),
+    "scramble top k1 grid past the float range": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "k1_grid"], [0, 4 * 10**308]), [],
+        "scramble.top.k1_grid[1] must be a finite number, got 4000",
+    ),
+    "scramble bottom k1 past the float range": (
+        "scramble-study",
+        _with(
+            _with(SCRAMBLE, ["scramble", "bottom", "k0_tilde"], [0, 10**308]),
+            ["scramble", "bottom", "surplus_grid"],
+            [0, 10**308],
+        ),
+        [],
+        "k1 = scramble.bottom.k0_tilde + scramble.bottom.surplus_grid must be a finite number",
+    ),
+    "run algorithm 3": (
+        "run", _with(RUN, ["run", "algorithm"], 3), [],
+        "run.algorithm must be one of (1, 2), got 3",
     ),
     "walk p": (
         "walk", _with(WALK_MC, ["walk", "p"], [0.8, 1.5]), [], "walk: p must lie in (0, 1]",

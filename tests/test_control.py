@@ -268,7 +268,6 @@ def test_feasible_mode_samples_independent_sets(g5, mis_instance, mis_pair):
 def test_outer_loop_single_trajectory(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=10),
@@ -283,7 +282,6 @@ def test_outer_loop_single_trajectory(g5, tight_rescaling):
 def test_outer_loop_stops_at_target(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=40, ceiling_KT=400),
@@ -299,7 +297,6 @@ def test_outer_loop_stops_at_target(g5, tight_rescaling):
 def test_outer_loop_reproducible(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=15),
@@ -312,7 +309,6 @@ def test_outer_loop_reproducible(g5, tight_rescaling):
 def test_outer_loop_total_step_budget(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=10),
@@ -325,7 +321,6 @@ def test_outer_loop_total_step_budget(g5, tight_rescaling):
 def test_outer_loop_adaptive_surplus_logged(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=5),
@@ -338,7 +333,6 @@ def test_outer_loop_adaptive_surplus_logged(g5, tight_rescaling):
 def test_outer_loop_adaptive_threshold_ratchets(g5, tight_rescaling):
     inst = ProblemInstance(g5, "maxcut")
     config = OuterConfig(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(threshold_T=2.0, ceiling_KT=40),
@@ -353,9 +347,27 @@ def test_outer_loop_adaptive_threshold_ratchets(g5, tight_rescaling):
     assert thresholds[-1] == max(2.0, best_before_last)
 
 
+def test_outer_loop_with_a_mixer_runs_algorithm2_per_stream(g5, mis_instance, mis_pair):
+    mask = feasible_mask(mis_instance)
+    initial = StateVector(5, mask / np.sqrt(mask.sum()))
+    h_bare, _ = mis_pair
+    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    crit = CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=5)
+    mixer = MixerSpec(MIS_CONTROLLED, 0.5, g5)
+    config = OuterConfig(rescaling=resc, initial_state=initial, criteria=crit, mixer=mixer)
+    summary = outer_loop(mis_instance, config, Budget(max_trajectories=20), seed=11)
+    assert summary.trajectories_run == 20
+    for i, traj in enumerate(summary.trajectories):
+        alone = run_algorithm2(mis_instance, resc, initial, crit, mixer, trajectory_rng(11, i))
+        assert traj.outcomes == alone.outcomes
+        assert traj.scramble_events == alone.scramble_events
+        assert traj.final_sample == alone.final_sample
+        assert traj.terminal_reason == alone.terminal_reason
+    assert any(traj.scramble_events for traj in summary.trajectories)
+
+
 def test_outer_loop_config_validation(g5, tight_rescaling):
     base = dict(
-        algorithm=1,
         rescaling=tight_rescaling,
         initial_state=uniform_superposition(5),
         criteria=CriteriaConfig(surplus_L=5),
@@ -364,10 +376,6 @@ def test_outer_loop_config_validation(g5, tight_rescaling):
         Budget()
     with pytest.raises(ValueError):
         Budget(max_trajectories=0)
-    with pytest.raises(ValueError):
-        OuterConfig(**{**base, "algorithm": 3})
-    with pytest.raises(ValueError):
-        OuterConfig(**{**base, "algorithm": 2})  # no mixer
     with pytest.raises(ValueError):
         OuterConfig(**{**base, "adaptive_threshold": True})  # threshold_T unset
 
