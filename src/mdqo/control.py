@@ -223,12 +223,15 @@ class _Base:
 
     A trajectory's current state is state.amps * sqrt(q / w)[level] for its
     level posterior q.  penalty holds the per-level sums of |amps|^2 times
-    the violation count, and is kept only for diagnostics.
+    the violation count, and is kept only for diagnostics.  index lists the
+    basis states the final sample reads, those with |amps|^2 > 0 and the last
+    one; it is None when that is every basis state.
     """
 
     state: StateVector
     w: np.ndarray
     penalty: np.ndarray | None
+    index: np.ndarray | None
 
 
 def _check_criteria(
@@ -270,7 +273,10 @@ def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Bas
     penalty = None
     if diagnostics and tables.p_viol is not None:
         penalty = np.bincount(tables.level, probs * tables.p_viol, minlength=size)
-    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty)
+    inner = probs[:-1]  # the last entry is always read: sample_index pins it
+    dense = np.count_nonzero(inner) == inner.size
+    index = None if dense else np.append(np.flatnonzero(inner), inner.size)
+    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty, index)
 
 
 def _p1(tables: ControlTables, q: np.ndarray) -> float:
@@ -304,11 +310,23 @@ def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVect
 def _sample(
     tables: ControlTables, base: _Base, q: np.ndarray, rng: np.random.Generator
 ) -> int:
-    """Draw from |amps|^2 * (q / w)[level] in basis order, as sample_bitstring would."""
-    weights = np.abs(base.state.amps)
+    """Draw from |amps|^2 * (q / w)[level] in basis order, as sample_bitstring would.
+
+    Only base.index is read, and the draw is the dense one: every entry left
+    out has weight +0, and numpy's cumsum adds in order with x + 0 == x, so
+    the CDF kept equals the dense one where kept and the dense one is flat
+    in between.  cdf > u is monotone even when the sum S exceeds 1, since the
+    pinned 1.0 exceeds every u in [0, 1), so the first index past u is kept;
+    for u in [S, 1) when S < 1, that is the last index, which is kept too.
+    """
+    amps, level = base.state.amps, tables.level
+    if base.index is not None:
+        amps, level = amps[base.index], level[base.index]
+    weights = np.abs(amps)
     weights *= weights
-    weights *= _ratio(base, q).take(tables.level)
-    return sample_index(weights, rng)
+    weights *= _ratio(base, q).take(level)
+    i = sample_index(weights, rng)
+    return i if base.index is None else int(base.index[i])
 
 
 def _trajectory(
