@@ -35,13 +35,18 @@ from mdqo.statevector import sample_index
 SEEDS = 1000
 
 
-def reference_sample(tables, base, q, rng) -> int:
-    """The dense body: weigh every basis state, then draw."""
+def dense_weights(tables, base, q) -> np.ndarray:
+    """|amps|^2 * (q / w)[level] over every basis state."""
     weights = np.abs(base.state.amps)
     weights *= weights
     ratio = np.divide(q, base.w, out=np.zeros_like(q), where=base.w > 0)
     weights *= ratio.take(tables.level)
-    return sample_index(weights, rng)
+    return weights
+
+
+def reference_sample(tables, base, q, rng) -> int:
+    """The dense body: weigh every basis state, then draw."""
+    return sample_index(dense_weights(tables, base, q), rng)
 
 
 class Draw:
@@ -93,7 +98,7 @@ def maxcut(n):
     return inst, tight(driving_hamiltonian(inst)), uniform_superposition(n), crit, None
 
 
-def sampled_bases(monkeypatch, case, n, trajectories=40):
+def sampled_bases(monkeypatch, case, n):
     """(tables, base, q) of every final sample of a seeded outer loop."""
     inst, resc, initial, crit, mixer = case(n)
     seen = []
@@ -108,14 +113,14 @@ def sampled_bases(monkeypatch, case, n, trajectories=40):
         outer_loop(
             inst,
             OuterConfig(resc, initial, crit, mixer),
-            Budget(max_trajectories=trajectories),
+            Budget(max_trajectories=40),
             seed=n,
         )
     return initial, seen
 
 
-def assert_same_draws(cases, seeds=SEEDS):
-    for seed in range(seeds):
+def assert_same_draws(cases):
+    for seed in range(SEEDS):
         tables, base, q = cases[seed % len(cases)]
         expected = reference_sample(tables, base, q, np.random.default_rng(seed))
         assert control._sample(tables, base, q, np.random.default_rng(seed)) == expected
@@ -159,9 +164,7 @@ def weighed(n: int, probs: dict[int, float]):
 
 
 def dense_cdf(tables, base, q) -> np.ndarray:
-    weights = np.abs(base.state.amps) ** 2
-    weights *= np.divide(q, base.w, out=np.zeros_like(q), where=base.w > 0)[tables.level]
-    return np.cumsum(weights)
+    return np.cumsum(dense_weights(tables, base, q))
 
 
 def edge_draws(cdf: np.ndarray) -> list[float]:
