@@ -97,7 +97,10 @@ def expected_steps_with_reset_exact(model: WalkModel) -> float:
         E_j = 1 + p E_{j+1} + q E_{j-1}   for j = -R+1, ..., L-1,
         E_{-R} = E_0,
 
-    a dense solve in the R + L - 1 unknowns E_{-R+1..L-1}.
+    a dense solve in the R + L - 1 unknowns E_{-R+1..L-1}.  For p >= 1/2 it
+    agrees with exact arithmetic to about 1e-14 relative; for p < 1/2 the
+    system grows ill-conditioned with L, and the corrected closed form is the
+    more accurate value.
     """
     size = check_exact_size(model)
     p, q, L, R = model.p, model.q, model.L, model.R

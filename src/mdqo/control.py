@@ -31,12 +31,7 @@ from .problems import (
     instance_tables,
 )
 from .statevector import StateVector, sample_index
-from .weak_measurement import (
-    ZERO_BRANCH_TOL,
-    OutcomeCounts,
-    check_support_costs,
-    peak_position,
-)
+from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
@@ -167,9 +162,10 @@ class ControlTables:
     Basis state x sits on level level[x], stored in the smallest unsigned
     dtype that fits.  Every state on level l has the driving cost h[l] and
     the rescaled cost c[l]; sin_sq and cos_sq are the branch weights
-    sin^2(c + pi/4) and cos^2(c + pi/4), sin_2c the success weight, and
-    outside marks levels whose c leaves [0, pi/4].  support marks the
-    feasible subspace in feasible-subspace mode; p_viol holds the dense
+    sin^2(c + pi/4) and cos^2(c + pi/4), and sin_2c the success weight.
+    support marks the feasible subspace in feasible-subspace mode, where c
+    is validated on it alone (an infeasible level may leave [0, pi/4]) and
+    _weigh keeps every state the loop reads on it.  p_viol holds the dense
     violation counts of MIS instances.
     """
 
@@ -181,7 +177,6 @@ class ControlTables:
     sin_sq: np.ndarray
     cos_sq: np.ndarray
     sin_2c: np.ndarray
-    outside: np.ndarray
     support: np.ndarray | None
     p_viol: np.ndarray | None
 
@@ -211,7 +206,6 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         sin_sq=np.sin(angle) ** 2,
         cos_sq=np.cos(angle) ** 2,
         sin_2c=np.sin(2.0 * c),
-        outside=(c < -BOUND_TOL) | (c > math.pi / 4 + BOUND_TOL),
         support=dense.support,
         p_viol=None if p_viol is None else p_viol.values,
     )
@@ -249,25 +243,17 @@ def _check_criteria(
         raise ValueError("the scrambling condition requires threshold_T")
 
 
-def _start(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
-    """Validate an initial state once per run and weigh it."""
+def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
+    """Sum |amps|^2 per level, after the one check on a state the loop reads.
+
+    The initial state and every mixed state pass here: the dimension must
+    match, and in feasible-subspace mode no amplitude may sit off support.
+    """
     if state.n != tables.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, cost n={tables.n}")
-    if tables.support is not None:
-        leaked = np.abs(state.amps[~tables.support]) > 0
-        if leaked.any():
-            raise ValueError(
-                "initial state puts amplitude on infeasible strings in "
-                "feasible-subspace mode"
-            )
-    return _weigh(tables, state, diagnostics)
-
-
-def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
-    """Sum |amps|^2 per level, after checking c on the state's support."""
     mag = np.abs(state.amps)
-    if tables.outside.any() and np.any(mag > 0, where=tables.outside.take(tables.level)):
-        check_support_costs(tables.c[np.unique(tables.level[mag > 0])])
+    if tables.support is not None and np.any(mag, where=~tables.support):
+        raise ValueError("state puts amplitude on infeasible strings in feasible-subspace mode")
     probs = np.square(mag, out=mag)
     size = tables.h.size
     penalty = None
@@ -339,7 +325,7 @@ def _trajectory(
     record_diagnostics: bool,
     max_steps: int,
 ) -> Trajectory:
-    """The trajectory loop, from a validated and weighed initial state.
+    """The trajectory loop, from a weighed initial state.
 
     A weak step reweights only the level posterior q.  A scramble
     materialises the state, mixes it and makes the result the new base,
@@ -428,7 +414,7 @@ def run_algorithm2(
     """
     tables = prepare_tables(instance, rescaling)
     _check_criteria(criteria, mixer, rescaling)
-    start = _start(tables, initial_state, record_diagnostics)
+    start = _weigh(tables, initial_state, record_diagnostics)
     return _trajectory(
         tables, start, criteria, mixer, rng, seed, record_diagnostics, max_steps
     )
@@ -521,7 +507,7 @@ def outer_loop(
     criteria = config.criteria
     tables = prepare_tables(instance, config.rescaling)
     _check_criteria(criteria, config.mixer, config.rescaling)
-    start = _start(tables, config.initial_state, False)
+    start = _weigh(tables, config.initial_state, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [asdict(criteria)]
     trajectories: list[Trajectory] = []

@@ -281,7 +281,8 @@ def apply_rescaling(
 
     Verifies 0 <= c <= pi/4 (within BOUND_TOL) on the declared support; values
     outside the support are carried through unvalidated since they only ever
-    multiply zero amplitudes.
+    multiply zero amplitudes: the control loop rejects every state it reads
+    that puts amplitude off the support.
     """
     c = r.epsilon * (r.alpha + h.values)
     check = c if support is None else c[np.asarray(support)]

@@ -1,6 +1,8 @@
 """Tests for the run-length walk analytics and the rescaling sweep."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +165,41 @@ def test_closed_form_grid_against_exact_solver():
                     printed_ok += 1
     assert printed_bad > 50
     assert printed_ok > 0
+
+
+def exact_reset_steps(p: float, L: int, R: int) -> Fraction:
+    """E_0 of the reset walk in rational arithmetic, from first differences.
+
+    With D_j = E_j - E_{j+1}, the recurrence E_j = 1 + p E_{j+1} + q E_{j-1}
+    reads p D_j = 1 + q D_{j-1} for j = -R+1, ..., L-1; E_{-R} = E_0 gives
+    sum_{j=-R}^{-1} D_j = 0, and E_L = 0 gives E_0 = sum_{j=0}^{L-1} D_j.
+    Each D_j is kept as a + b x in the unknown x = D_{-R}.
+    """
+    p = Fraction(p)
+    q = 1 - p
+    diffs = [(Fraction(0), Fraction(1))]  # D_{-R}, D_{-R+1}, ..., D_{L-1}
+    for _ in range(L + R - 1):
+        a, b = diffs[-1]
+        diffs.append(((1 + q * a) / p, q * b / p))
+    x = -sum(a for a, _ in diffs[:R]) / sum(b for _, b in diffs[:R])
+    return sum(a + b * x for a, b in diffs[R:])
+
+
+def test_reset_walk_against_rational_recurrence():
+    # the dense solve is pinned only for p >= 1/2: below, it grows
+    # ill-conditioned with L (off by 2.9e-8 at p = 0.3, L = 20, R = 5)
+    assert exact_reset_steps(0.75, 2, 1) == Fraction(28, 9)
+    grid = (1, 2, 5, 20, 60)
+    for p in (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.5, 0.51, 0.55, 0.65, 0.75, 0.85, 0.95, 0.99):
+        for L in grid:
+            for R in grid:
+                expected = exact_reset_steps(p, L, R)
+                if expected > sys.float_info.max:
+                    continue
+                result = expected_steps_with_reset_closed_form(WalkModel(p, L, R))
+                assert result.corrected == pytest.approx(float(expected), rel=1e-12), (p, L, R)
+                if p >= 0.5:
+                    assert result.exact == pytest.approx(float(expected), rel=1e-12), (p, L, R)
 
 
 def test_monte_carlo_certain_success_is_exact():

@@ -681,7 +681,7 @@ def test_run_scramble_support_leak_exits_with_config_code(tmp_path, caplog):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert message.startswith(
-        "config error: run: rescaled cost must lie in [0, pi/4] on the state support; "
+        "config error: run: state puts amplitude on infeasible strings in feasible-subspace mode"
     )
     assert "\n" not in message
     assert list(out.iterdir()) == []

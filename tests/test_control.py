@@ -213,7 +213,7 @@ def test_feasible_mode_rejects_infeasible_start(mis_instance, mis_pair):
         )
 
 
-LEAK_MESSAGE = "rescaled cost must lie in [0, pi/4] on the state support; "
+LEAK_MESSAGE = "state puts amplitude on infeasible strings in feasible-subspace mode"
 
 
 def leaking_run(mis_instance, mis_pair, **kwargs):
@@ -234,7 +234,6 @@ def test_scramble_support_leak_rejected(mis_instance, mis_pair):
     with pytest.raises(ValueError) as info:
         leaking_run(mis_instance, mis_pair)
     assert str(info.value).startswith(LEAK_MESSAGE)
-    assert "1.30899" in str(info.value)
 
 
 def test_step_cap_precedes_support_leak(mis_instance, mis_pair):
@@ -246,6 +245,26 @@ def test_step_cap_precedes_support_leak(mis_instance, mis_pair):
     with pytest.raises(ValueError) as info:
         leaking_run(mis_instance, mis_pair, max_steps=1, record_diagnostics=True)
     assert str(info.value).startswith(LEAK_MESSAGE)
+
+
+def test_in_range_scramble_leak_rejected(monkeypatch, g5, mis_instance, mis_pair):
+    # {2, 3} is an edge of g5, so 0b00110 is not an independent set, yet its
+    # rescaled cost pi/6 lies in [0, pi/4] under tight feasible bounds: only
+    # the support check catches a mixer that lands there
+    leak = 0b00110
+    mask = feasible_mask(mis_instance)
+    h_bare, _ = mis_pair
+    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    assert not feasible(mis_instance, leak)
+    assert math.isclose(resc.epsilon * (resc.alpha + h_bare.values[leak]), math.pi / 6)
+    monkeypatch.setattr("mdqo.control.apply_mixer", lambda state, mixer: basis_state(5, leak))
+    initial = StateVector(5, mask / np.sqrt(mask.sum()))
+    with pytest.raises(ValueError) as info:
+        run_algorithm2(
+            mis_instance, resc, initial, CriteriaConfig(threshold_T=2.5),
+            MixerSpec(MIS_CONTROLLED, 0.4, g5), trajectory_rng(0, 0),
+        )
+    assert str(info.value) == LEAK_MESSAGE
 
 
 def test_feasible_mode_samples_independent_sets(g5, mis_instance, mis_pair):

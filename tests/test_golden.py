@@ -13,6 +13,9 @@ and say why in the change log.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,17 +55,37 @@ def test_every_shipped_config_is_covered():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 
+def every_artifact_hash(outroot: Path) -> dict[str, dict[str, str]]:
+    return {name: artifact_hashes(name, outroot / name) for name in sorted(COMMANDS)}
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_shipped_config_artifacts_match_golden(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert artifact_hashes(name, tmp_path) == expected
 
 
+def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
+    # only the n = 18 closed forms depend on the BLAS thread count, and no
+    # shipped config reaches n = 18; the thread count is fixed when numpy
+    # loads, hence the fresh interpreter
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    script = (
+        "import json, sys; from pathlib import Path; "
+        "from test_golden import every_artifact_hash; "
+        "out = Path(sys.argv[1]); "
+        "(out / 'hashes.json').write_text(json.dumps(every_artifact_hash(out / 'runs')))"
+    )
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
+    hashes = json.loads((tmp_path / "hashes.json").read_text())
+    assert hashes == json.loads(GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
-    golden = {}
-    for name in sorted(COMMANDS):
-        with tempfile.TemporaryDirectory() as tmp:
-            golden[name] = artifact_hashes(name, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = every_artifact_hash(Path(tmp))
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

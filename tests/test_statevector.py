@@ -25,7 +25,7 @@ from mdqo import (
     sample_bitstring,
     uniform_superposition,
 )
-from mdqo.control import _materialise, _start, prepare_tables
+from mdqo.control import _materialise, _weigh, prepare_tables
 from mdqo.problems import DiagonalHamiltonian
 
 from conftest import random_state
@@ -197,7 +197,7 @@ def test_owning_constructor_keeps_the_checks():
 def test_built_states_are_read_only_and_own_their_amplitudes(g5, c_tight, tight_rescaling):
     state = random_state(7)
     tables = prepare_tables(ProblemInstance(g5, "maxcut"), tight_rescaling)
-    base = _start(tables, state, False)
+    base = _weigh(tables, state, False)
     outputs = [
         apply_x_rotation_all(state, 0.3),
         apply_controlled_x_rotation(state, 1, (0, 2), 0.3),
