@@ -112,8 +112,6 @@ def _scramble_fires(
     criteria: CriteriaConfig, counts: OutcomeCounts, rescaling: Rescaling
 ) -> bool:
     """Scrambling condition: peak below E(T) after at least min_steps_ell outcomes."""
-    if criteria.threshold_T is None:
-        return False
     if counts.total < max(criteria.min_steps_ell, 1):
         return False
     return peak_position(counts) < rescaled_threshold(criteria.threshold_T, rescaling)
@@ -147,7 +145,6 @@ class Trajectory:
     final_sample: int
     final_cost: float
     terminal_reason: str
-    seed: tuple[int, int] | int | None = None
     diagnostics: tuple[StepRecord, ...] | None = None
 
     @property
@@ -218,8 +215,8 @@ class _Base:
     A trajectory's current state is state.amps * sqrt(q / w)[level] for its
     level posterior q.  penalty holds the per-level sums of |amps|^2 times
     the violation count, and is kept only for diagnostics.  index lists the
-    basis states the final sample reads, those with |amps|^2 > 0 and the last
-    one; it is None when that is every basis state.
+    basis states the final sample reads, those with |amps|^2 > 0; it is None
+    when that is every basis state.
     """
 
     state: StateVector
@@ -228,26 +225,12 @@ class _Base:
     index: np.ndarray | None
 
 
-def _check_criteria(
-    criteria: CriteriaConfig, mixer: MixerSpec | None, rescaling: Rescaling
-) -> None:
-    """The run's threshold must fall in [0, pi/4]; scrambling needs one."""
-    if criteria.threshold_T is not None:
-        e_t = rescaled_threshold(criteria.threshold_T, rescaling)
-        if e_t < -BOUND_TOL or e_t > math.pi / 4 + BOUND_TOL:
-            raise ValueError(
-                f"rescaled threshold E(T) = {e_t} falls outside [0, pi/4]; "
-                f"threshold_T = {criteria.threshold_T} is incompatible with this rescaling"
-            )
-    elif mixer is not None:
-        raise ValueError("the scrambling condition requires threshold_T")
-
-
 def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
     """Sum |amps|^2 per level, after the one check on a state the loop reads.
 
     The initial state and every mixed state pass here: the dimension must
     match, and in feasible-subspace mode no amplitude may sit off support.
+    The final sample reads only the nonzero |amps|^2 (see _sample).
     """
     if state.n != tables.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, cost n={tables.n}")
@@ -259,9 +242,7 @@ def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Bas
     penalty = None
     if diagnostics and tables.p_viol is not None:
         penalty = np.bincount(tables.level, probs * tables.p_viol, minlength=size)
-    inner = probs[:-1]  # the last entry is always read: sample_index pins it
-    dense = np.count_nonzero(inner) == inner.size
-    index = None if dense else np.append(np.flatnonzero(inner), inner.size)
+    index = None if np.count_nonzero(probs) == probs.size else np.flatnonzero(probs)
     return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty, index)
 
 
@@ -301,9 +282,10 @@ def _sample(
     Only base.index is read, and the draw is the dense one: every entry left
     out has weight +0, and numpy's cumsum adds in order with x + 0 == x, so
     the CDF kept equals the dense one where kept and the dense one is flat
-    in between.  cdf > u is monotone even when the sum S exceeds 1, since the
-    pinned 1.0 exceeds every u in [0, 1), so the first index past u is kept;
-    for u in [S, 1) when S < 1, that is the last index, which is kept too.
+    in between.  The first entry to reach the total S has positive weight,
+    so it is kept, and the pinned 1.0 from there on exceeds every u in
+    [0, 1): cdf > u stays monotone even when S exceeds 1, and a draw in
+    [S, 1) when S < 1 lands on that kept entry in both CDFs.
     """
     amps, level = base.state.amps, tables.level
     if base.index is not None:
@@ -318,21 +300,19 @@ def _sample(
 def _trajectory(
     tables: ControlTables,
     start: _Base,
-    criteria: CriteriaConfig,
-    mixer: MixerSpec | None,
+    config: OuterConfig,
     rng: np.random.Generator,
-    seed: tuple[int, int] | int | None,
     record_diagnostics: bool,
-    max_steps: int,
 ) -> Trajectory:
-    """The trajectory loop, from a weighed initial state.
+    """The trajectory loop under a validated config, from a weighed initial state.
 
     A weak step reweights only the level posterior q.  A scramble
     materialises the state, mixes it and makes the result the new base,
     which is weighed before the next step reads it: so the step cap is
     checked before a support leak is reported.
     """
-    rescaling = tables.rescaling
+    rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
+    max_steps = config.max_steps_per_trajectory
     base, q = start, start.w
     state = None  # a mixed state that is not weighed yet
     counts = OutcomeCounts(0, 0)
@@ -389,7 +369,6 @@ def _trajectory(
         final_sample=final_sample,
         final_cost=float(tables.h[tables.level[final_sample]]),
         terminal_reason=reason,
-        seed=seed,
         diagnostics=tuple(records) if record_diagnostics else None,
     )
 
@@ -402,7 +381,6 @@ def run_algorithm2(
     mixer: MixerSpec | None,
     rng: np.random.Generator,
     *,
-    seed: tuple[int, int] | int | None = None,
     record_diagnostics: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Trajectory:
@@ -412,12 +390,12 @@ def run_algorithm2(
     criteria and the initial state are validated once, on entry.  Raises
     StepCapError when no return criterion fires within max_steps steps.
     """
-    tables = prepare_tables(instance, rescaling)
-    _check_criteria(criteria, mixer, rescaling)
-    start = _weigh(tables, initial_state, record_diagnostics)
-    return _trajectory(
-        tables, start, criteria, mixer, rng, seed, record_diagnostics, max_steps
+    config = OuterConfig(
+        rescaling, initial_state, criteria, mixer, max_steps_per_trajectory=max_steps
     )
+    tables = prepare_tables(instance, rescaling)
+    start = _weigh(tables, initial_state, record_diagnostics)
+    return _trajectory(tables, start, config, rng, record_diagnostics)
 
 
 def run_algorithm1(
@@ -456,7 +434,8 @@ class OuterConfig:
     A mixer makes the loop algorithm 2; with mixer=None nothing scrambles,
     which is algorithm 1.  adaptive_threshold raises threshold_T to the best
     driving cost seen so far after each trajectory; surplus_delta adds a
-    fixed increment to surplus_L after each trajectory (0 disables).
+    fixed increment to surplus_L after each trajectory (0 disables).  Building
+    it checks the criteria: E(T) in [0, pi/4], and a threshold to scramble.
     """
 
     rescaling: Rescaling
@@ -472,6 +451,16 @@ class OuterConfig:
             raise ValueError("adaptive_threshold requires threshold_T to be set")
         if self.surplus_delta != 0 and self.criteria.surplus_L is None:
             raise ValueError("surplus_delta requires surplus_L to be set")
+        threshold_t = self.criteria.threshold_T
+        if threshold_t is not None:
+            e_t = rescaled_threshold(threshold_t, self.rescaling)
+            if e_t < -BOUND_TOL or e_t > math.pi / 4 + BOUND_TOL:
+                raise ValueError(
+                    f"rescaled threshold E(T) = {e_t} falls outside [0, pi/4]; "
+                    f"threshold_T = {threshold_t} is incompatible with this rescaling"
+                )
+        elif self.mixer is not None:
+            raise ValueError("the scrambling condition requires threshold_T")
 
 
 @dataclass(frozen=True)
@@ -499,17 +488,15 @@ def outer_loop(
 
     Trajectory i draws from trajectory_rng(seed, i), so results are
     reproducible from `seed` alone.  Every trajectory's sample is recorded,
-    including reset-terminated ones.  The criteria and the initial state are
-    validated once, before the first trajectory, and adapted criteria again
-    when they change: a setup inconsistency (threshold range, infeasible
-    support) raises ValueError there.
+    including reset-terminated ones.  The config checked its criteria when
+    it was built, and adapted criteria are checked again as they change; the
+    initial state is checked once, before the first trajectory.  A setup
+    inconsistency (threshold range, infeasible support) raises ValueError.
     """
-    criteria = config.criteria
     tables = prepare_tables(instance, config.rescaling)
-    _check_criteria(criteria, config.mixer, config.rescaling)
     start = _weigh(tables, config.initial_state, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
-    param_log = [asdict(criteria)]
+    param_log = [asdict(config.criteria)]
     trajectories: list[Trajectory] = []
     histogram: dict[float, int] = {}
     best_cost = -math.inf
@@ -518,6 +505,7 @@ def outer_loop(
     index = 0
     while budget.max_trajectories is None or index < budget.max_trajectories:
         if adaptive and index > 0:
+            criteria = config.criteria
             if config.adaptive_threshold:
                 criteria = replace(
                     criteria, threshold_T=max(criteria.threshold_T, best_cost)
@@ -526,18 +514,9 @@ def outer_loop(
                 criteria = replace(
                     criteria, surplus_L=criteria.surplus_L + config.surplus_delta
                 )
-            _check_criteria(criteria, config.mixer, config.rescaling)
+            config = replace(config, criteria=criteria)
             param_log.append(asdict(criteria))
-        traj = _trajectory(
-            tables,
-            start,
-            criteria,
-            config.mixer,
-            trajectory_rng(seed, index),
-            (seed, index),
-            False,
-            config.max_steps_per_trajectory,
-        )
+        traj = _trajectory(tables, start, config, trajectory_rng(seed, index), False)
         index += 1
         trajectories.append(traj)
         total_steps += traj.steps

@@ -225,10 +225,10 @@ def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one index with probability weights[x], using one uniform draw.
 
     The weights must sum to 1 up to rounding; the cumulative sum is taken in
-    index order and its last entry pinned to 1, so the last index takes the
-    rounding slack: when the rounded total S falls below 1, a draw in [S, 1)
-    returns the last index even if its weight is 0.
+    index order and pinned to 1 from the first entry that reaches its total
+    S, so that entry, which has positive weight, takes the rounding slack:
+    when S falls below 1, a draw in [S, 1) returns it.
     """
     cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
+    cdf[np.searchsorted(cdf, cdf[-1]):] = 1.0
     return int(np.searchsorted(cdf, rng.random(), side="right"))

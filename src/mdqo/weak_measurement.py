@@ -40,28 +40,32 @@ class OutcomeCounts:
         return self.k1 - self.k0
 
 
-def _check_rescaled(state: StateVector, c: DiagonalHamiltonian) -> np.ndarray:
-    """Validate 0 <= c <= pi/4 wherever the state has support; return the support mask."""
+def _checked_support(
+    state: StateVector, c: DiagonalHamiltonian
+) -> tuple[np.ndarray, np.ndarray | slice]:
+    """Validate 0 <= c <= pi/4 on the cost levels the state's support reaches.
+
+    Returns the support mask and those levels (all of them on full support);
+    only a failing message reads the dense values, to keep their signed zeros.
+    """
     if c.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, cost n={c.n}")
     support = np.abs(state.amps) > 0
-    if support.any():
-        check_support_costs(c.values[support])
-    return support
-
-
-def check_support_costs(vals: np.ndarray) -> None:
-    """Validate 0 <= c <= pi/4 for the rescaled costs found on a state's support."""
-    if vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL:
+    values, level = c.levels
+    hit = slice(None) if support.all() else np.bincount(level[support], minlength=values.size) > 0
+    vals = values[hit]
+    if vals.size and (vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL):
+        dense = c.values[support]
         raise ValueError(
             f"rescaled cost must lie in [0, pi/4] on the state support; "
-            f"found range [{vals.min()}, {vals.max()}]"
+            f"found range [{dense.min()}, {dense.max()}]"
         )
+    return support, hit
 
 
 def success_probability(state: StateVector, c: DiagonalHamiltonian) -> float:
     """p1 = 1/2 + (1/2) <sin 2C>; at least 1/2 whenever 0 <= C <= pi/4."""
-    _check_rescaled(state, c)
+    _checked_support(state, c)
     values, level = c.levels
     mean_sin = float(np.sum(state.probabilities() * np.sin(2.0 * values).take(level)))
     return 0.5 + 0.5 * mean_sin
@@ -75,7 +79,7 @@ def posterior_state(
     Returns the posterior state and the branch probability, i.e. the squared
     norm of the unnormalized branch.
     """
-    _check_rescaled(state, c)
+    _checked_support(state, c)
     if b not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {b}")
     angle = c.values + math.pi / 4
@@ -112,17 +116,11 @@ def analytic_state(
     infeasible strings under a feasible-subspace rescaling) and would
     otherwise poison the whole state with NaNs despite carrying zero amplitude.
     """
-    if c.n != state0.n:
-        raise ValueError(f"dimension mismatch: state n={state0.n}, cost n={c.n}")
-    support = np.abs(state0.amps) > 0
+    support, hit = _checked_support(state0, c)
     if not support.any():
         raise DegenerateCountsError("state has empty support")
     values, level = c.levels
-    hit = slice(None) if support.all() else np.bincount(level[support], minlength=values.size) > 0
-    vals = values[hit]
-    if vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL:
-        check_support_costs(c.values[support])  # raises with the dense values' message
-    angle = np.clip(vals, 0.0, math.pi / 4) + math.pi / 4
+    angle = np.clip(values[hit], 0.0, math.pi / 4) + math.pi / 4
     logw = np.zeros(angle.shape, dtype=np.float64)
     weight = np.zeros(values.size)
     # log(0) and huge counts give -inf, and -inf - -inf gives NaN (caught below)

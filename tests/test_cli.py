@@ -922,6 +922,45 @@ BAD_CONFIGS = {
         [],
         "run: adaptive_threshold requires threshold_T to be set",
     ),
+    "threshold out of range before a qaoa1 start": (
+        "run",
+        _with(
+            _with(RUN, ["initial_state"], {"kind": "qaoa1"}),
+            ["criteria"],
+            {"threshold_T": 10.0, "ceiling_KT": 5},
+        ),
+        [],
+        "run: rescaled threshold E(T) = 1.5707963267948966 falls outside [0, pi/4]; "
+        "threshold_T = 10.0 is incompatible with this rescaling",
+    ),
+    "algorithm 2 without a threshold": (
+        "run",
+        _with(
+            _with(RUN, ["run", "algorithm"], 2), ["mixer"], {"kind": "transverse-field", "chi": 0.3}
+        ),
+        [],
+        "run: the scrambling condition requires threshold_T",
+    ),
+    "user bounds violated by the spectrum": (
+        "run",
+        _with(RUN, ["rescaling"], {"mode": "user-supplied", "bounds": [0, 3]}),
+        [],
+        "bound 'user-supplied': user bounds (-0.0, 3.0) are violated by the spectrum [0.0, 5.0]",
+    ),
+    "surplus delta without surplus_L": (
+        "run",
+        _with(_with(RUN, ["criteria"], {"ceiling_KT": 5}), ["run", "surplus_delta"], 1),
+        [],
+        "run: surplus_delta requires surplus_L to be set",
+    ),
+    "zero total-step budget": (
+        "run", _with(RUN, ["run", "budget"], {"max_total_steps": 0}), [],
+        "run: max_total_steps must be positive",
+    ),
+    "unreadable graph file": (
+        "run", _with(RUN, ["problem", "graph"], {"path": "no-such-graph.txt"}), [],
+        "cannot read graph file: [Errno 2] No such file or directory: 'no-such-graph.txt'",
+    ),
     "non-finite number": (
         "sweep-counts",
         _with(

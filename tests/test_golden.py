@@ -40,13 +40,17 @@ COMMANDS = {
 }
 
 
-def artifact_hashes(name: str, outdir: Path) -> dict[str, str]:
-    config = ROOT / "configs" / name
-    assert main([COMMANDS[name], "--config", str(config), "--out", str(outdir)]) == 0
+def written_hashes(outdir: Path) -> dict[str, str]:
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(outdir.iterdir())
     }
+
+
+def artifact_hashes(name: str, outdir: Path) -> dict[str, str]:
+    config = ROOT / "configs" / name
+    assert main([COMMANDS[name], "--config", str(config), "--out", str(outdir)]) == 0
+    return written_hashes(outdir)
 
 
 def test_every_shipped_config_is_covered():
@@ -81,6 +85,20 @@ def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
     hashes = json.loads((tmp_path / "hashes.json").read_text())
     assert hashes == json.loads(GOLDEN.read_text())
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m mdqo` runs the same CLI: the walk config writes its golden
+    # artifacts, and an unknown subcommand exits with the usage code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "walk"
+    config = ROOT / "configs" / "walk.json"
+    command = [sys.executable, "-m", "mdqo", "walk", "--config", str(config), "--out", str(out)]
+    assert subprocess.run(command, env=env, capture_output=True).returncode == 0
+    assert written_hashes(out) == json.loads(GOLDEN.read_text())["walk.json"]
+    unknown = [sys.executable, "-m", "mdqo", "no-such-command"]
+    assert subprocess.run(unknown, env=env, capture_output=True).returncode == 2
 
 
 if __name__ == "__main__":

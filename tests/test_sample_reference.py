@@ -2,7 +2,7 @@
 
 The reference weighs all 2**n entries, |amps|^2 * (q / w)[level], and hands
 them to sample_index.  The control loop reads only the entries the base
-records in its index (the nonzero |amps|^2 plus the last one) and must pick
+records in its index (the nonzero |amps|^2) and must pick
 the same basis index for every draw, on the bases of real trajectories and
 on draws placed at the edges of the cumulative sum.
 """
@@ -134,8 +134,7 @@ def test_feasible_bases_sample_like_the_dense_rule(monkeypatch, n):
     assert starts and scrambled
     for tables, base, _ in seen:
         probs = np.abs(base.state.amps) ** 2
-        expected = np.union1d(np.flatnonzero(probs), [2**n - 1])
-        assert np.array_equal(base.index, expected)
+        assert np.array_equal(base.index, np.flatnonzero(probs))
         assert base.index.size < 2**n
     assert_same_draws(starts)
     assert_same_draws(scrambled)
@@ -188,7 +187,7 @@ def check_edges(tables, base, q) -> list[int]:
 
 def test_draw_equal_to_a_prefix_sum():
     tables, base, q = weighed(3, {1: 0.25, 3: 0.25, 4: 0.25, 6: 0.25})
-    assert base.index.tolist() == [1, 3, 4, 6, 7]
+    assert base.index.tolist() == [1, 3, 4, 6]
     for u, expected in [(0.0, 1), (0.25, 3), (0.5, 4), (0.75, 6)]:
         assert control._sample(tables, base, q, Draw(u)) == expected
     check_edges(tables, base, q)
@@ -200,9 +199,24 @@ def test_draw_above_a_total_below_one_returns_the_last_index():
     total = dense_cdf(tables, base, q)[-1]
     assert total < 1.0
     for u in (total, (total + 1.0) / 2, math.nextafter(1.0, 0.0)):
-        assert reference_sample(tables, base, q, Draw(u)) == 15
-        assert control._sample(tables, base, q, Draw(u)) == 15
+        assert reference_sample(tables, base, q, Draw(u)) == 9
+        assert control._sample(tables, base, q, Draw(u)) == 9
     check_edges(tables, base, q)
+
+
+def test_feasible_draw_above_a_total_below_one_stays_on_the_support():
+    inst, resc, _, _, _ = feasible_mis(6)
+    tables = control.prepare_tables(inst, resc)
+    scale = 1.0 - 2.0**-36  # inside the state norm tolerance
+    amps = tables.support * math.sqrt(scale / tables.support.sum())
+    base = control._weigh(tables, StateVector(6, amps.astype(np.complex128)), False)
+    q = base.w.copy()
+    assert dense_cdf(tables, base, q)[-1] < 1.0
+    last = int(np.flatnonzero(tables.support)[-1])
+    assert last < 2**6 - 1
+    expected = reference_sample(tables, base, q, Draw(math.nextafter(1.0, 0.0)))
+    assert control._sample(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == expected == last
+    assert set(check_edges(tables, base, q)) <= set(np.flatnonzero(tables.support).tolist())
 
 
 def test_total_above_one():
@@ -227,7 +241,7 @@ def test_nonzero_last_entry():
 
 def test_zero_runs_at_both_ends():
     tables, base, q = weighed(5, {3: 0.125, 4: 0.375, 6: 0.5})
-    assert base.index.tolist() == [3, 4, 6, 31]
+    assert base.index.tolist() == [3, 4, 6]
     assert set(check_edges(tables, base, q)) == {3, 4, 6}
 
 
@@ -235,5 +249,5 @@ def test_zero_posterior_on_a_kept_entry():
     tables, base, q = weighed(3, {0: 0.25, 1: 0.5, 2: 0.25})
     q[tables.level[2]] = 0.0  # cut values 0, 1 and 2: one level each
     q /= q.sum()
-    assert base.index.tolist() == [0, 1, 2, 7]
+    assert base.index.tolist() == [0, 1, 2]
     assert set(check_edges(tables, base, q)) == {0, 1}
