@@ -18,7 +18,8 @@ key, i.e. one the command does not read, even if it belongs to another kind; a
 --seed below 0; negative outcome counts; an outcome count, a k1 = k0 + L of a
 surplus grid or a walk.L past the float range; and a run whose criteria never
 fire within run.max_steps_per_trajectory), 3 capacity error (n above the dense
-cap, a reset walk above the exact solver's cap); logs go to standard error.
+cap, a reset walk above the exact solver's cap, a depth-1 grid above GRID_CAP);
+logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -60,6 +61,7 @@ from .mixers import (
     TRANSVERSE_FIELD,
     MixerSpec,
     apply_mixer,
+    check_grid_size,
     feasible_initial_state,
     optimize_qaoa1,
     qaoa1_state,
@@ -361,6 +363,12 @@ def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
             raise ConfigError(f"{block.key('bitstring')} must be {n} characters 0 or 1")
     elif echo["kind"] == "qaoa1":
         echo["grid_resolution"] = block.get("grid_resolution", int, 256, minimum=2)
+        if instance.kind == "mis" and instance.penalty_weight is None and instance.graph.m:
+            raise ConfigError(
+                "initial_state: qaoa1 puts amplitude on infeasible strings, so it cannot start "
+                "feasible-subspace MIS (give problem.penalty_weight)"
+            )
+        check_grid_size(n, echo["grid_resolution"])
     elif echo["kind"] == "mixer-prepared":
         echo["chi0"] = block.get("chi0", float)
         if instance.kind != "mis":
@@ -502,6 +510,7 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
     post = cfg.block("postprocess", {})
     resolution = post.get("grid_resolution", int, 256, minimum=2)
+    check_grid_size(instance.graph.n, resolution)
     k1_list = _float_sized(post.items("k1", int, [1, 2, 3], minimum=0), post.key("k1"))
     bound_entry = _bound_entry(post, *post.entry("bound", "tight"))
     cfg.close()

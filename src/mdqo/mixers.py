@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .problems import Graph, DiagonalHamiltonian
 from .statevector import (
     StateVector,
@@ -24,6 +25,9 @@ from .statevector import (
 
 TRANSVERSE_FIELD = "transverse-field"
 MIS_CONTROLLED = "mis-controlled"
+# Cap on resolution * max(resolution, 2**n): the grid's value table stays under
+# 128 MiB and each copy of its phase batch under 256 MiB.
+GRID_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     assert graph is not None
     if graph.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
-    return _rotate(state, [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
+    amps = _rotate(state.amps.copy(), [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
+    return StateVector._own(state.n, amps)
 
 
 def feasible_initial_state(graph: Graph, chi0: float) -> StateVector:
@@ -89,34 +94,37 @@ def qaoa1_state(h: DiagonalHamiltonian, params: AnsatzParams) -> StateVector:
     return apply_x_rotation_all(state, params.beta)
 
 
+def check_grid_size(n: int, resolution: int) -> None:
+    """CapacityError when the depth-1 grid's resolution * max(resolution, 2**n) passes GRID_CAP."""
+    size = resolution * max(resolution, 2**n)
+    if size > GRID_CAP:
+        raise CapacityError(
+            f"the depth-1 grid at n={n} and resolution {resolution} needs "
+            f"resolution * max(resolution, 2**n) = {size}, past the grid cap of {GRID_CAP}"
+        )
+
+
 def optimize_qaoa1(h: DiagonalHamiltonian, grid_resolution: int = 256) -> AnsatzParams:
     """Exhaustive grid search for the depth-1 angles maximizing <H>.
 
-    Both angles range over [0, pi) with `grid_resolution` points; among
-    bitwise-equal grid values the smallest (gamma, beta) wins.  Ties in exact
-    arithmetic are left to rounding: for MaxCut <H> is the same at beta and
-    beta + pi/2, so either twin may win.  On configs/postprocess.json the
-    search returns indices (49, 155), and its twin (49, 27) reads 5.3e-15 lower.
+    Both angles range over [0, pi) with `grid_resolution` points.  Each grid
+    value is expectation(qaoa1_state(h, AnsatzParams(gamma, beta)), h) bit for
+    bit: the batch of phased states, one row per gamma, is built, rotated and
+    summed with the same arithmetic.  Among bitwise-equal grid values the
+    smallest (gamma, beta) wins.  Ties in exact arithmetic are left to
+    rounding: for MaxCut <H> is the same at beta and beta + pi/2, so either
+    twin may win.  On configs/postprocess.json the search returns indices
+    (49, 155), and its twin (49, 27) reads 2.7e-15 lower.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
-    dim = 2**h.n
-    gammas = math.pi * np.arange(grid_resolution) / grid_resolution
-    betas = math.pi * np.arange(grid_resolution) / grid_resolution
-    # rows: gamma index; columns: basis index
-    phase_states = np.exp(-1j * np.outer(gammas, h.values)) / math.sqrt(dim)
+    check_grid_size(h.n, grid_resolution)
+    angles = (math.pi * np.arange(grid_resolution) / grid_resolution).tolist()
+    flat = uniform_superposition(h.n).amps
+    phased = np.array([flat * np.exp(-1j * gamma * h.values) for gamma in angles])
     values = np.empty((grid_resolution, grid_resolution))
-    for j, beta in enumerate(betas):
-        u1 = np.array(
-            [
-                [math.cos(beta), -1j * math.sin(beta)],
-                [-1j * math.sin(beta), math.cos(beta)],
-            ]
-        )
-        u = u1
-        for _ in range(h.n - 1):
-            u = np.kron(u, u1)
-        mixed = phase_states @ u.T
-        values[:, j] = np.abs(mixed) ** 2 @ h.values
+    for j, beta in enumerate(angles):
+        batch = _rotate(phased.copy(), [(u, ()) for u in range(h.n)], beta)
+        values[:, j] = np.sum(np.abs(batch) ** 2 * h.values, axis=1)
     gi, bi = np.unravel_index(int(np.argmax(values)), values.shape)
-    return AnsatzParams(gamma=float(gammas[gi]), beta=float(betas[bi]))
+    return AnsatzParams(gamma=angles[gi], beta=angles[bi])

@@ -87,34 +87,36 @@ def apply_diagonal_phase(state: StateVector, h: DiagonalHamiltonian, gamma: floa
 
 
 def _rotate(
-    state: StateVector, targets: list[tuple[int, tuple[int, ...]]], chi: float
-) -> StateVector:
-    """Rotate a copy of state's amplitudes by chi, one (u, controls) target at a time.
+    amps: np.ndarray, targets: list[tuple[int, tuple[int, ...]]], chi: float
+) -> np.ndarray:
+    """Rotate amps in place by chi, one (u, controls) target at a time, and return it.
 
-    Target qubit u's pairs are mixed only where every control bit is 0.  As
-    an n-axis array, bit u is axis n-1-u: basic slicing fixes each control
-    axis to 0 and splits the target axis, and the trailing Ellipsis keeps a
-    0-d view when every other qubit is a control.  Both halves are copied
-    into four contiguous buffers reused for every target and mixed by the
-    ufunc calls that c*a0 - 1j*s*a1 and c*a1 - 1j*s*a0 make, operands in the
-    same order.  Contiguous operands keep numpy on one inner loop whatever
-    the view's strides, so the bytes match the plain expression; reused
-    buffers spare a fresh 2**(n-1) temporary, and its page faults, per target.
+    amps is C-contiguous complex128; its last axis holds 2**n amplitudes and
+    any leading axes are a batch of states, rotated alike.  Target qubit u's
+    pairs are mixed only where every control bit is 0.  After the batch axes
+    bit u is axis n-1-u: basic slicing fixes each control axis to 0 and
+    splits the target axis, and the leading Ellipsis keeps a 0-d view when
+    every other qubit is a control.  Both halves are copied into four
+    contiguous buffers reused for every target and mixed by the ufunc calls
+    that c*a0 - 1j*s*a1 and c*a1 - 1j*s*a0 make, operands in the same order.
+    Contiguous operands keep numpy on one inner loop whatever the view's
+    strides, so each row's bytes match the plain expression; reused buffers
+    spare a fresh 2**(n-1) temporary, and its page faults, per target.
     """
-    n, amps = state.n, state.amps.copy()
+    n = amps.shape[-1].bit_length() - 1
     c, s = math.cos(chi), math.sin(chi)
     js = 1j * s
-    tensor = amps.reshape((2,) * n)
-    size = max(2 ** (n - 1 - len(set(controls))) for _, controls in targets)
+    tensor = amps.reshape(amps.shape[:-1] + (2,) * n)
+    size = amps.size // 2**n * max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets)
     buffers = np.empty((4, size), dtype=np.complex128)
     for u, controls in targets:
         idx: list = [slice(None)] * n
         for ctl in controls:
             idx[n - 1 - ctl] = 0
         idx[n - 1 - u] = 0
-        view0 = tensor[(*idx, ...)]
+        view0 = tensor[(..., *idx)]
         idx[n - 1 - u] = 1
-        view1 = tensor[(*idx, ...)]
+        view1 = tensor[(..., *idx)]
         a0, a1, t0, t1 = (b[: view0.size].reshape(view0.shape) for b in buffers)
         np.copyto(a0, view0)
         np.copyto(a1, view1)
@@ -124,12 +126,13 @@ def _rotate(
         np.multiply(c, a1, out=t0)
         np.multiply(js, a0, out=t1)
         np.subtract(t0, t1, out=view1)
-    return StateVector._own(n, amps)
+    return amps
 
 
 def apply_x_rotation_all(state: StateVector, beta: float) -> StateVector:
     """Apply the uniform single-qubit X rotation exp(-i * beta * X) to every qubit."""
-    return _rotate(state, [(u, ()) for u in range(state.n)], beta)
+    amps = _rotate(state.amps.copy(), [(u, ()) for u in range(state.n)], beta)
+    return StateVector._own(state.n, amps)
 
 
 def apply_controlled_x_rotation(
@@ -148,7 +151,7 @@ def apply_controlled_x_rotation(
     for ctl in controls:
         if not 0 <= ctl < state.n:
             raise ValueError(f"control qubit {ctl} out of range for n={state.n}")
-    return _rotate(state, [(u, controls)], chi)
+    return StateVector._own(state.n, _rotate(state.amps.copy(), [(u, controls)], chi))
 
 
 def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:

@@ -1015,6 +1015,11 @@ BAD_CONFIGS = {
         "scramble-study", _with(SCRAMBLE, ["scramble"], {"start_counts": [50, 160]}), [],
         "scramble: at least one of top/bottom panels is required",
     ),
+    "qaoa1 start in feasible-subspace mode": (
+        "run", _with(_with(RUN, ["problem", "kind"], "mis"), ["initial_state"], {"kind": "qaoa1"}),
+        [],
+        "initial_state: qaoa1 puts amplitude on infeasible strings",
+    ),
     "mixer-prepared maxcut": (
         "run", _with(RUN, ["initial_state"], {"kind": "mixer-prepared", "chi0": 0.3}), [],
         "initial_state: mixer-prepared applies to MIS instances",
@@ -1100,6 +1105,26 @@ def test_bad_config_exits_before_compute(case, tmp_path, caplog, compute_stubs):
     assert message.startswith("config error: ")
     assert expected in message
     assert "\n" not in message
+    assert not out.exists() or list(out.iterdir()) == []
+    assert compute_stubs == []
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("postprocess", _with(POSTPROCESS, ["postprocess"], {"grid_resolution": 200000})),
+        ("run", _with(RUN, ["initial_state"], {"kind": "qaoa1", "grid_resolution": 200000})),
+    ],
+)
+def test_grid_past_its_cap_exits_before_compute(command, payload, tmp_path, caplog, compute_stubs):
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 3
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == (
+        "capacity error: the depth-1 grid at n=5 and resolution 200000 needs "
+        "resolution * max(resolution, 2**n) = 40000000000, past the grid cap of 16777216"
+    )
     assert not out.exists() or list(out.iterdir()) == []
     assert compute_stubs == []
 

@@ -1,6 +1,7 @@
 """Tests for mixers, the connectivity check, and the depth-1 ansatz."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from mdqo import (
     qaoa1_state,
     uniform_superposition,
 )
-from mdqo.problems import DiagonalHamiltonian
+from mdqo.mixers import check_grid_size
+from mdqo.problems import DiagonalHamiltonian, build_maxcut
 
 from conftest import random_state
 
@@ -163,16 +165,86 @@ def test_optimize_qaoa1_beats_uniform(maxcut_h):
     assert value > 3.0
 
 
+def random_edge_graph(seed: int) -> Graph:
+    """n in 4..7 vertices, edges drawn as 2n index pairs without loops or duplicates."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    pairs = rng.integers(0, n, (2 * n, 2))
+    return Graph(n, tuple(sorted({(int(min(p)), int(max(p))) for p in pairs if p[0] != p[1]})))
+
+
 def test_optimize_qaoa1_matches_independent_evaluation(maxcut_h):
-    params = optimize_qaoa1(maxcut_h, 32)
-    best = expectation(qaoa1_state(maxcut_h, params), maxcut_h)
-    grid = [math.pi * i / 32 for i in range(32)]
-    brute = max(
-        expectation(qaoa1_state(maxcut_h, AnsatzParams(g, b)), maxcut_h)
-        for g in grid
-        for b in grid
-    )
-    assert best == pytest.approx(brute, abs=1e-9)
+    # The grid returns exactly the first gamma-major maximum of qaoa1_state's
+    # <H>, twins at beta + pi/2 included: every grid value is that <H> bit for bit.
+    hamiltonians = [maxcut_h] + [build_maxcut(random_edge_graph(seed)) for seed in range(10)]
+    for h in hamiltonians:
+        for resolution in (16, 32):
+            grid = [math.pi * i / resolution for i in range(resolution)]
+            brute = np.array(
+                [[expectation(qaoa1_state(h, AnsatzParams(g, b)), h) for b in grid] for g in grid]
+            )
+            gi, bi = np.unravel_index(int(np.argmax(brute)), brute.shape)
+            assert optimize_qaoa1(h, resolution) == AnsatzParams(grid[gi], grid[bi])
+
+
+def maxcut_depth1_closed_form(graph: Graph, gamma: float, beta: float) -> float:
+    """<C> of the depth-1 ansatz on MaxCut, summed edge by edge.
+
+    Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304 (2018), in this
+    package's convention exp(-i beta sum X) exp(-i gamma C) |+>^n: an edge
+    (u, v) with d_u = deg(u) - 1, d_v = deg(v) - 1 and lam common neighbours
+    contributes 1/2 + 1/4 sin4b sin g (cos^d_u g + cos^d_v g)
+    - 1/4 sin^2 2b cos^(d_u + d_v - 2 lam) g (1 - cos^lam 2g).
+    """
+    neighbors = [set(graph.neighbors(u)) for u in range(graph.n)]
+    total = 0.0
+    for u, v in graph.edges:
+        du, dv = len(neighbors[u]) - 1, len(neighbors[v]) - 1
+        lam = len(neighbors[u] & neighbors[v])
+        total += (
+            0.5
+            + 0.25 * math.sin(4 * beta) * math.sin(gamma)
+            * (math.cos(gamma) ** du + math.cos(gamma) ** dv)
+            - 0.25 * math.sin(2 * beta) ** 2 * math.cos(gamma) ** (du + dv - 2 * lam)
+            * (1 - math.cos(2 * gamma) ** lam)
+        )
+    return total
+
+
+def test_qaoa1_state_matches_maxcut_closed_form():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
+        graph = Graph(n, edges)
+        h = build_maxcut(graph)
+        for gamma, beta in rng.uniform(0, math.pi, (5, 2)):
+            value = expectation(qaoa1_state(h, AnsatzParams(gamma, beta)), h)
+            assert value == pytest.approx(
+                maxcut_depth1_closed_form(graph, gamma, beta), rel=0, abs=1e-12
+            )
+
+
+def test_optimize_qaoa1_memory_stays_linear_in_the_dimension():
+    # A 2**n x 2**n operator at n = 11 alone takes 64 MiB; the batch takes 128 KiB.
+    h = build_maxcut(Graph(11, tuple((u, (u + 1) % 11) for u in range(11))))
+    tracemalloc.start()
+    try:
+        optimize_qaoa1(h, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_grid_size_cap():
+    check_grid_size(10, 256)
+    check_grid_size(12, 4096)  # 4096 * 4096 is GRID_CAP itself
+    for n, resolution in ((12, 4097), (5, 200000), (25, 2)):
+        with pytest.raises(CapacityError, match="past the grid cap of 16777216"):
+            check_grid_size(n, resolution)
+    with pytest.raises(CapacityError):
+        optimize_qaoa1(DiagonalHamiltonian(3, np.zeros(8)), 4097)
 
 
 def test_optimize_qaoa1_deterministic_on_constant_cost():
