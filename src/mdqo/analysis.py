@@ -12,19 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
 from .problems import DiagonalHamiltonian
 from .statevector import StateVector
 
 # Aggregate Monte Carlo step budget; p <= 1/2 walks have infinite expectation.
 MC_STEP_CAP = 10**8
 
-# Relative tolerance for flagging closed-form vs exact-solver agreement.
+# Relative tolerance for flagging closed-form vs exact agreement.
 CLOSED_FORM_RTOL = 1e-9
-
-# Most unknowns R + L - 1 of the exact reset-walk solve: its dense matrix
-# then takes 128 MiB.
-EXACT_SOLVER_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -75,65 +70,78 @@ def expected_steps_surplus_bound(p: float, L: int) -> float:
     return L / (2.0 * p - 1.0)
 
 
-def check_exact_size(model: WalkModel) -> int:
-    """The exact solver's R + L - 1 unknowns; CapacityError past EXACT_SOLVER_CAP."""
-    if model.R is None:
-        raise ValueError("reset depth R is required for the reset walk")
-    size = model.R + model.L - 1
-    if size > EXACT_SOLVER_CAP:
-        raise CapacityError(
-            f"the reset walk at p={model.p} needs R + L - 1 = {size} unknowns, "
-            f"past the exact solver's cap of {EXACT_SOLVER_CAP}"
-        )
-    return size
+def _power(ratio: float, L: int) -> float:
+    """ratio ** L, or inf where it overflows the float range."""
+    try:
+        return ratio**L
+    except OverflowError:
+        return math.inf
+
+
+def _sums(r: float, m: int) -> tuple[float, float, float]:
+    """S_m, U_m / S_m and V_m / S_m for 0 <= r <= 1, by binary doubling on m.
+
+    S_m = sum_{j<m} r^j, U_m = sum_{j<m} (j+1) r^j, V_m = sum_{j<m} (m-j) r^j.
+    Doubling appends the terms j >= m: S_2m = (1 + r^m) S_m, U_2m = U_m +
+    r^m (U_m + m S_m), V_2m = V_m + m S_m + r^m V_m; a set bit prepends j = 0:
+    S' = 1 + r S, U' = S' + r U, V' = V + S'.  Only nonnegative numbers meet and
+    the ratios lie in [1, m], so nothing cancels or overflows; r^k comes from
+    pow, whose rounding does not grow with k as repeated squaring's does.
+    """
+    s = u = v = 0.0
+    k = 0
+    for bit in bin(m)[2:]:
+        power = r**k
+        u += k * power / (1.0 + power)
+        v += k / (1.0 + power)
+        s *= 1.0 + power
+        k *= 2
+        if bit == "1":
+            rs = r * s
+            s_next = 1.0 + rs
+            u = 1.0 + rs * u / s_next
+            v = 1.0 + s * v / s_next
+            s = s_next
+            k += 1
+    return s, u, v
 
 
 def expected_steps_with_reset_exact(model: WalkModel) -> float:
-    """Expected absorption time E_0 of the reset walk, from the exact recurrence.
+    """Expected absorption time E_0 of the reset walk, by renewal: E_0 = D / P.
 
-    Solves the linear system
-
-        E_L = 0,
-        E_j = 1 + p E_{j+1} + q E_{j-1}   for j = -R+1, ..., L-1,
-        E_{-R} = E_0,
-
-    a dense solve in the R + L - 1 unknowns E_{-R+1..L-1}.  For p >= 1/2 it
-    agrees with exact arithmetic to about 1e-14 relative; for p < 1/2 the
-    system grows ill-conditioned with L, and the corrected closed form is the
-    more accurate value.
+    P is the chance that an excursion from the origin reaches L before -R and D
+    its expected length.  With the sums of _sums, for p >= q and r = q/p,
+    E_0 = (L U_R + R r^R V_{L-1}) / (p S_R); for p < q the mirror image in
+    rho = p/q, E_0 = (L V_R + R rho^-(L-1) U_{L-1}) / (p S_R), is inf once
+    rho^-(L-1) passes the float range.  No terms cancel, in O(log(R + L))
+    steps.  Against an exact rational solve the relative error is below 1e-14
+    for L, R <= 60 and grows at most like (L + R) eps, as powers of the rounded
+    q/p do (3e-14 at p = 0.05, L = 240, R = 5, where E_0 = 4.4e307; 8e-9 at
+    p = 1/2 - 2^-30, L = R = 2^30): less than one ulp of p moves E_0 there.
     """
-    size = check_exact_size(model)
+    if model.R is None:
+        raise ValueError("reset depth R is required for the reset walk")
     p, q, L, R = model.p, model.q, model.L, model.R
-    lo = -R + 1
-
-    def idx(j: int) -> int:
-        return j - lo
-
-    a = np.zeros((size, size))
-    b = np.ones(size)
-    for j in range(lo, L):
-        i = idx(j)
-        a[i, i] += 1.0
-        if j + 1 < L:
-            a[i, idx(j + 1)] -= p
-        if j - 1 > -R:
-            a[i, idx(j - 1)] -= q
-        elif j - 1 == -R:
-            a[i, idx(0)] -= q
-    try:
-        e = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - unreachable for p in (0,1)
-        raise RuntimeError(f"singular recurrence system for {model}") from exc
-    return float(e[idx(0)])
+    if p >= q:
+        r = q / p
+        s_r, u_r, _ = _sums(r, R)
+        s_l, _, v_l = _sums(r, L - 1)
+        # factors ordered so that no partial product overflows before the sum does
+        return (L * u_r + R * r**R / s_r * v_l * s_l) / p
+    rho = p / q
+    s_r, _, v_r = _sums(rho, R)
+    s_l, u_l, _ = _sums(rho, L - 1)
+    return (L * v_r + R / s_r * _power(q / p, L - 1) * u_l * s_l) / p
 
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """Both sign variants of the closed-form reset formula, flagged against the exact solver.
+    """Both sign variants of the closed-form reset formula, flagged against the exact time.
 
     printed uses the (p/q)^L factor as written; corrected uses (q/p)^L.  Only
-    the corrected variant reproduces the exact recurrence; the printed one can
-    exceed the walk's own upper bound L/(2p-1) and diverges as p -> q.
+    the corrected variant reproduces expected_steps_with_reset_exact; the
+    printed one can exceed the walk's own upper bound L/(2p-1) and diverges as
+    p -> q.  A variant matches only where it and the exact time are finite.
     """
 
     printed: float
@@ -143,20 +151,10 @@ class ClosedFormResult:
     corrected_matches: bool
 
 
-def _power(ratio: float, L: int) -> float:
-    """ratio ** L, or inf where it overflows the float range."""
-    try:
-        return ratio**L
-    except OverflowError:
-        return math.inf
-
-
 def expected_steps_with_reset_closed_form(model: WalkModel) -> ClosedFormResult:
     """Evaluate L/(2p-1) - R q^R / ((p-q)(p^R - q^R)) * (1 - r^L) for both r = p/q, q/p."""
-    if model.R is None:
-        raise ValueError("reset depth R is required for the reset walk")
+    exact = expected_steps_with_reset_exact(model)  # raises ValueError without R
     p, q, L, R = model.p, model.q, model.L, model.R
-    exact = expected_steps_with_reset_exact(model)
     if q == 0.0:
         printed = corrected = float(L)
     elif p == q:
@@ -177,6 +175,7 @@ def expected_steps_with_reset_closed_form(model: WalkModel) -> ClosedFormResult:
     def matches(value: float) -> bool:
         return (
             math.isfinite(value)
+            and math.isfinite(exact)
             and abs(value - exact) <= CLOSED_FORM_RTOL * max(1.0, abs(exact))
         )
 

@@ -7,7 +7,7 @@ postprocess     cost densities and a summary table for uniform / depth-1 /
                 after-success states
 scramble-study  effect of mixer scrambling on a stuck aggregated state
 run             stochastic control-loop trajectories under a budget
-walk            walk-model analytics: exact recurrence, closed forms, Monte Carlo
+walk            walk-model analytics: exact renewal time, closed forms, Monte Carlo
 
 Every command reads and checks its whole config, through one `_Block` per JSON
 object, before its first compute call; each message names the full key path.
@@ -16,9 +16,9 @@ to its data files.  CSV files carry a header row and 12-significant-digit
 floats.  Exit codes: 0 success, 2 configuration error (including an unknown
 key, i.e. one the command does not read, even if it belongs to another kind; a
 --seed below 0; negative outcome counts; an outcome count, a k1 = k0 + L of a
-surplus grid or a walk.L past the float range; and a run whose criteria never
-fire within run.max_steps_per_trajectory), 3 capacity error (n above the dense
-cap, a reset walk above the exact solver's cap, a depth-1 grid above GRID_CAP);
+surplus grid or a walk.L or walk.R past the float range; and a run whose
+criteria never fire within run.max_steps_per_trajectory), 3 capacity error (n
+above the dense cap, a depth-1 grid above GRID_CAP);
 logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
@@ -41,7 +41,6 @@ import numpy as np
 from .analysis import (
     MC_STEP_CAP,
     WalkModel,
-    check_exact_size,
     expected_steps_run,
     expected_steps_surplus_bound,
     expected_steps_with_reset_closed_form,
@@ -324,9 +323,10 @@ def _chi(chi_tilde: int, path: str) -> float:
 
 def _float_sized(values, path: str):
     """Integers that reach float arithmetic (outcome counts, walk lengths): each
-    must convert to a float, as chi_tilde does in _chi."""
+    must convert to a float, as chi_tilde does in _chi; None, where the list
+    allows it, passes."""
     for i, value in enumerate(values):
-        _value(value, f"{path}[{i}]", float)
+        _value(value, f"{path}[{i}]", float, null=True)
     return values
 
 
@@ -708,7 +708,7 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
     block = cfg.block("walk")
     p_list = block.items("p", float)
     l_list = _float_sized(block.items("L", int), block.key("L"))
-    r_values = block.items("R", int, [None], null=True)
+    r_values = _float_sized(block.items("R", int, [None], null=True), block.key("R"))
     trials = block.get("mc_trials", int, 0, minimum=0)
     # The cap counts aggregate steps, so one below mc_trials never takes a step.
     step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=trials) if trials else None
@@ -721,9 +721,6 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
                   for r in r_values]
     except ValueError as exc:
         raise ConfigError(f"walk: {exc}") from exc
-    for model in models:
-        if model.R is not None:
-            check_exact_size(model)
 
     streams = itertools.count()
 

@@ -19,8 +19,6 @@ from mdqo import (
     uniform_superposition,
     walk_monte_carlo,
 )
-from mdqo.analysis import EXACT_SOLVER_CAP, check_exact_size
-from mdqo.errors import CapacityError
 from mdqo.problems import DiagonalHamiltonian
 
 
@@ -91,12 +89,29 @@ def test_reset_walk_requires_reset_depth():
         WalkModel(0.0, 2, 1)
 
 
-def test_exact_solver_size_cap():
-    assert check_exact_size(WalkModel(0.75, 2, EXACT_SOLVER_CAP - 1)) == EXACT_SOLVER_CAP
-    with pytest.raises(CapacityError, match="R \\+ L - 1 = 4097 unknowns"):
-        expected_steps_with_reset_exact(WalkModel(0.75, 3, EXACT_SOLVER_CAP - 1))
-    with pytest.raises(CapacityError):
-        expected_steps_with_reset_closed_form(WalkModel(0.75, 2, 10**400))
+def test_reset_walk_exact_large_inputs():
+    # a deep reset leaves the free walk's L / (2p - 1)
+    for R in (10**6, 10**300):
+        assert expected_steps_with_reset_exact(WalkModel(0.75, 2, R)) == pytest.approx(
+            4.0, rel=1e-12
+        )
+    # p = 1/2 gives L (L + R); unscaled sums U_R ~ R^2 / 2 would overflow here
+    assert expected_steps_with_reset_exact(WalkModel(0.5, 1, 10**200)) == pytest.approx(
+        1e200, rel=1e-12
+    )
+    assert expected_steps_with_reset_exact(WalkModel(0.5, 10**6, 10**6)) == pytest.approx(
+        2e12, rel=1e-12
+    )
+    for p in (0.75, 0.25):
+        expected = exact_reset_steps(p, 1000, 1000)
+        value = expected_steps_with_reset_exact(WalkModel(p, 1000, 1000))
+        if expected > sys.float_info.max:
+            assert value == math.inf, p
+        else:
+            assert value == pytest.approx(float(expected), rel=1e-12), p
+    # the true times, about 99^200 and 999^200, pass the float range
+    assert expected_steps_with_reset_exact(WalkModel(0.01, 200, 1)) == math.inf
+    assert expected_steps_with_reset_exact(WalkModel(0.001, 200, 200)) == math.inf
 
 
 def test_closed_form_overflowing_ratio_is_infinite():
@@ -186,20 +201,25 @@ def exact_reset_steps(p: float, L: int, R: int) -> Fraction:
 
 
 def test_reset_walk_against_rational_recurrence():
-    # the dense solve is pinned only for p >= 1/2: below, it grows
-    # ill-conditioned with L (off by 2.9e-8 at p = 0.3, L = 20, R = 5)
     assert exact_reset_steps(0.75, 2, 1) == Fraction(28, 9)
     grid = (1, 2, 5, 20, 60)
-    for p in (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.5, 0.51, 0.55, 0.65, 0.75, 0.85, 0.95, 0.99):
-        for L in grid:
-            for R in grid:
-                expected = exact_reset_steps(p, L, R)
-                if expected > sys.float_info.max:
-                    continue
-                result = expected_steps_with_reset_closed_form(WalkModel(p, L, R))
-                assert result.corrected == pytest.approx(float(expected), rel=1e-12), (p, L, R)
-                if p >= 0.5:
-                    assert result.exact == pytest.approx(float(expected), rel=1e-12), (p, L, R)
+    cells = [
+        (p, L, R)
+        for p in (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.5, 0.51, 0.55, 0.65, 0.75, 0.85, 0.95, 0.99)
+        for L in grid
+        for R in grid
+    ]
+    # the last time below the float range at p = 0.05, R = 5 (4.4e307) and the first past it
+    cells += [(0.05, 240, 5), (0.05, 241, 5)]
+    for p, L, R in cells:
+        expected = exact_reset_steps(p, L, R)
+        result = expected_steps_with_reset_closed_form(WalkModel(p, L, R))
+        if expected > sys.float_info.max:
+            assert result.exact == math.inf, (p, L, R)
+            continue
+        assert result.exact == pytest.approx(float(expected), rel=1e-12), (p, L, R)
+        assert result.corrected == pytest.approx(float(expected), rel=1e-12), (p, L, R)
+        assert result.corrected_matches, (p, L, R)
 
 
 def test_monte_carlo_certain_success_is_exact():

@@ -494,15 +494,24 @@ def test_walk_closed_form_with_underflowing_powers_is_finite(tmp_path):
     assert rows[("0.99", "200", "1")]["corrected_matches"] == "true"
 
 
-def test_walk_past_the_exact_solver_cap_exits_with_capacity_code(tmp_path, caplog, compute_stubs):
-    config = write_config(tmp_path, {"walk": {"p": [0.75], "L": [2], "R": [1, 10**400]}})
+def test_walk_reset_time_at_large_depths_and_targets(tmp_path):
+    config = write_config(tmp_path, {"walk": {"p": [0.75], "L": [2, 10**20], "R": [1, 100000]}})
     out = tmp_path / "out"
-    assert main(["walk", "--config", str(config), "--out", str(out)]) == 3
-    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert message.startswith("capacity error: the reset walk at p=0.75 needs R + L - 1 = 1000")
-    assert message.endswith("unknowns, past the exact solver's cap of 4096")
-    assert compute_stubs == []
-    assert not out.exists() or list(out.iterdir()) == []
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 0
+    rows = {(row["L"], row["R"]): row for row in read_csv(out / "walk.csv")}
+    assert float(rows[("2", "100000")]["exact"]) == pytest.approx(4.0, rel=1e-12)
+    assert float(rows[("100000000000000000000", "1")]["exact"]) == pytest.approx(2e20, rel=1e-12)
+
+
+def test_walk_reset_time_below_one_half(tmp_path):
+    # the true time at p = 0.01, L = 200, R = 1 is about 99^200, past the float range
+    config = write_config(tmp_path, {"walk": {"p": [0.01, 0.3], "L": [200, 20], "R": [1, 5]}})
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 0
+    rows = {(row["p"], row["L"], row["R"]): row for row in read_csv(out / "walk.csv")}
+    assert rows[("0.01", "200", "1")]["exact"] == "inf"
+    assert rows[("0.01", "200", "1")]["printed_matches"] == "false"
+    assert rows[("0.3", "20", "5")]["corrected_matches"] == "true"
 
 
 def test_run_requires_seed(tmp_path):
@@ -864,6 +873,10 @@ BAD_CONFIGS = {
     "walk L past the float range": (
         "walk", _with(WALK_MC, ["walk", "L"], [3, 10**400]), [],
         "walk.L[1] must be a finite number, got 1000",
+    ),
+    "walk R past the float range": (
+        "walk", _with(WALK_MC, ["walk", "R"], [1, 10**400]), [],
+        "walk.R[1] must be a finite number, got 1000",
     ),
     "sweep k0 past the float range": (
         "sweep-counts", _with(SWEEP, ["sweep", "k0"], [0, 4 * 10**308]), [],
