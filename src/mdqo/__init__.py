@@ -56,13 +56,16 @@ from .problems import (
     build_maxcut,
     build_mis,
     cost_hamiltonian,
+    count_independent_sets,
     driving_hamiltonian,
     feasible,
     feasible_mask,
+    independent_sets,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
     spectrum_bounds,
+    subspace_cost,
 )
 from .statevector import (
     CostDistribution,

@@ -16,10 +16,12 @@ to its data files.  CSV files carry a header row and 12-significant-digit
 floats.  Exit codes: 0 success, 2 configuration error (including an unknown
 key, i.e. one the command does not read, even if it belongs to another kind; a
 --seed below 0; negative outcome counts; an outcome count, a k1 = k0 + L of a
-surplus grid or a walk.L or walk.R past the float range; and a run whose
-criteria never fire within run.max_steps_per_trajectory), 3 capacity error (n
-above the dense cap, a depth-1 grid above GRID_CAP);
-logs go to standard error.
+surplus grid or a walk.L or walk.R past the float range; a feasible-subspace
+MIS run with a uniform start, a basis start that is not an independent set or
+a transverse-field mixer, on a graph with an edge; and a run whose criteria
+never fire within run.max_steps_per_trajectory), 3 capacity error (n above the
+dense cap, more independent sets than SUBSPACE_CAP in a feasible-subspace MIS
+run, a depth-1 grid above GRID_CAP); logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -68,16 +70,18 @@ from .mixers import (
 from .problems import (
     DiagonalHamiltonian,
     Graph,
-    InstanceTables,
     ProblemInstance,
     Rescaling,
     apply_rescaling,
     driving_hamiltonian,
+    feasible,
+    feasible_mask,
     instance_tables,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
     spectrum_bounds,
+    subspace_cost,
 )
 from .statevector import (
     GROUP_TOL,
@@ -330,18 +334,31 @@ def _float_sized(values, path: str):
     return values
 
 
-def _parse_mixer(cfg: _Block, graph: Graph) -> MixerSpec:
+def _leaves_subspace(instance: ProblemInstance, what: str, fix: str) -> None:
+    """ConfigError for a start or mixer that puts amplitude on infeasible strings,
+    in feasible-subspace mode on a graph with an edge (an edgeless one has none)."""
+    if instance.feasible_subspace and instance.graph.m:
+        raise ConfigError(
+            f"{what} puts amplitude on infeasible strings, so it cannot "
+            f"{fix} feasible-subspace MIS (give problem.penalty_weight)"
+        )
+
+
+def _parse_mixer(cfg: _Block, instance: ProblemInstance) -> MixerSpec:
     if "mixer" not in cfg:
         raise ConfigError("missing required key mixer (algorithm 2 needs one)")
     block = cfg.block("mixer")
     kind = block.get("kind", str, choices=_MIXER_KINDS)
+    if kind == TRANSVERSE_FIELD:
+        _leaves_subspace(instance, "mixer: transverse-field", "scramble")
     if ("chi" in block) == ("chi_tilde" in block):
         raise ConfigError("mixer: give exactly one of chi or chi_tilde")
     if "chi" in block:
         chi = block.get("chi", float)
     else:
         chi = _chi(block.get("chi_tilde", int), block.key("chi_tilde"))
-    return MixerSpec(kind=kind, chi=chi, graph=graph if kind == MIS_CONTROLLED else None)
+    graph = instance.graph if kind == MIS_CONTROLLED else None
+    return MixerSpec(kind=kind, chi=chi, graph=graph)
 
 
 def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
@@ -357,17 +374,19 @@ def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     n = instance.graph.n
     if echo["kind"] == "feasible-uniform" and instance.kind != "mis":
         raise ConfigError("initial_state: feasibility is defined for MIS instances only")
+    if echo["kind"] in ("uniform", "qaoa1"):
+        _leaves_subspace(instance, f"initial_state: {echo['kind']}", "start")
     if echo["kind"] == "basis":
         bits = echo["bitstring"] = block.get("bitstring", str)
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise ConfigError(f"{block.key('bitstring')} must be {n} characters 0 or 1")
+        if instance.feasible_subspace and not feasible(instance, bitstring_to_index(bits)):
+            raise ConfigError(
+                f"{block.key('bitstring')} {bits} is not an independent set, so it cannot "
+                "start feasible-subspace MIS (give problem.penalty_weight)"
+            )
     elif echo["kind"] == "qaoa1":
         echo["grid_resolution"] = block.get("grid_resolution", int, 256, minimum=2)
-        if instance.kind == "mis" and instance.penalty_weight is None and instance.graph.m:
-            raise ConfigError(
-                "initial_state: qaoa1 puts amplitude on infeasible strings, so it cannot start "
-                "feasible-subspace MIS (give problem.penalty_weight)"
-            )
         check_grid_size(n, echo["grid_resolution"])
     elif echo["kind"] == "mixer-prepared":
         echo["chi0"] = block.get("chi0", float)
@@ -376,21 +395,28 @@ def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     return echo
 
 
-def _initial_state(echo: dict, instance: ProblemInstance, tables: InstanceTables) -> StateVector:
-    """Build the state a checked initial-state echo describes; qaoa1 adds its angles."""
+def _initial_state(echo: dict, instance: ProblemInstance, cost: DiagonalHamiltonian) -> StateVector:
+    """Build the state a checked initial-state echo describes; qaoa1 adds its angles.
+
+    cost is the run's driving cost.  In feasible-subspace mode the state
+    lives on its basis, the independent sets: there the uniform start, which
+    only an edgeless graph allows, is the feasible-uniform one, and a qaoa1
+    start is dense, as the basis then holds every string in order.
+    """
     n = instance.graph.n
     kind = echo["kind"]
-    if kind == "uniform":
-        return uniform_superposition(n)
-    if kind == "feasible-uniform":
-        return _feasible_uniform(n, tables.feasible)
-    if kind == "basis":
-        return basis_state(n, bitstring_to_index(echo["bitstring"]))
+    basis = cost.basis
     if kind == "qaoa1":
-        params = optimize_qaoa1(tables.drive, echo["grid_resolution"])
+        params = optimize_qaoa1(cost, echo["grid_resolution"])
         echo.update(gamma=params.gamma, beta=params.beta)
-        return qaoa1_state(tables.drive, params)
-    return feasible_initial_state(instance.graph, echo["chi0"])
+        return qaoa1_state(cost, params)
+    if kind == "basis":
+        return basis_state(n, bitstring_to_index(echo["bitstring"]), basis)
+    if kind == "mixer-prepared":
+        return feasible_initial_state(instance.graph, echo["chi0"], basis)
+    if basis is not None or kind == "uniform":
+        return uniform_superposition(n, basis)
+    return _feasible_uniform(n, feasible_mask(instance))
 
 
 def _resolve_seed(cfg: _Block, cli_seed: int | None, required: bool) -> int | None:
@@ -462,8 +488,8 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
         bare = instance_tables(ProblemInstance(instance.graph, "mis"))
         variants = []
         if "feasible" in kinds:
-            initial = _feasible_uniform(n, bare.support)
-            variants.append(("feasible", bare.drive, None, bare.support, initial))
+            initial = _feasible_uniform(n, bare.feasible)
+            variants.append(("feasible", bare.drive, None, bare.feasible, initial))
         for lam in lams:
             h_pen = penalize(bare.drive, bare.violations, lam)
             variants.append((f"penalized_lam{lam:g}", h_pen, bare.violations, None, uniform))
@@ -647,18 +673,21 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     trajectory_csv = run.get("trajectory_csv", bool, False)
     criteria = _parse_criteria(cfg)
     # only algorithm 2 scrambles, so algorithm 1 leaves a mixer block unread
-    mixer = _parse_mixer(cfg, instance.graph) if algorithm == 2 else None
+    mixer = _parse_mixer(cfg, instance) if algorithm == 2 else None
     initial_echo = _parse_initial_state(cfg, instance)
     cfg.close()
 
-    tables = instance_tables(instance)
-    rescaling, echo = _resolve_rescaling(entry, tables.drive, tables.support)
+    if instance.feasible_subspace:
+        cost = subspace_cost(instance.graph)
+    else:
+        cost = driving_hamiltonian(instance)
+    rescaling, echo = _resolve_rescaling(entry, cost, None)
     try:
         # checked before the initial state, whose qaoa1 kind runs a grid search
         outer = OuterConfig(rescaling, None, criteria, mixer, **options)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from exc
-    initial = _initial_state(initial_echo, instance, tables)
+    initial = _initial_state(initial_echo, instance, cost)
     outer = dataclasses.replace(outer, initial_state=initial)
 
     try:

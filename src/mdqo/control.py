@@ -9,8 +9,9 @@ a step/trajectory/target budget, optionally adapting criteria between runs.
 Trajectories run on cost levels.  The branch operators are diagonal and
 commute, so between scrambles the state is a fixed base state times a factor
 that depends only on the cost level: a step updates one weight per distinct
-cost, and the 2**n amplitudes are touched only to weigh a base state, to
-scramble and to draw the final sample.
+cost, and the amplitudes are touched only to weigh a base state, to
+scramble and to draw the final sample.  Feasible-subspace MIS keeps its
+amplitudes on the independent sets alone, never on all 2**n strings.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StepCapError, ZeroBranchError
-from .mixers import MixerSpec, apply_mixer
+from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import (
     BOUND_TOL,
     ProblemInstance,
     Rescaling,
-    apply_rescaling,
+    check_rescaled,
     instance_tables,
+    subspace_cost,
 )
 from .statevector import StateVector, sample_index
 from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, peak_position
@@ -156,14 +158,15 @@ class Trajectory:
 class ControlTables:
     """The cost-level table of one (instance, rescaling).
 
-    Basis state x sits on level level[x], stored in the smallest unsigned
-    dtype that fits.  Every state on level l has the driving cost h[l] and
-    the rescaled cost c[l]; sin_sq and cos_sq are the branch weights
-    sin^2(c + pi/4) and cos^2(c + pi/4), and sin_2c the success weight.
-    support marks the feasible subspace in feasible-subspace mode, where c
-    is validated on it alone (an infeasible level may leave [0, pi/4]) and
-    _weigh keeps every state the loop reads on it.  p_viol holds the dense
-    violation counts of MIS instances.
+    Entry i of a state sits on level level[i], stored in the smallest
+    unsigned dtype that fits.  Every entry on level l has the driving cost
+    h[l] and the rescaled cost c[l]; sin_sq and cos_sq are the branch weights
+    sin^2(c + pi/4) and cos^2(c + pi/4), and sin_2c the success weight.  In
+    feasible-subspace mode basis holds the independent sets, entry i is
+    basis[i], and c is validated on their levels alone (a level no
+    independent set reaches may leave [0, pi/4]); otherwise basis is None
+    and entry i is basis index i.  p_viol holds the violation counts of MIS
+    instances per entry.
     """
 
     n: int
@@ -174,7 +177,7 @@ class ControlTables:
     sin_sq: np.ndarray
     cos_sq: np.ndarray
     sin_2c: np.ndarray
-    support: np.ndarray | None
+    basis: np.ndarray | None
     p_viol: np.ndarray | None
 
 
@@ -182,20 +185,32 @@ class ControlTables:
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
     """Build (and cache) the cost-level table for an instance.
 
-    The driving cost and the support come from instance_tables (in
-    feasible-subspace mode the rescaling is validated only on independent
-    sets).  Levels are the distinct driving costs, so the driving and the
-    rescaled cost are both constant on a level.
+    Levels are the distinct driving costs, so the driving and the rescaled
+    cost are both constant on a level; c is computed per level, with the
+    bits the per-entry rescaling gives.  In feasible-subspace mode the levels
+    are all n + 1 vertex counts, as the dense table has them, so q keeps its
+    length and its sums their bits; the entries are the independent sets
+    (subspace_cost), whose violation counts are 0.  Otherwise the dense
+    tables of instance_tables serve.
     """
-    dense = instance_tables(instance)
-    h_drive, p_viol = dense.drive, dense.violations
-    c_dense = apply_rescaling(rescaling, h_drive, dense.support)
-    h, level = h_drive.levels
-    c = np.empty_like(h)
-    c[level] = c_dense.values  # the rescaled cost is constant on a level
+    n = instance.graph.n
+    if instance.feasible_subspace:
+        cost = subspace_cost(instance.graph)
+        h = np.arange(n + 1, dtype=np.float64)
+        level = cost.values.astype(np.min_scalar_type(n))
+        basis, p_viol = cost.basis, np.zeros(cost.basis.size)
+        reached = int(level.max()) + 1  # a subset of an independent set is one
+    else:
+        dense = instance_tables(instance)
+        h, level = dense.drive.levels
+        basis = None
+        p_viol = None if dense.violations is None else dense.violations.values
+        reached = h.size
+    c = rescaling.epsilon * (rescaling.alpha + h)
+    check_rescaled(c[:reached])
     angle = c + math.pi / 4
     return ControlTables(
-        n=instance.graph.n,
+        n=n,
         rescaling=rescaling,
         level=level,
         h=h,
@@ -203,47 +218,61 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         sin_sq=np.sin(angle) ** 2,
         cos_sq=np.cos(angle) ** 2,
         sin_2c=np.sin(2.0 * c),
-        support=dense.support,
-        p_viol=None if p_viol is None else p_viol.values,
+        basis=basis,
+        p_viol=p_viol,
     )
 
 
 @dataclass(frozen=True)
 class _Base:
-    """A dense state that stays fixed between scrambles, weighed by cost level.
+    """A state on the tables' entries that stays fixed between scrambles,
+    weighed by cost level.
 
     A trajectory's current state is state.amps * sqrt(q / w)[level] for its
     level posterior q.  penalty holds the per-level sums of |amps|^2 times
-    the violation count, and is kept only for diagnostics.  index lists the
-    basis states the final sample reads, those with |amps|^2 > 0; it is None
-    when that is every basis state.
+    the violation count, and is kept only for diagnostics.
     """
 
     state: StateVector
     w: np.ndarray
     penalty: np.ndarray | None
-    index: np.ndarray | None
+
+
+def _on_basis(tables: ControlTables, state: StateVector) -> StateVector:
+    """The state on the tables' entries: a dense state in feasible-subspace mode
+    is checked for amplitude off the independent sets, then restricted to them."""
+    if state.n != tables.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, cost n={tables.n}")
+    basis = tables.basis
+    if basis is not None and state.basis is None:
+        kept = state.amps[basis]
+        if np.count_nonzero(kept) != np.count_nonzero(state.amps):
+            raise ValueError("state puts amplitude on infeasible strings in feasible-subspace mode")
+        return StateVector._own(state.n, kept, basis)
+    if state.basis is basis or np.array_equal(state.basis, basis):
+        return state
+    raise ValueError(
+        "state basis does not match the instance: feasible-subspace MIS needs its "
+        "independent sets or a dense state, every other instance a dense state"
+    )
 
 
 def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
     """Sum |amps|^2 per level, after the one check on a state the loop reads.
 
-    The initial state and every mixed state pass here: the dimension must
-    match, and in feasible-subspace mode no amplitude may sit off support.
-    The final sample reads only the nonzero |amps|^2 (see _sample).
+    The initial state and every mixed state pass here, through _on_basis.
+    The independent sets hold every nonzero amplitude of a feasible-subspace
+    state, and each string left out would weigh +0, which leaves every sum
+    and the final sample's cumulative sum with the bits of the dense ones.
     """
-    if state.n != tables.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, cost n={tables.n}")
+    state = _on_basis(tables, state)
     mag = np.abs(state.amps)
-    if tables.support is not None and np.any(mag, where=~tables.support):
-        raise ValueError("state puts amplitude on infeasible strings in feasible-subspace mode")
     probs = np.square(mag, out=mag)
     size = tables.h.size
     penalty = None
     if diagnostics and tables.p_viol is not None:
         penalty = np.bincount(tables.level, probs * tables.p_viol, minlength=size)
-    index = None if np.count_nonzero(probs) == probs.size else np.flatnonzero(probs)
-    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty, index)
+    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty)
 
 
 def _p1(tables: ControlTables, q: np.ndarray) -> float:
@@ -271,30 +300,28 @@ def _ratio(base: _Base, q: np.ndarray) -> np.ndarray:
 
 def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVector:
     scale = np.sqrt(_ratio(base, q)).take(tables.level)
-    return StateVector._own(base.state.n, base.state.amps * scale)
+    return StateVector._own(base.state.n, base.state.amps * scale, tables.basis)
 
 
 def _sample(
     tables: ControlTables, base: _Base, q: np.ndarray, rng: np.random.Generator
 ) -> int:
-    """Draw from |amps|^2 * (q / w)[level] in basis order, as sample_bitstring would.
+    """Draw an entry from |amps|^2 * (q / w)[level] in basis order and return
+    its position: the string there is the one sample_bitstring would draw
+    from the dense state.
 
-    Only base.index is read, and the draw is the dense one: every entry left
-    out has weight +0, and numpy's cumsum adds in order with x + 0 == x, so
-    the CDF kept equals the dense one where kept and the dense one is flat
-    in between.  The first entry to reach the total S has positive weight,
-    so it is kept, and the pinned 1.0 from there on exceeds every u in
-    [0, 1): cdf > u stays monotone even when S exceeds 1, and a draw in
+    On the independent sets the draw is still the dense one: every string
+    left out has weight +0, and numpy's cumsum adds in order with x + 0 == x,
+    so the CDF kept equals the dense one where kept and the dense one is
+    flat in between.  The first entry to reach the total S has positive
+    weight, so it is kept, and the pinned 1.0 from there on exceeds every u
+    in [0, 1): cdf > u stays monotone even when S exceeds 1, and a draw in
     [S, 1) when S < 1 lands on that kept entry in both CDFs.
     """
-    amps, level = base.state.amps, tables.level
-    if base.index is not None:
-        amps, level = amps[base.index], level[base.index]
-    weights = np.abs(amps)
+    weights = np.abs(base.state.amps)
     weights *= weights
-    weights *= _ratio(base, q).take(level)
-    i = sample_index(weights, rng)
-    return i if base.index is None else int(base.index[i])
+    weights *= _ratio(base, q).take(tables.level)
+    return sample_index(weights, rng)
 
 
 def _trajectory(
@@ -308,8 +335,7 @@ def _trajectory(
 
     A weak step reweights only the level posterior q.  A scramble
     materialises the state, mixes it and makes the result the new base,
-    which is weighed before the next step reads it: so the step cap is
-    checked before a support leak is reported.
+    which is weighed before the next step reads it.
     """
     rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
     max_steps = config.max_steps_per_trajectory
@@ -361,16 +387,28 @@ def _trajectory(
                     ),
                 )
             )
-    final_sample = _sample(tables, base, q, rng)
+    i = _sample(tables, base, q, rng)
     return Trajectory(
         outcomes=tuple(outcomes),
         scramble_events=tuple(scramble_events),
         counts=counts,
-        final_sample=final_sample,
-        final_cost=float(tables.h[tables.level[final_sample]]),
+        final_sample=i if tables.basis is None else int(tables.basis[i]),
+        final_cost=float(tables.h[tables.level[i]]),
         terminal_reason=reason,
         diagnostics=tuple(records) if record_diagnostics else None,
     )
+
+
+def _start(
+    instance: ProblemInstance, config: OuterConfig, diagnostics: bool
+) -> tuple[ControlTables, _Base]:
+    """The tables and the weighed initial state, once the mixer is known to keep
+    the feasible subspace: a leaving mixer fails here, before the first step."""
+    tables = prepare_tables(instance, config.rescaling)
+    start = _weigh(tables, config.initial_state, diagnostics)
+    if tables.basis is not None and config.mixer is not None:
+        subspace_pairs(config.mixer, start.state)
+    return tables, start
 
 
 def run_algorithm2(
@@ -387,14 +425,16 @@ def run_algorithm2(
     """Feedback-controlled loop: weak steps, scramble-and-reset, then sample.
 
     With mixer=None no scramble ever fires, which is algorithm 1.  The
-    criteria and the initial state are validated once, on entry.  Raises
-    StepCapError when no return criterion fires within max_steps steps.
+    criteria, the initial state and the mixer are validated once, on entry:
+    in feasible-subspace mode a dense initial state must vanish off the
+    independent sets, and is restricted to them, and the mixer must keep
+    them.  Raises StepCapError when no return criterion fires within
+    max_steps steps.
     """
     config = OuterConfig(
         rescaling, initial_state, criteria, mixer, max_steps_per_trajectory=max_steps
     )
-    tables = prepare_tables(instance, rescaling)
-    start = _weigh(tables, initial_state, record_diagnostics)
+    tables, start = _start(instance, config, record_diagnostics)
     return _trajectory(tables, start, config, rng, record_diagnostics)
 
 
@@ -490,11 +530,12 @@ def outer_loop(
     reproducible from `seed` alone.  Every trajectory's sample is recorded,
     including reset-terminated ones.  The config checked its criteria when
     it was built, and adapted criteria are checked again as they change; the
-    initial state is checked once, before the first trajectory.  A setup
-    inconsistency (threshold range, infeasible support) raises ValueError.
+    initial state and the mixer are checked once, before the first
+    trajectory, as run_algorithm2 checks them.  A setup inconsistency
+    (threshold range, infeasible support, a mixer that leaves it) raises
+    ValueError.
     """
-    tables = prepare_tables(instance, config.rescaling)
-    start = _weigh(tables, config.initial_state, False)
+    tables, start = _start(instance, config, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [asdict(config.criteria)]
     trajectories: list[Trajectory] = []

@@ -9,7 +9,9 @@ ValueError/RuntimeError.
 
 
 class CapacityError(Exception):
-    """Problem size exceeds the dense-representation or the exact walk solver's cap."""
+    """Problem size exceeds a cap: DENSE_CAP qubits for dense tables, SUBSPACE_CAP
+    independent sets (or 63 vertices) for feasible-subspace MIS, or GRID_CAP
+    for the depth-1 grid."""
 
 
 class ConfigError(Exception):

@@ -3,20 +3,24 @@
 Two mixer families: a transverse-field rotation on every qubit, and a
 feasibility-preserving variant for independent-set problems where each
 vertex rotation is controlled on its whole neighborhood being unoccupied.
+Both act on dense states; on a state that lives on the independent sets,
+the feasibility-preserving one pairs each set S with S | {u} by index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError
-from .problems import Graph, DiagonalHamiltonian
+from .problems import DiagonalHamiltonian, Graph, independent_sets
 from .statevector import (
     StateVector,
     _rotate,
+    _rotate_pairs,
     apply_diagonal_phase,
     apply_x_rotation_all,
     basis_state,
@@ -65,8 +69,14 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     TRANSVERSE_FIELD rotates every qubit by chi.  MIS_CONTROLLED applies, in
     ascending vertex order, an X rotation on each vertex controlled on all its
     neighbors being 0; the factors do not commute, so the order is part of the
-    contract.  All rotations act in place on one copy of the amplitudes.
+    contract.  All rotations act in place on one copy of the amplitudes.  A
+    state on a basis takes the mixer whose graph's independent sets that
+    basis holds (see subspace_pairs), with the bytes the dense mixer gives
+    those entries.
     """
+    if state.basis is not None:
+        amps = _rotate_pairs(state.amps.copy(), subspace_pairs(spec, state), spec.chi)
+        return StateVector._own(state.n, amps, state.basis)
     if spec.kind == TRANSVERSE_FIELD:
         return apply_x_rotation_all(state, spec.chi)
     graph = spec.graph
@@ -77,10 +87,49 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     return StateVector._own(state.n, amps)
 
 
-def feasible_initial_state(graph: Graph, chi0: float) -> StateVector:
-    """Feasible-supported state from |0...0> via one mis-controlled mixer pass."""
+def subspace_pairs(spec: MixerSpec, state: StateVector) -> tuple[np.ndarray, ...]:
+    """The mixer's index pairs on the state's basis; ValueError if it leaves the basis.
+
+    The basis must be the independent sets of the mixer's graph; a
+    transverse-field mixer keeps only the full basis of an edgeless graph.
+    """
+    if spec.kind == TRANSVERSE_FIELD:
+        if state.basis.size != 2**state.n:
+            raise ValueError(
+                "a transverse-field mixer puts amplitude on infeasible strings, "
+                "so it cannot scramble feasible-subspace MIS"
+            )
+        graph = Graph(state.n, ())
+    else:
+        graph = spec.graph
+        if graph.n != state.n:
+            raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
+    basis = independent_sets(graph)
+    if state.basis is not basis and not np.array_equal(state.basis, basis):
+        raise ValueError("the state's basis is not the independent sets of the mixer's graph")
+    return _pairs(graph)
+
+
+@lru_cache(maxsize=1)  # as independent_sets
+def _pairs(graph: Graph) -> tuple[np.ndarray, ...]:
+    """Per vertex u in ascending order, the positions in independent_sets(graph)
+    of every set S free of u and its neighbours, then those of each S | {u}:
+    the pairs the controlled rotation on u mixes."""
+    basis = independent_sets(graph)
+    pairs = []
+    for u in range(graph.n):
+        i0 = np.flatnonzero((basis & sum(1 << v for v in (u, *graph.neighbors(u)))) == 0)
+        pairs.append(np.concatenate((i0, np.searchsorted(basis, basis[i0] | (1 << u)))))
+    return tuple(pairs)
+
+
+def feasible_initial_state(
+    graph: Graph, chi0: float, basis: np.ndarray | None = None
+) -> StateVector:
+    """Feasible-supported state from |0...0> via one mis-controlled mixer pass,
+    dense or, given basis = independent_sets(graph), on that basis."""
     spec = MixerSpec(MIS_CONTROLLED, chi0, graph)
-    return apply_mixer(basis_state(graph.n, 0), spec)
+    return apply_mixer(basis_state(graph.n, 0, basis), spec)
 
 
 def qaoa1_state(h: DiagonalHamiltonian, params: AnsatzParams) -> StateVector:

@@ -2,7 +2,9 @@
 
 Basis convention used across the whole package: basis index x encodes the
 variable assignment via bit u of x = x_u, i.e. x = sum_u x_u * 2**u (vertex 0
-is the least significant bit).
+is the least significant bit).  A table is dense, one entry per index in
+order, or lives on a sorted int64 `basis` of indices: feasible-subspace MIS
+keeps only the independent sets (independent_sets).
 """
 
 from __future__ import annotations
@@ -17,9 +19,16 @@ import numpy as np
 from .errors import CapacityError, DegenerateSpectrumError
 
 # Largest qubit count for which dense 2**n tables are built, the size measured
-# to run end to end on an 8 GiB machine; beyond this every constructor fails
-# loudly instead of switching representations.
+# to run end to end on an 8 GiB machine; beyond this every dense constructor
+# fails loudly.  Feasible-subspace MIS never builds one: its tables live on
+# the independent sets, under SUBSPACE_CAP instead.
 DENSE_CAP = 20
+
+# Largest independent-set count a feasible-subspace basis may hold.  No run
+# at the cap has been measured; by estimate a state on it takes 256 MiB and
+# the mixer's cached index pairs 16 bytes per (set, vertex outside it) pair,
+# about 3 GiB for the edgeless 24-vertex graph and more for larger sets.
+SUBSPACE_CAP = 2**24
 
 # Absolute tolerance for spectrum-bound validation.
 BOUND_TOL = 1e-12
@@ -107,6 +116,64 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_1indexed(n_declared, pairs)
 
 
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def count_independent_sets(graph: Graph) -> int:
+    """The number of independent sets, exact below 2**53, without listing them.
+
+    Vertices are added in ascending order.  A set is tracked only through
+    its pattern on the vertices that still have a later neighbour, and sets
+    with equal patterns are counted together, so the work follows the number
+    of patterns, which never exceeds the count: CapacityError once more than
+    SUBSPACE_CAP patterns, hence sets, would be tracked.
+    """
+    if graph.n > 63:
+        raise CapacityError(f"n={graph.n} exceeds the 63 vertices an int64 basis index holds")
+    last = [max(graph.neighbors(u), default=-1) for u in range(graph.n)]
+    patterns, counts = np.zeros(1, dtype=np.int64), np.ones(1)
+    for u in range(graph.n):
+        free = (patterns & _mask(v for v in graph.neighbors(u) if v < u)) == 0
+        if patterns.size + np.count_nonzero(free) > SUBSPACE_CAP:
+            raise CapacityError(
+                f"the {graph.n}-vertex graph has more independent sets than "
+                f"the subspace cap of {SUBSPACE_CAP}"
+            )
+        patterns = np.concatenate((patterns, patterns[free] | (1 << u)))
+        counts = np.concatenate((counts, counts[free]))
+        patterns &= ~_mask(v for v in range(u + 1) if last[v] <= u)
+        patterns, inverse = np.unique(patterns, return_inverse=True)
+        counts = np.bincount(inverse, counts)
+    return int(counts.sum())
+
+
+@lru_cache(maxsize=1)  # a run uses one graph; the basis can take GiBs
+def independent_sets(graph: Graph) -> np.ndarray:
+    """The independent sets as a sorted, read-only int64 array of basis indices.
+
+    Vertices are added in ascending order: every set found so far that holds
+    no earlier neighbour of u gains u.  The new sets all exceed the old ones,
+    so appending them keeps the array sorted.  CapacityError, before any
+    array is allocated, when the count passes SUBSPACE_CAP.
+    """
+    size = count_independent_sets(graph)
+    if size > SUBSPACE_CAP:
+        raise CapacityError(
+            f"the {graph.n}-vertex graph has {size} independent sets, "
+            f"past the subspace cap of {SUBSPACE_CAP}"
+        )
+    basis = np.zeros(size, dtype=np.int64)
+    filled = 1
+    for u in range(graph.n):
+        found = basis[:filled]
+        grown = found[(found & _mask(v for v in graph.neighbors(u) if v < u)) == 0]
+        basis[filled : filled + grown.size] = grown | (1 << u)
+        filled += grown.size
+    basis.setflags(write=False)
+    return basis
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A graph plus problem kind; penalty_weight is the MIS penalty multiplier."""
@@ -124,10 +191,16 @@ class ProblemInstance:
             if self.penalty_weight < 0:
                 raise ValueError("penalty_weight must be nonnegative")
 
+    @property
+    def feasible_subspace(self) -> bool:
+        """MIS without a penalty weight: the dynamics stay on the independent sets."""
+        return self.kind == "mis" and self.penalty_weight is None
+
 
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
-    """Real cost value per basis index; dense table of length 2**n.
+    """Real cost value per basis index: a dense table of length 2**n, or one
+    value per entry of `basis` (sorted basis indices, e.g. independent_sets).
 
     coeff_bounds, when present, records structural spectrum bounds (s, t) with
     -s <= H <= t derived from the problem's coefficients rather than from
@@ -137,11 +210,13 @@ class DiagonalHamiltonian:
     n: int
     values: np.ndarray
     coeff_bounds: tuple[float, float] | None = None
+    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} values for n={self.n}, got shape {vals.shape}")
+        size = 2**self.n if self.basis is None else self.basis.size
+        if vals.shape != (size,):
+            raise ValueError(f"expected {size} values for n={self.n}, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("cost values must be finite")
         vals.setflags(write=False)
@@ -285,19 +360,24 @@ def apply_rescaling(
     that puts amplitude off the support.
     """
     c = r.epsilon * (r.alpha + h.values)
-    check = c if support is None else c[np.asarray(support)]
-    if check.size and (check.min() < -BOUND_TOL or check.max() > math.pi / 4 + BOUND_TOL):
+    check_rescaled(c if support is None else c[np.asarray(support)])
+    return DiagonalHamiltonian(h.n, c, basis=h.basis)
+
+
+def check_rescaled(c: np.ndarray) -> None:
+    """ValueError unless every rescaled cost in c lies in [0, pi/4] (within BOUND_TOL)."""
+    if c.size and (c.min() < -BOUND_TOL or c.max() > math.pi / 4 + BOUND_TOL):
         raise ValueError(
             "rescaled cost leaves [0, pi/4] on the declared support; "
             "the bounds used to build the rescaling are not honest"
         )
-    return DiagonalHamiltonian(h.n, c)
 
 
 def brute_force_optimum(
     h: DiagonalHamiltonian, support: np.ndarray | None = None
 ) -> tuple[float, list[int]]:
-    """Exact maximum cost and all maximizing basis indices (optionally over a support)."""
+    """Exact maximum cost and all maximizing basis indices (optionally over a support
+    mask of h's entries)."""
     if support is None:
         vals = h.values
         h_star = float(vals.max())
@@ -308,6 +388,8 @@ def brute_force_optimum(
             raise ValueError("empty support")
         h_star = float(h.values[mask].max())
         argmax = np.flatnonzero(mask & (h.values == h_star))
+    if h.basis is not None:
+        argmax = h.basis[argmax]
     return h_star, [int(x) for x in argmax]
 
 
@@ -327,29 +409,37 @@ class InstanceTables(NamedTuple):
     drive: DiagonalHamiltonian
     violations: DiagonalHamiltonian | None
     feasible: np.ndarray | None
-    support: np.ndarray | None
 
 
 @lru_cache(maxsize=8)
 def instance_tables(instance: ProblemInstance) -> InstanceTables:
-    """Driving cost, violation counts and feasible support of an instance, built once.
+    """Dense driving cost, violation counts and feasible mask of an instance, built once.
 
     For MIS, violations counts the edges inside each set and feasible marks
-    the independent sets; both are None for MaxCut.  MIS without a penalty
-    weight runs in feasible-subspace mode: the bare cost drives the dynamics
-    and support is the feasible mask, on which rescalings are validated.
-    Otherwise support is None, and a penalty weight lam drives with
-    H - lam * P.  Results are cached per instance and their arrays are
-    read-only.
+    the independent sets; both are None for MaxCut.  A penalty weight lam
+    drives with H - lam * P, otherwise the bare cost drives (subspace_cost
+    is the same cost on the independent sets alone).  Results are cached per
+    instance and their arrays are read-only.
     """
     if instance.kind == "maxcut":
-        return InstanceTables(build_maxcut(instance.graph), None, None, None)
+        return InstanceTables(build_maxcut(instance.graph), None, None)
     h, p = build_mis(instance.graph)
     feasible = p.values == 0
     feasible.setflags(write=False)  # cached: every caller gets this array
-    if instance.penalty_weight is None:
-        return InstanceTables(h, p, feasible, feasible)
-    return InstanceTables(penalize(h, p, instance.penalty_weight), p, feasible, None)
+    if instance.penalty_weight is not None:
+        h = penalize(h, p, instance.penalty_weight)
+    return InstanceTables(h, p, feasible)
+
+
+@lru_cache(maxsize=1)  # as independent_sets
+def subspace_cost(graph: Graph) -> DiagonalHamiltonian:
+    """The independent-set cost on the feasible subspace: each set's vertex count,
+    on the basis independent_sets(graph), with the dense cost's coefficient bounds."""
+    basis = independent_sets(graph)
+    size = np.zeros(basis.size, dtype=np.float64)
+    for u in range(graph.n):
+        size += (basis >> u) & 1
+    return DiagonalHamiltonian(graph.n, size, coeff_bounds=(0.0, float(graph.n)), basis=basis)
 
 
 def feasible_mask(instance: ProblemInstance) -> np.ndarray:

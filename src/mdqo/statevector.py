@@ -1,6 +1,9 @@
-"""Dense n-qubit statevector with diagonal phases, X rotations, and cost statistics.
+"""n-qubit statevector with diagonal phases, X rotations, and cost statistics.
 
 Basis index x encodes the assignment via bit u of x = x_u (see problems.py).
+A state is dense, or lives on a sorted basis of indices (the independent
+sets of feasible-subspace MIS); the rotation and statistics functions here
+take dense states, the mixers both.
 """
 
 from __future__ import annotations
@@ -18,26 +21,40 @@ GROUP_TOL = 1e-9  # tolerance when grouping probabilities by cost value
 
 @dataclass(frozen=True)
 class StateVector:
-    """Length-2**n complex amplitude table with unit norm."""
+    """Complex amplitudes with unit norm: 2**n of them, one per basis index, or
+    one per entry of `basis`, a sorted int64 array of basis indices."""
 
     n: int
     amps: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self._adopt(self.n, np.array(self.amps, dtype=np.complex128, copy=True))
+        basis = self.basis
+        if basis is not None:
+            basis = np.asarray(basis, dtype=np.int64)
+            if basis.flags.writeable:  # a read-only basis, e.g. independent_sets, is shared
+                basis = basis.copy()
+                basis.setflags(write=False)
+            if basis.ndim != 1 or np.any(basis[1:] <= basis[:-1]):
+                raise ValueError("basis must be a strictly increasing 1-d array")
+            if basis.size and (basis[0] < 0 or basis[-1] >= 2**self.n):
+                raise ValueError(f"basis indices must lie in 0..2**{self.n} - 1")
+        self._adopt(self.n, np.array(self.amps, dtype=np.complex128, copy=True), basis)
 
     @classmethod
-    def _own(cls, n: int, amps: np.ndarray) -> StateVector:
+    def _own(cls, n: int, amps: np.ndarray, basis: np.ndarray | None = None) -> StateVector:
         """Wrap complex128 amplitudes that internal code has just built and hands over: no copy."""
-        return object.__new__(cls)._adopt(n, amps)
+        return object.__new__(cls)._adopt(n, amps, basis)
 
-    def _adopt(self, n: int, amps: np.ndarray) -> StateVector:
+    def _adopt(self, n: int, amps: np.ndarray, basis: np.ndarray | None) -> StateVector:
         """Check amps and make them, read-only and uncopied, this state's amplitudes."""
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        size = 2**n if basis is None else basis.size
         if amps.dtype != np.complex128:
             raise ValueError(f"expected complex128 amplitudes, got {amps.dtype}")
-        if amps.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}")
+        if amps.shape != (size,):
+            raise ValueError(f"expected {size} amplitudes for n={self.n}, got shape {amps.shape}")
         flat = amps.view(np.float64)  # einsum's own loop, not a threaded BLAS dot
         norm = math.sqrt(float(np.einsum("i,i->", flat, flat)))
         if abs(norm - 1.0) > NORM_TOL:
@@ -50,21 +67,28 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def uniform_superposition(n: int) -> StateVector:
-    """The flat state |+>^n: 2**n equal real amplitudes."""
-    _check_capacity(n)
-    dim = 2**n
-    return StateVector(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+def uniform_superposition(n: int, basis: np.ndarray | None = None) -> StateVector:
+    """The flat state: equal real amplitudes on all 2**n indices (|+>^n) or on basis."""
+    if basis is None:
+        _check_capacity(n)
+    dim = 2**n if basis is None else basis.size
+    return StateVector(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128), basis)
 
 
-def basis_state(n: int, x: int) -> StateVector:
-    """Computational basis state |x>."""
-    _check_capacity(n)
-    if not 0 <= x < 2**n:
-        raise ValueError(f"basis index {x} out of range for n={n}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[x] = 1.0
-    return StateVector(n, amps)
+def basis_state(n: int, x: int, basis: np.ndarray | None = None) -> StateVector:
+    """Computational basis state |x>, dense or on a basis that holds x."""
+    if basis is None:
+        _check_capacity(n)
+        if not 0 <= x < 2**n:
+            raise ValueError(f"basis index {x} out of range for n={n}")
+        i, size = x, 2**n
+    else:
+        i, size = int(np.searchsorted(basis, x)), basis.size
+        if i == size or basis[i] != x:
+            raise ValueError(f"basis index {x} is not in the basis")
+    amps = np.zeros(size, dtype=np.complex128)
+    amps[i] = 1.0
+    return StateVector(n, amps, basis)
 
 
 def index_to_bitstring(x: int, n: int) -> str:
@@ -96,19 +120,17 @@ def _rotate(
     pairs are mixed only where every control bit is 0.  After the batch axes
     bit u is axis n-1-u: basic slicing fixes each control axis to 0 and
     splits the target axis, and the leading Ellipsis keeps a 0-d view when
-    every other qubit is a control.  Both halves are copied into four
-    contiguous buffers reused for every target and mixed by the ufunc calls
-    that c*a0 - 1j*s*a1 and c*a1 - 1j*s*a0 make, operands in the same order.
-    Contiguous operands keep numpy on one inner loop whatever the view's
-    strides, so each row's bytes match the plain expression; reused buffers
-    spare a fresh 2**(n-1) temporary, and its page faults, per target.
+    every other qubit is a control.  Both halves are copied into contiguous
+    buffers reused for every target and mixed by _mix.  Contiguous operands
+    keep numpy on one inner loop whatever the view's strides, so each row's
+    bytes match the plain expression; reused buffers spare a fresh 2**(n-1)
+    temporary, and its page faults, per target.
     """
     n = amps.shape[-1].bit_length() - 1
-    c, s = math.cos(chi), math.sin(chi)
-    js = 1j * s
+    c, js = math.cos(chi), 1j * math.sin(chi)
     tensor = amps.reshape(amps.shape[:-1] + (2,) * n)
     size = amps.size // 2**n * max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets)
-    buffers = np.empty((4, size), dtype=np.complex128)
+    buffers = np.empty((2, 2 * size), dtype=np.complex128)
     for u, controls in targets:
         idx: list = [slice(None)] * n
         for ctl in controls:
@@ -117,16 +139,42 @@ def _rotate(
         view0 = tensor[(..., *idx)]
         idx[n - 1 - u] = 1
         view1 = tensor[(..., *idx)]
-        a0, a1, t0, t1 = (b[: view0.size].reshape(view0.shape) for b in buffers)
-        np.copyto(a0, view0)
-        np.copyto(a1, view1)
-        np.multiply(c, a0, out=t0)
-        np.multiply(js, a1, out=t1)
-        np.subtract(t0, t1, out=view0)
-        np.multiply(c, a1, out=t0)
-        np.multiply(js, a0, out=t1)
-        np.subtract(t0, t1, out=view1)
+        a, t = (b[: 2 * view0.size].reshape((2, *view0.shape)) for b in buffers)
+        np.copyto(a[0, ...], view0)  # a[0, ...] stays a view when view0 is 0-d
+        np.copyto(a[1, ...], view1)
+        _mix(c, js, a, t, view0, view1)
     return amps
+
+
+def _rotate_pairs(amps: np.ndarray, pairs: tuple[np.ndarray, ...], chi: float) -> np.ndarray:
+    """Rotate 1-d amps in place by chi, one array of index pairs at a time, and return it.
+
+    An array holds the positions i0 and then their partners i1: entry i0[k]
+    mixes with i1[k].  Both halves are gathered into one contiguous array,
+    mixed by _mix as _rotate mixes its views and scattered back, so each
+    pair gets the bytes _rotate gives it.
+    """
+    c, js = math.cos(chi), 1j * math.sin(chi)
+    for index in pairs:
+        a = amps[index].reshape(2, -1)
+        t = np.empty_like(a)
+        _mix(c, js, a, t, t[0], t[1])
+        amps[index] = t.ravel()
+    return amps
+
+
+def _mix(c: float, js: complex, a: np.ndarray, t: np.ndarray, out0, out1) -> None:
+    """The one pair rotation by chi of the halves a[0] = a0 and a[1] = a1, with
+    c = cos(chi) and js = 1j*sin(chi): out0 = c*a0 - js*a1, out1 = c*a1 - js*a0.
+
+    The products of both halves are taken at once, into t and then over a;
+    the outputs may be t's halves.  Every product has one zero factor part,
+    so it rounds once whatever loop numpy picks.
+    """
+    np.multiply(c, a, out=t)
+    np.multiply(js, a, out=a)
+    np.subtract(t[0, ...], a[1, ...], out=out0)
+    np.subtract(t[1, ...], a[0, ...], out=out1)
 
 
 def apply_x_rotation_all(state: StateVector, beta: float) -> StateVector:
@@ -220,8 +268,9 @@ def cost_distribution(state: StateVector, h: DiagonalHamiltonian) -> CostDistrib
 
 
 def sample_bitstring(state: StateVector, rng: np.random.Generator) -> int:
-    """Draw one basis index with probability |amps[x]|^2."""
-    return sample_index(state.probabilities(), rng)
+    """Draw one basis index with probability |amps|^2 at its entry."""
+    i = sample_index(state.probabilities(), rng)
+    return i if state.basis is None else int(state.basis[i])
 
 
 def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:

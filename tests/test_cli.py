@@ -366,35 +366,41 @@ def test_run_feasible_mis_trajectories(tmp_path):
 
 
 def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
-    # The driving Hamiltonian, the feasible support, the feasible-uniform
-    # start and the control loop's level table all share one build.
+    # The driving cost, the feasible-uniform start, the control loop's level
+    # table and the mixer share one build: the independent sets in
+    # feasible-subspace mode, which builds no dense table, and the dense
+    # tables with a penalty weight.
     import mdqo.control
+    import mdqo.mixers
     import mdqo.problems
 
     builds = []
-    original = mdqo.problems.build_mis
+    for name in ("build_mis", "count_independent_sets"):
+        def counted(graph, original=getattr(mdqo.problems, name), name=name):
+            builds.append((name, graph.n))
+            return original(graph)
 
-    def counted(graph):
-        builds.append(graph.n)
-        return original(graph)
-
-    monkeypatch.setattr(mdqo.problems, "build_mis", counted)
-    mdqo.problems.instance_tables.cache_clear()
-    mdqo.control.prepare_tables.cache_clear()
-    config = write_config(
-        tmp_path,
-        {
-            "problem": {"kind": "mis", "graph": G5_BLOCK},
-            "rescaling": {"mode": "brute-force"},
-            "criteria": {"threshold_T": 2.9, "ceiling_KT": 40},
-            "initial_state": {"kind": "feasible-uniform"},
-            "mixer": {"kind": "mis-controlled", "chi_tilde": 4},
-            "run": {"algorithm": 2, "budget": {"max_trajectories": 3}},
-            "seed": 1,
-        },
-    )
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert builds == [5]
+        monkeypatch.setattr(mdqo.problems, name, counted)
+    payload = {
+        "problem": {"kind": "mis", "graph": G5_BLOCK},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"threshold_T": 2.9, "ceiling_KT": 40},
+        "initial_state": {"kind": "feasible-uniform"},
+        "mixer": {"kind": "mis-controlled", "chi_tilde": 4},
+        "run": {"algorithm": 2, "budget": {"max_trajectories": 3}},
+        "seed": 1,
+    }
+    penalised = _with(payload, ["problem", "penalty_weight"], 2.0)
+    for config, built in ((payload, "count_independent_sets"), (penalised, "build_mis")):
+        for cached in (
+            mdqo.problems.instance_tables, mdqo.problems.independent_sets,
+            mdqo.problems.subspace_cost, mdqo.control.prepare_tables, mdqo.mixers._pairs,
+        ):
+            cached.cache_clear()
+        builds.clear()
+        path = write_config(tmp_path, config)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert builds == [(built, 5)]
 
 
 def test_feasible_uniform_start_rejected_for_maxcut(tmp_path, caplog):
@@ -671,9 +677,10 @@ def test_oversized_instance_exits_with_capacity_code(tmp_path):
     assert main(["sweep-counts", "--config", str(config), "--out", str(tmp_path)]) == 3
 
 
-def test_run_scramble_support_leak_exits_with_config_code(tmp_path, caplog):
-    # a transverse-field scramble leaks feasible-subspace MIS onto infeasible
-    # strings whose rescaled cost exceeds pi/4
+def test_run_scramble_support_leak_exits_with_config_code(tmp_path, caplog, compute_stubs):
+    # a transverse-field scramble would leak feasible-subspace MIS onto
+    # infeasible strings whose rescaled cost exceeds pi/4: the mixer is
+    # rejected with the config, before any compute
     config = write_config(
         tmp_path,
         {
@@ -689,11 +696,12 @@ def test_run_scramble_support_leak_exits_with_config_code(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert message.startswith(
-        "config error: run: state puts amplitude on infeasible strings in feasible-subspace mode"
+    assert message == (
+        "config error: mixer: transverse-field puts amplitude on infeasible strings, so it "
+        "cannot scramble feasible-subspace MIS (give problem.penalty_weight)"
     )
-    assert "\n" not in message
     assert list(out.iterdir()) == []
+    assert compute_stubs == []
 
 
 def test_run_above_dense_cap_exits_with_capacity_code(tmp_path, caplog):
@@ -714,6 +722,105 @@ def test_run_above_dense_cap_exits_with_capacity_code(tmp_path, caplog):
     assert message.startswith("capacity error: n=21 exceeds the dense-table cap of 20")
     assert "\n" not in message
     assert list(out.iterdir()) == []
+
+
+def test_feasible_run_past_the_dense_cap(tmp_path):
+    # the shipped n = 28 run keeps its states on the 199,576 independent
+    # sets: a single 2**28-entry array would take 256 MiB as a mask and
+    # 4 GiB as amplitudes
+    import tracemalloc
+
+    from test_golden import ROOT
+
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(ROOT / "configs" / "run_mis_feasible_n28.json"),
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**26
+    config = json.loads((ROOT / "configs" / "run_mis_feasible_n28.json").read_text())
+    graph = Graph.from_1indexed(28, config["problem"]["graph"]["edges"])
+    instance = ProblemInstance(graph, "mis")
+    rows = read_csv(out / "trajectories.csv")
+    assert len(rows) == 200
+    for row in rows:
+        x = bitstring_to_index(row["final_sample"])
+        assert feasible(instance, x)
+        assert float(row["final_cost"]) == x.bit_count()
+
+
+def test_subspace_past_its_cap_exits_with_capacity_code(tmp_path, caplog):
+    # an edgeless graph at n = 25 has 2**25 independent sets, past the
+    # subspace cap: they are counted, never listed
+    import tracemalloc
+
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("n 25\n")
+    config = write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "mis", "graph": {"path": str(graph_path)}},
+            "rescaling": {"mode": "brute-force"},
+            "criteria": {"threshold_T": 20},
+            "initial_state": {"kind": "feasible-uniform"},
+            "mixer": {"kind": "mis-controlled", "chi": 0.3},
+            "run": {"algorithm": 2, "budget": {"max_trajectories": 1}},
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == (
+        "capacity error: the 25-vertex graph has 33554432 independent sets, "
+        "past the subspace cap of 16777216"
+    )
+    assert list(out.iterdir()) == []
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "initial, mixer",
+    [
+        ({"kind": "uniform"}, "transverse-field"),
+        ({"kind": "qaoa1", "grid_resolution": 3}, "mis-controlled"),
+        ({"kind": "basis", "bitstring": "0110"}, "transverse-field"),
+        ({"kind": "mixer-prepared", "chi0": 0.5}, "mis-controlled"),
+    ],
+)
+def test_edgeless_feasible_run_matches_the_dense_run(tmp_path, initial, mixer):
+    # every string of an edgeless graph is an independent set: a uniform or
+    # qaoa1 start and a transverse-field mixer stay in the subspace, and the
+    # run writes what the dense run with a zero penalty writes
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("n 4\n")
+    payload = {
+        "problem": {"kind": "mis", "graph": {"path": str(graph_path)}},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"threshold_T": 3.9, "ceiling_KT": 30, "min_steps_ell": 2},
+        "initial_state": initial,
+        "mixer": {"kind": mixer, "chi_tilde": 3},
+        "run": {"algorithm": 2, "budget": {"max_trajectories": 40}, "trajectory_csv": True},
+        "seed": 5,
+    }
+    dense = _with(payload, ["problem", "penalty_weight"], 0.0)
+    for name, config in (("subspace", payload), ("dense", dense)):
+        path = write_config(tmp_path, config, f"{name}.json")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    for artifact in ("run_summary.json", "trajectories.csv"):
+        subspace = (tmp_path / "subspace" / artifact).read_bytes()
+        assert subspace == (tmp_path / "dense" / artifact).read_bytes()
+    assert any(row["scrambles"] != "0" for row in read_csv(tmp_path / "dense" / "trajectories.csv"))
 
 
 def test_graph_file_input(tmp_path):
@@ -1032,6 +1139,34 @@ BAD_CONFIGS = {
         "run", _with(_with(RUN, ["problem", "kind"], "mis"), ["initial_state"], {"kind": "qaoa1"}),
         [],
         "initial_state: qaoa1 puts amplitude on infeasible strings",
+    ),
+    "uniform start in feasible-subspace mode": (
+        "run", _with(RUN, ["problem", "kind"], "mis"), [],
+        "initial_state: uniform puts amplitude on infeasible strings",
+    ),
+    "basis start off the independent sets": (
+        "run",
+        _with(
+            _with(RUN, ["problem", "kind"], "mis"),
+            ["initial_state"],
+            {"kind": "basis", "bitstring": "11000"},
+        ),
+        [],
+        "initial_state.bitstring 11000 is not an independent set",
+    ),
+    "transverse-field mixer in feasible-subspace mode": (
+        "run",
+        _with(
+            _with(
+                _with(_with(RUN, ["problem", "kind"], "mis"), ["run", "algorithm"], 2),
+                ["mixer"],
+                {"kind": "transverse-field", "chi": 0.3},
+            ),
+            ["initial_state"],
+            {"kind": "feasible-uniform"},
+        ),
+        [],
+        "mixer: transverse-field puts amplitude on infeasible strings",
     ),
     "mixer-prepared maxcut": (
         "run", _with(RUN, ["initial_state"], {"kind": "mixer-prepared", "chi0": 0.3}), [],

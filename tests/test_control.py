@@ -10,13 +10,16 @@ from mdqo import (
     TRANSVERSE_FIELD,
     Budget,
     CriteriaConfig,
+    Graph,
     MixerSpec,
     OutcomeCounts,
     OuterConfig,
     ProblemInstance,
     StateVector,
     StepCapError,
+    apply_rescaling,
     basis_state,
+    driving_hamiltonian,
     evaluate_return,
     feasible,
     feasible_mask,
@@ -30,6 +33,7 @@ from mdqo import (
     trajectory_rng,
     uniform_superposition,
 )
+from mdqo.control import prepare_tables
 
 
 def test_criteria_validation():
@@ -214,12 +218,17 @@ def test_feasible_mode_rejects_infeasible_start(mis_instance, mis_pair):
 
 
 LEAK_MESSAGE = "state puts amplitude on infeasible strings in feasible-subspace mode"
+MIXER_MESSAGE = (
+    "a transverse-field mixer puts amplitude on infeasible strings, "
+    "so it cannot scramble feasible-subspace MIS"
+)
 
 
 def leaking_run(mis_instance, mis_pair, **kwargs):
-    # A transverse-field scramble in feasible-subspace mode moves amplitude
-    # onto infeasible strings, where the rescaled cost reaches 5 * pi/12 >
-    # pi/4.  trajectory_rng(0, 0) fails its first step, which scrambles.
+    # A transverse-field scramble in feasible-subspace mode would move
+    # amplitude onto infeasible strings, where the rescaled cost reaches
+    # 5 * pi/12 > pi/4.  trajectory_rng(0, 0) fails its first step, which
+    # would scramble; the mixer is rejected on entry instead.
     mask = feasible_mask(mis_instance)
     initial = StateVector(5, mask / np.sqrt(mask.sum()))
     h_bare, _ = mis_pair
@@ -233,18 +242,36 @@ def leaking_run(mis_instance, mis_pair, **kwargs):
 def test_scramble_support_leak_rejected(mis_instance, mis_pair):
     with pytest.raises(ValueError) as info:
         leaking_run(mis_instance, mis_pair)
-    assert str(info.value).startswith(LEAK_MESSAGE)
+    assert str(info.value) == MIXER_MESSAGE
 
 
-def test_step_cap_precedes_support_leak(mis_instance, mis_pair):
-    # the scramble fills the one-step budget: the cap is checked before the
-    # next weak step would report the leak, but a diagnostics record reads
-    # the mixed state at once
+def test_mixer_check_precedes_step_cap(monkeypatch, mis_instance, mis_pair):
+    # the mixer is checked on entry, before any step: a one-step budget,
+    # which the first scramble would fill, makes no difference, and no
+    # mixer is ever applied
+    monkeypatch.setattr("mdqo.control.apply_mixer", None)
+    for diagnostics in (False, True):
+        with pytest.raises(ValueError) as info:
+            leaking_run(mis_instance, mis_pair, max_steps=1, record_diagnostics=diagnostics)
+        assert str(info.value) == MIXER_MESSAGE
+
+
+def test_step_cap_precedes_in_loop_leak(monkeypatch, g5, mis_instance, mis_pair):
+    # a mixer that lands off the independent sets is caught when the next
+    # step weighs its state: a scramble that fills the one-step budget hits
+    # the cap first, but a diagnostics record reads the mixed state at once
+    mask = feasible_mask(mis_instance)
+    h_bare, _ = mis_pair
+    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    monkeypatch.setattr("mdqo.control.apply_mixer", lambda state, mixer: basis_state(5, 0b00110))
+    initial = StateVector(5, mask / np.sqrt(mask.sum()))
+    run = (mis_instance, resc, initial, CriteriaConfig(threshold_T=2.5),
+           MixerSpec(MIS_CONTROLLED, 0.4, g5))
     with pytest.raises(StepCapError):
-        leaking_run(mis_instance, mis_pair, max_steps=1)
+        run_algorithm2(*run, trajectory_rng(0, 0), max_steps=1)
     with pytest.raises(ValueError) as info:
-        leaking_run(mis_instance, mis_pair, max_steps=1, record_diagnostics=True)
-    assert str(info.value).startswith(LEAK_MESSAGE)
+        run_algorithm2(*run, trajectory_rng(0, 0), max_steps=1, record_diagnostics=True)
+    assert str(info.value) == LEAK_MESSAGE
 
 
 def test_in_range_scramble_leak_rejected(monkeypatch, g5, mis_instance, mis_pair):
@@ -440,3 +467,27 @@ def test_empirical_surplus_steps_respect_drift_bound(
     mean = float(np.mean(steps))
     stderr = float(np.std(steps, ddof=1) / math.sqrt(len(steps)))
     assert mean <= 5 / (2 * p_min - 1) + 3 * stderr
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_subspace_level_table_is_the_dense_one(n):
+    # feasible-subspace mode keeps every vertex-count level the dense table
+    # has, levels no independent set reaches included, so the posterior q
+    # keeps its length and its sums their bits; c gets the bits the dense
+    # per-string rescaling gives each level
+    rng = np.random.default_rng([n, 41])
+    graph = Graph(
+        n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
+    )
+    inst = ProblemInstance(graph, "mis")
+    mask = feasible_mask(inst)
+    h_dense = driving_hamiltonian(inst)
+    resc = rescaling_from_bounds(spectrum_bounds(h_dense, "brute-force", support=mask))
+    values, level = h_dense.levels
+    c = np.empty_like(values)
+    c[level] = apply_rescaling(resc, h_dense, support=mask).values
+    tables = prepare_tables(inst, resc)
+    assert tables.h.tobytes() == values.tobytes() and values.size == n + 1
+    assert tables.c.tobytes() == c.tobytes()
+    assert np.array_equal(tables.basis, np.flatnonzero(mask))
+    assert np.array_equal(tables.level, level[tables.basis])

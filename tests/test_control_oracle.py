@@ -27,6 +27,7 @@ from mdqo import (
     driving_hamiltonian,
     evaluate_return,
     expectation,
+    feasible_initial_state,
     feasible_mask,
     peak_position,
     qaoa1_state,
@@ -114,6 +115,19 @@ def feasible_mis_algorithm2(n):
     return inst, tight(h, mask), initial, crit, MixerSpec(MIS_CONTROLLED, 0.5, graph)
 
 
+def mixer_prepared_mis_algorithm2(n):
+    # a dense mixer-prepared start, restricted to the independent sets on entry
+    graph = random_graph(n, 5)
+    inst = ProblemInstance(graph, "mis")
+    mask = feasible_mask(inst)
+    h = driving_hamiltonian(inst)
+    crit = CriteriaConfig(
+        threshold_T=float(h.values[mask].max()) - 0.5, ceiling_KT=30, min_steps_ell=3
+    )
+    initial = feasible_initial_state(graph, 0.8)
+    return inst, tight(h, mask), initial, crit, MixerSpec(MIS_CONTROLLED, 0.5, graph)
+
+
 def maxcut_algorithm2(n):
     # a depth-1 ansatz start: complex amplitudes before the first scramble
     inst = ProblemInstance(random_graph(n, 4), "maxcut")
@@ -132,6 +146,8 @@ CASES = [
     (penalised_mis_algorithm1, 7),
     (feasible_mis_algorithm2, 5),
     (feasible_mis_algorithm2, 8),
+    (feasible_mis_algorithm2, 12),
+    (mixer_prepared_mis_algorithm2, 9),
     (maxcut_algorithm2, 6),
     (maxcut_algorithm2, 7),
 ]

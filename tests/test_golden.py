@@ -33,6 +33,7 @@ COMMANDS = {
     "run_maxcut_n12.json": "run",
     "run_mis_feasible.json": "run",
     "run_mis_feasible_n12.json": "run",
+    "run_mis_feasible_n28.json": "run",
     "run_mis_penalty_n12.json": "run",
     "scramble.json": "scramble-study",
     "walk.json": "walk",

@@ -17,14 +17,18 @@ from mdqo import (
     build_maxcut,
     build_mis,
     cost_hamiltonian,
+    count_independent_sets,
     driving_hamiltonian,
     feasible,
     feasible_mask,
+    independent_sets,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
     spectrum_bounds,
+    subspace_cost,
 )
+from mdqo.problems import SUBSPACE_CAP
 
 
 def test_graph_normalizes_and_deduplicates():
@@ -261,3 +265,78 @@ def test_hamiltonian_validation():
 def test_values_are_write_protected(maxcut_h):
     with pytest.raises(ValueError):
         maxcut_h.values[0] = 7.0
+
+
+def fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def path(n: int) -> Graph:
+    return Graph(n, tuple((u, u + 1) for u in range(n - 1)))
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, path(n).edges + ((0, n - 1),))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_independent_set_counts_of_paths_and_cycles(n):
+    # |IS(P_n)| = F(n + 2) and |IS(C_n)| = L(n) = F(n - 1) + F(n + 1)
+    assert count_independent_sets(path(n)) == fibonacci(n + 2)
+    if n >= 3:
+        assert count_independent_sets(cycle(n)) == fibonacci(n - 1) + fibonacci(n + 1)
+    if n <= 24:
+        assert independent_sets(path(n)).size == fibonacci(n + 2)
+        if n >= 3:
+            assert independent_sets(cycle(n)).size == fibonacci(n - 1) + fibonacci(n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_basis_is_the_dense_feasible_mask(n):
+    rng = np.random.default_rng([n, 31])
+    density = (0.1, 0.3, 0.6)[n % 3]
+    graph = Graph(
+        n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+    )
+    basis = independent_sets(graph)
+    assert basis.dtype == np.int64 and not basis.flags.writeable
+    assert np.array_equal(basis, np.flatnonzero(feasible_mask(ProblemInstance(graph, "mis"))))
+    assert count_independent_sets(graph) == basis.size
+
+
+def test_subspace_cost_is_the_dense_cost_on_the_basis(g5, mis_pair, mis_instance):
+    cost = subspace_cost(g5)
+    assert np.array_equal(cost.basis, independent_sets(g5))
+    assert cost.values.tobytes() == mis_pair[0].values[cost.basis].tobytes()
+    assert cost.coeff_bounds == mis_pair[0].coeff_bounds
+    mask = feasible_mask(mis_instance)
+    for mode in ("brute-force", "coefficient-sum"):
+        assert spectrum_bounds(cost, mode) == spectrum_bounds(mis_pair[0], mode, support=mask)
+    assert brute_force_optimum(cost) == brute_force_optimum(mis_pair[0], support=mask)
+    resc = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
+    c = apply_rescaling(resc, cost)
+    assert c.basis is cost.basis
+    dense = apply_rescaling(resc, mis_pair[0], support=mask)
+    assert c.values.tobytes() == dense.values[cost.basis].tobytes()
+
+
+def test_subspace_cap(monkeypatch):
+    # F(37) = 24,157,817 sets pass the cap and are counted, never listed;
+    # an int64 basis index holds 63 vertices
+    assert fibonacci(36) <= SUBSPACE_CAP < fibonacci(37)
+    with pytest.raises(CapacityError, match="past the subspace cap of 16777216"):
+        independent_sets(path(35))
+    with pytest.raises(CapacityError, match="63 vertices"):
+        count_independent_sets(Graph(64, tuple((u, u + 1) for u in range(63))))
+    # a star whose centre comes last keeps every set of leaves apart until
+    # the end: the count stops once those patterns pass the cap
+    monkeypatch.setattr("mdqo.problems.SUBSPACE_CAP", 2**10)
+    star = Graph(16, tuple((u, 15) for u in range(15)))
+    with pytest.raises(CapacityError, match="more independent sets than the subspace cap of 1024"):
+        independent_sets(star)
+    with pytest.raises(CapacityError, match="has 1025 independent sets, past the subspace cap"):
+        independent_sets(Graph(11, tuple((0, v) for v in range(1, 11))))
+    assert independent_sets(Graph(10, ())).size == 1024

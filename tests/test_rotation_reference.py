@@ -3,7 +3,10 @@
 The reference gathers and scatters the (x, x | 2**u) pairs through index
 arrays built from np.arange(2**n).  Every kernel caller must reproduce it
 byte for byte and leave its input state untouched, and a batch of states
-through the kernel must give each row the bytes of a single-state call.
+through the kernel must give each row the bytes of a single-state call.  A
+state on the independent sets must get, from the mixers, the bytes the
+reference gives those strings, and the reference must leave exactly 0 on
+every other string.
 """
 
 import math
@@ -22,6 +25,7 @@ from mdqo import (
     apply_x_rotation_all,
     feasible_initial_state,
 )
+from mdqo.problems import independent_sets
 from mdqo.statevector import _rotate
 
 from conftest import random_state
@@ -73,7 +77,7 @@ def special_graphs() -> list[Graph]:
 
 def all_graphs() -> list[Graph]:
     rng = np.random.default_rng(11)
-    return [random_graph(rng, n) for n in range(1, 11)] + special_graphs()
+    return [random_graph(rng, n) for n in range(1, 13)] + special_graphs()
 
 
 def check_same(state: StateVector, out: StateVector, expected: np.ndarray, before: bytes):
@@ -129,3 +133,56 @@ def test_feasible_initial_state_matches_reference(graph):
     expected = reference_mixer(empty, graph.n, graph, 0.6)
     assert feasible_initial_state(graph, 0.6).amps.tobytes() == expected.tobytes()
 
+
+
+def subspace_state(graph: Graph, seed: int) -> StateVector:
+    """A random state on the graph's independent sets."""
+    basis = independent_sets(graph)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    return StateVector(graph.n, amps / np.linalg.norm(amps), basis)
+
+
+def check_subspace(out: StateVector, expected: np.ndarray, basis: np.ndarray):
+    """out holds the reference's bytes on basis, which holds every nonzero entry."""
+    assert out.basis is basis
+    assert out.amps.tobytes() == expected[basis].tobytes()
+    off = np.ones(expected.size, dtype=bool)
+    off[basis] = False
+    assert np.all(expected[off] == 0)
+
+
+@pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("chi", [0.0, 0.37, -1.1, math.pi / 2])
+def test_subspace_mixer_matches_reference(graph, chi):
+    n = graph.n
+    state = subspace_state(graph, n + 500)
+    before = state.amps.tobytes()
+    dense = np.zeros(2**n, dtype=np.complex128)
+    dense[state.basis] = state.amps
+    expected = reference_mixer(dense, n, graph, chi)
+    check_subspace(apply_mixer(state, MixerSpec(MIS_CONTROLLED, chi, graph)), expected, state.basis)
+    assert state.amps.tobytes() == before
+    transverse = MixerSpec(TRANSVERSE_FIELD, chi)
+    if graph.m:
+        with pytest.raises(ValueError, match="transverse-field mixer puts amplitude"):
+            apply_mixer(state, transverse)
+    else:  # every string is independent: the transverse field keeps them all
+        expected = reference_mixer(dense, n, None, chi)
+        check_subspace(apply_mixer(state, transverse), expected, state.basis)
+
+
+@pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_subspace_initial_state_matches_reference(graph):
+    empty = np.zeros(2**graph.n, dtype=np.complex128)
+    empty[0] = 1.0
+    expected = reference_mixer(empty, graph.n, graph, 0.6)
+    state = feasible_initial_state(graph, 0.6, independent_sets(graph))
+    check_subspace(state, expected, independent_sets(graph))
+
+
+def test_subspace_mixer_rejects_another_basis():
+    path, star = Graph(4, ((0, 1), (1, 2), (2, 3))), Graph(4, ((0, 1), (0, 2), (0, 3)))
+    state = subspace_state(path, 1)
+    with pytest.raises(ValueError, match="not the independent sets of the mixer's graph"):
+        apply_mixer(state, MixerSpec(MIS_CONTROLLED, 0.3, star))

@@ -1,10 +1,11 @@
-"""The final sample over a base state's support against the dense rule it replaced.
+"""The final sample over the independent sets against the dense rule it replaced.
 
-The reference weighs all 2**n entries, |amps|^2 * (q / w)[level], and hands
-them to sample_index.  The control loop reads only the entries the base
-records in its index (the nonzero |amps|^2) and must pick
-the same basis index for every draw, on the bases of real trajectories and
-on draws placed at the edges of the cumulative sum.
+The reference weighs all 2**n basis states, |amps|^2 * (q / w)[level], with
+a feasible-subspace base's amplitudes put back on their strings and 0
+everywhere else, and hands them to sample_index.  In feasible-subspace mode
+the control loop reads only the independent sets and must pick the same
+basis index for every draw, on the bases of real trajectories and on draws
+placed at the edges of the cumulative sum.
 """
 
 import math
@@ -29,6 +30,7 @@ from mdqo import (
     spectrum_bounds,
     uniform_superposition,
 )
+from mdqo.problems import subspace_cost
 from mdqo import control
 from mdqo.statevector import sample_index
 
@@ -36,17 +38,34 @@ SEEDS = 1000
 
 
 def dense_weights(tables, base, q) -> np.ndarray:
-    """|amps|^2 * (q / w)[level] over every basis state."""
-    weights = np.abs(base.state.amps)
+    """|amps|^2 * (q / w)[level] over every basis state.
+
+    A feasible-subspace base is put back on its strings, with amplitude 0
+    and the vertex count as level on every other string, as the dense
+    tables had them.
+    """
+    amps, level = base.state.amps, tables.level
+    if tables.basis is not None:
+        amps = np.zeros(2**tables.n, dtype=np.complex128)
+        amps[tables.basis] = base.state.amps
+        index = np.arange(2**tables.n)
+        level = sum((index >> u) & 1 for u in range(tables.n))
+    weights = np.abs(amps)
     weights *= weights
     ratio = np.divide(q, base.w, out=np.zeros_like(q), where=base.w > 0)
-    weights *= ratio.take(tables.level)
+    weights *= ratio.take(level)
     return weights
 
 
 def reference_sample(tables, base, q, rng) -> int:
     """The dense body: weigh every basis state, then draw."""
     return sample_index(dense_weights(tables, base, q), rng)
+
+
+def drawn(tables, base, q, rng) -> int:
+    """The basis index of the entry control._sample draws."""
+    i = control._sample(tables, base, q, rng)
+    return i if tables.basis is None else int(tables.basis[i])
 
 
 class Draw:
@@ -123,19 +142,20 @@ def assert_same_draws(cases):
     for seed in range(SEEDS):
         tables, base, q = cases[seed % len(cases)]
         expected = reference_sample(tables, base, q, np.random.default_rng(seed))
-        assert control._sample(tables, base, q, np.random.default_rng(seed)) == expected
+        assert drawn(tables, base, q, np.random.default_rng(seed)) == expected
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_feasible_bases_sample_like_the_dense_rule(monkeypatch, n):
     initial, seen = sampled_bases(monkeypatch, feasible_mis, n)
-    starts = [case for case in seen if case[1].state is initial]
-    scrambled = [case for case in seen if case[1].state is not initial]
+    tables = seen[0][0]
+    start = initial.amps[tables.basis].tobytes()
+    starts = [case for case in seen if case[1].state.amps.tobytes() == start]
+    scrambled = [case for case in seen if case[1].state.amps.tobytes() != start]
     assert starts and scrambled
     for tables, base, _ in seen:
-        probs = np.abs(base.state.amps) ** 2
-        assert np.array_equal(base.index, np.flatnonzero(probs))
-        assert base.index.size < 2**n
+        assert base.state.basis is tables.basis
+        assert tables.basis.size < 2**n
     assert_same_draws(starts)
     assert_same_draws(scrambled)
 
@@ -143,18 +163,24 @@ def test_feasible_bases_sample_like_the_dense_rule(monkeypatch, n):
 @pytest.mark.parametrize("case, n", [(penalised_mis, 8), (maxcut, 10)])
 def test_full_support_keeps_the_dense_path(monkeypatch, case, n):
     _, seen = sampled_bases(monkeypatch, case, n)
-    assert seen and all(base.index is None for _, base, _ in seen)
+    assert seen and all(tables.basis is None for tables, _, _ in seen)
     assert_same_draws(seen)
 
 
 def weighed(n: int, probs: dict[int, float]):
-    """A base with |amps|^2 = probs on a MaxCut path, and its own level weights.
+    """A feasible-subspace base with |amps|^2 = probs, and its own level weights.
 
+    The graph joins every two vertices that no listed index holds both of,
+    so each listed index is an independent set, among others that weigh 0.
     With the base's level weights as the posterior, q / w is 1 on every level
     the base reaches, so the sample weights are exactly |amps|^2.
     """
-    inst = ProblemInstance(Graph(n, tuple((u, u + 1) for u in range(n - 1))), "maxcut")
-    tables = control.prepare_tables(inst, tight(driving_hamiltonian(inst)))
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if not any((x >> u) & (x >> v) & 1 for x in probs)
+    )
+    graph = Graph(n, edges)
+    tables = control.prepare_tables(ProblemInstance(graph, "mis"), tight(subspace_cost(graph)))
     amps = np.zeros(2**n, dtype=np.complex128)
     for x, p in probs.items():
         amps[x] = math.sqrt(p)
@@ -180,16 +206,15 @@ def check_edges(tables, base, q) -> list[int]:
     picks = []
     for u in edge_draws(dense_cdf(tables, base, q)):
         expected = reference_sample(tables, base, q, Draw(u))
-        assert control._sample(tables, base, q, Draw(u)) == expected, u
+        assert drawn(tables, base, q, Draw(u)) == expected, u
         picks.append(expected)
     return picks
 
 
 def test_draw_equal_to_a_prefix_sum():
     tables, base, q = weighed(3, {1: 0.25, 3: 0.25, 4: 0.25, 6: 0.25})
-    assert base.index.tolist() == [1, 3, 4, 6]
     for u, expected in [(0.0, 1), (0.25, 3), (0.5, 4), (0.75, 6)]:
-        assert control._sample(tables, base, q, Draw(u)) == expected
+        assert drawn(tables, base, q, Draw(u)) == expected
     check_edges(tables, base, q)
 
 
@@ -200,7 +225,7 @@ def test_draw_above_a_total_below_one_returns_the_last_index():
     assert total < 1.0
     for u in (total, (total + 1.0) / 2, math.nextafter(1.0, 0.0)):
         assert reference_sample(tables, base, q, Draw(u)) == 9
-        assert control._sample(tables, base, q, Draw(u)) == 9
+        assert drawn(tables, base, q, Draw(u)) == 9
     check_edges(tables, base, q)
 
 
@@ -208,22 +233,23 @@ def test_feasible_draw_above_a_total_below_one_stays_on_the_support():
     inst, resc, _, _, _ = feasible_mis(6)
     tables = control.prepare_tables(inst, resc)
     scale = 1.0 - 2.0**-36  # inside the state norm tolerance
-    amps = tables.support * math.sqrt(scale / tables.support.sum())
-    base = control._weigh(tables, StateVector(6, amps.astype(np.complex128)), False)
+    size = tables.basis.size
+    amps = np.full(size, math.sqrt(scale / size), dtype=np.complex128)
+    base = control._weigh(tables, StateVector(6, amps, tables.basis), False)
     q = base.w.copy()
     assert dense_cdf(tables, base, q)[-1] < 1.0
-    last = int(np.flatnonzero(tables.support)[-1])
+    last = int(tables.basis[-1])
     assert last < 2**6 - 1
     expected = reference_sample(tables, base, q, Draw(math.nextafter(1.0, 0.0)))
-    assert control._sample(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == expected == last
-    assert set(check_edges(tables, base, q)) <= set(np.flatnonzero(tables.support).tolist())
+    assert drawn(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == expected == last
+    assert set(check_edges(tables, base, q)) <= set(tables.basis.tolist())
 
 
 def test_total_above_one():
     scale = 1.0 + 2.0**-36
     tables, base, q = weighed(4, {0: 0.5 * scale, 5: 0.5 * scale})
     assert dense_cdf(tables, base, q)[-2] > 1.0
-    assert control._sample(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == 5
+    assert drawn(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == 5
     check_edges(tables, base, q)
 
 
@@ -235,19 +261,16 @@ def test_single_nonzero_entry(x):
 
 def test_nonzero_last_entry():
     tables, base, q = weighed(3, {2: 0.5, 7: 0.5})
-    assert base.index.tolist() == [2, 7]
     assert set(check_edges(tables, base, q)) == {2, 7}
 
 
 def test_zero_runs_at_both_ends():
     tables, base, q = weighed(5, {3: 0.125, 4: 0.375, 6: 0.5})
-    assert base.index.tolist() == [3, 4, 6]
     assert set(check_edges(tables, base, q)) == {3, 4, 6}
 
 
 def test_zero_posterior_on_a_kept_entry():
-    tables, base, q = weighed(3, {0: 0.25, 1: 0.5, 2: 0.25})
-    q[tables.level[2]] = 0.0  # cut values 0, 1 and 2: one level each
+    tables, base, q = weighed(3, {0: 0.25, 1: 0.5, 3: 0.25})
+    q[2] = 0.0  # level 2 holds the two-vertex set 3 alone
     q /= q.sum()
-    assert base.index.tolist() == [0, 1, 2]
     assert set(check_edges(tables, base, q)) == {0, 1}

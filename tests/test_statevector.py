@@ -1,4 +1,4 @@
-"""Tests for the dense statevector operations and cost statistics."""
+"""Tests for the statevector operations and cost statistics, dense and on a basis."""
 
 import math
 
@@ -22,11 +22,13 @@ from mdqo import (
     cost_distribution,
     expectation,
     index_to_bitstring,
+    rescaling_from_bounds,
     sample_bitstring,
+    spectrum_bounds,
     uniform_superposition,
 )
 from mdqo.control import _materialise, _weigh, prepare_tables
-from mdqo.problems import DiagonalHamiltonian
+from mdqo.problems import DiagonalHamiltonian, independent_sets, subspace_cost
 
 from conftest import random_state
 
@@ -209,3 +211,39 @@ def test_built_states_are_read_only_and_own_their_amplitudes(g5, c_tight, tight_
     for out in outputs:
         assert not out.amps.flags.writeable
         assert not np.shares_memory(out.amps, state.amps)
+
+
+def test_states_on_a_basis(g5):
+    basis = independent_sets(g5)
+    flat = uniform_superposition(5, basis)
+    assert flat.basis is basis and flat.amps.shape == basis.shape
+    dense = np.zeros(32, dtype=np.complex128)
+    dense[basis] = 1.0
+    dense /= math.sqrt(basis.size)
+    assert flat.amps.tobytes() == dense[basis].tobytes()
+    one = basis_state(5, 0b11001, basis)
+    assert one.amps[np.searchsorted(basis, 0b11001)] == 1.0
+    assert sample_bitstring(one, np.random.default_rng(0)) == 0b11001
+    draws = {sample_bitstring(flat, np.random.default_rng(seed)) for seed in range(200)}
+    assert draws == set(basis.tolist())
+    with pytest.raises(ValueError, match="not in the basis"):
+        basis_state(5, 0b00110, basis)
+    copied = StateVector(5, flat.amps, basis.tolist())
+    assert not copied.basis.flags.writeable and copied.basis is not basis
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StateVector(2, [0.6, 0.8], [3, 1])
+    with pytest.raises(ValueError, match="must lie in"):
+        StateVector(2, [0.6, 0.8], [1, 4])
+    with pytest.raises(ValueError, match="expected 2 amplitudes"):
+        StateVector(2, [0.6, 0.8, 0.0], [1, 2])
+
+
+def test_materialised_subspace_states_keep_the_basis(g5):
+    cost = subspace_cost(g5)
+    tables = prepare_tables(
+        ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
+    )
+    base = _weigh(tables, uniform_superposition(5, cost.basis), False)
+    out = _materialise(tables, base, base.w)
+    assert out.basis is tables.basis is cost.basis
+    assert not out.amps.flags.writeable
