@@ -18,10 +18,12 @@ key, i.e. one the command does not read, even if it belongs to another kind; a
 --seed below 0; negative outcome counts; an outcome count, a k1 = k0 + L of a
 surplus grid or a walk.L or walk.R past the float range; a feasible-subspace
 MIS run with a uniform start, a basis start that is not an independent set or
-a transverse-field mixer, on a graph with an edge; and a run whose criteria
+a transverse-field mixer, and a postprocess or scramble-study of
+feasible-subspace MIS, on a graph with an edge; and a run whose criteria
 never fire within run.max_steps_per_trajectory), 3 capacity error (n above the
-dense cap, more independent sets than SUBSPACE_CAP in a feasible-subspace MIS
-run, a depth-1 grid above GRID_CAP); logs go to standard error.
+dense cap where a dense table is built, more independent sets than
+SUBSPACE_CAP where feasible-subspace MIS lives on them, a depth-1 grid above
+GRID_CAP); logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -275,13 +277,11 @@ def _bound_entry(owner: _Block, value, path: str, named: bool = True) -> dict:
     return entry
 
 
-def _resolve_rescaling(
-    entry: dict, h: DiagonalHamiltonian, support
-) -> tuple[Rescaling, dict]:
+def _resolve_rescaling(entry: dict, h: DiagonalHamiltonian) -> tuple[Rescaling, dict]:
     """Build the rescaling for a normalized bound entry; returns it plus an echo dict."""
     user = entry["bounds"] if entry["mode"] == "user-supplied" else None
     try:
-        bounds = spectrum_bounds(h, entry["mode"], support=support, user=user)
+        bounds = spectrum_bounds(h, entry["mode"], user=user)
         rescaling = rescaling_from_bounds(bounds)
     except ValueError as exc:  # DegenerateSpectrumError included
         raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
@@ -290,18 +290,16 @@ def _resolve_rescaling(
     return rescaling, echo
 
 
-def _rescaled(
-    entry: dict, h: DiagonalHamiltonian, support=None
-) -> tuple[DiagonalHamiltonian, dict]:
+def _rescaled(entry: dict, h: DiagonalHamiltonian) -> tuple[DiagonalHamiltonian, dict]:
     """The rescaled cost table of a study command, plus its echo dict.
 
     Coefficient-sum bounds of a penalised MIS cost are not honest on every
     graph (an isolated vertex lowers the minimum), so the range check of
     apply_rescaling is a config error too.
     """
-    rescaling, echo = _resolve_rescaling(entry, h, support)
+    rescaling, echo = _resolve_rescaling(entry, h)
     try:
-        return apply_rescaling(rescaling, h, support), echo
+        return apply_rescaling(rescaling, h), echo
     except ValueError as exc:
         raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
 
@@ -479,26 +477,28 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
         lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
     cfg.close()
 
-    # (label, driving cost, extra reported cost P, support, initial state)
+    # (label, driving cost, extra reported cost P, initial state); the feasible
+    # variant lives on the independent sets, as run keeps it, the others are dense
     n = instance.graph.n
-    uniform = uniform_superposition(n)
     if instance.kind == "maxcut":
-        variants = [("maxcut", driving_hamiltonian(instance), None, None, uniform)]
+        variants = [("maxcut", driving_hamiltonian(instance), None, uniform_superposition(n))]
     else:
-        bare = instance_tables(ProblemInstance(instance.graph, "mis"))
         variants = []
         if "feasible" in kinds:
-            initial = _feasible_uniform(n, bare.feasible)
-            variants.append(("feasible", bare.drive, None, bare.feasible, initial))
-        for lam in lams:
-            h_pen = penalize(bare.drive, bare.violations, lam)
-            variants.append((f"penalized_lam{lam:g}", h_pen, bare.violations, None, uniform))
+            cost = subspace_cost(instance.graph)
+            variants.append(("feasible", cost, None, uniform_superposition(n, cost.basis)))
+        if lams:
+            bare = instance_tables(ProblemInstance(instance.graph, "mis"))
+            uniform = uniform_superposition(n)
+            for lam in lams:
+                h_pen = penalize(bare.drive, bare.violations, lam)
+                variants.append((f"penalized_lam{lam:g}", h_pen, bare.violations, uniform))
 
     scaled = []
     echoes: list[dict] = []
-    for label, h_drive, h_extra, support, initial in variants:
+    for label, h_drive, h_extra, initial in variants:
         for entry in bound_entries:
-            c, echo = _rescaled(entry, h_drive, support)
+            c, echo = _rescaled(entry, h_drive)
             echo["variant"] = label
             echoes.append(echo)
             scaled.append((f"{label}_{entry['name']}", h_drive, h_extra, initial, c))
@@ -534,6 +534,7 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
 
 def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
+    _leaves_subspace(instance, "postprocess: the depth-1 ansatz", "study")
     post = cfg.block("postprocess", {})
     resolution = post.get("grid_resolution", int, 256, minimum=2)
     check_grid_size(instance.graph.n, resolution)
@@ -575,6 +576,7 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
 
 def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     instance = _parse_problem(cfg)
+    _leaves_subspace(instance, "scramble: the uniform start", "study")
     block = cfg.block("scramble")
     start_pair = block.pair("start_counts", int, minimum=0)
     start_counts = OutcomeCounts(*_float_sized(start_pair, block.key("start_counts")))
@@ -681,7 +683,7 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
         cost = subspace_cost(instance.graph)
     else:
         cost = driving_hamiltonian(instance)
-    rescaling, echo = _resolve_rescaling(entry, cost, None)
+    rescaling, echo = _resolve_rescaling(entry, cost)
     try:
         # checked before the initial state, whose qaoa1 kind runs a grid search
         outer = OuterConfig(rescaling, None, criteria, mixer, **options)

@@ -290,28 +290,21 @@ class Bounds:
 
 
 def spectrum_bounds(
-    h: DiagonalHamiltonian,
-    mode: str,
-    support: np.ndarray | None = None,
-    user: tuple[float, float] | None = None,
+    h: DiagonalHamiltonian, mode: str, user: tuple[float, float] | None = None
 ) -> Bounds:
     """Spectrum bounds in one of three modes.
 
     coefficient-sum reads the structural bounds recorded at construction;
-    brute-force enumerates the dense table; user-supplied validates the given
-    (s, t) against the table.  `support` optionally restricts enumeration and
-    validation to a declared support (boolean mask over basis indices), e.g.
-    the feasible subspace of a constrained instance.
+    brute-force enumerates the table; user-supplied validates the given
+    (s, t) against the table.  A table on a basis bounds those entries
+    alone: subspace_cost gives the feasible bounds of a constrained instance.
     """
     if mode == "coefficient-sum":
         if h.coeff_bounds is None:
             raise ValueError("no structural coefficient bounds recorded for this Hamiltonian")
         s, t = h.coeff_bounds
         return Bounds(float(s), float(t), mode)
-    vals = h.values if support is None else h.values[np.asarray(support)]
-    if vals.size == 0:
-        raise ValueError("empty support")
-    lo, hi = float(vals.min()), float(vals.max())
+    lo, hi = float(h.values.min()), float(h.values.max())
     if mode == "brute-force":
         s = -lo
         if s == 0:
@@ -347,20 +340,13 @@ def rescaling_from_bounds(bounds: Bounds) -> Rescaling:
     return Rescaling(alpha=float(bounds.s), epsilon=math.pi / (4.0 * span))
 
 
-def apply_rescaling(
-    r: Rescaling,
-    h: DiagonalHamiltonian,
-    support: np.ndarray | None = None,
-) -> DiagonalHamiltonian:
-    """Rescaled cost table C with c(x) = epsilon * (alpha + h(x)).
+def apply_rescaling(r: Rescaling, h: DiagonalHamiltonian) -> DiagonalHamiltonian:
+    """Rescaled cost table C with c(x) = epsilon * (alpha + h(x)), on h's basis.
 
-    Verifies 0 <= c <= pi/4 (within BOUND_TOL) on the declared support; values
-    outside the support are carried through unvalidated since they only ever
-    multiply zero amplitudes: the control loop rejects every state it reads
-    that puts amplitude off the support.
+    Verifies 0 <= c <= pi/4 (within BOUND_TOL) on every entry.
     """
     c = r.epsilon * (r.alpha + h.values)
-    check_rescaled(c if support is None else c[np.asarray(support)])
+    check_rescaled(c)
     return DiagonalHamiltonian(h.n, c, basis=h.basis)
 
 
@@ -368,26 +354,14 @@ def check_rescaled(c: np.ndarray) -> None:
     """ValueError unless every rescaled cost in c lies in [0, pi/4] (within BOUND_TOL)."""
     if c.size and (c.min() < -BOUND_TOL or c.max() > math.pi / 4 + BOUND_TOL):
         raise ValueError(
-            "rescaled cost leaves [0, pi/4] on the declared support; "
-            "the bounds used to build the rescaling are not honest"
+            "rescaled cost leaves [0, pi/4]; the bounds used to build the rescaling are not honest"
         )
 
 
-def brute_force_optimum(
-    h: DiagonalHamiltonian, support: np.ndarray | None = None
-) -> tuple[float, list[int]]:
-    """Exact maximum cost and all maximizing basis indices (optionally over a support
-    mask of h's entries)."""
-    if support is None:
-        vals = h.values
-        h_star = float(vals.max())
-        argmax = np.flatnonzero(vals == h_star)
-    else:
-        mask = np.asarray(support, dtype=bool)
-        if not mask.any():
-            raise ValueError("empty support")
-        h_star = float(h.values[mask].max())
-        argmax = np.flatnonzero(mask & (h.values == h_star))
+def brute_force_optimum(h: DiagonalHamiltonian) -> tuple[float, list[int]]:
+    """Exact maximum cost and all maximizing basis indices (h's entries, on its basis)."""
+    h_star = float(h.values.max())
+    argmax = np.flatnonzero(h.values == h_star)
     if h.basis is not None:
         argmax = h.basis[argmax]
     return h_star, [int(x) for x in argmax]

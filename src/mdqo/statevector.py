@@ -2,8 +2,8 @@
 
 Basis index x encodes the assignment via bit u of x = x_u (see problems.py).
 A state is dense, or lives on a sorted basis of indices (the independent
-sets of feasible-subspace MIS); the rotation and statistics functions here
-take dense states, the mixers both.
+sets of feasible-subspace MIS); the phase, rotation and distribution
+functions here take dense states, expectation and the mixers both.
 """
 
 from __future__ import annotations
@@ -103,10 +103,25 @@ def bitstring_to_index(bits: str) -> int:
     return sum((b == "1") << u for u, b in enumerate(bits))
 
 
+def _check_dense(state: StateVector, what: str, h: DiagonalHamiltonian | None = None) -> None:
+    """ValueError, before any reshape, unless the state is dense (and h has its n)."""
+    if state.basis is not None:
+        raise ValueError(f"{what} needs a dense state, not one on a basis")
+    if h is not None and h.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+
+
+def _check_basis(state: StateVector, h: DiagonalHamiltonian, name: str) -> None:
+    """ValueError unless the state and the table h have one qubit count and one basis."""
+    if h.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, {name} n={h.n}")
+    if h.basis is not state.basis and not np.array_equal(h.basis, state.basis):
+        raise ValueError(f"basis mismatch: the state and the {name} live on different bases")
+
+
 def apply_diagonal_phase(state: StateVector, h: DiagonalHamiltonian, gamma: float) -> StateVector:
     """Multiply amplitudes by exp(-i * gamma * h(x))."""
-    if h.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+    _check_dense(state, "apply_diagonal_phase", h)
     return StateVector(state.n, state.amps * np.exp(-1j * gamma * h.values))
 
 
@@ -179,6 +194,7 @@ def _mix(c: float, js: complex, a: np.ndarray, t: np.ndarray, out0, out1) -> Non
 
 def apply_x_rotation_all(state: StateVector, beta: float) -> StateVector:
     """Apply the uniform single-qubit X rotation exp(-i * beta * X) to every qubit."""
+    _check_dense(state, "apply_x_rotation_all")
     amps = _rotate(state.amps.copy(), [(u, ()) for u in range(state.n)], beta)
     return StateVector._own(state.n, amps)
 
@@ -192,6 +208,7 @@ def apply_controlled_x_rotation(
     [[cos chi, -i sin chi], [-i sin chi, cos chi]] when all control bits of x
     vanish; all other amplitudes are untouched.
     """
+    _check_dense(state, "apply_controlled_x_rotation")
     if u in controls:
         raise ValueError(f"target qubit {u} appears among its own controls")
     if not 0 <= u < state.n:
@@ -203,9 +220,8 @@ def apply_controlled_x_rotation(
 
 
 def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:
-    """Cost expectation sum_x |amps[x]|^2 * h(x)."""
-    if h.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+    """Cost expectation sum_x |amps[x]|^2 * h(x) over the basis the state and h share."""
+    _check_basis(state, h, "Hamiltonian")
     return float(np.real(np.sum(state.probabilities() * h.values)))
 
 
@@ -251,8 +267,7 @@ def cost_distribution(state: StateVector, h: DiagonalHamiltonian) -> CostDistrib
         Sorted distinct cost values, their probabilities, and the first two
         moments computed from the grouped distribution.
     """
-    if h.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+    _check_dense(state, "cost_distribution", h)
     probs = state.probabilities()
     order = np.argsort(h.values, kind="stable")
     vals = h.values[order]

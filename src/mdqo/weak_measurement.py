@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateCountsError, ZeroBranchError
 from .problems import BOUND_TOL, DiagonalHamiltonian
-from .statevector import StateVector
+from .statevector import StateVector, _check_basis
 
 ZERO_BRANCH_TOL = 1e-30
 
@@ -45,20 +45,20 @@ def _checked_support(
 ) -> tuple[np.ndarray, np.ndarray | slice]:
     """Validate 0 <= c <= pi/4 on the cost levels the state's support reaches.
 
-    Returns the support mask and those levels (all of them on full support);
-    only a failing message reads the dense values, to keep their signed zeros.
+    The state and c must share a basis.  Returns the support mask and those
+    levels (all of them on full support); only a failing message reads the
+    per-entry values, to keep their signed zeros.
     """
-    if c.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, cost n={c.n}")
+    _check_basis(state, c, "cost")
     support = np.abs(state.amps) > 0
     values, level = c.levels
     hit = slice(None) if support.all() else np.bincount(level[support], minlength=values.size) > 0
     vals = values[hit]
     if vals.size and (vals.min() < -BOUND_TOL or vals.max() > math.pi / 4 + BOUND_TOL):
-        dense = c.values[support]
+        entries = c.values[support]
         raise ValueError(
             f"rescaled cost must lie in [0, pi/4] on the state support; "
-            f"found range [{dense.min()}, {dense.max()}]"
+            f"found range [{entries.min()}, {entries.max()}]"
         )
     return support, hit
 
@@ -76,8 +76,8 @@ def posterior_state(
 ) -> tuple[StateVector, float]:
     """Condition on ancilla outcome b and renormalize.
 
-    Returns the posterior state and the branch probability, i.e. the squared
-    norm of the unnormalized branch.
+    Returns the posterior state, on the state's basis, and the branch
+    probability, i.e. the squared norm of the unnormalized branch.
     """
     _checked_support(state, c)
     if b not in (0, 1):
@@ -90,7 +90,7 @@ def posterior_state(
         raise ZeroBranchError(
             f"conditioning on outcome {b} with branch probability {branch_prob}"
         )
-    return StateVector(state.n, branch / math.sqrt(branch_prob)), branch_prob
+    return StateVector(state.n, branch / math.sqrt(branch_prob), state.basis), branch_prob
 
 
 def weak_step(
@@ -108,13 +108,14 @@ def analytic_state(
 ) -> tuple[StateVector, float]:
     """State after k0 failures and k1 successes from state0, plus the log-norm.
 
-    Amplitudes are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4) and
-    renormalized once; log_norm is the log of the pre-normalization norm.  The
-    modulation is evaluated in log space, so large counts neither underflow
-    nor overflow, once per cost level (c.levels) that state0's support
-    reaches: off-support cost values may fall outside [0, pi/4] (e.g.
-    infeasible strings under a feasible-subspace rescaling) and would
-    otherwise poison the whole state with NaNs despite carrying zero amplitude.
+    The state keeps state0's basis.  Amplitudes are modulated by
+    cos^k0(c + pi/4) * sin^k1(c + pi/4) and renormalized once; log_norm is
+    the log of the pre-normalization norm.  The modulation is evaluated in
+    log space, so large counts neither underflow nor overflow, once per cost
+    level (c.levels) that state0's support reaches: the largest of those
+    log-weights anchors the rest, and off-support cost values, which may
+    fall outside [0, pi/4], would otherwise poison the whole state with NaNs
+    despite carrying zero amplitude.
     """
     support, hit = _checked_support(state0, c)
     if not support.any():
@@ -141,7 +142,7 @@ def analytic_state(
             f"({counts.k0}, {counts.k1})"
         )
     amps /= norm
-    return StateVector._own(state0.n, amps), log_norm
+    return StateVector._own(state0.n, amps, state0.basis), log_norm
 
 
 def amplitude_modulation(c: float, counts: OutcomeCounts) -> float:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mdqo import (
+    Bounds,
+    DiagonalHamiltonian,
     Graph,
     ProblemInstance,
     StateVector,
     apply_rescaling,
     build_maxcut,
     build_mis,
+    feasible_mask,
     rescaling_from_bounds,
     spectrum_bounds,
     uniform_superposition,
@@ -49,6 +52,12 @@ def loose_rescaling(maxcut_h):
 
 
 @pytest.fixture(scope="session")
+def feasible_rescaling(mis_pair, mis_instance):
+    """Tight rescaling of the bare MIS cost over the independent sets of g5."""
+    return rescaling_from_bounds(feasible_bounds(mis_pair[0], feasible_mask(mis_instance)))
+
+
+@pytest.fixture(scope="session")
 def c_tight(maxcut_h, tight_rescaling):
     return apply_rescaling(tight_rescaling, maxcut_h)
 
@@ -68,3 +77,22 @@ def random_state(seed: int, n: int = 5) -> StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def feasible_bounds(h: DiagonalHamiltonian, mask: np.ndarray) -> Bounds:
+    """Brute-force bounds of a dense cost over the entries a mask marks, read off
+    the values: the dense reference for the bounds of a cost on a basis."""
+    vals = h.values[mask]
+    return Bounds(0.0 - float(vals.min()), float(vals.max()), "brute-force")
+
+
+def tight(h, mask=None):
+    """Brute-force rescaling of a dense cost, over the entries mask marks if given."""
+    bounds = spectrum_bounds(h, "brute-force") if mask is None else feasible_bounds(h, mask)
+    return rescaling_from_bounds(bounds)
+
+
+def rescaled_table(r, h: DiagonalHamiltonian) -> DiagonalHamiltonian:
+    """The dense table epsilon * (alpha + h) built directly, unchecked: under a
+    rescaling from feasible_bounds it leaves [0, pi/4] off the mask."""
+    return DiagonalHamiltonian(h.n, r.epsilon * (r.alpha + h.values))

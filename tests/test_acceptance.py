@@ -22,7 +22,6 @@ from mdqo import (
     MixerSpec,
     OutcomeCounts,
     ProblemInstance,
-    StateVector,
     WalkModel,
     analytic_state,
     apply_mixer,
@@ -41,6 +40,7 @@ from mdqo import (
     rescaling_from_bounds,
     run_algorithm2,
     spectrum_bounds,
+    subspace_cost,
     success_probability,
     trajectory_rng,
     uniform_superposition,
@@ -99,12 +99,12 @@ def test_criterion_05_outcome_order_invariance(uniform5, c_tight):
 
 
 def test_criterion_06_constrained_modes(g5, mis_pair, uniform5):
+    # feasible mode lives on the independent sets, penalised mode on all strings
     mis_h, violations = mis_pair
-    mask = violations.values == 0
-    feas_rescaling = rescaling_from_bounds(spectrum_bounds(mis_h, "brute-force", support=mask))
-    c_feas = apply_rescaling(feas_rescaling, mis_h, mask)
-    amps = mask.astype(complex)
-    feas_uniform = StateVector(5, amps / np.linalg.norm(amps))
+    feas_h = subspace_cost(g5)
+    feas_rescaling = rescaling_from_bounds(spectrum_bounds(feas_h, "brute-force"))
+    c_feas = apply_rescaling(feas_rescaling, feas_h)
+    feas_uniform = uniform_superposition(5, feas_h.basis)
 
     h_pen = penalize(mis_h, violations, 3.0)
     pen_bounds = spectrum_bounds(h_pen, "brute-force")
@@ -112,14 +112,14 @@ def test_criterion_06_constrained_modes(g5, mis_pair, uniform5):
     c_pen = apply_rescaling(rescaling_from_bounds(pen_bounds), h_pen)
 
     saturated, _ = analytic_state(feas_uniform, c_feas, OutcomeCounts(0, 200))
-    assert abs(expectation(saturated, mis_h) - 3.0) < 0.05
+    assert abs(expectation(saturated, feas_h) - 3.0) < 0.05
 
     for k0 in (0, 10, 50):
         for k1 in (0, 10, 30, 60, 120, 200):
             counts = OutcomeCounts(k0, k1)
             feas_state, _ = analytic_state(feas_uniform, c_feas, counts)
             pen_state, _ = analytic_state(uniform5, c_pen, counts)
-            assert expectation(feas_state, mis_h) >= expectation(pen_state, h_pen) - 1e-12
+            assert expectation(feas_state, feas_h) >= expectation(pen_state, h_pen) - 1e-12
 
     instance = ProblemInstance(g5, "mis")
     criteria = CriteriaConfig(threshold_T=2.9, ceiling_KT=40, min_steps_ell=6)

@@ -33,7 +33,7 @@ from mdqo import (
 )
 from mdqo.problems import BOUND_TOL
 
-from conftest import G5_EDGES_1INDEXED
+from conftest import G5_EDGES_1INDEXED, feasible_bounds, rescaled_table
 
 COUNTS = [(0, 0), (0, 3), (0, 11), (3, 0), (11, 0), (4, 9), (50, 160)]
 
@@ -128,10 +128,14 @@ def costs(graph: Graph) -> list[tuple[str, DiagonalHamiltonian, np.ndarray | Non
     out.append(("mis-penalised", pen, "brute-force", None))
     tables = []
     for name, table, mode, support in out:
-        bounds = spectrum_bounds(table, mode, support=support)
+        if support is None:
+            bounds = spectrum_bounds(table, mode)
+        else:
+            bounds = feasible_bounds(table, support)
         if bounds.s + bounds.t <= 0:
             continue  # a constant cost has no rescaling
-        c = apply_rescaling(rescaling_from_bounds(bounds), table, support)
+        r = rescaling_from_bounds(bounds)
+        c = apply_rescaling(r, table) if support is None else rescaled_table(r, table)
         tables.append((name, c, support))
     return tables
 

@@ -753,6 +753,38 @@ def test_feasible_run_past_the_dense_cap(tmp_path):
         assert float(row["final_cost"]) == x.bit_count()
 
 
+def test_feasible_sweep_past_the_dense_cap(tmp_path):
+    # a feasible-only sweep keeps its states on the independent sets, as run
+    # does, so the n = 28 graph builds no 2**28-entry array
+    import tracemalloc
+
+    from test_golden import ROOT
+
+    graph = json.loads((ROOT / "configs" / "run_mis_feasible_n28.json").read_text())
+    config = write_config(
+        tmp_path,
+        {
+            "problem": graph["problem"],
+            "sweep": {"k0": [0, 5], "bounds": ["tight", "loose"], "surplus_grid": [0, 10, 40]},
+        },
+    )
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["sweep-counts", "--config", str(config), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**26
+    rows = read_csv(out / "sweep_counts.csv")
+    assert [row["L"] for row in rows] == ["0", "10", "40"]
+    for k0 in (0, 5):
+        tight = [float(row[f"H_feasible_tight_k0_{k0}"]) for row in rows]
+        assert tight == sorted(tight) and tight[-1] <= 12.0  # the largest set has 12 vertices
+        assert all(0.5 < float(row[f"p1_feasible_tight_k0_{k0}"]) <= 1.0 for row in rows)
+
+
 def test_subspace_past_its_cap_exits_with_capacity_code(tmp_path, caplog):
     # an edgeless graph at n = 25 has 2**25 independent sets, past the
     # subspace cap: they are counted, never listed
@@ -1225,6 +1257,16 @@ BAD_CONFIGS = {
         [],
         "unknown key problem.penalty_weight",
     ),
+    "postprocess of feasible-subspace MIS": (
+        "postprocess", _with(POSTPROCESS, ["problem", "kind"], "mis"), [],
+        "config error: postprocess: the depth-1 ansatz puts amplitude on infeasible strings, "
+        "so it cannot study feasible-subspace MIS (give problem.penalty_weight)",
+    ),
+    "scramble study of feasible-subspace MIS": (
+        "scramble-study", _with(SCRAMBLE, ["problem", "kind"], "mis"), [],
+        "config error: scramble: the uniform start puts amplitude on infeasible strings, "
+        "so it cannot study feasible-subspace MIS (give problem.penalty_weight)",
+    ),
     "dishonest coefficient bound": (
         "sweep-counts",
         {
@@ -1255,6 +1297,21 @@ def test_bad_config_exits_before_compute(case, tmp_path, caplog, compute_stubs):
     assert "\n" not in message
     assert not out.exists() or list(out.iterdir()) == []
     assert compute_stubs == []
+
+
+@pytest.mark.parametrize(
+    "command, payload", [("postprocess", POSTPROCESS), ("scramble-study", SCRAMBLE)]
+)
+def test_edgeless_feasible_studies_run(tmp_path, command, payload):
+    # every string of an edgeless graph is an independent set, so the dense
+    # study states stay feasible
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("n 4\n")
+    payload = _with(payload, ["problem"], {"kind": "mis", "graph": {"path": str(graph_path)}})
+    if command == "postprocess":
+        payload["postprocess"] = {"grid_resolution": 8}
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize(

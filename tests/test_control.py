@@ -17,7 +17,6 @@ from mdqo import (
     ProblemInstance,
     StateVector,
     StepCapError,
-    apply_rescaling,
     basis_state,
     driving_hamiltonian,
     evaluate_return,
@@ -28,12 +27,13 @@ from mdqo import (
     rescaling_from_bounds,
     run_algorithm1,
     run_algorithm2,
-    spectrum_bounds,
     success_probability,
     trajectory_rng,
     uniform_superposition,
 )
 from mdqo.control import prepare_tables
+
+from conftest import feasible_bounds, rescaled_table
 
 
 def test_criteria_validation():
@@ -205,14 +205,10 @@ def test_algorithm2_requires_threshold(g5, tight_rescaling):
         )
 
 
-def test_feasible_mode_rejects_infeasible_start(mis_instance, mis_pair):
-    h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(
-        spectrum_bounds(h_bare, "brute-force", support=feasible_mask(mis_instance))
-    )
+def test_feasible_mode_rejects_infeasible_start(mis_instance, feasible_rescaling):
     with pytest.raises(ValueError):
         run_algorithm1(
-            mis_instance, resc, uniform_superposition(5),
+            mis_instance, feasible_rescaling, uniform_superposition(5),
             CriteriaConfig(surplus_L=3), np.random.default_rng(0),
         )
 
@@ -224,48 +220,46 @@ MIXER_MESSAGE = (
 )
 
 
-def leaking_run(mis_instance, mis_pair, **kwargs):
+def leaking_run(mis_instance, resc, **kwargs):
     # A transverse-field scramble in feasible-subspace mode would move
     # amplitude onto infeasible strings, where the rescaled cost reaches
     # 5 * pi/12 > pi/4.  trajectory_rng(0, 0) fails its first step, which
     # would scramble; the mixer is rejected on entry instead.
     mask = feasible_mask(mis_instance)
     initial = StateVector(5, mask / np.sqrt(mask.sum()))
-    h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
     return run_algorithm2(
         mis_instance, resc, initial, CriteriaConfig(threshold_T=2.5),
         MixerSpec(TRANSVERSE_FIELD, 0.4), trajectory_rng(0, 0), **kwargs,
     )
 
 
-def test_scramble_support_leak_rejected(mis_instance, mis_pair):
+def test_scramble_support_leak_rejected(mis_instance, feasible_rescaling):
     with pytest.raises(ValueError) as info:
-        leaking_run(mis_instance, mis_pair)
+        leaking_run(mis_instance, feasible_rescaling)
     assert str(info.value) == MIXER_MESSAGE
 
 
-def test_mixer_check_precedes_step_cap(monkeypatch, mis_instance, mis_pair):
+def test_mixer_check_precedes_step_cap(monkeypatch, mis_instance, feasible_rescaling):
     # the mixer is checked on entry, before any step: a one-step budget,
     # which the first scramble would fill, makes no difference, and no
     # mixer is ever applied
     monkeypatch.setattr("mdqo.control.apply_mixer", None)
     for diagnostics in (False, True):
         with pytest.raises(ValueError) as info:
-            leaking_run(mis_instance, mis_pair, max_steps=1, record_diagnostics=diagnostics)
+            leaking_run(
+                mis_instance, feasible_rescaling, max_steps=1, record_diagnostics=diagnostics
+            )
         assert str(info.value) == MIXER_MESSAGE
 
 
-def test_step_cap_precedes_in_loop_leak(monkeypatch, g5, mis_instance, mis_pair):
+def test_step_cap_precedes_in_loop_leak(monkeypatch, g5, mis_instance, feasible_rescaling):
     # a mixer that lands off the independent sets is caught when the next
     # step weighs its state: a scramble that fills the one-step budget hits
     # the cap first, but a diagnostics record reads the mixed state at once
     mask = feasible_mask(mis_instance)
-    h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
     monkeypatch.setattr("mdqo.control.apply_mixer", lambda state, mixer: basis_state(5, 0b00110))
     initial = StateVector(5, mask / np.sqrt(mask.sum()))
-    run = (mis_instance, resc, initial, CriteriaConfig(threshold_T=2.5),
+    run = (mis_instance, feasible_rescaling, initial, CriteriaConfig(threshold_T=2.5),
            MixerSpec(MIS_CONTROLLED, 0.4, g5))
     with pytest.raises(StepCapError):
         run_algorithm2(*run, trajectory_rng(0, 0), max_steps=1)
@@ -274,14 +268,16 @@ def test_step_cap_precedes_in_loop_leak(monkeypatch, g5, mis_instance, mis_pair)
     assert str(info.value) == LEAK_MESSAGE
 
 
-def test_in_range_scramble_leak_rejected(monkeypatch, g5, mis_instance, mis_pair):
+def test_in_range_scramble_leak_rejected(
+    monkeypatch, g5, mis_instance, mis_pair, feasible_rescaling
+):
     # {2, 3} is an edge of g5, so 0b00110 is not an independent set, yet its
     # rescaled cost pi/6 lies in [0, pi/4] under tight feasible bounds: only
     # the support check catches a mixer that lands there
     leak = 0b00110
     mask = feasible_mask(mis_instance)
     h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    resc = feasible_rescaling
     assert not feasible(mis_instance, leak)
     assert math.isclose(resc.epsilon * (resc.alpha + h_bare.values[leak]), math.pi / 6)
     monkeypatch.setattr("mdqo.control.apply_mixer", lambda state, mixer: basis_state(5, leak))
@@ -294,14 +290,13 @@ def test_in_range_scramble_leak_rejected(monkeypatch, g5, mis_instance, mis_pair
     assert str(info.value) == LEAK_MESSAGE
 
 
-def test_feasible_mode_samples_independent_sets(g5, mis_instance, mis_pair):
+def test_feasible_mode_samples_independent_sets(g5, mis_instance, feasible_rescaling):
     mask = feasible_mask(mis_instance)
     idx = np.flatnonzero(mask)
     amps = np.zeros(32, dtype=complex)
     amps[idx] = 1 / math.sqrt(len(idx))
     initial = StateVector(5, amps)
-    h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    resc = feasible_rescaling
     crit = CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=5)
     mixer = MixerSpec(MIS_CONTROLLED, 0.5, g5)
     for i in range(100):
@@ -393,11 +388,12 @@ def test_outer_loop_adaptive_threshold_ratchets(g5, tight_rescaling):
     assert thresholds[-1] == max(2.0, best_before_last)
 
 
-def test_outer_loop_with_a_mixer_runs_algorithm2_per_stream(g5, mis_instance, mis_pair):
+def test_outer_loop_with_a_mixer_runs_algorithm2_per_stream(
+    g5, mis_instance, feasible_rescaling
+):
     mask = feasible_mask(mis_instance)
     initial = StateVector(5, mask / np.sqrt(mask.sum()))
-    h_bare, _ = mis_pair
-    resc = rescaling_from_bounds(spectrum_bounds(h_bare, "brute-force", support=mask))
+    resc = feasible_rescaling
     crit = CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=5)
     mixer = MixerSpec(MIS_CONTROLLED, 0.5, g5)
     config = OuterConfig(rescaling=resc, initial_state=initial, criteria=crit, mixer=mixer)
@@ -482,10 +478,10 @@ def test_subspace_level_table_is_the_dense_one(n):
     inst = ProblemInstance(graph, "mis")
     mask = feasible_mask(inst)
     h_dense = driving_hamiltonian(inst)
-    resc = rescaling_from_bounds(spectrum_bounds(h_dense, "brute-force", support=mask))
+    resc = rescaling_from_bounds(feasible_bounds(h_dense, mask))
     values, level = h_dense.levels
     c = np.empty_like(values)
-    c[level] = apply_rescaling(resc, h_dense, support=mask).values
+    c[level] = rescaled_table(resc, h_dense).values
     tables = prepare_tables(inst, resc)
     assert tables.h.tobytes() == values.tobytes() and values.size == n + 1
     assert tables.c.tobytes() == c.tobytes()

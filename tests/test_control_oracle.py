@@ -22,7 +22,6 @@ from mdqo import (
     ProblemInstance,
     StateVector,
     apply_mixer,
-    apply_rescaling,
     build_mis,
     driving_hamiltonian,
     evaluate_return,
@@ -32,15 +31,15 @@ from mdqo import (
     peak_position,
     qaoa1_state,
     rescaled_threshold,
-    rescaling_from_bounds,
     run_algorithm2,
     sample_bitstring,
-    spectrum_bounds,
     success_probability,
     trajectory_rng,
     uniform_superposition,
     weak_step,
 )
+
+from conftest import rescaled_table, tight
 
 SEEDS = 200
 
@@ -49,10 +48,8 @@ def dense_reference(instance, rescaling, state, criteria, mixer, rng):
     """(outcomes, scramble events, counts, sample, cost, reason, [(p1, <H>, <P>)])."""
     h_drive = driving_hamiltonian(instance)
     p_viol = build_mis(instance.graph)[1] if instance.kind == "mis" else None
-    support = None
-    if instance.kind == "mis" and instance.penalty_weight is None:
-        support = feasible_mask(instance)
-    c = apply_rescaling(rescaling, h_drive, support)
+    # unchecked: a feasible rescaling leaves [0, pi/4] off the independent sets
+    c = rescaled_table(rescaling, h_drive)
     counts = OutcomeCounts(0, 0)
     outcomes, events, records = [], [], []
     while (reason := evaluate_return(criteria, counts, rescaling)) is None:
@@ -85,10 +82,6 @@ def random_graph(n: int, seed: int) -> Graph:
         )
         if len(edges) >= n:
             return Graph(n, edges)
-
-
-def tight(h, support=None):
-    return rescaling_from_bounds(spectrum_bounds(h, "brute-force", support=support))
 
 
 def maxcut_algorithm1(n):

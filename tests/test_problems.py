@@ -30,6 +30,8 @@ from mdqo import (
 )
 from mdqo.problems import SUBSPACE_CAP
 
+from conftest import feasible_bounds, rescaled_table
+
 
 def test_graph_normalizes_and_deduplicates():
     g = Graph(3, ((2, 0), (0, 1)))
@@ -147,10 +149,9 @@ def test_maxcut_spectrum_bounds(maxcut_h, mode, expected):
     assert b.mode == mode
 
 
-def test_mis_bounds_feasible_support(mis_pair, mis_instance):
+def test_mis_bounds_feasible_support(g5, mis_pair):
     h, _ = mis_pair
-    mask = feasible_mask(mis_instance)
-    tight = spectrum_bounds(h, "brute-force", support=mask)
+    tight = spectrum_bounds(subspace_cost(g5), "brute-force")
     assert (tight.s, tight.t) == (0.0, 3.0)
     loose = spectrum_bounds(h, "coefficient-sum")
     assert (loose.s, loose.t) == (0.0, 5.0)
@@ -214,20 +215,21 @@ def test_apply_rescaling_rejects_dishonest_bounds(maxcut_h):
         apply_rescaling(bad, maxcut_h)
 
 
-def test_apply_rescaling_support_restriction(mis_pair, mis_instance):
+def test_apply_rescaling_support_restriction(g5, mis_pair, mis_instance):
     h, _ = mis_pair
-    mask = feasible_mask(mis_instance)
-    r = rescaling_from_bounds(spectrum_bounds(h, "brute-force", support=mask))
+    cost = subspace_cost(g5)
+    r = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     with pytest.raises(ValueError):
         apply_rescaling(r, h)  # full spectrum reaches 5 > 3
-    c = apply_rescaling(r, h, support=mask)
-    assert c.values[mask].max() == pytest.approx(math.pi / 4)
+    c = apply_rescaling(r, cost)
+    assert c.values.max() == pytest.approx(math.pi / 4)
+    mask = feasible_mask(mis_instance)
+    assert c.values.tobytes() == rescaled_table(r, h).values[mask].tobytes()
 
 
-def test_brute_force_optimum(maxcut_h, mis_pair, mis_instance):
+def test_brute_force_optimum(g5, maxcut_h):
     assert brute_force_optimum(maxcut_h) == (5.0, [0b00110, 0b11001])
-    h, _ = mis_pair
-    assert brute_force_optimum(h, support=feasible_mask(mis_instance)) == (3.0, [0b11001])
+    assert brute_force_optimum(subspace_cost(g5)) == (3.0, [0b11001])
 
 
 def test_instance_hamiltonian_selection(g5):
@@ -313,13 +315,16 @@ def test_subspace_cost_is_the_dense_cost_on_the_basis(g5, mis_pair, mis_instance
     assert cost.values.tobytes() == mis_pair[0].values[cost.basis].tobytes()
     assert cost.coeff_bounds == mis_pair[0].coeff_bounds
     mask = feasible_mask(mis_instance)
-    for mode in ("brute-force", "coefficient-sum"):
-        assert spectrum_bounds(cost, mode) == spectrum_bounds(mis_pair[0], mode, support=mask)
-    assert brute_force_optimum(cost) == brute_force_optimum(mis_pair[0], support=mask)
+    h = mis_pair[0].values
+    assert spectrum_bounds(cost, "brute-force") == feasible_bounds(mis_pair[0], mask)
+    loose = spectrum_bounds(cost, "coefficient-sum")
+    assert loose == spectrum_bounds(mis_pair[0], "coefficient-sum")
+    h_star = h[mask].max()
+    assert brute_force_optimum(cost) == (h_star, np.flatnonzero(mask & (h == h_star)).tolist())
     resc = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     c = apply_rescaling(resc, cost)
     assert c.basis is cost.basis
-    dense = apply_rescaling(resc, mis_pair[0], support=mask)
+    dense = rescaled_table(resc, mis_pair[0])
     assert c.values.tobytes() == dense.values[cost.basis].tobytes()
 
 

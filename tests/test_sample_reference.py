@@ -26,13 +26,13 @@ from mdqo import (
     driving_hamiltonian,
     feasible_mask,
     outer_loop,
-    rescaling_from_bounds,
-    spectrum_bounds,
     uniform_superposition,
 )
 from mdqo.problems import subspace_cost
 from mdqo import control
 from mdqo.statevector import sample_index
+
+from conftest import tight
 
 SEEDS = 1000
 
@@ -83,10 +83,6 @@ def random_graph(n: int, seed: int) -> Graph:
     return Graph(
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
     )
-
-
-def tight(h, support=None):
-    return rescaling_from_bounds(spectrum_bounds(h, "brute-force", support=support))
 
 
 def feasible_mis(n):

@@ -239,6 +239,10 @@ def test_states_on_a_basis(g5):
 
 
 def test_materialised_subspace_states_keep_the_basis(g5):
+    # a cached table of an earlier test may hold an equal basis built before
+    # the one subspace_cost holds now
+    for cached in (independent_sets, subspace_cost, prepare_tables):
+        cached.cache_clear()
     cost = subspace_cost(g5)
     tables = prepare_tables(
         ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
@@ -247,3 +251,51 @@ def test_materialised_subspace_states_keep_the_basis(g5):
     out = _materialise(tables, base, base.w)
     assert out.basis is tables.basis is cost.basis
     assert not out.amps.flags.writeable
+
+
+def on_basis(g5):
+    """The flat state on the independent sets of g5, and their cost."""
+    cost = subspace_cost(g5)
+    return uniform_superposition(5, cost.basis), cost
+
+
+def test_diagonal_phase_needs_a_dense_state(g5):
+    state, cost = on_basis(g5)
+    with pytest.raises(ValueError, match="^apply_diagonal_phase needs a dense state, not one on"):
+        apply_diagonal_phase(state, cost, 0.3)
+
+
+def test_x_rotation_needs_a_dense_state(g5):
+    state, _ = on_basis(g5)
+    with pytest.raises(ValueError, match="^apply_x_rotation_all needs a dense state"):
+        apply_x_rotation_all(state, 0.3)
+
+
+def test_controlled_x_rotation_needs_a_dense_state(g5):
+    state, _ = on_basis(g5)
+    with pytest.raises(ValueError, match="^apply_controlled_x_rotation needs a dense state"):
+        apply_controlled_x_rotation(state, 0, (1, 2), 0.3)
+
+
+def test_cost_distribution_needs_a_dense_state(g5):
+    state, cost = on_basis(g5)
+    with pytest.raises(ValueError, match="^cost_distribution needs a dense state"):
+        cost_distribution(state, cost)
+
+
+def test_expectation_on_a_basis(g5, mis_pair):
+    state, cost = on_basis(g5)
+    # the dense reference: the same amplitudes put back on their strings
+    dense = np.zeros(32, dtype=np.complex128)
+    dense[cost.basis] = state.amps
+    assert expectation(state, cost) == pytest.approx(
+        expectation(StateVector(5, dense), mis_pair[0]), rel=1e-15
+    )
+    with pytest.raises(ValueError, match="^basis mismatch: the state and the Hamiltonian"):
+        expectation(state, mis_pair[0])
+    with pytest.raises(ValueError, match="^basis mismatch"):
+        expectation(StateVector(5, dense), cost)
+    # an equal basis held in another array is the same basis
+    assert expectation(state, DiagonalHamiltonian(5, cost.values, basis=cost.basis.copy())) == (
+        expectation(state, cost)
+    )

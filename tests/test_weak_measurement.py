@@ -21,10 +21,17 @@ from mdqo import (
     success_probability,
     weak_step,
 )
-from mdqo.problems import DiagonalHamiltonian
-from mdqo.statevector import StateVector
+from mdqo.problems import (
+    DiagonalHamiltonian,
+    apply_rescaling,
+    feasible_mask,
+    rescaling_from_bounds,
+    spectrum_bounds,
+    subspace_cost,
+)
+from mdqo.statevector import StateVector, uniform_superposition
 
-from conftest import random_state
+from conftest import random_state, rescaled_table
 
 
 def test_outcome_counts_validation():
@@ -264,3 +271,51 @@ def test_property_cost_improvement_identity(seed):
         float(np.sum(probs * _H5.values * sin2c)) - before * float(np.sum(probs * sin2c))
     ) / (2 * p1)
     assert after - before == pytest.approx(predicted, abs=1e-10)
+
+
+def test_closed_forms_keep_the_basis(g5, mis_pair, mis_instance):
+    cost = subspace_cost(g5)
+    r = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
+    c = apply_rescaling(r, cost)
+    state0 = uniform_superposition(5, cost.basis)
+    # the dense reference: the same state and cost on all 32 strings, the
+    # infeasible ones at zero amplitude and rescaled past pi/4
+    mask = feasible_mask(mis_instance)
+    dense0 = StateVector(5, mask / np.sqrt(mask.sum()))
+    dense_c = rescaled_table(r, mis_pair[0])
+    counts = OutcomeCounts(3, 11)
+    state, log_norm = analytic_state(state0, c, counts)
+    reference, reference_log_norm = analytic_state(dense0, dense_c, counts)
+    assert state.basis is cost.basis
+    np.testing.assert_allclose(state.amps, reference.amps[mask], rtol=1e-14, atol=0)
+    assert log_norm == pytest.approx(reference_log_norm, rel=1e-14)
+    p1 = success_probability(state, c)
+    assert p1 == pytest.approx(success_probability(reference, dense_c), rel=1e-15)
+    for b in (0, 1):
+        post, prob = posterior_state(state, c, b)
+        post_reference, prob_reference = posterior_state(reference, dense_c, b)
+        assert post.basis is cost.basis
+        np.testing.assert_allclose(post.amps, post_reference.amps[mask], rtol=1e-14, atol=0)
+        assert prob == pytest.approx(prob_reference, rel=1e-14)
+    b, stepped = weak_step(state, c, np.random.default_rng(3))
+    assert stepped.basis is cost.basis
+    assert b == weak_step(reference, dense_c, np.random.default_rng(3))[0]
+
+
+def test_closed_forms_reject_a_cost_on_another_basis(g5, mis_pair):
+    cost = subspace_cost(g5)
+    c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(cost, "brute-force")), cost)
+    on_basis = uniform_superposition(5, cost.basis)
+    dense_c = DiagonalHamiltonian(5, np.zeros(32))
+    calls = [
+        lambda state, cost: analytic_state(state, cost, OutcomeCounts(1, 2)),
+        success_probability,
+        lambda state, cost: posterior_state(state, cost, 1),
+        lambda state, cost: weak_step(state, cost, np.random.default_rng(0)),
+    ]
+    message = "basis mismatch: the state and the cost live on different bases"
+    for call in calls:
+        for state, table in ((on_basis, dense_c), (uniform_superposition(5), c)):
+            with pytest.raises(ValueError) as info:
+                call(state, table)
+            assert str(info.value) == message
