@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import DiagonalHamiltonian
-from .statevector import StateVector
+from .statevector import StateVector, _check_basis
 
 # Aggregate Monte Carlo step budget; p <= 1/2 walks have infinite expectation.
 MC_STEP_CAP = 10**8
@@ -281,8 +281,7 @@ class EpsilonSweep:
 
 
 def _sweep_moments(state: StateVector, h: DiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    if h.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+    _check_basis(state, h, "Hamiltonian")
     probs = state.probabilities()
     support = probs > 0
     if np.any(h.values[support] < -1e-12):

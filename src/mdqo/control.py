@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -181,17 +180,16 @@ class ControlTables:
     p_viol: np.ndarray | None
 
 
-@lru_cache(maxsize=8)
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
-    """Build (and cache) the cost-level table for an instance.
+    """Build the cost-level table for an instance, once per run.
 
     Levels are the distinct driving costs, so the driving and the rescaled
     cost are both constant on a level; c is computed per level, with the
     bits the per-entry rescaling gives.  In feasible-subspace mode the levels
     are all n + 1 vertex counts, as the dense table has them, so q keeps its
     length and its sums their bits; the entries are the independent sets
-    (subspace_cost), whose violation counts are 0.  Otherwise the dense
-    tables of instance_tables serve.
+    (subspace_cost), whose violation counts are 0.  Otherwise instance_tables'
+    dense tables serve.  Both are cached, so a table costs O(levels + |IS|).
     """
     n = instance.graph.n
     if instance.feasible_subspace:

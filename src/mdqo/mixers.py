@@ -19,6 +19,7 @@ from .errors import CapacityError
 from .problems import DiagonalHamiltonian, Graph, independent_sets
 from .statevector import (
     StateVector,
+    _check_dense,
     _rotate,
     _rotate_pairs,
     apply_diagonal_phase,
@@ -110,7 +111,7 @@ def subspace_pairs(spec: MixerSpec, state: StateVector) -> tuple[np.ndarray, ...
     return _pairs(graph)
 
 
-@lru_cache(maxsize=1)  # as independent_sets
+@lru_cache(maxsize=1)  # as subspace_cost
 def _pairs(graph: Graph) -> tuple[np.ndarray, ...]:
     """Per vertex u in ascending order, the positions in independent_sets(graph)
     of every set S free of u and its neighbours, then those of each S | {u}:
@@ -168,9 +169,10 @@ def optimize_qaoa1(h: DiagonalHamiltonian, grid_resolution: int = 256) -> Ansatz
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     check_grid_size(h.n, grid_resolution)
+    flat = uniform_superposition(h.n)
+    _check_dense(flat, "optimize_qaoa1", h)
     angles = (math.pi * np.arange(grid_resolution) / grid_resolution).tolist()
-    flat = uniform_superposition(h.n).amps
-    phased = np.array([flat * np.exp(-1j * gamma * h.values) for gamma in angles])
+    phased = np.array([flat.amps * np.exp(-1j * gamma * h.values) for gamma in angles])
     values = np.empty((grid_resolution, grid_resolution))
     for j, beta in enumerate(angles):
         batch = _rotate(phased.copy(), [(u, ()) for u in range(h.n)], beta)

@@ -25,9 +25,10 @@ from .errors import CapacityError, DegenerateSpectrumError
 DENSE_CAP = 20
 
 # Largest independent-set count a feasible-subspace basis may hold.  No run
-# at the cap has been measured; by estimate a state on it takes 256 MiB and
-# the mixer's cached index pairs 16 bytes per (set, vertex outside it) pair,
-# about 3 GiB for the edgeless 24-vertex graph and more for larger sets.
+# at the cap has been measured; by estimate the cached subspace_cost (basis
+# and vertex counts) and a state on it take 256 MiB each, and the mixer's
+# cached index pairs 16 bytes per (set, vertex outside it) pair, about 3 GiB
+# for the edgeless 24-vertex graph and more for larger sets.
 SUBSPACE_CAP = 2**24
 
 # Absolute tolerance for spectrum-bound validation.
@@ -148,30 +149,9 @@ def count_independent_sets(graph: Graph) -> int:
     return int(counts.sum())
 
 
-@lru_cache(maxsize=1)  # a run uses one graph; the basis can take GiBs
 def independent_sets(graph: Graph) -> np.ndarray:
-    """The independent sets as a sorted, read-only int64 array of basis indices.
-
-    Vertices are added in ascending order: every set found so far that holds
-    no earlier neighbour of u gains u.  The new sets all exceed the old ones,
-    so appending them keeps the array sorted.  CapacityError, before any
-    array is allocated, when the count passes SUBSPACE_CAP.
-    """
-    size = count_independent_sets(graph)
-    if size > SUBSPACE_CAP:
-        raise CapacityError(
-            f"the {graph.n}-vertex graph has {size} independent sets, "
-            f"past the subspace cap of {SUBSPACE_CAP}"
-        )
-    basis = np.zeros(size, dtype=np.int64)
-    filled = 1
-    for u in range(graph.n):
-        found = basis[:filled]
-        grown = found[(found & _mask(v for v in graph.neighbors(u) if v < u)) == 0]
-        basis[filled : filled + grown.size] = grown | (1 << u)
-        filled += grown.size
-    basis.setflags(write=False)
-    return basis
+    """The independent sets, as the sorted, read-only int64 basis of subspace_cost."""
+    return subspace_cost(graph).basis
 
 
 @dataclass(frozen=True)
@@ -382,45 +362,62 @@ class InstanceTables(NamedTuple):
 
     drive: DiagonalHamiltonian
     violations: DiagonalHamiltonian | None
-    feasible: np.ndarray | None
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # a run uses one instance; a dense table can take GiBs
 def instance_tables(instance: ProblemInstance) -> InstanceTables:
-    """Dense driving cost, violation counts and feasible mask of an instance, built once.
+    """Dense driving cost and violation counts of an instance, built once.
 
-    For MIS, violations counts the edges inside each set and feasible marks
-    the independent sets; both are None for MaxCut.  A penalty weight lam
-    drives with H - lam * P, otherwise the bare cost drives (subspace_cost
-    is the same cost on the independent sets alone).  Results are cached per
-    instance and their arrays are read-only.
+    For MIS, violations counts the edges inside each set; it is None for
+    MaxCut.  A penalty weight lam drives with H - lam * P, otherwise the bare
+    cost drives (subspace_cost is the same cost on the independent sets
+    alone).  Cached for the last instance; the arrays are read-only.
     """
     if instance.kind == "maxcut":
-        return InstanceTables(build_maxcut(instance.graph), None, None)
+        return InstanceTables(build_maxcut(instance.graph), None)
     h, p = build_mis(instance.graph)
-    feasible = p.values == 0
-    feasible.setflags(write=False)  # cached: every caller gets this array
     if instance.penalty_weight is not None:
         h = penalize(h, p, instance.penalty_weight)
-    return InstanceTables(h, p, feasible)
+    return InstanceTables(h, p)
 
 
-@lru_cache(maxsize=1)  # as independent_sets
+@lru_cache(maxsize=1)  # a run uses one graph; the basis can take GiBs
 def subspace_cost(graph: Graph) -> DiagonalHamiltonian:
     """The independent-set cost on the feasible subspace: each set's vertex count,
-    on the basis independent_sets(graph), with the dense cost's coefficient bounds."""
-    basis = independent_sets(graph)
-    size = np.zeros(basis.size, dtype=np.float64)
+    on the basis independent_sets(graph), with the dense cost's coefficient bounds.
+
+    Vertices are added in ascending order: every set so far that holds no
+    earlier neighbour of u gains u, and 1 to its count.  The new sets exceed
+    the old, so appending them keeps the basis sorted.  CapacityError, before
+    any array is allocated, when the count passes SUBSPACE_CAP.
+    """
+    size = count_independent_sets(graph)
+    if size > SUBSPACE_CAP:
+        raise CapacityError(
+            f"the {graph.n}-vertex graph has {size} independent sets, "
+            f"past the subspace cap of {SUBSPACE_CAP}"
+        )
+    basis = np.zeros(size, dtype=np.int64)
+    count = np.zeros(size, dtype=np.float64)
+    filled = 1
     for u in range(graph.n):
-        size += (basis >> u) & 1
-    return DiagonalHamiltonian(graph.n, size, coeff_bounds=(0.0, float(graph.n)), basis=basis)
+        free = (basis[:filled] & _mask(v for v in graph.neighbors(u) if v < u)) == 0
+        grown = filled + np.count_nonzero(free)
+        basis[filled:grown] = basis[:filled][free] | (1 << u)
+        count[filled:grown] = count[:filled][free] + 1
+        filled = grown
+    basis.setflags(write=False)
+    return DiagonalHamiltonian(graph.n, count, coeff_bounds=(0.0, float(graph.n)), basis=basis)
 
 
 def feasible_mask(instance: ProblemInstance) -> np.ndarray:
-    """Boolean mask over all basis indices marking independent sets (read-only)."""
+    """Read-only boolean mask over all basis indices marking independent sets,
+    computed on each call from the cached violation counts."""
     if instance.kind != "mis":
         raise ValueError("feasibility is defined for MIS instances only")
-    return instance_tables(instance).feasible
+    mask = instance_tables(instance).violations.values == 0
+    mask.setflags(write=False)
+    return mask
 
 
 def cost_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:

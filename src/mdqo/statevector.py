@@ -104,11 +104,13 @@ def bitstring_to_index(bits: str) -> int:
 
 
 def _check_dense(state: StateVector, what: str, h: DiagonalHamiltonian | None = None) -> None:
-    """ValueError, before any reshape, unless the state is dense (and h has its n)."""
+    """ValueError, before any reshape, unless the state is dense (and h too, with its n)."""
     if state.basis is not None:
         raise ValueError(f"{what} needs a dense state, not one on a basis")
     if h is not None and h.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
+    if h is not None and h.values.size != 2**h.n:
+        raise ValueError(f"{what} needs a dense cost, not one on a basis")
 
 
 def _check_basis(state: StateVector, h: DiagonalHamiltonian, name: str) -> None:

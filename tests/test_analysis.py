@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mdqo import (
+    StateVector,
     WalkModel,
     basis_state,
     epsilon_sweep,
@@ -19,7 +20,7 @@ from mdqo import (
     uniform_superposition,
     walk_monte_carlo,
 )
-from mdqo.problems import DiagonalHamiltonian
+from mdqo.problems import DiagonalHamiltonian, subspace_cost
 
 
 def test_run_rule_expected_steps():
@@ -364,3 +365,25 @@ def test_sweep_requires_nonnegative_cost_on_support():
 def test_sweep_dimension_mismatch(maxcut_h):
     with pytest.raises(ValueError):
         epsilon_sweep(uniform_superposition(4), maxcut_h, np.array([0.1]))
+
+
+def test_sweep_pairs_a_state_and_a_cost_on_one_basis(g5, mis_pair):
+    cost = subspace_cost(g5)
+    on_basis = uniform_superposition(5, cost.basis)
+    for state, h in ((on_basis, mis_pair[0]), (uniform_superposition(5), cost)):
+        with pytest.raises(ValueError, match="^basis mismatch: the state and the Hamiltonian"):
+            epsilon_sweep(state, h, np.array([0.01]))
+        with pytest.raises(ValueError, match="^basis mismatch: the state and the Hamiltonian"):
+            success_prob_derivative(state, h, 0.01)
+    # the flat state on the independent sets is the dense flat feasible state
+    sweep = epsilon_sweep(on_basis, cost, np.array([0.01, 0.02]))
+    np.testing.assert_allclose(sweep.p1, [0.51454158, 0.52905989], rtol=1e-8)
+    mask = np.zeros(32)
+    mask[cost.basis] = 1.0
+    dense = StateVector(5, mask / np.sqrt(cost.basis.size))
+    reference = epsilon_sweep(dense, mis_pair[0], np.array([0.01, 0.02]))
+    np.testing.assert_allclose(sweep.p1, reference.p1, rtol=1e-14)
+    np.testing.assert_allclose(sweep.h_phi, reference.h_phi, rtol=1e-14)
+    assert success_prob_derivative(on_basis, cost, 0.01) == pytest.approx(
+        success_prob_derivative(dense, mis_pair[0], 0.01), rel=1e-14
+    )

@@ -370,7 +370,6 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
     # table and the mixer share one build: the independent sets in
     # feasible-subspace mode, which builds no dense table, and the dense
     # tables with a penalty weight.
-    import mdqo.control
     import mdqo.mixers
     import mdqo.problems
 
@@ -393,8 +392,7 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
     penalised = _with(payload, ["problem", "penalty_weight"], 2.0)
     for config, built in ((payload, "count_independent_sets"), (penalised, "build_mis")):
         for cached in (
-            mdqo.problems.instance_tables, mdqo.problems.independent_sets,
-            mdqo.problems.subspace_cost, mdqo.control.prepare_tables, mdqo.mixers._pairs,
+            mdqo.problems.instance_tables, mdqo.problems.subspace_cost, mdqo.mixers._pairs,
         ):
             cached.cache_clear()
         builds.clear()

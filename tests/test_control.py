@@ -32,6 +32,7 @@ from mdqo import (
     uniform_superposition,
 )
 from mdqo.control import prepare_tables
+from mdqo.problems import independent_sets, subspace_cost
 
 from conftest import feasible_bounds, rescaled_table
 
@@ -487,3 +488,11 @@ def test_subspace_level_table_is_the_dense_one(n):
     assert tables.c.tobytes() == c.tobytes()
     assert np.array_equal(tables.basis, np.flatnonzero(mask))
     assert np.array_equal(tables.level, level[tables.basis])
+
+
+def test_feasible_tables_hold_the_one_basis(g5, mis_instance, feasible_rescaling):
+    # another graph's subspace in between must not leave the table an older
+    # copy of g5's basis than the one independent_sets returns
+    prepare_tables(mis_instance, feasible_rescaling)
+    subspace_cost(Graph(4, ((0, 1),)))
+    assert prepare_tables(mis_instance, feasible_rescaling).basis is independent_sets(g5)

@@ -24,7 +24,7 @@ from mdqo import (
     uniform_superposition,
 )
 from mdqo.mixers import check_grid_size
-from mdqo.problems import DiagonalHamiltonian, build_maxcut
+from mdqo.problems import DiagonalHamiltonian, build_maxcut, build_mis, subspace_cost
 
 from conftest import random_state
 
@@ -163,6 +163,25 @@ def test_optimize_qaoa1_beats_uniform(maxcut_h):
     params = optimize_qaoa1(maxcut_h, 64)
     value = expectation(qaoa1_state(maxcut_h, params), maxcut_h)
     assert value > 3.0
+
+
+def test_qaoa1_state_needs_a_dense_cost(g5):
+    params = AnsatzParams(0.4, 0.7)
+    with pytest.raises(ValueError, match="^apply_diagonal_phase needs a dense cost, not one on a"):
+        qaoa1_state(subspace_cost(g5), params)
+    # an edgeless graph's basis holds every string, in order
+    edgeless = Graph(3, ())
+    assert np.array_equal(
+        qaoa1_state(subspace_cost(edgeless), params).amps,
+        qaoa1_state(build_mis(edgeless)[0], params).amps,
+    )
+
+
+def test_optimize_qaoa1_needs_a_dense_cost(g5):
+    with pytest.raises(ValueError, match="^optimize_qaoa1 needs a dense cost, not one on a basis"):
+        optimize_qaoa1(subspace_cost(g5), 8)
+    edgeless = Graph(3, ())
+    assert optimize_qaoa1(subspace_cost(edgeless), 8) == optimize_qaoa1(build_mis(edgeless)[0], 8)
 
 
 def random_edge_graph(seed: int) -> Graph:

@@ -1,10 +1,13 @@
 """Tests for graphs, cost tables, spectrum bounds, and the rescaling map."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import mdqo
 from mdqo import (
     Bounds,
     CapacityError,
@@ -303,10 +306,30 @@ def test_basis_is_the_dense_feasible_mask(n):
     graph = Graph(
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
     )
+    instance = ProblemInstance(graph, "mis")
     basis = independent_sets(graph)
     assert basis.dtype == np.int64 and not basis.flags.writeable
-    assert np.array_equal(basis, np.flatnonzero(feasible_mask(ProblemInstance(graph, "mis"))))
+    assert np.array_equal(basis, np.flatnonzero(feasible_mask(instance)))
     assert count_independent_sets(graph) == basis.size
+    cost = subspace_cost(graph)
+    assert cost.basis is basis
+    assert cost.values.tobytes() == cost_hamiltonian(instance).values[basis].tobytes()
+
+
+def test_each_cache_holds_the_one_build_a_run_uses():
+    # a run builds one graph and one instance, so every functools cache the
+    # package binds, on a module or a class, keeps one entry
+    caches = {}
+    for info in pkgutil.iter_modules(mdqo.__path__):
+        members = list(vars(importlib.import_module(f"mdqo.{info.name}")).values())
+        members += [v for cls in members if isinstance(cls, type) for v in vars(cls).values()]
+        caches.update({id(v): v for v in members if hasattr(v, "cache_parameters")})
+    assert {f"{c.__module__}.{c.__qualname__}": c.cache_parameters()["maxsize"]
+            for c in caches.values()} == {
+        "mdqo.problems.subspace_cost": 1,
+        "mdqo.problems.instance_tables": 1,
+        "mdqo.mixers._pairs": 1,
+    }
 
 
 def test_subspace_cost_is_the_dense_cost_on_the_basis(g5, mis_pair, mis_instance):

@@ -8,6 +8,7 @@ import pytest
 from mdqo import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
+    Graph,
     MixerSpec,
     OutcomeCounts,
     ProblemInstance,
@@ -19,6 +20,7 @@ from mdqo import (
     apply_x_rotation_all,
     basis_state,
     bitstring_to_index,
+    build_mis,
     cost_distribution,
     expectation,
     index_to_bitstring,
@@ -239,10 +241,7 @@ def test_states_on_a_basis(g5):
 
 
 def test_materialised_subspace_states_keep_the_basis(g5):
-    # a cached table of an earlier test may hold an equal basis built before
-    # the one subspace_cost holds now
-    for cached in (independent_sets, subspace_cost, prepare_tables):
-        cached.cache_clear()
+    subspace_cost.cache_clear()
     cost = subspace_cost(g5)
     tables = prepare_tables(
         ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
@@ -281,6 +280,30 @@ def test_cost_distribution_needs_a_dense_state(g5):
     state, cost = on_basis(g5)
     with pytest.raises(ValueError, match="^cost_distribution needs a dense state"):
         cost_distribution(state, cost)
+
+
+def test_diagonal_phase_needs_a_dense_cost(g5):
+    with pytest.raises(ValueError, match="^apply_diagonal_phase needs a dense cost, not one on a"):
+        apply_diagonal_phase(uniform_superposition(5), subspace_cost(g5), 0.3)
+    # an edgeless graph's basis holds every string, in order
+    edgeless = Graph(3, ())
+    assert np.array_equal(
+        apply_diagonal_phase(uniform_superposition(3), subspace_cost(edgeless), 0.3).amps,
+        apply_diagonal_phase(uniform_superposition(3), build_mis(edgeless)[0], 0.3).amps,
+    )
+
+
+def test_cost_distribution_needs_a_dense_cost(g5):
+    cost = subspace_cost(g5)
+    # string 3 holds the edge (0, 1): no entry of the basis describes it
+    for state in (basis_state(5, 3), uniform_superposition(5)):
+        with pytest.raises(ValueError, match="^cost_distribution needs a dense cost, not one on"):
+            cost_distribution(state, cost)
+    edgeless = Graph(3, ())
+    dist = cost_distribution(uniform_superposition(3), subspace_cost(edgeless))
+    dense = cost_distribution(uniform_superposition(3), build_mis(edgeless)[0])
+    assert dist.support.tobytes() == dense.support.tobytes()
+    assert dist.probs.tobytes() == dense.probs.tobytes()
 
 
 def test_expectation_on_a_basis(g5, mis_pair):
