@@ -25,13 +25,17 @@ from .statevector import (
     apply_diagonal_phase,
     apply_x_rotation_all,
     basis_state,
+    expectation,
     uniform_superposition,
 )
 
 TRANSVERSE_FIELD = "transverse-field"
 MIS_CONTROLLED = "mis-controlled"
-# Cap on resolution * max(resolution, 2**n): the grid's value table stays under
-# 128 MiB and each copy of its phase batch under 256 MiB.
+# Cap on resolution * max(resolution, 2**n).  The depth-1 grid search keeps
+# resolution**2 closed-form values (128 MiB at the cap) and builds one 2**n
+# state per candidate it scores densely.  Candidates are few for the costs
+# built here, but a constant cost makes all resolution**2 points candidates,
+# and the cap is what bounds that worst case.
 GRID_CAP = 2**24
 
 
@@ -154,28 +158,115 @@ def check_grid_size(n: int, resolution: int) -> None:
         )
 
 
+def ising_grid(h: DiagonalHamiltonian, angles: list[float]) -> tuple[np.ndarray, float]:
+    """Closed-form depth-1 <H> on the (gamma, beta) grid of `angles`, and the screen's tolerance.
+
+    An in-place Walsh-Hadamard transform writes h = sum_S c_S prod_{u in S} z_u
+    (z = 1 - 2x).  The grid is exact for the terms of at most two bits: c0 =
+    c[0], fields h_u = c[1 << u] and couplings J_uv = c[(1 << u) | (1 << v)].
+    With g = 2 gamma (Ozaeta, van Dam & McMahon, arXiv:2012.03421; for MaxCut
+    Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304 (2018)),
+
+        <Z_u> = sin2b sin(g h_u) prod_{w != u} cos(g J_uw),
+        <Z_u Z_v> = sin4b / 2 sin(g J_uv) [cos(g h_u) prod_w cos(g J_uw) + (u <-> v)]
+            + sin^2 2b / 2 [cos(g (h_u - h_v)) prod_w cos(g (J_uw - J_vw))
+                            - cos(g (h_u + h_v)) prod_w cos(g (J_uw + J_vw))],
+
+    the last three products over w != u, v.  So the grid is c0 + A(gamma)
+    sin2b + B(gamma) sin4b / 2 + C(gamma) sin^2 2b / 2, built by broadcasting:
+    no BLAS call, and no 2**n array past the transform.  tol = 2R + 1e-9 (1 +
+    W) + 1e-14 (W + R)**2, where W and R sum |c_S| over the terms of at most
+    two and of three or more bits; optimize_qaoa1 says why that suffices.
+    """
+    n = h.n
+    c = h.values.copy()
+    for k in range(n):
+        pair = c.reshape(-1, 2, 2**k)
+        low = pair[:, 0].copy()
+        pair[:, 0] += pair[:, 1]
+        np.subtract(low, pair[:, 1], out=pair[:, 1])
+    c *= 0.5**n
+    bit = 1 << np.arange(n)
+    fields = c[bit]
+    coupling = c[bit[:, None] | bit]
+    np.fill_diagonal(coupling, 0.0)
+    u, v = np.nonzero(np.triu(coupling))
+    juv = coupling[u, v]
+    low_order = abs(c[0]) + np.abs(fields).sum() + np.abs(juv).sum()
+    total = np.abs(c).sum()
+    tol = 2 * max(total - low_order, 0.0) + 1e-9 * (1 + low_order) + 1e-14 * total**2
+
+    g = 2 * np.array(angles)
+    rows = np.arange(u.size)
+    ju, jv = coupling[u], coupling[v]  # each pair's rows, without J_uv
+    ju[rows, v] = 0.0
+    jv[rows, u] = 0.0
+
+    def trig(f, x: np.ndarray) -> np.ndarray:
+        return f(np.multiply.outer(g, x))
+
+    def cos_prod(x: np.ndarray) -> np.ndarray:
+        return trig(np.cos, x).prod(axis=-1)
+
+    a_g = (fields * trig(np.sin, fields) * cos_prod(coupling)).sum(axis=1)
+    b_g = (juv * trig(np.sin, juv) * (
+        trig(np.cos, fields[u]) * cos_prod(ju) + trig(np.cos, fields[v]) * cos_prod(jv)
+    )).sum(axis=1)
+    c_g = (juv * (
+        trig(np.cos, fields[u] - fields[v]) * cos_prod(ju - jv)
+        - trig(np.cos, fields[u] + fields[v]) * cos_prod(ju + jv)
+    )).sum(axis=1)
+    s2 = np.sin(g)  # sin 2b: both axes take the same angles, so g doubles beta too
+    grid = np.multiply.outer(a_g, s2)
+    grid += np.multiply.outer(b_g, np.sin(2 * g) / 2)
+    grid += np.multiply.outer(c_g, s2**2 / 2)
+    grid += c[0]
+    return grid, tol
+
+
 def optimize_qaoa1(h: DiagonalHamiltonian, grid_resolution: int = 256) -> AnsatzParams:
     """Exhaustive grid search for the depth-1 angles maximizing <H>.
 
-    Both angles range over [0, pi) with `grid_resolution` points.  Each grid
-    value is expectation(qaoa1_state(h, AnsatzParams(gamma, beta)), h) bit for
-    bit: the batch of phased states, one row per gamma, is built, rotated and
-    summed with the same arithmetic.  Among bitwise-equal grid values the
-    smallest (gamma, beta) wins.  Ties in exact arithmetic are left to
-    rounding: for MaxCut <H> is the same at beta and beta + pi/2, so either
-    twin may win.  On configs/postprocess.json the search returns indices
-    (49, 155), and its twin (49, 27) reads 2.7e-15 lower.
+    Both angles range over [0, pi) with `grid_resolution` points.  The result
+    is the first gamma-major maximum, as np.argmax picks it, of the dense grid
+    expectation(qaoa1_state(h, AnsatzParams(gamma, beta)), h), which is never
+    built: ising_grid screens the grid in O(res (n**2 + pairs n) + res**2),
+    and only the candidates, the points within tol of the screen's maximum
+    (every point when the screen is not finite), are scored densely.
+
+    The screen keeps every dense maximizer while the closed form and the
+    dense value differ by at most tol / 2 everywhere: a maximizer then reads
+    at least the dense maximum less tol / 2 in closed form, hence at least
+    the closed-form maximum less tol.  Terms of three or more bits open that
+    gap by up to R, so they only widen the screen.  Rounding opens it by far
+    less than 1e-9 (1 + W), except that each phase gamma h(x), up to
+    pi (W + R), rounds by a relative 2**-53, which moves both values by
+    O(2**-53 (W + R)**2).  The 1e-14 term covers that: with penalty weight
+    1e8 on an 8-vertex graph the gap is 9.6, tol / 2 is 4050, and the 1e-9
+    term alone would give 0.45.  A constant cost makes every point a
+    candidate; GRID_CAP bounds that case.
+
+    Among bitwise-equal values the smallest (gamma, beta) wins.  Ties in
+    exact arithmetic are left to rounding: for MaxCut <H> is the same at
+    beta and beta + pi/2, so either twin may win.  On
+    configs/postprocess.json the search returns indices (49, 155), and its
+    twin (49, 27) reads 2.7e-15 lower.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     check_grid_size(h.n, grid_resolution)
-    flat = uniform_superposition(h.n)
-    _check_dense(flat, "optimize_qaoa1", h)
+    _check_dense(uniform_superposition(h.n), "optimize_qaoa1", h)
+    if h.basis is not None:  # every string in order, e.g. an edgeless graph's sets
+        h = DiagonalHamiltonian(h.n, h.values)
     angles = (math.pi * np.arange(grid_resolution) / grid_resolution).tolist()
-    phased = np.array([flat.amps * np.exp(-1j * gamma * h.values) for gamma in angles])
-    values = np.empty((grid_resolution, grid_resolution))
-    for j, beta in enumerate(angles):
-        batch = _rotate(phased.copy(), [(u, ()) for u in range(h.n)], beta)
-        values[:, j] = np.sum(np.abs(batch) ** 2 * h.values, axis=1)
-    gi, bi = np.unravel_index(int(np.argmax(values)), values.shape)
-    return AnsatzParams(gamma=angles[gi], beta=angles[bi])
+    grid, tol = ising_grid(h, angles)
+    candidates = np.flatnonzero(~(grid < grid.max() - tol))  # a NaN keeps every point
+
+    def point(k) -> AnsatzParams:
+        gi, bi = divmod(int(k), grid_resolution)
+        return AnsatzParams(angles[gi], angles[bi])
+
+    values = np.fromiter(
+        (expectation(qaoa1_state(h, point(k)), h) for k in candidates), float, candidates.size
+    )
+    return point(candidates[np.argmax(values)])

@@ -40,6 +40,21 @@ def _check_capacity(n: int) -> None:
         raise CapacityError(f"n={n} exceeds the dense-table cap of {DENSE_CAP} qubits")
 
 
+def _checked_basis(n: int, basis) -> np.ndarray:
+    """The basis as a read-only int64 array; ValueError unless it is 1-d,
+    strictly increasing and inside 0..2**n - 1.  A read-only int64 array,
+    e.g. independent_sets, is shared without a copy."""
+    basis = np.asarray(basis, dtype=np.int64)
+    if basis.flags.writeable:
+        basis = basis.copy()
+        basis.setflags(write=False)
+    if basis.ndim != 1 or np.any(basis[1:] <= basis[:-1]):
+        raise ValueError("basis must be a strictly increasing 1-d array")
+    if basis.size and (basis[0] < 0 or basis[-1] >= 2**n):
+        raise ValueError(f"basis indices must lie in 0..2**{n} - 1")
+    return basis
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on vertices 0..n-1; no self-loops, no duplicate edges."""
@@ -193,6 +208,8 @@ class DiagonalHamiltonian:
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.basis is not None:
+            object.__setattr__(self, "basis", _checked_basis(self.n, self.basis))
         vals = np.array(self.values, dtype=np.float64, copy=True)
         size = 2**self.n if self.basis is None else self.basis.size
         if vals.shape != (size,):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import DiagonalHamiltonian, _check_capacity
+from .problems import DiagonalHamiltonian, _check_capacity, _checked_basis
 
 NORM_TOL = 1e-10
 GROUP_TOL = 1e-9  # tolerance when grouping probabilities by cost value
@@ -29,16 +29,7 @@ class StateVector:
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        basis = self.basis
-        if basis is not None:
-            basis = np.asarray(basis, dtype=np.int64)
-            if basis.flags.writeable:  # a read-only basis, e.g. independent_sets, is shared
-                basis = basis.copy()
-                basis.setflags(write=False)
-            if basis.ndim != 1 or np.any(basis[1:] <= basis[:-1]):
-                raise ValueError("basis must be a strictly increasing 1-d array")
-            if basis.size and (basis[0] < 0 or basis[-1] >= 2**self.n):
-                raise ValueError(f"basis indices must lie in 0..2**{self.n} - 1")
+        basis = None if self.basis is None else _checked_basis(self.n, self.basis)
         self._adopt(self.n, np.array(self.amps, dtype=np.complex128, copy=True), basis)
 
     @classmethod
@@ -132,21 +123,20 @@ def _rotate(
 ) -> np.ndarray:
     """Rotate amps in place by chi, one (u, controls) target at a time, and return it.
 
-    amps is C-contiguous complex128; its last axis holds 2**n amplitudes and
-    any leading axes are a batch of states, rotated alike.  Target qubit u's
-    pairs are mixed only where every control bit is 0.  After the batch axes
-    bit u is axis n-1-u: basic slicing fixes each control axis to 0 and
-    splits the target axis, and the leading Ellipsis keeps a 0-d view when
-    every other qubit is a control.  Both halves are copied into contiguous
-    buffers reused for every target and mixed by _mix.  Contiguous operands
-    keep numpy on one inner loop whatever the view's strides, so each row's
-    bytes match the plain expression; reused buffers spare a fresh 2**(n-1)
-    temporary, and its page faults, per target.
+    amps is 1-d C-contiguous complex128 with 2**n entries.  Target qubit u's
+    pairs are mixed only where every control bit is 0.  Bit u is axis n-1-u
+    of amps viewed as (2,) * n: basic slicing fixes each control axis to 0
+    and splits the target axis, and the leading Ellipsis keeps a 0-d view
+    when every other qubit is a control.  Both halves are copied into
+    contiguous buffers reused for every target and mixed by _mix.
+    Contiguous operands keep numpy on one inner loop whatever the view's
+    strides, so the bytes match the plain expression; reused buffers spare
+    a fresh 2**(n-1) temporary, and its page faults, per target.
     """
-    n = amps.shape[-1].bit_length() - 1
+    n = amps.size.bit_length() - 1
     c, js = math.cos(chi), 1j * math.sin(chi)
-    tensor = amps.reshape(amps.shape[:-1] + (2,) * n)
-    size = amps.size // 2**n * max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets)
+    tensor = amps.reshape((2,) * n)
+    size = max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets)
     buffers = np.empty((2, 2 * size), dtype=np.complex128)
     for u, controls in targets:
         idx: list = [slice(None)] * n

@@ -23,8 +23,8 @@ from mdqo import (
     qaoa1_state,
     uniform_superposition,
 )
-from mdqo.mixers import check_grid_size
-from mdqo.problems import DiagonalHamiltonian, build_maxcut, build_mis, subspace_cost
+from mdqo.mixers import check_grid_size, ising_grid
+from mdqo.problems import DiagonalHamiltonian, build_maxcut, build_mis, penalize, subspace_cost
 
 from conftest import random_state
 
@@ -192,10 +192,31 @@ def random_edge_graph(seed: int) -> Graph:
     return Graph(n, tuple(sorted({(int(min(p)), int(max(p))) for p in pairs if p[0] != p[1]})))
 
 
+def spins(n: int) -> np.ndarray:
+    """z_u = 1 - 2 x_u for every basis index x, one row per index."""
+    return 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+
+
+def random_ising(n: int, rng: np.random.Generator) -> DiagonalHamiltonian:
+    """A non-integer 2-local cost: a constant, a field per qubit and a coupling per pair."""
+    z = spins(n)
+    fields, couplings = rng.normal(size=n), np.triu(rng.normal(size=(n, n)), 1)
+    return DiagonalHamiltonian(n, 0.3 + z @ fields + np.einsum("xu,uv,xv->x", z, couplings, z))
+
+
 def test_optimize_qaoa1_matches_independent_evaluation(maxcut_h):
     # The grid returns exactly the first gamma-major maximum of qaoa1_state's
-    # <H>, twins at beta + pi/2 included: every grid value is that <H> bit for bit.
+    # <H>, twins at beta + pi/2 included: every grid value is that <H> bit for
+    # bit.  Beyond MaxCut: penalised MIS, a 2-local cost with fields, and a
+    # cost with a 3-body term z0 z1 z2, which no pairwise form holds.
     hamiltonians = [maxcut_h] + [build_maxcut(random_edge_graph(seed)) for seed in range(10)]
+    for seed in range(3):
+        h, p = build_mis(random_edge_graph(seed + 20))
+        hamiltonians.append(penalize(h, p, 1.7))
+    hamiltonians.append(random_ising(5, np.random.default_rng(3)))
+    z = spins(maxcut_h.n)
+    cubic = maxcut_h.values + z[:, 0] * z[:, 1] * z[:, 2]
+    hamiltonians.append(DiagonalHamiltonian(maxcut_h.n, cubic))
     for h in hamiltonians:
         for resolution in (16, 32):
             grid = [math.pi * i / resolution for i in range(resolution)]
@@ -244,8 +265,81 @@ def test_qaoa1_state_matches_maxcut_closed_form():
             )
 
 
+def walsh_coefficients(h: DiagonalHamiltonian) -> np.ndarray:
+    """c_S with h = sum_S c_S prod_{u in S} z_u, from the dense Hadamard matrix."""
+    hadamard = np.array([[1.0]])
+    for _ in range(h.n):
+        hadamard = np.kron(hadamard, [[1.0, 1.0], [1.0, -1.0]])
+    return hadamard @ h.values / 2**h.n
+
+
+def triangle_graph(n: int, rng: np.random.Generator) -> Graph:
+    """A path with random chords and, from n = 3, the triangle 0-1-2, so edges share neighbours."""
+    chords = {
+        (u, v) for u in range(n) for v in range(u + 2, n)
+        if (u, v) == (0, 2) or rng.random() < 0.4
+    }
+    return Graph(n, tuple(sorted({(u, u + 1) for u in range(n - 1)} | chords)))
+
+
+def test_ising_grid_matches_the_dense_expectation():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        graph = triangle_graph(n, rng)
+        maxcut = build_maxcut(graph)
+        h, p = build_mis(graph)
+        costs = [maxcut, penalize(h, p, 1.7), h, random_ising(n, rng)]  # h: popcount
+        angles = rng.uniform(0, math.pi, 5).tolist()
+        for cost in costs:
+            grid, tol = ising_grid(cost, angles)
+            weight = np.abs(walsh_coefficients(cost)).sum()
+            scale = 1 + weight
+            # no term of three bits: only the rounding allowance
+            assert tol == pytest.approx(1e-9 * scale + 1e-14 * weight**2, rel=1e-3)
+            dense = [[expectation(qaoa1_state(cost, AnsatzParams(g, b)), cost) for b in angles]
+                     for g in angles]
+            np.testing.assert_allclose(grid, dense, rtol=0, atol=1e-12 * scale)
+        reference = [[maxcut_depth1_closed_form(graph, g, b) for b in angles] for g in angles]
+        np.testing.assert_allclose(ising_grid(maxcut, angles)[0], reference, rtol=0, atol=1e-12)
+    # A 3-body term lies outside the closed form: the screen widens by 2R.
+    graph = triangle_graph(6, rng)
+    z = spins(6)
+    cubic = DiagonalHamiltonian(6, build_maxcut(graph).values + 0.5 * z[:, 0] * z[:, 1] * z[:, 2])
+    low = np.abs(walsh_coefficients(build_maxcut(graph))).sum()
+    expected = 2 * 0.5 + 1e-9 * (1 + low) + 1e-14 * (low + 0.5) ** 2
+    assert ising_grid(cubic, [0.3])[1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_screen_tolerance_covers_phase_rounding():
+    # With penalty weight 1e8 the phases gamma h(x) reach 3e9, and their
+    # rounding puts the closed form 9.6 from the dense value: a tolerance
+    # of 1e-9 of the coefficient sum (0.9) alone would not hold that gap.
+    edges = tuple((u, v) for u in range(8) for v in range(u + 1, 8) if (u + v) % 3 == 0)
+    h, p = build_mis(Graph(8, edges))
+    cost = penalize(h, p, 1e8)
+    angles = [math.pi * i / 16 for i in range(16)]
+    grid, tol = ising_grid(cost, angles)
+    dense = np.array(
+        [[expectation(qaoa1_state(cost, AnsatzParams(g, b)), cost) for b in angles] for g in angles]
+    )
+    assert 1 < np.abs(grid - dense).max() <= tol / 2
+    gi, bi = np.unravel_index(int(np.argmax(dense)), dense.shape)
+    assert optimize_qaoa1(cost, 16) == AnsatzParams(angles[gi], angles[bi])
+
+
+def regular_graph(n: int, seed: int) -> Graph:
+    """A random 3-regular graph: pairing model, redrawn until simple."""
+    rng = np.random.default_rng(seed)
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        edges = {(int(min(u, v)), int(max(u, v))) for u, v in stubs if u != v}
+        if len(edges) == len(stubs):
+            return Graph(n, tuple(sorted(edges)))
+
+
 def test_optimize_qaoa1_memory_stays_linear_in_the_dimension():
-    # A 2**n x 2**n operator at n = 11 alone takes 64 MiB; the batch takes 128 KiB.
+    # A 2**n x 2**n operator at n = 11 alone takes 64 MiB; the search holds a
+    # few 2**n states, for its transform and each candidate it scores.
     h = build_maxcut(Graph(11, tuple((u, (u + 1) % 11) for u in range(11))))
     tracemalloc.start()
     try:
@@ -254,6 +348,20 @@ def test_optimize_qaoa1_memory_stays_linear_in_the_dimension():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_optimize_qaoa1_builds_no_batch_of_states():
+    # A (64, 2**16) batch of phased states alone would take 64 MiB.
+    h = build_maxcut(regular_graph(16, 0))
+    tracemalloc.start()
+    try:
+        params = optimize_qaoa1(h, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    grid, tol = ising_grid(h, [math.pi * i / 64 for i in range(64)])
+    assert expectation(qaoa1_state(h, params), h) >= grid.max() - tol
 
 
 def test_grid_size_cap():

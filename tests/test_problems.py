@@ -267,6 +267,22 @@ def test_hamiltonian_validation():
         DiagonalHamiltonian(1, np.array([0.0, np.inf]))
 
 
+def test_hamiltonian_checks_its_basis(g5):
+    # A reversed full basis once passed _check_dense as a dense table, and
+    # indices past 2**n - 1 were bounded by spectrum_bounds.
+    with pytest.raises(ValueError, match="^basis must be a strictly increasing 1-d array$"):
+        DiagonalHamiltonian(2, [0.0, 1.0, 2.0, 3.0], basis=np.array([3, 2, 1, 0]))
+    with pytest.raises(ValueError, match=r"^basis indices must lie in 0\.\.2\*\*2 - 1$"):
+        DiagonalHamiltonian(2, [0.0, 1.0], basis=np.array([7, 9]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DiagonalHamiltonian(2, [0.0], basis=np.zeros((1, 1), dtype=np.int64))
+    cost = subspace_cost(g5)
+    rescaling = rescaling_from_bounds(Bounds(0.0, 5.0, "brute-force"))
+    assert apply_rescaling(rescaling, cost).basis is cost.basis
+    copied = DiagonalHamiltonian(2, [0.0, 1.0], basis=[1, 3])
+    assert copied.basis.dtype == np.int64 and not copied.basis.flags.writeable
+
+
 def test_values_are_write_protected(maxcut_h):
     with pytest.raises(ValueError):
         maxcut_h.values[0] = 7.0

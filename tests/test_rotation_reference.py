@@ -2,11 +2,9 @@
 
 The reference gathers and scatters the (x, x | 2**u) pairs through index
 arrays built from np.arange(2**n).  Every kernel caller must reproduce it
-byte for byte and leave its input state untouched, and a batch of states
-through the kernel must give each row the bytes of a single-state call.  A
-state on the independent sets must get, from the mixers, the bytes the
-reference gives those strings, and the reference must leave exactly 0 on
-every other string.
+byte for byte and leave its input state untouched.  A state on the
+independent sets must get, from the mixers, the bytes the reference gives
+those strings, and the reference must leave exactly 0 on every other string.
 """
 
 import math
@@ -26,7 +24,6 @@ from mdqo import (
     feasible_initial_state,
 )
 from mdqo.problems import independent_sets
-from mdqo.statevector import _rotate
 
 from conftest import random_state
 
@@ -85,15 +82,6 @@ def check_same(state: StateVector, out: StateVector, expected: np.ndarray, befor
     assert state.amps.tobytes() == before
 
 
-def check_batch(n: int, targets: list, chi: float, seed: int):
-    """(4, 2**n) and (2, 2, 2**n) batches rotate each row as a single-state call does."""
-    rows = np.array([random_state(seed + k, n).amps for k in range(4)])
-    singles = [_rotate(row.copy(), targets, chi).tobytes() for row in rows]
-    for shape in ((4, 2**n), (2, 2, 2**n)):
-        out = _rotate(rows.reshape(shape).copy(), targets, chi).reshape(4, 2**n)
-        assert [row.tobytes() for row in out] == singles
-
-
 @pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
 @pytest.mark.parametrize("chi", [0.0, 0.37, -1.1, math.pi / 2])
 def test_mixers_match_reference(graph, chi):
@@ -106,7 +94,6 @@ def test_mixers_match_reference(graph, chi):
         check_same(state, out, expected, before)
     expected = reference_mixer(state.amps, n, None, chi)
     check_same(state, apply_x_rotation_all(state, chi), expected, before)
-    check_batch(n, [(u, graph.neighbors(u)) for u in range(n)], chi, n + 300)
 
 
 @pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
@@ -123,7 +110,6 @@ def test_controlled_rotation_matches_reference(graph):
             expected = reference_controlled_rotation(state.amps, n, u, controls, 0.81)
             out = apply_controlled_x_rotation(state, u, controls, 0.81)
             check_same(state, out, expected, before)
-            check_batch(n, [(u, controls)], 0.81, n + 400)
 
 
 @pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
