@@ -159,10 +159,10 @@ class ControlTables:
 
     Entry i of a state sits on level level[i], stored in the smallest
     unsigned dtype that fits.  Every entry on level l has the driving cost
-    h[l] and the rescaled cost c[l]; sin_sq and cos_sq are the branch weights
-    sin^2(c + pi/4) and cos^2(c + pi/4), and sin_2c the success weight.  In
-    feasible-subspace mode basis holds the independent sets, entry i is
-    basis[i], and c is validated on their levels alone (a level no
+    h[l]; of the rescaled cost c only the branch weights sin_sq and cos_sq,
+    sin^2(c + pi/4) and cos^2(c + pi/4), and the success weight sin(2c) are
+    kept.  In feasible-subspace mode basis holds the independent sets, entry
+    i is basis[i], and c is validated on their levels alone (a level no
     independent set reaches may leave [0, pi/4]); otherwise basis is None
     and entry i is basis index i.  p_viol holds the violation counts of MIS
     instances per entry.
@@ -172,7 +172,6 @@ class ControlTables:
     rescaling: Rescaling
     level: np.ndarray
     h: np.ndarray
-    c: np.ndarray
     sin_sq: np.ndarray
     cos_sq: np.ndarray
     sin_2c: np.ndarray
@@ -212,7 +211,6 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         rescaling=rescaling,
         level=level,
         h=h,
-        c=c,
         sin_sq=np.sin(angle) ** 2,
         cos_sq=np.cos(angle) ** 2,
         sin_2c=np.sin(2.0 * c),
@@ -274,7 +272,7 @@ def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Bas
 
 
 def _p1(tables: ControlTables, q: np.ndarray) -> float:
-    return 0.5 + 0.5 * float(q @ tables.sin_2c)
+    return 0.5 + 0.5 * float(np.sum(q * tables.sin_2c))
 
 
 def _level_step(
@@ -331,55 +329,47 @@ def _trajectory(
 ) -> Trajectory:
     """The trajectory loop under a validated config, from a weighed initial state.
 
-    A weak step reweights only the level posterior q.  A scramble
-    materialises the state, mixes it and makes the result the new base,
-    which is weighed before the next step reads it.
+    A weak step reweights only the level posterior q.  A scramble is one
+    step from (base, q) to the next weighed base: it materialises the state,
+    releases the old base, mixes, and weighs the result, which _weigh checks
+    for amplitude off the independent sets at the scramble that made it.
     """
     rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
     max_steps = config.max_steps_per_trajectory
     base, q = start, start.w
-    state = None  # a mixed state that is not weighed yet
     counts = OutcomeCounts(0, 0)
     outcomes: list[int] = []
     scramble_events: list[int] = []
     records: list[StepRecord] = []
-    while True:
-        reason = evaluate_return(criteria, counts, rescaling)
-        if reason is not None:
-            break
+    while (reason := evaluate_return(criteria, counts, rescaling)) is None:
         if len(outcomes) >= max_steps:
             raise StepCapError(
                 f"no return criterion fired within {max_steps} steps; "
                 "the criteria may be unreachable under this rescaling"
             )
-        if base is None:
-            base = _weigh(tables, state, record_diagnostics)
-            q = base.w
         b, q = _level_step(tables, q, rng)
         outcomes.append(b)
         counts = OutcomeCounts(counts.k0 + (b == 0), counts.k1 + (b == 1))
-        scrambled = False
-        if mixer is not None and _scramble_fires(criteria, counts, rescaling):
+        scrambled = mixer is not None and _scramble_fires(criteria, counts, rescaling)
+        if scrambled:
             state = _materialise(tables, base, q)
-            base = q = None  # the old base must not outlive the mixer's copies
+            base = None  # the old base must not outlive the mixer's copies
             state = apply_mixer(state, mixer)
+            base = _weigh(tables, state, record_diagnostics)
+            q = base.w
             scramble_events.append(len(outcomes))
             counts = OutcomeCounts(0, 0)
-            scrambled = True
         if record_diagnostics:
-            if base is None:
-                base = _weigh(tables, state, record_diagnostics)
-                q = base.w
             records.append(
                 StepRecord(
                     step=len(outcomes),
                     outcome=b,
                     p1=_p1(tables, q),
-                    cost_expectation=float(q @ tables.h),
+                    cost_expectation=float(np.sum(q * tables.h)),
                     peak=peak_position(counts) if counts.total >= 1 else None,
                     scrambled=scrambled,
                     penalty_expectation=(
-                        float(_ratio(base, q) @ base.penalty)
+                        float(np.sum(_ratio(base, q) * base.penalty))
                         if base.penalty is not None
                         else None
                     ),

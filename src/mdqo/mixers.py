@@ -16,10 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .problems import DiagonalHamiltonian, Graph, independent_sets
+from .problems import DiagonalHamiltonian, Graph, _check_capacity, independent_sets
 from .statevector import (
     StateVector,
-    _check_dense,
     _rotate,
     _rotate_pairs,
     apply_diagonal_phase,
@@ -255,7 +254,9 @@ def optimize_qaoa1(h: DiagonalHamiltonian, grid_resolution: int = 256) -> Ansatz
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
     check_grid_size(h.n, grid_resolution)
-    _check_dense(uniform_superposition(h.n), "optimize_qaoa1", h)
+    _check_capacity(h.n)
+    if h.values.size != 2**h.n:
+        raise ValueError("optimize_qaoa1 needs a dense cost, not one on a basis")
     if h.basis is not None:  # every string in order, e.g. an edgeless graph's sets
         h = DiagonalHamiltonian(h.n, h.values)
     angles = (math.pi * np.arange(grid_resolution) / grid_resolution).tolist()

@@ -16,7 +16,6 @@ from mdqo import (
     OuterConfig,
     ProblemInstance,
     StateVector,
-    StepCapError,
     basis_state,
     driving_hamiltonian,
     evaluate_return,
@@ -31,6 +30,7 @@ from mdqo import (
     trajectory_rng,
     uniform_superposition,
 )
+from mdqo import control
 from mdqo.control import prepare_tables
 from mdqo.problems import independent_sets, subspace_cost
 
@@ -253,20 +253,41 @@ def test_mixer_check_precedes_step_cap(monkeypatch, mis_instance, feasible_resca
         assert str(info.value) == MIXER_MESSAGE
 
 
-def test_step_cap_precedes_in_loop_leak(monkeypatch, g5, mis_instance, feasible_rescaling):
-    # a mixer that lands off the independent sets is caught when the next
-    # step weighs its state: a scramble that fills the one-step budget hits
-    # the cap first, but a diagnostics record reads the mixed state at once
+def test_in_loop_leak_caught_at_its_scramble(monkeypatch, g5, mis_instance, feasible_rescaling):
+    # a mixer that lands off the independent sets is caught where its state
+    # is weighed, at the scramble that made it: a scramble that fills the
+    # one-step budget reports the leak, not the step cap, diagnostics or not
     mask = feasible_mask(mis_instance)
     monkeypatch.setattr("mdqo.control.apply_mixer", lambda state, mixer: basis_state(5, 0b00110))
     initial = StateVector(5, mask / np.sqrt(mask.sum()))
     run = (mis_instance, feasible_rescaling, initial, CriteriaConfig(threshold_T=2.5),
            MixerSpec(MIS_CONTROLLED, 0.4, g5))
-    with pytest.raises(StepCapError):
-        run_algorithm2(*run, trajectory_rng(0, 0), max_steps=1)
-    with pytest.raises(ValueError) as info:
-        run_algorithm2(*run, trajectory_rng(0, 0), max_steps=1, record_diagnostics=True)
-    assert str(info.value) == LEAK_MESSAGE
+    for diagnostics in (False, True):
+        with pytest.raises(ValueError) as info:
+            run_algorithm2(
+                *run, trajectory_rng(0, 0), max_steps=1, record_diagnostics=diagnostics
+            )
+        assert str(info.value) == LEAK_MESSAGE
+
+
+def test_each_base_is_weighed_once(monkeypatch, g5, mis_instance, feasible_rescaling):
+    # the initial state and each scramble's mixed state are weighed once each
+    weighed = []
+    weigh = control._weigh
+
+    def counted(*args):
+        weighed.append(args[1])
+        return weigh(*args)
+
+    monkeypatch.setattr("mdqo.control._weigh", counted)
+    initial = uniform_superposition(5, independent_sets(g5))
+    traj = run_algorithm2(
+        mis_instance, feasible_rescaling, initial,
+        CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=1),
+        MixerSpec(MIS_CONTROLLED, 0.5, g5), trajectory_rng(0, 8),
+    )
+    assert len(traj.scramble_events) > 1
+    assert len(weighed) == 1 + len(traj.scramble_events)
 
 
 def test_in_range_scramble_leak_rejected(
@@ -470,8 +491,8 @@ def test_empirical_surplus_steps_respect_drift_bound(
 def test_subspace_level_table_is_the_dense_one(n):
     # feasible-subspace mode keeps every vertex-count level the dense table
     # has, levels no independent set reaches included, so the posterior q
-    # keeps its length and its sums their bits; c gets the bits the dense
-    # per-string rescaling gives each level
+    # keeps its length and its sums their bits; the branch and success
+    # weights get the bits the dense per-string rescaling gives each level
     rng = np.random.default_rng([n, 41])
     graph = Graph(
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
@@ -485,7 +506,10 @@ def test_subspace_level_table_is_the_dense_one(n):
     c[level] = rescaled_table(resc, h_dense).values
     tables = prepare_tables(inst, resc)
     assert tables.h.tobytes() == values.tobytes() and values.size == n + 1
-    assert tables.c.tobytes() == c.tobytes()
+    angle = c + math.pi / 4
+    assert tables.sin_sq.tobytes() == (np.sin(angle) ** 2).tobytes()
+    assert tables.cos_sq.tobytes() == (np.cos(angle) ** 2).tobytes()
+    assert tables.sin_2c.tobytes() == np.sin(2.0 * c).tobytes()
     assert np.array_equal(tables.basis, np.flatnonzero(mask))
     assert np.array_equal(tables.level, level[tables.basis])
 

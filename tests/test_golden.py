@@ -14,6 +14,7 @@ and say why in the change log.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,8 +61,8 @@ def test_every_shipped_config_is_covered():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 
-def every_artifact_hash(outroot: Path) -> dict[str, dict[str, str]]:
-    return {name: artifact_hashes(name, outroot / name) for name in sorted(COMMANDS)}
+def every_artifact_hash(outroot: Path, names=COMMANDS) -> dict[str, dict[str, str]]:
+    return {name: artifact_hashes(name, outroot / name) for name in sorted(names)}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -70,22 +71,57 @@ def test_shipped_config_artifacts_match_golden(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == expected
 
 
-def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
-    # only the n = 18 closed forms depend on the BLAS thread count, and no
-    # shipped config reaches n = 18; the thread count is fixed when numpy
-    # loads, hence the fresh interpreter
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def hashes_in_fresh_interpreter(tmp_path: Path, names, **blas_env) -> dict:
+    """every_artifact_hash of `names` in a subprocess whose environment adds
+    blas_env: OpenBLAS reads its variables once, when numpy loads."""
+    env = dict(os.environ, **blas_env)
     paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     script = (
         "import json, sys; from pathlib import Path; "
         "from test_golden import every_artifact_hash; "
         "out = Path(sys.argv[1]); "
-        "(out / 'hashes.json').write_text(json.dumps(every_artifact_hash(out / 'runs')))"
+        "names = json.loads(sys.argv[2]); "
+        "(out / 'hashes.json').write_text(json.dumps(every_artifact_hash(out / 'runs', names)))"
     )
-    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
-    hashes = json.loads((tmp_path / "hashes.json").read_text())
+    command = [sys.executable, "-c", script, str(tmp_path), json.dumps(sorted(names))]
+    subprocess.run(command, env=env, check=True)
+    return json.loads((tmp_path / "hashes.json").read_text())
+
+
+def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
+    # only the n = 18 closed forms depend on the BLAS thread count, and no
+    # shipped config reaches n = 18
+    hashes = hashes_in_fresh_interpreter(
+        tmp_path, COMMANDS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
+    )
     assert hashes == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
+def test_run_hashes_hold_under_other_blas_kernels(coretype, tmp_path):
+    # the run path makes no BLAS call, so the OpenBLAS kernel cannot move
+    # the summation order of any run artifact
+    runs = [name for name in COMMANDS if COMMANDS[name] == "run"]
+    hashes = hashes_in_fresh_interpreter(tmp_path, runs, OPENBLAS_CORETYPE=coretype)
+    golden = json.loads(GOLDEN.read_text())
+    assert hashes == {name: golden[name] for name in runs}
+
+
+BLAS_CALL = re.compile(r"linalg| @ |np\.dot|\.dot\(|matmul|tensordot")
+
+
+def test_only_analytic_state_calls_blas():
+    # BLAS sums in an order that follows the OpenBLAS kernel and thread count;
+    # analytic_state's norm is the one documented call left, and it feeds
+    # only the study commands
+    hits = [
+        (path.name, line.strip())
+        for path in sorted((ROOT / "src" / "mdqo").glob("*.py"))
+        for line in path.read_text().splitlines()
+        if BLAS_CALL.search(line)
+    ]
+    assert hits == [("weak_measurement.py", "norm = np.linalg.norm(amps)")]
 
 
 def test_module_entry_point(tmp_path):

@@ -184,6 +184,14 @@ def test_optimize_qaoa1_needs_a_dense_cost(g5):
     assert optimize_qaoa1(subspace_cost(edgeless), 8) == optimize_qaoa1(build_mis(edgeless)[0], 8)
 
 
+def test_optimize_qaoa1_dense_cap_precedes_the_basis_check():
+    # a 21-qubit grid at resolution 2 passes GRID_CAP, and the dense cap
+    # stops the search before it reads the cost
+    above_cap = DiagonalHamiltonian(21, np.zeros(1), basis=np.array([0]))
+    with pytest.raises(CapacityError, match="exceeds the dense-table cap of 20 qubits"):
+        optimize_qaoa1(above_cap, 2)
+
+
 def random_edge_graph(seed: int) -> Graph:
     """n in 4..7 vertices, edges drawn as 2n index pairs without loops or duplicates."""
     rng = np.random.default_rng(seed)
