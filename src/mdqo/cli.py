@@ -19,11 +19,13 @@ key, i.e. one the command does not read, even if it belongs to another kind; a
 surplus grid or a walk.L or walk.R past the float range; a feasible-subspace
 MIS run with a uniform start, a basis start that is not an independent set or
 a transverse-field mixer, and a postprocess or scramble-study of
-feasible-subspace MIS, on a graph with an edge; and a run whose criteria
-never fire within run.max_steps_per_trajectory), 3 capacity error (n above the
-dense cap where a dense table is built, more independent sets than
-SUBSPACE_CAP where feasible-subspace MIS lives on them, a depth-1 grid above
-GRID_CAP); logs go to standard error.
+feasible-subspace MIS, on a graph with an edge; a run whose criteria never
+fire within run.max_steps_per_trajectory; a walk.mc_step_cap, given or
+default, below walk.mc_trials; and an --out that cannot be made a
+directory), 3 capacity error (n above the dense cap where a dense table is
+built, more independent sets than SUBSPACE_CAP or more than 63 vertices where
+feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
+to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -86,7 +88,6 @@ from .problems import (
     subspace_cost,
 )
 from .statevector import (
-    GROUP_TOL,
     StateVector,
     basis_state,
     bitstring_to_index,
@@ -554,14 +555,10 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
         states.append((f"qaoa1_k1_{k1}", state))
 
     dists = [(label, cost_distribution(state, h)) for label, state in states]
-    # the uniform state weights every string, so its support lists all costs
-    support = dists[0][1].support
+    # every distribution groups the same table h, so they share one support
     header = ["cost"] + [f"p_{label}" for label, _ in dists]
-    probs = [state.probabilities() for _, state in states]
-    rows = []
-    for cost in support:
-        mask = np.abs(h.values - cost) <= GROUP_TOL
-        rows.append([float(cost)] + [float(np.sum(p[mask])) for p in probs])
+    columns = [dists[0][1].support] + [dist.probs for _, dist in dists]
+    rows = [[float(cell) for cell in row] for row in zip(*columns)]
     _write_csv(outdir / "postprocess_density.csv", header, rows)
 
     summary_rows = [[label, dist.mean] for label, dist in dists]
@@ -741,8 +738,8 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
     l_list = _float_sized(block.items("L", int), block.key("L"))
     r_values = _float_sized(block.items("R", int, [None], null=True), block.key("R"))
     trials = block.get("mc_trials", int, 0, minimum=0)
-    # The cap counts aggregate steps, so one below mc_trials never takes a step.
-    step_cap = block.get("mc_step_cap", int, MC_STEP_CAP, minimum=trials) if trials else None
+    # The cap counts aggregate steps: one below mc_trials, default too, never steps.
+    step_cap = _value(*block.entry("mc_step_cap", MC_STEP_CAP), int, trials) if trials else None
     include_run_rule = block.get("include_run_rule", bool, True)
     cfg.close()
     if trials > 0 and seed is None:
@@ -844,7 +841,10 @@ def main(argv=None) -> int:
         cfg = _Block(_load_config(args.config), "")
         seed = _resolve_seed(cfg, args.seed, required=seed_required)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create output directory: {exc}") from exc
         extra = {"threads": args.threads} if args.command == "run" else {}
         handler(cfg, outdir, seed, **extra)
     except ConfigError as exc:

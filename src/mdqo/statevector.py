@@ -245,29 +245,26 @@ class CostDistribution:
 
 
 def cost_distribution(state: StateVector, h: DiagonalHamiltonian) -> CostDistribution:
-    """Group |amps|^2 by cost value (tolerance GROUP_TOL) and report mean/variance.
+    """Group |amps|^2 on h.levels, merge levels within GROUP_TOL, report mean/variance.
 
     Parameters
     ----------
     state : StateVector
     h : DiagonalHamiltonian
-        Cost table over the same qubit count.
+        Dense cost table over the same qubit count.
 
     Returns
     -------
     CostDistribution
-        Sorted distinct cost values, their probabilities, and the first two
+        Each merged run's smallest level value and its probability, zero
+        included, so every state on h gives one support; and the first two
         moments computed from the grouped distribution.
     """
     _check_dense(state, "cost_distribution", h)
-    probs = state.probabilities()
-    order = np.argsort(h.values, kind="stable")
-    vals = h.values[order]
-    p = probs[order]
-    if vals.size == 0:
-        raise ValueError("empty cost table")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > GROUP_TOL) + 1))
-    support = vals[starts]
+    values, level = h.levels
+    p = np.bincount(level, weights=state.probabilities())  # every level occurs in level
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > GROUP_TOL) + 1))
+    support = values[starts]
     grouped = np.add.reduceat(p, starts)
     mean = float(np.sum(grouped * support))
     variance = float(np.sum(grouped * support**2) - mean**2)

@@ -1131,6 +1131,15 @@ BAD_CONFIGS = {
         "walk", _with(WALK_MC, ["walk", "mc_step_cap"], 5), [],
         "walk.mc_step_cap must be at least 10, got 5",
     ),
+    # the last --out wins: a file, and a path under one, cannot be made directories
+    "--out an existing file": (
+        "walk", WALK_MC, ["--out", os.devnull],
+        "--out: cannot create output directory: [Errno 17] File exists",
+    ),
+    "--out under a file": (
+        "walk", WALK_MC, ["--out", os.path.join(os.devnull, "sub")],
+        "--out: cannot create output directory: [Errno 20] Not a directory",
+    ),
     "mixer chi_tilde past the float range": (
         "run",
         _with(
@@ -1293,6 +1302,22 @@ def test_bad_config_exits_before_compute(case, tmp_path, caplog, compute_stubs):
     assert message.startswith("config error: ")
     assert expected in message
     assert "\n" not in message
+    assert not out.exists() or list(out.iterdir()) == []
+    assert compute_stubs == []
+
+
+def test_default_walk_step_cap_below_trials_exits_before_compute(
+    tmp_path, caplog, compute_stubs, monkeypatch
+):
+    import mdqo.cli
+
+    # the default cap is checked like a given one: patched down to 5, it is below 10 trials
+    monkeypatch.setattr(mdqo.cli, "MC_STEP_CAP", 5)
+    config = write_config(tmp_path, WALK_MC)
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == "config error: walk.mc_step_cap must be at least 10, got 5"
     assert not out.exists() or list(out.iterdir()) == []
     assert compute_stubs == []
 

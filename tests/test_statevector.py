@@ -20,10 +20,12 @@ from mdqo import (
     apply_x_rotation_all,
     basis_state,
     bitstring_to_index,
+    build_maxcut,
     build_mis,
     cost_distribution,
     expectation,
     index_to_bitstring,
+    penalize,
     rescaling_from_bounds,
     sample_bitstring,
     spectrum_bounds,
@@ -31,6 +33,7 @@ from mdqo import (
 )
 from mdqo.control import _materialise, _weigh, prepare_tables
 from mdqo.problems import DiagonalHamiltonian, independent_sets, subspace_cost
+from mdqo.statevector import GROUP_TOL
 
 from conftest import random_state
 
@@ -160,6 +163,62 @@ def test_cost_distribution_groups_close_values():
     dist = cost_distribution(uniform_superposition(2), h)
     assert dist.support.shape == (2,)
     np.testing.assert_allclose(dist.probs, [0.5, 0.5])
+
+
+def reference_distribution(state, h):
+    """|amps|^2 grouped as a stable argsort of all 2**n costs, then np.add.reduceat."""
+    order = np.argsort(h.values, kind="stable")
+    vals, p = h.values[order], state.probabilities()[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > GROUP_TOL) + 1))
+    return vals[starts], np.add.reduceat(p, starts)
+
+
+def sparse_random_state(rng, n):
+    """A random complex dense state with about a quarter of its entries zero."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps[rng.random(2**n) < 0.25] = 0.0
+    amps[rng.integers(2**n)] = 1.0  # never all zero
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def random_edges(rng, n):
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
+
+
+def random_costs(rng, n):
+    """Real costs with repeated values and chains of values spaced below GROUP_TOL."""
+    base = rng.normal(size=rng.integers(1, 2**n + 1)) * 3.0
+    chain = base[0] + 0.4 * GROUP_TOL * np.arange(1, 6)  # spans more than GROUP_TOL
+    near = base + 0.9 * GROUP_TOL
+    return rng.choice(np.concatenate((base, chain, near)), size=2**n)
+
+
+def cost_tables(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(3):
+        graph = Graph(n, random_edges(rng, n))
+        yield build_maxcut(graph)
+        h, p = build_mis(graph)
+        for lam in (1.5, 0.7, 1 / 3):
+            yield penalize(h, p, lam)
+        yield DiagonalHamiltonian(n, random_costs(rng, n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cost_distribution_matches_a_sorted_reference_grouping(n):
+    rng = np.random.default_rng(n)
+    for h in cost_tables(n):
+        # the basis state at a lowest cost leaves every higher level empty
+        lowest = basis_state(n, int(np.argmin(h.values)))
+        for state in (sparse_random_state(rng, n), uniform_superposition(n), lowest):
+            support, probs = reference_distribution(state, h)
+            dist = cost_distribution(state, h)
+            assert dist.support.tobytes() == support.tobytes()
+            np.testing.assert_allclose(dist.probs, probs, rtol=0, atol=1e-14)
+            mean = float(np.sum(probs * support))
+            variance = float(np.sum(probs * support**2) - mean**2)
+            assert dist.mean == pytest.approx(mean, rel=1e-12)
+            assert dist.variance == pytest.approx(variance, rel=1e-12)
 
 
 def test_sample_bitstring_deterministic(uniform5):
