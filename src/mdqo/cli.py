@@ -19,9 +19,9 @@ key, i.e. one the command does not read, even if it belongs to another kind; a
 surplus grid or a walk.L or walk.R past the float range; a feasible-subspace
 MIS run with a uniform start, a basis start that is not an independent set or
 a transverse-field mixer, and a postprocess or scramble-study of
-feasible-subspace MIS, on a graph with an edge; a run whose criteria never
-fire within run.max_steps_per_trajectory; a walk.mc_step_cap, given or
-default, below walk.mc_trials; and an --out that cannot be made a
+feasible-subspace MIS, on a graph with an edge; a run.max_steps_per_trajectory
+below 1, or a run whose criteria never fire within it; a walk.mc_step_cap,
+given or default, below walk.mc_trials; and an --out that cannot be made a
 directory), 3 capacity error (n above the dense cap where a dense table is
 built, more independent sets than SUBSPACE_CAP or more than 63 vertices where
 feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
@@ -41,8 +41,6 @@ import logging
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     MC_STEP_CAP,
@@ -360,12 +358,6 @@ def _parse_mixer(cfg: _Block, instance: ProblemInstance) -> MixerSpec:
     return MixerSpec(kind=kind, chi=chi, graph=graph)
 
 
-def _feasible_uniform(n: int, mask: np.ndarray) -> StateVector:
-    amps = mask.astype(np.complex128)
-    amps /= math.sqrt(int(mask.sum()))
-    return StateVector(n, amps)
-
-
 def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     """The checked initial-state block, as the echo dict the state is built from."""
     block = cfg.block("initial_state", {"kind": "uniform"})
@@ -415,7 +407,8 @@ def _initial_state(echo: dict, instance: ProblemInstance, cost: DiagonalHamilton
         return feasible_initial_state(instance.graph, echo["chi0"], basis)
     if basis is not None or kind == "uniform":
         return uniform_superposition(n, basis)
-    return _feasible_uniform(n, feasible_mask(instance))
+    mask = feasible_mask(instance)
+    return StateVector(n, mask / math.sqrt(int(mask.sum())))
 
 
 def _resolve_seed(cfg: _Block, cli_seed: int | None, required: bool) -> int | None:
@@ -667,7 +660,9 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     options = {
         "adaptive_threshold": run.get("adaptive_threshold", bool, False),
         "surplus_delta": run.get("surplus_delta", int, 0),
-        "max_steps_per_trajectory": run.get("max_steps_per_trajectory", int, DEFAULT_MAX_STEPS),
+        "max_steps_per_trajectory": run.get(
+            "max_steps_per_trajectory", int, DEFAULT_MAX_STEPS, minimum=1
+        ),
     }
     trajectory_csv = run.get("trajectory_csv", bool, False)
     criteria = _parse_criteria(cfg)

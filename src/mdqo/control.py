@@ -157,13 +157,12 @@ class Trajectory:
 class ControlTables:
     """The cost-level table of one (instance, rescaling).
 
-    Entry i of a state sits on level level[i], stored in the smallest
-    unsigned dtype that fits.  Every entry on level l has the driving cost
-    h[l]; of the rescaled cost c only the branch weights sin_sq and cos_sq,
-    sin^2(c + pi/4) and cos^2(c + pi/4), and the success weight sin(2c) are
-    kept.  In feasible-subspace mode basis holds the independent sets, entry
-    i is basis[i], and c is validated on their levels alone (a level no
-    independent set reaches may leave [0, pi/4]); otherwise basis is None
+    h and level are the driving cost's own levels: entry i of a state sits
+    on level level[i] and has the driving cost h[level[i]], and every level
+    holds some entry.  Of the rescaled cost c only the branch
+    weights sin_sq and cos_sq, sin^2(c + pi/4) and cos^2(c + pi/4), and the
+    success weight sin(2c) are kept.  In feasible-subspace mode basis holds
+    the independent sets and entry i is basis[i]; otherwise basis is None
     and entry i is basis index i.  p_viol holds the violation counts of MIS
     instances per entry.
     """
@@ -182,39 +181,31 @@ class ControlTables:
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
     """Build the cost-level table for an instance, once per run.
 
-    Levels are the distinct driving costs, so the driving and the rescaled
-    cost are both constant on a level; c is computed per level, with the
-    bits the per-entry rescaling gives.  In feasible-subspace mode the levels
-    are all n + 1 vertex counts, as the dense table has them, so q keeps its
-    length and its sums their bits; the entries are the independent sets
-    (subspace_cost), whose violation counts are 0.  Otherwise instance_tables'
-    dense tables serve.  Both are cached, so a table costs O(levels + |IS|).
+    The table is the driving cost's cached levels: subspace_cost on the
+    independent sets in feasible-subspace mode, whose violation counts are
+    0, otherwise instance_tables' dense cost.  The driving and the rescaled
+    cost are both constant on a level, so c is computed per level, with the
+    bits the per-entry rescaling gives, and checked on the levels alone.
     """
-    n = instance.graph.n
     if instance.feasible_subspace:
         cost = subspace_cost(instance.graph)
-        h = np.arange(n + 1, dtype=np.float64)
-        level = cost.values.astype(np.min_scalar_type(n))
-        basis, p_viol = cost.basis, np.zeros(cost.basis.size)
-        reached = int(level.max()) + 1  # a subset of an independent set is one
+        p_viol = np.zeros(cost.basis.size)
     else:
-        dense = instance_tables(instance)
-        h, level = dense.drive.levels
-        basis = None
-        p_viol = None if dense.violations is None else dense.violations.values
-        reached = h.size
+        cost, violations = instance_tables(instance)
+        p_viol = None if violations is None else violations.values
+    h, level = cost.levels
     c = rescaling.epsilon * (rescaling.alpha + h)
-    check_rescaled(c[:reached])
+    check_rescaled(c)
     angle = c + math.pi / 4
     return ControlTables(
-        n=n,
+        n=instance.graph.n,
         rescaling=rescaling,
         level=level,
         h=h,
         sin_sq=np.sin(angle) ** 2,
         cos_sq=np.cos(angle) ** 2,
         sin_2c=np.sin(2.0 * c),
-        basis=basis,
+        basis=cost.basis,
         p_viol=p_viol,
     )
 
@@ -258,17 +249,17 @@ def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Bas
 
     The initial state and every mixed state pass here, through _on_basis.
     The independent sets hold every nonzero amplitude of a feasible-subspace
-    state, and each string left out would weigh +0, which leaves every sum
-    and the final sample's cumulative sum with the bits of the dense ones.
+    state, and each string left out would weigh +0, which leaves each
+    level's sum and the final sample's cumulative sum with the bits of the
+    dense ones.
     """
     state = _on_basis(tables, state)
     mag = np.abs(state.amps)
     probs = np.square(mag, out=mag)
-    size = tables.h.size
-    penalty = None
+    penalty = None  # every level holds an entry, so each bincount has h.size bins
     if diagnostics and tables.p_viol is not None:
-        penalty = np.bincount(tables.level, probs * tables.p_viol, minlength=size)
-    return _Base(state, np.bincount(tables.level, probs, minlength=size), penalty)
+        penalty = np.bincount(tables.level, probs * tables.p_viol)
+    return _Base(state, np.bincount(tables.level, probs), penalty)
 
 
 def _p1(tables: ControlTables, q: np.ndarray) -> float:
@@ -463,7 +454,8 @@ class OuterConfig:
     which is algorithm 1.  adaptive_threshold raises threshold_T to the best
     driving cost seen so far after each trajectory; surplus_delta adds a
     fixed increment to surplus_L after each trajectory (0 disables).  Building
-    it checks the criteria: E(T) in [0, pi/4], and a threshold to scramble.
+    it checks the criteria, E(T) in [0, pi/4] and a threshold to scramble,
+    and a step cap of at least 1.
     """
 
     rescaling: Rescaling
@@ -479,6 +471,8 @@ class OuterConfig:
             raise ValueError("adaptive_threshold requires threshold_T to be set")
         if self.surplus_delta != 0 and self.criteria.surplus_L is None:
             raise ValueError("surplus_delta requires surplus_L to be set")
+        if self.max_steps_per_trajectory < 1:
+            raise ValueError("max_steps_per_trajectory must be a positive integer")
         threshold_t = self.criteria.threshold_T
         if threshold_t is not None:
             e_t = rescaled_threshold(threshold_t, self.rescaling)

@@ -10,9 +10,10 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mdqo import ProblemInstance, bitstring_to_index, feasible
+from mdqo import ProblemInstance, bitstring_to_index, feasible, feasible_mask
 from mdqo.cli import main
 from mdqo.mixers import optimize_qaoa1
 from mdqo.problems import Graph, driving_hamiltonian
@@ -399,6 +400,27 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
         path = write_config(tmp_path, config)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert builds == [(built, 5)]
+
+
+def test_penalised_feasible_uniform_start_bytes():
+    # the dense feasible-uniform start keeps the bytes of the construction it
+    # replaced: the mask cast to complex, then divided by the root of its count
+    import mdqo.cli
+
+    for i in range(40):
+        n = 1 + i % 12
+        rng = np.random.default_rng([n, i, 7])
+        graph = Graph(
+            n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
+        )
+        instance = ProblemInstance(graph, "mis", penalty_weight=2.0)
+        state = mdqo.cli._initial_state(
+            {"kind": "feasible-uniform"}, instance, driving_hamiltonian(instance)
+        )
+        mask = feasible_mask(instance)
+        amps = mask.astype(np.complex128)
+        amps /= math.sqrt(int(mask.sum()))
+        assert state.basis is None and state.amps.tobytes() == amps.tobytes()
 
 
 def test_feasible_uniform_start_rejected_for_maxcut(tmp_path, caplog):
@@ -947,6 +969,20 @@ SWEEP = {
 }
 
 BAD_CONFIGS = {
+    "run step cap below 1": (
+        "run", _with(RUN, ["run", "max_steps_per_trajectory"], -3), [],
+        "run.max_steps_per_trajectory must be at least 1, got -3",
+    ),
+    "run step cap of 0": (
+        "run", _with(RUN, ["run", "max_steps_per_trajectory"], 0), [],
+        "run.max_steps_per_trajectory must be at least 1, got 0",
+    ),
+    "run step cap below 1 under a ceiling of 0": (
+        "run",
+        _with(_with(RUN, ["criteria"], {"ceiling_KT": 0}), ["run", "max_steps_per_trajectory"], -3),
+        [],
+        "run.max_steps_per_trajectory must be at least 1, got -3",
+    ),
     "scramble start count": (
         "scramble-study", _with(SCRAMBLE, ["scramble", "start_counts"], [-1, 160]), [],
         "scramble.start_counts[0] must be nonnegative, got -1",

@@ -444,6 +444,20 @@ def test_outer_loop_config_validation(g5, tight_rescaling):
         OuterConfig(**{**base, "adaptive_threshold": True})  # threshold_T unset
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_step_cap_below_one_rejected(g5, tight_rescaling, cap):
+    # a cap below 1 is a setup error, even where a ceiling of 0 would end
+    # every trajectory before its first step
+    inst = ProblemInstance(g5, "maxcut")
+    message = "max_steps_per_trajectory must be a positive"
+    for criteria in (CriteriaConfig(surplus_L=5), CriteriaConfig(ceiling_KT=0)):
+        run = (tight_rescaling, uniform_superposition(5), criteria)
+        with pytest.raises(ValueError, match=message):
+            OuterConfig(*run, max_steps_per_trajectory=cap)
+        with pytest.raises(ValueError, match=message):
+            run_algorithm1(inst, *run, np.random.default_rng(0), max_steps=cap)
+
+
 def test_unreachable_criteria_hit_step_cap(g5, tight_rescaling):
     # a zero-cost eigenstate flips a fair coin forever and cannot bank
     # surplus 1000 within 20 steps
@@ -489,10 +503,9 @@ def test_empirical_surplus_steps_respect_drift_bound(
 
 @pytest.mark.parametrize("n", [5, 9, 12])
 def test_subspace_level_table_is_the_dense_one(n):
-    # feasible-subspace mode keeps every vertex-count level the dense table
-    # has, levels no independent set reaches included, so the posterior q
-    # keeps its length and its sums their bits; the branch and success
-    # weights get the bits the dense per-string rescaling gives each level
+    # feasible-subspace mode reads subspace_cost's own cached levels, the
+    # vertex counts some independent set reaches; on those levels the branch
+    # and success weights get the bits the dense per-string rescaling gives
     rng = np.random.default_rng([n, 41])
     graph = Graph(
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
@@ -505,11 +518,14 @@ def test_subspace_level_table_is_the_dense_one(n):
     c = np.empty_like(values)
     c[level] = rescaled_table(resc, h_dense).values
     tables = prepare_tables(inst, resc)
-    assert tables.h.tobytes() == values.tobytes() and values.size == n + 1
-    angle = c + math.pi / 4
+    cost = subspace_cost(graph)
+    assert tables.h is cost.levels[0] and tables.level is cost.levels[1]
+    reached = tables.h.size
+    assert reached < n + 1 and tables.h.tobytes() == values[:reached].tobytes()
+    angle = c[:reached] + math.pi / 4
     assert tables.sin_sq.tobytes() == (np.sin(angle) ** 2).tobytes()
     assert tables.cos_sq.tobytes() == (np.cos(angle) ** 2).tobytes()
-    assert tables.sin_2c.tobytes() == np.sin(2.0 * c).tobytes()
+    assert tables.sin_2c.tobytes() == np.sin(2.0 * c[:reached]).tobytes()
     assert np.array_equal(tables.basis, np.flatnonzero(mask))
     assert np.array_equal(tables.level, level[tables.basis])
 

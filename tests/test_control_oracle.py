@@ -38,6 +38,7 @@ from mdqo import (
     uniform_superposition,
     weak_step,
 )
+from mdqo.problems import subspace_cost
 
 from conftest import rescaled_table, tight
 
@@ -97,7 +98,22 @@ def penalised_mis_algorithm1(n):
 
 
 def feasible_mis_algorithm2(n):
-    graph = random_graph(n, 3)
+    return feasible_mis_run(random_graph(n, 3))
+
+
+def sparse_feasible_mis_algorithm2(n):
+    # the independent sets reach at least 10 vertex counts, so the level table
+    # is longer than the few levels a dense graph's sets reach
+    rng = np.random.default_rng([n, 6])
+    graph = Graph(
+        n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1)
+    )
+    assert subspace_cost(graph).levels[0].size >= 10
+    return feasible_mis_run(graph)
+
+
+def feasible_mis_run(graph):
+    n = graph.n
     inst = ProblemInstance(graph, "mis")
     mask = feasible_mask(inst)
     h = driving_hamiltonian(inst)
@@ -140,6 +156,7 @@ CASES = [
     (feasible_mis_algorithm2, 5),
     (feasible_mis_algorithm2, 8),
     (feasible_mis_algorithm2, 12),
+    (sparse_feasible_mis_algorithm2, 12),
     (mixer_prepared_mis_algorithm2, 9),
     (maxcut_algorithm2, 6),
     (maxcut_algorithm2, 7),

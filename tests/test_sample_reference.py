@@ -41,15 +41,16 @@ def dense_weights(tables, base, q) -> np.ndarray:
     """|amps|^2 * (q / w)[level] over every basis state.
 
     A feasible-subspace base is put back on its strings, with amplitude 0
-    and the vertex count as level on every other string, as the dense
-    tables had them.
+    on every other string.  Those strings weigh +0 on any level; the level
+    table holds only the vertex counts the independent sets reach, so they
+    are put on level 0.
     """
     amps, level = base.state.amps, tables.level
     if tables.basis is not None:
         amps = np.zeros(2**tables.n, dtype=np.complex128)
         amps[tables.basis] = base.state.amps
-        index = np.arange(2**tables.n)
-        level = sum((index >> u) & 1 for u in range(tables.n))
+        level = np.zeros(2**tables.n, dtype=tables.level.dtype)
+        level[tables.basis] = tables.level
     weights = np.abs(amps)
     weights *= weights
     ratio = np.divide(q, base.w, out=np.zeros_like(q), where=base.w > 0)
