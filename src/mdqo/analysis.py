@@ -280,19 +280,15 @@ class EpsilonSweep:
             object.__setattr__(self, name, arr)
 
 
-def _sweep_moments(state: StateVector, h: DiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_levels(state: StateVector, h: DiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """The state's weight W on each cost level of h it reaches, and those levels' costs v."""
     _check_basis(state, h, "Hamiltonian")
-    probs = state.probabilities()
-    support = probs > 0
-    if np.any(h.values[support] < -1e-12):
+    values, level = h.levels
+    weights = np.bincount(level, weights=state.probabilities())
+    support = weights > 0
+    if np.any(values[support] < -1e-12):
         raise ValueError("epsilon sweep assumes H >= 0 on the state support")
-    return probs, h.values
-
-
-def _h_phi(probs: np.ndarray, values: np.ndarray, eps: float) -> tuple[float, float]:
-    weights = np.sin(math.pi / 4 + eps * values) ** 2
-    p1 = float(np.sum(probs * weights))
-    return float(np.sum(probs * values * weights)) / p1, p1
+    return weights[support], values[support]
 
 
 def epsilon_sweep(
@@ -301,44 +297,41 @@ def epsilon_sweep(
     """Sweep the rescaling strength and record p1, <H>_phi, its slope, and the covariance.
 
     p1(eps) = <sin^2(pi/4 + eps H)> and <H>_phi(eps) is the cost expectation
-    after one success.  The slope is a central finite difference of <H>_phi
-    with step 1e-5 of the grid spacing; the covariance Cov(H, cos 2 eps H)
-    controls the sign of the slope (negative covariance at the right edge
-    places the maximum strictly inside the interval).
+    after one success.  Everything is summed over the state's weights W on
+    the cost levels v, one bincount per call, so a grid point costs
+    O(levels).  With s = sin^2(pi/4 + eps v) and c = cos 2 eps v, ds/deps =
+    v c, so the slope is exact: d<H>_phi/deps = sum W v (v - <H>_phi) c / p1.
+    The covariance Cov(H, cos 2 eps H) controls the sign of the slope
+    (negative covariance at the right edge places the maximum strictly
+    inside the interval).
 
     Small-eps expansion: sin^2(pi/4 + x) = 1/2 + x + O(x^3), so
     <H>_phi(eps) = <H> + 2 Var(H) eps - 4 <H> Var(H) eps^2 + O(eps^3) and the
     slope is 2 Var(H) - 8 <H> Var(H) eps + O(eps^2).  For the uniform state
     on the 6-edge benchmark graph (<H> = 3, Var(H) = 3/2) it tends to 3.
     """
-    probs, values = _sweep_moments(state, h)
+    weights, v = _sweep_levels(state, h)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("epsilon grid must be a nonempty 1-d array")
-    h_max = float(values[probs > 0].max())
+    h_max = float(v.max())
     upper = math.pi / (4.0 * h_max) if h_max > 0 else math.inf
     if grid.min() <= 0 or grid.max() > upper + 1e-12:
         raise ValueError(f"epsilon grid must lie in (0, {upper}]")
-    spacing = float(grid[1] - grid[0]) if grid.size > 1 else float(grid[0])
-    delta = 1e-5 * spacing
-    p1 = np.empty(grid.size)
-    h_phi = np.empty(grid.size)
-    slope = np.empty(grid.size)
-    covariance = np.empty(grid.size)
-    mean_h = float(np.sum(probs * values))
-    for i, eps in enumerate(grid):
-        h_phi[i], p1[i] = _h_phi(probs, values, eps)
-        hi, _ = _h_phi(probs, values, eps + delta)
-        lo, _ = _h_phi(probs, values, eps - delta)
-        slope[i] = (hi - lo) / (2.0 * delta)
-        cos_term = np.cos(2.0 * eps * values)
-        covariance[i] = float(
-            np.sum(probs * values * cos_term) - mean_h * np.sum(probs * cos_term)
-        )
+    mean_h = np.sum(weights * v)
+    rows = []
+    for eps in grid:
+        s = np.sin(math.pi / 4 + eps * v) ** 2
+        c = np.cos(2.0 * eps * v)
+        p1 = np.sum(weights * s)
+        h_phi = np.sum(weights * v * s) / p1
+        slope = np.sum(weights * v * (v - h_phi) * c) / p1
+        rows.append((p1, h_phi, slope, np.sum(weights * (v - mean_h) * c)))
+    p1, h_phi, slope, covariance = np.array(rows).T
     return EpsilonSweep(grid=grid, p1=p1, h_phi=h_phi, slope=slope, covariance=covariance)
 
 
 def success_prob_derivative(state: StateVector, h: DiagonalHamiltonian, eps: float) -> float:
     """d p1 / d eps = <H cos 2 eps H>; nonnegative whenever H >= 0 on the support."""
-    probs, values = _sweep_moments(state, h)
-    return float(np.sum(probs * values * np.cos(2.0 * eps * values)))
+    weights, v = _sweep_levels(state, h)
+    return float(np.sum(weights * v * np.cos(2.0 * eps * v)))

@@ -20,12 +20,14 @@ surplus grid or a walk.L or walk.R past the float range; a feasible-subspace
 MIS run with a uniform start, a basis start that is not an independent set or
 a transverse-field mixer, and a postprocess or scramble-study of
 feasible-subspace MIS, on a graph with an edge; a run.max_steps_per_trajectory
-below 1, or a run whose criteria never fire within it; a walk.mc_step_cap,
-given or default, below walk.mc_trials; and an --out that cannot be made a
-directory), 3 capacity error (n above the dense cap where a dense table is
-built, more independent sets than SUBSPACE_CAP or more than 63 vertices where
-feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
-to standard error.
+below 1, or a run whose criteria never fire within it; a run with
+criteria.ceiling_KT = 0 and no run.budget.max_trajectories; a
+problem.graph.edges that is not a list, an empty one being an edgeless
+graph; a walk.mc_step_cap, given or default, below walk.mc_trials; and an
+--out that cannot be made a directory), 3 capacity error (n above the dense
+cap where a dense table is built, more independent sets than SUBSPACE_CAP or
+more than 63 vertices where feasible-subspace MIS lives on them, a depth-1
+grid above GRID_CAP); logs go to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -244,7 +246,10 @@ def _parse_problem(cfg: _Block, penalized: bool = True) -> ProblemInstance:
         if "path" in graph_block:
             graph = parse_edge_list(Path(graph_block.get("path", str)).read_text())
         else:
-            pairs = [_pair(e, path, int) for e, path in graph_block.entries("edges")]
+            edges, path = graph_block.entry("edges")
+            if not isinstance(edges, list):  # an empty list is an edgeless graph
+                raise ConfigError(f"{path} must be a list")
+            pairs = [_pair(e, f"{path}[{i}]", int) for i, e in enumerate(edges)]
             graph = Graph.from_1indexed(graph_block.get("n", int), pairs)
     except OSError as exc:
         raise ConfigError(f"cannot read graph file: {exc}") from exc

@@ -515,8 +515,11 @@ def outer_loop(
     initial state and the mixer are checked once, before the first
     trajectory, as run_algorithm2 checks them.  A setup inconsistency
     (threshold range, infeasible support, a mixer that leaves it) raises
-    ValueError.
+    ValueError, as does ceiling_KT = 0 without a trajectory cap, which no
+    step budget ends.
     """
+    if budget.max_trajectories is None and config.criteria.ceiling_KT == 0:
+        raise ValueError("ceiling_KT = 0 returns every trajectory at 0 steps: cap max_trajectories")
     tables, start = _start(instance, config, False)
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [asdict(config.criteria)]

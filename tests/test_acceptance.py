@@ -197,7 +197,7 @@ def test_criterion_09_sweep_initial_slope(uniform5, maxcut_h):
     expected = 2.0 * var_h - 8.0 * mean_h * var_h * eps0
     slope = sweep.slope[0]
     assert slope == pytest.approx(expected, rel=0.01), (
-        f"finite-difference slope at eps0 = {eps0:.6f} is {slope:.4f}; the "
+        f"slope at eps0 = {eps0:.6f} is {slope:.4f}; the "
         f"expansion <H>_phi = <H> + 2 Var(H) eps - 4 <H> Var(H) eps^2 + O(eps^3) "
         f"gives 2 Var(H) - 8 <H> Var(H) eps0 = {expected:.4f} "
         f"(<H> = {mean_h:.4f}, Var(H) = {var_h:.4f})"

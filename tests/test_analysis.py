@@ -20,7 +20,7 @@ from mdqo import (
     uniform_superposition,
     walk_monte_carlo,
 )
-from mdqo.problems import DiagonalHamiltonian, subspace_cost
+from mdqo.problems import DiagonalHamiltonian, Graph, build_maxcut, subspace_cost
 
 
 def test_run_rule_expected_steps():
@@ -300,21 +300,6 @@ def test_sweep_uniform_cut_state(maxcut_h, uniform5):
     assert sweep.slope[peak - 1] > 0 > sweep.slope[peak + 1]
 
 
-def test_sweep_slope_matches_quotient_rule(maxcut_h, uniform5):
-    grid = np.array([0.05, 0.1, math.pi / 24])
-    sweep = epsilon_sweep(uniform5, maxcut_h, grid)
-    probs = uniform5.probabilities()
-    values = maxcut_h.values
-    for i, eps in enumerate(grid):
-        weights = np.sin(math.pi / 4 + eps * values) ** 2
-        p1 = np.sum(probs * weights)
-        q_num = np.sum(probs * values * weights)
-        dq = np.sum(probs * values**2 * np.cos(2 * eps * values))
-        dp1 = np.sum(probs * values * np.cos(2 * eps * values))
-        analytic = (dq * p1 - q_num * dp1) / p1**2
-        assert sweep.slope[i] == pytest.approx(analytic, rel=1e-5)
-
-
 def test_sweep_slope_small_eps_limit_is_twice_variance(maxcut_h, uniform5):
     # cut variance of the uniform state is 3/2, so the slope tends to 3
     grid = np.array([1e-5, 2e-5])
@@ -387,3 +372,86 @@ def test_sweep_pairs_a_state_and_a_cost_on_one_basis(g5, mis_pair):
     assert success_prob_derivative(on_basis, cost, 0.01) == pytest.approx(
         success_prob_derivative(dense, mis_pair[0], 0.01), rel=1e-14
     )
+
+
+LONG = np.longdouble
+
+
+def _per_entry(state, h, eps):
+    """p1, <H>_phi, its slope by the quotient rule, the covariance and d p1 / d eps,
+    summed entry by entry in long double."""
+    probs = state.probabilities().astype(LONG)
+    v = h.values.astype(LONG)
+    s = np.sin(LONG(math.pi) / 4 + LONG(eps) * v) ** 2
+    c = np.cos(2 * LONG(eps) * v)
+    p1, num = np.sum(probs * s), np.sum(probs * v * s)
+    dp1, dnum = np.sum(probs * v * c), np.sum(probs * v**2 * c)
+    mean = np.sum(probs * v)
+    return {
+        "p1": p1,
+        "h_phi": num / p1,
+        "slope": (dnum * p1 - num * dp1) / p1**2,
+        "covariance": np.sum(probs * (v - mean) * c),
+        "covariance_scale": np.sum(probs * np.abs(v - mean)),
+        "dp1": dp1,
+        "dp1_scale": np.sum(probs * np.abs(v)),
+    }
+
+
+def _random_maxcut(n, rng):
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.5]
+    return build_maxcut(Graph(n, tuple(pairs) or ((0, 1),)))
+
+
+def _sweep_cases(maxcut_h, uniform5):
+    """(state, cost, grid): the README graph's uniform state and random states at n = 3..12."""
+    rng = np.random.default_rng(24)
+    yield uniform5, maxcut_h, np.linspace(math.pi / 1000, math.pi / 20, 50)
+    for n in range(3, 13):
+        h = _random_maxcut(n, rng)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        grid = np.linspace(1e-4, math.pi / (4 * h.values.max()), 7)
+        yield StateVector(n, amps / np.sqrt(np.sum(np.abs(amps) ** 2))), h, grid
+
+
+@pytest.mark.skipif(np.finfo(LONG).eps > 1e-18, reason="long double is no wider than double")
+def test_sweep_slope_matches_quotient_rule(maxcut_h, uniform5):
+    for state, h, grid in _sweep_cases(maxcut_h, uniform5):
+        sweep = epsilon_sweep(state, h, grid)
+        for eps, slope in zip(grid, sweep.slope):
+            assert abs(slope - _per_entry(state, h, eps)["slope"]) <= 1e-12, (state.n, eps)
+
+
+def _moment_cases(g5, maxcut_h):
+    """States with zero entries, basis states, and states on the independent sets."""
+    rng = np.random.default_rng(7)
+    h = DiagonalHamiltonian(3, [-0.5, 1.0, 2.0, 2.0, 0.25, 3.0, 1.0, 0.0])
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps[[0, 3, 5]] = 0.0  # the negative entry and a whole level off the support
+    yield StateVector(3, amps / np.sqrt(np.sum(np.abs(amps) ** 2))), h
+    for index in (0, 2, 13):
+        yield basis_state(5, index), maxcut_h
+    cost = subspace_cost(g5)
+    amps = rng.normal(size=cost.basis.size) + 1j * rng.normal(size=cost.basis.size)
+    amps[1] = 0.0
+    yield StateVector(5, amps / np.sqrt(np.sum(np.abs(amps) ** 2)), cost.basis), cost
+    yield basis_state(5, 1, cost.basis), cost
+
+
+def test_sweep_moments_match_per_entry_sums(g5, maxcut_h):
+    for state, h in _moment_cases(g5, maxcut_h):
+        support = state.probabilities() > 0
+        upper = math.pi / (4 * max(h.values[support].max(), 1.0))
+        grid = np.linspace(upper / 9, upper, 9)
+        sweep = epsilon_sweep(state, h, grid)
+        for i, eps in enumerate(grid):
+            ref = _per_entry(state, h, eps)
+            assert sweep.p1[i] == pytest.approx(float(ref["p1"]), rel=1e-14, abs=0)
+            assert sweep.h_phi[i] == pytest.approx(float(ref["h_phi"]), rel=1e-14, abs=0)
+            # the covariance and d p1 / d eps cross 0 (cos 2 eps v = 0 at the
+            # tight end for a basis state): relative to the size of their terms
+            for got, name in (
+                (sweep.covariance[i], "covariance"),
+                (success_prob_derivative(state, h, eps), "dp1"),
+            ):
+                assert abs(got - float(ref[name])) <= 1e-14 * float(ref[f"{name}_scale"])

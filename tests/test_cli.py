@@ -854,10 +854,8 @@ def test_edgeless_feasible_run_matches_the_dense_run(tmp_path, initial, mixer):
     # every string of an edgeless graph is an independent set: a uniform or
     # qaoa1 start and a transverse-field mixer stay in the subspace, and the
     # run writes what the dense run with a zero penalty writes
-    graph_path = tmp_path / "graph.txt"
-    graph_path.write_text("n 4\n")
     payload = {
-        "problem": {"kind": "mis", "graph": {"path": str(graph_path)}},
+        "problem": {"kind": "mis", "graph": {"n": 4, "edges": []}},
         "rescaling": {"mode": "brute-force"},
         "criteria": {"threshold_T": 3.9, "ceiling_KT": 30, "min_steps_ell": 2},
         "initial_state": initial,
@@ -873,6 +871,63 @@ def test_edgeless_feasible_run_matches_the_dense_run(tmp_path, initial, mixer):
         subspace = (tmp_path / "subspace" / artifact).read_bytes()
         assert subspace == (tmp_path / "dense" / artifact).read_bytes()
     assert any(row["scrambles"] != "0" for row in read_csv(tmp_path / "dense" / "trajectories.csv"))
+
+
+def test_inline_edgeless_graph_runs_as_its_file(tmp_path, caplog):
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("n 4\n")
+    payload = {
+        "problem": {"kind": "mis", "graph": {"n": 4, "edges": []}},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"threshold_T": 3.9, "ceiling_KT": 30, "min_steps_ell": 2},
+        "mixer": {"kind": "mis-controlled", "chi_tilde": 3},
+        "run": {"algorithm": 2, "budget": {"max_trajectories": 20}, "trajectory_csv": True},
+        "seed": 5,
+    }
+    from_file = _with(payload, ["problem", "graph"], {"path": str(graph_path)})
+    for name, config in (("inline", payload), ("file", from_file)):
+        path = write_config(tmp_path, config, f"{name}.json")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    for artifact in ("run_summary.json", "trajectories.csv"):
+        inline = (tmp_path / "inline" / artifact).read_bytes()
+        assert inline == (tmp_path / "file" / artifact).read_bytes()
+    # edgeless MaxCut has a constant cost, inline as from a file
+    for name, config in (("inline", payload), ("file", from_file)):
+        path = write_config(tmp_path, _with(config, ["problem", "kind"], "maxcut"), "maxcut.json")
+        caplog.clear()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "maxcut")]) == 2
+        [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert message.endswith("is not positive: constant cost function"), name
+
+
+def test_ceiling_zero_needs_a_trajectory_cap(tmp_path):
+    # ceiling_KT = 0 returns every trajectory before its first step, so a
+    # budget of steps alone never runs out; the subprocess's timeout turns a
+    # regression into a failure instead of a hang
+    import mdqo
+
+    src = str(Path(mdqo.__file__).resolve().parent.parent)
+    payload = _with(RUN, ["criteria"], {"ceiling_KT": 0})
+    config = write_config(tmp_path, _with(payload, ["run", "budget"], {"max_total_steps": 10}))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "mdqo", "run", "--config", str(config), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "ERROR config error: run: ceiling_KT = 0 returns every trajectory at 0 steps: "
+        "cap max_trajectories"
+    ]
+    assert not out.exists() or list(out.iterdir()) == []
+    # a trajectory cap ends the same run
+    capped = write_config(tmp_path, _with(payload, ["run", "budget"], {"max_trajectories": 3}))
+    assert main(["run", "--config", str(capped), "--out", str(out)]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert (summary["trajectories_run"], summary["total_steps"]) == (3, 0)
 
 
 def test_graph_file_input(tmp_path):
@@ -1011,6 +1066,10 @@ BAD_CONFIGS = {
     "graph path type": (
         "postprocess", _with(POSTPROCESS, ["problem", "graph"], {"path": 5}), [],
         "problem.graph.path must be a string, got 5",
+    ),
+    "graph edges not a list": (
+        "postprocess", _with(POSTPROCESS, ["problem", "graph", "edges"], {}), [],
+        "problem.graph.edges must be a list",
     ),
     "edge endpoint": (
         "postprocess", _with(POSTPROCESS, ["problem", "graph", "edges", 1], ["2", 3]), [],
@@ -1364,9 +1423,7 @@ def test_default_walk_step_cap_below_trials_exits_before_compute(
 def test_edgeless_feasible_studies_run(tmp_path, command, payload):
     # every string of an edgeless graph is an independent set, so the dense
     # study states stay feasible
-    graph_path = tmp_path / "graph.txt"
-    graph_path.write_text("n 4\n")
-    payload = _with(payload, ["problem"], {"kind": "mis", "graph": {"path": str(graph_path)}})
+    payload = _with(payload, ["problem"], {"kind": "mis", "graph": {"n": 4, "edges": []}})
     if command == "postprocess":
         payload["postprocess"] = {"grid_resolution": 8}
     config = write_config(tmp_path, payload)

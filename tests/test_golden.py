@@ -108,7 +108,10 @@ def test_run_hashes_hold_under_other_blas_kernels(coretype, tmp_path):
     assert hashes == {name: golden[name] for name in runs}
 
 
-BLAS_CALL = re.compile(r"linalg| @ |np\.dot|\.dot\(|matmul|tensordot")
+# einsum reaches BLAS only when asked to optimize its contraction order
+BLAS_CALL = re.compile(
+    r"linalg| @ |np\.dot|\.dot\(|matmul|tensordot|inner\(|vdot|einsum\(.*optimize"
+)
 
 
 def test_only_analytic_state_calls_blas():
