@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-sweep-counts    cost/success curves of analytic aggregated-outcome states
+sweep-counts    cost/success curves of aggregated-outcome level posteriors
 postprocess     cost densities and a summary table for uniform / depth-1 /
                 after-success states
 scramble-study  effect of mixer scrambling on a stuck aggregated state
@@ -23,11 +23,13 @@ feasible-subspace MIS, on a graph with an edge; a run.max_steps_per_trajectory
 below 1, or a run whose criteria never fire within it; a run with
 criteria.ceiling_KT = 0 and no run.budget.max_trajectories; a
 problem.graph.edges that is not a list, an empty one being an edgeless
-graph; a walk.mc_step_cap, given or default, below walk.mc_trials; and an
---out that cannot be made a directory), 3 capacity error (n above the dense
-cap where a dense table is built, more independent sets than SUBSPACE_CAP or
-more than 63 vertices where feasible-subspace MIS lives on them, a depth-1
-grid above GRID_CAP); logs go to standard error.
+graph; a walk.mc_step_cap, given or default, below walk.mc_trials; a study
+whose outcome counts make every closed-form weight vanish, or whose output
+columns would repeat a name; and an --out that cannot be made a directory),
+3 capacity error (n above the dense cap where a dense table is built, more
+independent sets than SUBSPACE_CAP or more than 63 vertices where
+feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
+to standard error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -57,10 +59,14 @@ from .control import (
     Budget,
     CriteriaConfig,
     OuterConfig,
+    level_moments,
+    level_posterior,
     outer_loop,
+    prepare_tables,
     trajectory_rng,
+    weigh,
 )
-from .errors import CapacityError, ConfigError, StepCapError
+from .errors import CapacityError, ConfigError, DegenerateCountsError, StepCapError
 from .mixers import (
     MIS_CONTROLLED,
     TRANSVERSE_FIELD,
@@ -80,9 +86,7 @@ from .problems import (
     driving_hamiltonian,
     feasible,
     feasible_mask,
-    instance_tables,
     parse_edge_list,
-    penalize,
     rescaling_from_bounds,
     spectrum_bounds,
     subspace_cost,
@@ -91,12 +95,12 @@ from .statevector import (
     StateVector,
     basis_state,
     bitstring_to_index,
-    cost_distribution,
     expectation,
     index_to_bitstring,
+    level_distribution,
     uniform_superposition,
 )
-from .weak_measurement import OutcomeCounts, analytic_state, success_probability
+from .weak_measurement import OutcomeCounts, analytic_state
 
 log = logging.getLogger("mdqo")
 
@@ -294,18 +298,24 @@ def _resolve_rescaling(entry: dict, h: DiagonalHamiltonian) -> tuple[Rescaling, 
     return rescaling, echo
 
 
-def _rescaled(entry: dict, h: DiagonalHamiltonian) -> tuple[DiagonalHamiltonian, dict]:
-    """The rescaled cost table of a study command, plus its echo dict.
-
-    Coefficient-sum bounds of a penalised MIS cost are not honest on every
-    graph (an isolated vertex lowers the minimum), so the range check of
-    apply_rescaling is a config error too.
-    """
+def _rescaled(entry: dict, h: DiagonalHamiltonian, build) -> tuple:
+    """build(rescaling) of a study's bound entry on the cost h, plus its echo dict:
+    the range check of apply_rescaling and prepare_tables is a config error too, as
+    coefficient-sum bounds of a penalised MIS cost are not honest on every graph
+    (an isolated vertex lowers the minimum)."""
     rescaling, echo = _resolve_rescaling(entry, h)
     try:
-        return apply_rescaling(rescaling, h), echo
+        return build(rescaling), echo
     except ValueError as exc:
         raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
+
+
+def _columns(header: list[str]) -> list[str]:
+    """A CSV header, checked before any compute: no column name may repeat."""
+    if len(set(header)) < len(header):
+        name = next(name for name in header if header.count(name) > 1)
+        raise ConfigError(f"output column {name} would repeat (two entries print alike)")
+    return header
 
 
 def _parse_criteria(cfg: _Block) -> CriteriaConfig:
@@ -476,53 +486,39 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
         lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
     cfg.close()
 
-    # (label, driving cost, extra reported cost P, initial state); the feasible
-    # variant lives on the independent sets, as run keeps it, the others are dense
-    n = instance.graph.n
+    # one instance per variant: the feasible one lives on the independent sets,
+    # as run keeps it, the others on dense tables; penalised ones also report P
     if instance.kind == "maxcut":
-        variants = [("maxcut", driving_hamiltonian(instance), None, uniform_superposition(n))]
+        variants = [("maxcut", instance)]
     else:
-        variants = []
-        if "feasible" in kinds:
-            cost = subspace_cost(instance.graph)
-            variants.append(("feasible", cost, None, uniform_superposition(n, cost.basis)))
-        if lams:
-            bare = instance_tables(ProblemInstance(instance.graph, "mis"))
-            uniform = uniform_superposition(n)
-            for lam in lams:
-                h_pen = penalize(bare.drive, bare.violations, lam)
-                variants.append((f"penalized_lam{lam:g}", h_pen, bare.violations, uniform))
+        variants = [("feasible", instance)] if "feasible" in kinds else []
+        variants += [(f"penalized_lam{lam:g}", ProblemInstance(instance.graph, "mis", lam))
+                     for lam in lams]
+    headers = ["L"]
+    for label, inst in variants:
+        moments = ("H", "p1", "P")[: 3 if inst.penalty_weight is not None else 2]
+        headers += [f"{m}_{label}_{entry['name']}_k0_{k0}"
+                    for entry in bound_entries for k0 in k0_list for m in moments]
+    _columns(headers)
 
-    scaled = []
-    echoes: list[dict] = []
-    for label, h_drive, h_extra, initial in variants:
-        for entry in bound_entries:
-            c, echo = _rescaled(entry, h_drive)
-            echo["variant"] = label
-            echoes.append(echo)
-            scaled.append((f"{label}_{entry['name']}", h_drive, h_extra, initial, c))
+    scaled, echoes = [], []
+    for label, inst in variants:
+        cost = subspace_cost(inst.graph) if inst.feasible_subspace else driving_hamiltonian(inst)
+        built = [_rescaled(e, cost, lambda r: prepare_tables(inst, r)) for e in bound_entries]
+        scaled.append((inst, [tables for tables, _ in built]))
+        echoes += [{**echo, "variant": label} for _, echo in built]
 
-    headers: list[str] = ["L"]
-    columns: list[list[float]] = []
-    for name, h_drive, h_extra, initial, c in scaled:
-        for k0 in k0_list:
-            col_h: list[float] = []
-            col_p1: list[float] = []
-            col_extra: list[float] = []
-            for ell in surplus:
-                state, _ = analytic_state(initial, c, OutcomeCounts(k0, k0 + ell))
-                col_h.append(expectation(state, h_drive))
-                col_p1.append(success_probability(state, c))
-                if h_extra is not None:
-                    col_extra.append(expectation(state, h_extra))
-            prefix = f"{name}_k0_{k0}"
-            headers += [f"H_{prefix}", f"p1_{prefix}"]
-            columns += [col_h, col_p1]
-            if h_extra is not None:
-                headers.append(f"P_{prefix}")
-                columns.append(col_extra)
+    columns: list[tuple] = []
+    for inst, tables_list in scaled:
+        # a variant's tables share its levels, so its flat start is weighed once
+        flat = uniform_superposition(inst.graph.n, tables_list[0].basis)
+        base = weigh(tables_list[0], flat, inst.penalty_weight is not None)
+        for tables, k0 in itertools.product(tables_list, k0_list):
+            qs = [level_posterior(tables, base.w, OutcomeCounts(k0, k0 + ell)) for ell in surplus]
+            p1, h, p = zip(*(level_moments(tables, base, q) for q in qs))
+            columns += [h, p1] if base.penalty is None else [h, p1, p]
 
-    rows = [[surplus[i]] + [col[i] for col in columns] for i in range(len(surplus))]
+    rows = [[ell, *cells] for ell, cells in zip(surplus, zip(*columns))]
     _write_csv(outdir / "sweep_counts.csv", headers, rows)
     _write_sidecar(outdir, "sweep-counts", cfg, seed, {"rescalings": echoes})
 
@@ -540,26 +536,21 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     k1_list = _float_sized(post.items("k1", int, [1, 2, 3], minimum=0), post.key("k1"))
     bound_entry = _bound_entry(post, *post.entry("bound", "tight"))
     cfg.close()
+    labels = ["uniform", "qaoa1"] + [f"qaoa1_k1_{k1}" for k1 in k1_list]
+    header = _columns(["cost"] + [f"p_{label}" for label in labels])
 
     h = driving_hamiltonian(instance)
-    c, echo = _rescaled(bound_entry, h)
+    tables, echo = _rescaled(bound_entry, h, lambda r: prepare_tables(instance, r))
     params = optimize_qaoa1(h, resolution)
-    states: list[tuple[str, StateVector]] = [
-        ("uniform", uniform_superposition(h.n)),
-        ("qaoa1", qaoa1_state(h, params)),
-    ]
-    for k1 in k1_list:
-        state, _ = analytic_state(states[1][1], c, OutcomeCounts(0, k1))
-        states.append((f"qaoa1_k1_{k1}", state))
-
-    dists = [(label, cost_distribution(state, h)) for label, state in states]
-    # every distribution groups the same table h, so they share one support
-    header = ["cost"] + [f"p_{label}" for label, _ in dists]
-    columns = [dists[0][1].support] + [dist.probs for _, dist in dists]
+    weights = [weigh(tables, uniform_superposition(h.n)).w, weigh(tables, qaoa1_state(h, params)).w]
+    weights += [level_posterior(tables, weights[1], OutcomeCounts(0, k1)) for k1 in k1_list]
+    dists = [level_distribution(tables.h, w) for w in weights]
+    # every distribution groups the same levels, so they share one support
+    columns = [dists[0].support] + [dist.probs for dist in dists]
     rows = [[float(cell) for cell in row] for row in zip(*columns)]
     _write_csv(outdir / "postprocess_density.csv", header, rows)
 
-    summary_rows = [[label, dist.mean] for label, dist in dists]
+    summary_rows = [[label, dist.mean] for label, dist in zip(labels, dists)]
     _write_csv(outdir / "postprocess_summary.csv", ["state", "H"], summary_rows)
     qaoa1 = {"gamma": params.gamma, "beta": params.beta, "grid_resolution": resolution}
     _write_sidecar(outdir, "postprocess", cfg, seed, {"rescaling": echo, "qaoa1": qaoa1})
@@ -587,6 +578,7 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
         top_chis = {ct: _chi(ct, f"{top.key('chi_tilde')}[{i}]")
                     for i, ct in enumerate(chi_tildes)}
         k1_grid = _float_sized(top.grid("k1_grid", minimum=0), top.key("k1_grid"))
+        top_header = _columns(["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes])
     if "bottom" in block:
         bottom = block.block("bottom")
         chi_t = bottom.get("chi_tilde", int, 3)
@@ -597,10 +589,12 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
         surplus = bottom.grid("surplus_grid", minimum=0)
         _value(max(k0_tildes) + max(surplus),
                f"k1 = {bottom.key('k0_tilde')} + {bottom.key('surplus_grid')}", float)
+        bottom_header = _columns(["L_tilde"] + [f"H{kind}_k0_{k0_t}" for k0_t in k0_tildes
+                                                for kind in ("", "_baseline")])
     cfg.close()
 
     h = driving_hamiltonian(instance)
-    c, echo = _rescaled(bound_entry, h)
+    c, echo = _rescaled(bound_entry, h, lambda r: apply_rescaling(r, h))
     initial = uniform_superposition(h.n)
     start, _ = analytic_state(initial, c, start_counts)
 
@@ -617,20 +611,16 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
 
     if "top" in block:
         scrambled = {ct: scramble(chi) for ct, chi in top_chis.items()}
-        header = ["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes]
         rows = []
         for k1 in k1_grid:
             row = [k1, continued(start, top_k0, k1)]
             row += [continued(scrambled[ct], top_k0, k1) for ct in chi_tildes]
             rows.append(row)
-        _write_csv(outdir / "scramble_top.csv", header, rows)
+        _write_csv(outdir / "scramble_top.csv", top_header, rows)
         resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
 
     if "bottom" in block:
         scrambled = scramble(bottom_chi)
-        header = ["L_tilde"]
-        for k0_t in k0_tildes:
-            header += [f"H_k0_{k0_t}", f"H_baseline_k0_{k0_t}"]
         rows = []
         for ell in surplus:
             row: list = [ell]
@@ -638,7 +628,7 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
                 row.append(continued(scrambled, k0_t, k0_t + ell))
                 row.append(continued(start, k0_t, k0_t + ell))
             rows.append(row)
-        _write_csv(outdir / "scramble_bottom.csv", header, rows)
+        _write_csv(outdir / "scramble_bottom.csv", bottom_header, rows)
         resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
 
     _write_sidecar(outdir, "scramble-study", cfg, seed, resolved)
@@ -847,7 +837,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out: cannot create output directory: {exc}") from exc
         extra = {"threads": args.threads} if args.command == "run" else {}
         handler(cfg, outdir, seed, **extra)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateCountsError) as exc:
         log.error("config error: %s", exc)
         return 2
     except CapacityError as exc:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import StepCapError, ZeroBranchError
+from .errors import DegenerateCountsError, StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import (
     BOUND_TOL,
@@ -217,7 +217,7 @@ class _Base:
 
     A trajectory's current state is state.amps * sqrt(q / w)[level] for its
     level posterior q.  penalty holds the per-level sums of |amps|^2 times
-    the violation count, and is kept only for diagnostics.
+    the violation count, kept only when weigh is asked for diagnostics.
     """
 
     state: StateVector
@@ -244,14 +244,14 @@ def _on_basis(tables: ControlTables, state: StateVector) -> StateVector:
     )
 
 
-def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Base:
+def weigh(tables: ControlTables, state: StateVector, diagnostics: bool = False) -> _Base:
     """Sum |amps|^2 per level, after the one check on a state the loop reads.
 
-    The initial state and every mixed state pass here, through _on_basis.
-    The independent sets hold every nonzero amplitude of a feasible-subspace
-    state, and each string left out would weigh +0, which leaves each
-    level's sum and the final sample's cumulative sum with the bits of the
-    dense ones.
+    The initial state, every mixed state and each study's base state pass
+    here, through _on_basis.  The independent sets hold every nonzero
+    amplitude of a feasible-subspace state, and each string left out would
+    weigh +0, which leaves each level's sum and the final sample's
+    cumulative sum with the bits of the dense ones.
     """
     state = _on_basis(tables, state)
     mag = np.abs(state.amps)
@@ -264,6 +264,33 @@ def _weigh(tables: ControlTables, state: StateVector, diagnostics: bool) -> _Bas
 
 def _p1(tables: ControlTables, q: np.ndarray) -> float:
     return 0.5 + 0.5 * float(np.sum(q * tables.sin_2c))
+
+
+def level_posterior(tables: ControlTables, w: np.ndarray, counts: OutcomeCounts) -> np.ndarray:
+    """The level posterior w * cos_sq**k0 * sin_sq**k1, normalised, after k0 failures
+    and k1 successes from level weights w.  The powers are taken in log space on the
+    levels w reaches, anchored at the largest, so huge counts neither underflow nor
+    overflow; DegenerateCountsError where all of them vanish, as in analytic_state."""
+    hit = w > 0
+    with np.errstate(over="ignore"):  # to -inf, which exp takes to 0
+        logw = counts.k0 * np.log(tables.cos_sq[hit]) + counts.k1 * np.log(tables.sin_sq[hit])
+        top = logw.max()
+    if not np.isfinite(top):
+        raise DegenerateCountsError(
+            f"all modulation weights vanish on the state support for counts "
+            f"({counts.k0}, {counts.k1})"
+        )
+    q = np.zeros_like(w)
+    q[hit] = w[hit] * np.exp(logw - top)
+    return q / q.sum()
+
+
+def level_moments(
+    tables: ControlTables, base: _Base, q: np.ndarray
+) -> tuple[float, float, float | None]:
+    """p1, <H> and, where base holds violation sums, <P> at the level posterior q."""
+    penalty = None if base.penalty is None else float(np.sum(_ratio(base, q) * base.penalty))
+    return _p1(tables, q), float(np.sum(q * tables.h)), penalty
 
 
 def _level_step(
@@ -322,7 +349,7 @@ def _trajectory(
 
     A weak step reweights only the level posterior q.  A scramble is one
     step from (base, q) to the next weighed base: it materialises the state,
-    releases the old base, mixes, and weighs the result, which _weigh checks
+    releases the old base, mixes, and weighs the result, which weigh checks
     for amplitude off the independent sets at the scramble that made it.
     """
     rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
@@ -346,26 +373,14 @@ def _trajectory(
             state = _materialise(tables, base, q)
             base = None  # the old base must not outlive the mixer's copies
             state = apply_mixer(state, mixer)
-            base = _weigh(tables, state, record_diagnostics)
+            base = weigh(tables, state, record_diagnostics)
             q = base.w
             scramble_events.append(len(outcomes))
             counts = OutcomeCounts(0, 0)
         if record_diagnostics:
-            records.append(
-                StepRecord(
-                    step=len(outcomes),
-                    outcome=b,
-                    p1=_p1(tables, q),
-                    cost_expectation=float(np.sum(q * tables.h)),
-                    peak=peak_position(counts) if counts.total >= 1 else None,
-                    scrambled=scrambled,
-                    penalty_expectation=(
-                        float(np.sum(_ratio(base, q) * base.penalty))
-                        if base.penalty is not None
-                        else None
-                    ),
-                )
-            )
+            p1, cost, penalty = level_moments(tables, base, q)
+            peak = peak_position(counts) if counts.total >= 1 else None
+            records.append(StepRecord(len(outcomes), b, p1, cost, peak, scrambled, penalty))
     i = _sample(tables, base, q, rng)
     return Trajectory(
         outcomes=tuple(outcomes),
@@ -384,7 +399,7 @@ def _start(
     """The tables and the weighed initial state, once the mixer is known to keep
     the feasible subspace: a leaving mixer fails here, before the first step."""
     tables = prepare_tables(instance, config.rescaling)
-    start = _weigh(tables, config.initial_state, diagnostics)
+    start = weigh(tables, config.initial_state, diagnostics)
     if tables.basis is not None and config.mixer is not None:
         subspace_pairs(config.mixer, start.state)
     return tables, start

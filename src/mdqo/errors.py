@@ -3,7 +3,8 @@
 The CLI maps ConfigError to exit code 2 and CapacityError to exit code 3.
 A run whose trajectory hits max_steps_per_trajectory (StepCapError) also
 exits 2, with one "config error: run: no return criterion fired within N
-steps; ..." line and no artifacts.  Everything else is an ordinary
+steps; ..." line and no artifacts.  A study whose counts raise
+DegenerateCountsError exits 2 the same way.  Everything else is an ordinary
 ValueError/RuntimeError.
 """
 

@@ -443,8 +443,8 @@ def cost_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
 
 
 def driving_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
-    """The cost Hamiltonian the measurement dynamics act on.
-
-    For MIS with a penalty weight this is H - lam * P; otherwise the bare cost.
+    """The dense driving cost: H - lam * P for MIS with a penalty weight,
+    otherwise the bare cost.  In feasible-subspace MIS the dynamics drive
+    subspace_cost, the same bare cost on the independent sets alone.
     """
     return instance_tables(instance).drive

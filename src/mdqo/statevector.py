@@ -245,27 +245,19 @@ class CostDistribution:
 
 
 def cost_distribution(state: StateVector, h: DiagonalHamiltonian) -> CostDistribution:
-    """Group |amps|^2 on h.levels, merge levels within GROUP_TOL, report mean/variance.
-
-    Parameters
-    ----------
-    state : StateVector
-    h : DiagonalHamiltonian
-        Dense cost table over the same qubit count.
-
-    Returns
-    -------
-    CostDistribution
-        Each merged run's smallest level value and its probability, zero
-        included, so every state on h gives one support; and the first two
-        moments computed from the grouped distribution.
-    """
+    """The level_distribution of |amps|^2 summed on each level of the dense cost h."""
     _check_dense(state, "cost_distribution", h)
     values, level = h.levels
-    p = np.bincount(level, weights=state.probabilities())  # every level occurs in level
+    return level_distribution(values, np.bincount(level, weights=state.probabilities()))
+
+
+def level_distribution(values: np.ndarray, weights: np.ndarray) -> CostDistribution:
+    """Merge runs of the sorted level values within GROUP_TOL and sum their weights:
+    each run sits at its smallest value, zero weight included, so all weightings of
+    one table share a support; mean and variance are the grouped distribution's."""
     starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > GROUP_TOL) + 1))
     support = values[starts]
-    grouped = np.add.reduceat(p, starts)
+    grouped = np.add.reduceat(weights, starts)
     mean = float(np.sum(grouped * support))
     variance = float(np.sum(grouped * support**2) - mean**2)
     return CostDistribution(support=support, probs=grouped, mean=mean, variance=variance)

@@ -955,6 +955,7 @@ COMPUTE_ENTRIES = (
     "outer_loop",
     "optimize_qaoa1",
     "analytic_state",
+    "weigh",
     "apply_mixer",
     "walk_monte_carlo",
     "expected_steps_surplus_bound",
@@ -1384,6 +1385,36 @@ BAD_CONFIGS = {
         [],
         "bound 'loose': rescaled cost leaves [0, pi/4]",
     ),
+    # a repeated column name would hold two columns of different data
+    "sweep penalty weights that print alike": (
+        "sweep-counts",
+        _with(_with(SWEEP, ["problem", "kind"], "mis"), ["sweep", "penalty_weights"],
+              [0.1, 0.1000001]),
+        [],
+        "config error: output column H_penalized_lam0.1_tight_k0_0 would repeat",
+    ),
+    "sweep bounds of one name": (
+        "sweep-counts",
+        _with(SWEEP, ["sweep", "bounds"], ["tight", {"name": "tight", "mode": "coefficient-sum"}]),
+        [],
+        "config error: output column H_maxcut_tight_k0_0 would repeat",
+    ),
+    "sweep repeated k0": (
+        "sweep-counts", _with(SWEEP, ["sweep", "k0"], [0, 5, 0]), [],
+        "config error: output column H_maxcut_tight_k0_0 would repeat",
+    ),
+    "postprocess repeated k1": (
+        "postprocess", _with(POSTPROCESS, ["postprocess", "k1"], [1, 2, 1]), [],
+        "config error: output column p_qaoa1_k1_1 would repeat",
+    ),
+    "scramble repeated chi_tilde": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "top", "chi_tilde"], [1, 2, 1]), [],
+        "config error: output column H_chi_1 would repeat",
+    ),
+    "scramble repeated k0_tilde": (
+        "scramble-study", _with(SCRAMBLE, ["scramble", "bottom", "k0_tilde"], [0, 1, 0]), [],
+        "config error: output column H_k0_0 would repeat",
+    ),
 }
 
 
@@ -1399,6 +1430,35 @@ def test_bad_config_exits_before_compute(case, tmp_path, caplog, compute_stubs):
     assert "\n" not in message
     assert not out.exists() or list(out.iterdir()) == []
     assert compute_stubs == []
+
+
+# counts whose closed-form weights overflow on every level: bounds far below
+# the spectrum put each rescaled cost of the path 1-2-3 near pi/4
+PATH_BOUND = {"name": "u", "mode": "user-supplied", "bounds": [100, 2]}
+PATH_PROBLEM = {"kind": "maxcut", "graph": {"n": 3, "edges": [[1, 2], [2, 3]]}}
+DEGENERATE_STUDIES = {
+    "sweep-counts": {
+        "problem": PATH_PROBLEM,
+        "sweep": {"k0": [10**308], "bounds": [PATH_BOUND], "surplus_grid": [0]},
+    },
+    "scramble-study": {
+        "problem": PATH_PROBLEM,
+        "scramble": {
+            "start_counts": [10**308, 10**308], "bound": PATH_BOUND, "top": {"k1_grid": [0]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGENERATE_STUDIES))
+def test_degenerate_study_counts_exit_with_config_code(command, tmp_path, caplog):
+    config = write_config(tmp_path, DEGENERATE_STUDIES[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith("config error: all modulation weights vanish on the state support")
+    assert "\n" not in message
+    assert list(out.iterdir()) == []
 
 
 def test_default_walk_step_cap_below_trials_exits_before_compute(

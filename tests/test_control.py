@@ -273,13 +273,13 @@ def test_in_loop_leak_caught_at_its_scramble(monkeypatch, g5, mis_instance, feas
 def test_each_base_is_weighed_once(monkeypatch, g5, mis_instance, feasible_rescaling):
     # the initial state and each scramble's mixed state are weighed once each
     weighed = []
-    weigh = control._weigh
+    weigh = control.weigh
 
     def counted(*args):
         weighed.append(args[1])
         return weigh(*args)
 
-    monkeypatch.setattr("mdqo.control._weigh", counted)
+    monkeypatch.setattr("mdqo.control.weigh", counted)
     initial = uniform_superposition(5, independent_sets(g5))
     traj = run_algorithm2(
         mis_instance, feasible_rescaling, initial,

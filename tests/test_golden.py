@@ -100,12 +100,14 @@ def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
 
 @pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
 def test_run_hashes_hold_under_other_blas_kernels(coretype, tmp_path):
-    # the run path makes no BLAS call, so the OpenBLAS kernel cannot move
-    # the summation order of any run artifact
-    runs = [name for name in COMMANDS if COMMANDS[name] == "run"]
-    hashes = hashes_in_fresh_interpreter(tmp_path, runs, OPENBLAS_CORETYPE=coretype)
+    # the run path and the level-space studies (sweep-counts, postprocess)
+    # make no BLAS call, so the OpenBLAS kernel cannot move the summation
+    # order of any of their artifacts
+    studies = ["maxcut_sweep.json", "mis_sweep.json", "postprocess.json"]
+    names = [name for name in COMMANDS if COMMANDS[name] == "run"] + studies
+    hashes = hashes_in_fresh_interpreter(tmp_path, names, OPENBLAS_CORETYPE=coretype)
     golden = json.loads(GOLDEN.read_text())
-    assert hashes == {name: golden[name] for name in runs}
+    assert hashes == {name: golden[name] for name in names}
 
 
 # einsum reaches BLAS only when asked to optimize its contraction order

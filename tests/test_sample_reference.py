@@ -181,7 +181,7 @@ def weighed(n: int, probs: dict[int, float]):
     amps = np.zeros(2**n, dtype=np.complex128)
     for x, p in probs.items():
         amps[x] = math.sqrt(p)
-    base = control._weigh(tables, StateVector(n, amps), False)
+    base = control.weigh(tables, StateVector(n, amps), False)
     return tables, base, base.w.copy()
 
 
@@ -232,7 +232,7 @@ def test_feasible_draw_above_a_total_below_one_stays_on_the_support():
     scale = 1.0 - 2.0**-36  # inside the state norm tolerance
     size = tables.basis.size
     amps = np.full(size, math.sqrt(scale / size), dtype=np.complex128)
-    base = control._weigh(tables, StateVector(6, amps, tables.basis), False)
+    base = control.weigh(tables, StateVector(6, amps, tables.basis), False)
     q = base.w.copy()
     assert dense_cdf(tables, base, q)[-1] < 1.0
     last = int(tables.basis[-1])

@@ -31,7 +31,7 @@ from mdqo import (
     spectrum_bounds,
     uniform_superposition,
 )
-from mdqo.control import _materialise, _weigh, prepare_tables
+from mdqo.control import _materialise, prepare_tables, weigh
 from mdqo.problems import DiagonalHamiltonian, independent_sets, subspace_cost
 from mdqo.statevector import GROUP_TOL
 
@@ -260,7 +260,7 @@ def test_owning_constructor_keeps_the_checks():
 def test_built_states_are_read_only_and_own_their_amplitudes(g5, c_tight, tight_rescaling):
     state = random_state(7)
     tables = prepare_tables(ProblemInstance(g5, "maxcut"), tight_rescaling)
-    base = _weigh(tables, state, False)
+    base = weigh(tables, state, False)
     outputs = [
         apply_x_rotation_all(state, 0.3),
         apply_controlled_x_rotation(state, 1, (0, 2), 0.3),
@@ -305,7 +305,7 @@ def test_materialised_subspace_states_keep_the_basis(g5):
     tables = prepare_tables(
         ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     )
-    base = _weigh(tables, uniform_superposition(5, cost.basis), False)
+    base = weigh(tables, uniform_superposition(5, cost.basis), False)
     out = _materialise(tables, base, base.w)
     assert out.basis is tables.basis is cost.basis
     assert not out.amps.flags.writeable
