@@ -29,6 +29,7 @@ GOLDEN = Path(__file__).with_name("golden_configs.json")
 COMMANDS = {
     "maxcut_sweep.json": "sweep-counts",
     "mis_sweep.json": "sweep-counts",
+    "mis_sweep_lambdas.json": "sweep-counts",
     "postprocess.json": "postprocess",
     "run_maxcut.json": "run",
     "run_maxcut_n12.json": "run",
