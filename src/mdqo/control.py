@@ -28,7 +28,7 @@ from .problems import (
     ProblemInstance,
     Rescaling,
     check_rescaled,
-    instance_tables,
+    driving_hamiltonian,
     subspace_cost,
 )
 from .statevector import StateVector, sample_index
@@ -181,18 +181,19 @@ class ControlTables:
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
     """Build the cost-level table for an instance, once per run.
 
-    The table is the driving cost's cached levels: subspace_cost on the
+    The table is the driving cost's levels: subspace_cost's on the
     independent sets in feasible-subspace mode, whose violation counts are
-    0, otherwise instance_tables' dense cost.  The driving and the rescaled
-    cost are both constant on a level, so c is computed per level, with the
-    bits the per-entry rescaling gives, and checked on the levels alone.
+    0, otherwise driving_hamiltonian's on the dense table.  The driving and
+    the rescaled cost are both constant on a level, so c is computed per
+    level, with the bits the per-entry rescaling gives, and checked on the
+    levels alone.
     """
     if instance.feasible_subspace:
         cost = subspace_cost(instance.graph)
         p_viol = np.zeros(cost.basis.size)
     else:
-        cost, violations = instance_tables(instance)
-        p_viol = None if violations is None else violations.values
+        cost = driving_hamiltonian(instance)
+        p_viol = None if instance.kind == "maxcut" else instance.graph.mis[1].values
     h, level = cost.levels
     c = rescaling.epsilon * (rescaling.alpha + h)
     check_rescaled(c)
@@ -276,10 +277,7 @@ def level_posterior(tables: ControlTables, w: np.ndarray, counts: OutcomeCounts)
         logw = counts.k0 * np.log(tables.cos_sq[hit]) + counts.k1 * np.log(tables.sin_sq[hit])
         top = logw.max()
     if not np.isfinite(top):
-        raise DegenerateCountsError(
-            f"all modulation weights vanish on the state support for counts "
-            f"({counts.k0}, {counts.k1})"
-        )
+        raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
     q = np.zeros_like(w)
     q[hit] = w[hit] * np.exp(logw - top)
     return q / q.sum()

@@ -33,3 +33,9 @@ class ZeroBranchError(ValueError):
 
 class DegenerateCountsError(ValueError):
     """Aggregated measurement weights vanish on the entire state support."""
+
+    @classmethod
+    def vanishing(cls, k0: int, k1: int) -> "DegenerateCountsError":
+        """The one message for counts whose weights all vanish: counts >= 1e15 print as %.3g."""
+        shown = ", ".join(f"{k:.3g}" if k >= 10**15 else str(k) for k in (k0, k1))
+        return cls(f"all modulation weights vanish on the state support for counts ({shown})")

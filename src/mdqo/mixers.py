@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,24 +77,21 @@ def apply_mixer(state: StateVector, spec: MixerSpec) -> StateVector:
     basis holds (see subspace_pairs), with the bytes the dense mixer gives
     those entries.
     """
-    if state.basis is not None:
-        amps = _rotate_pairs(state.amps.copy(), subspace_pairs(spec, state), spec.chi)
+    if state.basis is not None and (pairs := subspace_pairs(spec, state)):
+        amps = _rotate_pairs(state.amps.copy(), pairs, spec.chi)
         return StateVector._own(state.n, amps, state.basis)
-    if spec.kind == TRANSVERSE_FIELD:
-        return apply_x_rotation_all(state, spec.chi)
-    graph = spec.graph
-    assert graph is not None
+    graph = spec.graph if spec.kind == MIS_CONTROLLED else Graph(state.n, ())  # no controls
     if graph.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
     amps = _rotate(state.amps.copy(), [(u, graph.neighbors(u)) for u in range(graph.n)], spec.chi)
-    return StateVector._own(state.n, amps)
+    return StateVector._own(state.n, amps, state.basis)
 
 
 def subspace_pairs(spec: MixerSpec, state: StateVector) -> tuple[np.ndarray, ...]:
     """The mixer's index pairs on the state's basis; ValueError if it leaves the basis.
 
-    The basis must be the independent sets of the mixer's graph; a
-    transverse-field mixer keeps only the full basis of an edgeless graph.
+    The basis must be the independent sets of the mixer's graph.  A
+    transverse-field mixer keeps only the full basis and needs no pairs.
     """
     if spec.kind == TRANSVERSE_FIELD:
         if state.basis.size != 2**state.n:
@@ -103,28 +99,14 @@ def subspace_pairs(spec: MixerSpec, state: StateVector) -> tuple[np.ndarray, ...
                 "a transverse-field mixer puts amplitude on infeasible strings, "
                 "so it cannot scramble feasible-subspace MIS"
             )
-        graph = Graph(state.n, ())
-    else:
-        graph = spec.graph
-        if graph.n != state.n:
-            raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
+        return ()
+    graph = spec.graph
+    if graph.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
     basis = independent_sets(graph)
     if state.basis is not basis and not np.array_equal(state.basis, basis):
         raise ValueError("the state's basis is not the independent sets of the mixer's graph")
-    return _pairs(graph)
-
-
-@lru_cache(maxsize=1)  # as subspace_cost
-def _pairs(graph: Graph) -> tuple[np.ndarray, ...]:
-    """Per vertex u in ascending order, the positions in independent_sets(graph)
-    of every set S free of u and its neighbours, then those of each S | {u}:
-    the pairs the controlled rotation on u mixes."""
-    basis = independent_sets(graph)
-    pairs = []
-    for u in range(graph.n):
-        i0 = np.flatnonzero((basis & sum(1 << v for v in (u, *graph.neighbors(u)))) == 0)
-        pairs.append(np.concatenate((i0, np.searchsorted(basis, basis[i0] | (1 << u)))))
-    return tuple(pairs)
+    return graph.mixer_pairs
 
 
 def feasible_initial_state(

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .errors import CapacityError, DegenerateSpectrumError
 DENSE_CAP = 20
 
 # Largest independent-set count a feasible-subspace basis may hold.  No run
-# at the cap has been measured; by estimate the cached subspace_cost (basis
-# and vertex counts) and a state on it take 256 MiB each, and the mixer's
-# cached index pairs 16 bytes per (set, vertex outside it) pair, about 3 GiB
-# for the edgeless 24-vertex graph and more for larger sets.
+# at the cap has been measured; by estimate the graph's subspace table (basis
+# and vertex counts) and a state on it take 256 MiB each, and its mixer pairs
+# 16 bytes per (set, vertex outside it) pair, about 3 GiB for the edgeless
+# 24-vertex graph and more for larger sets.
 SUBSPACE_CAP = 2**24
 
 # Absolute tolerance for spectrum-bound validation.
@@ -57,7 +56,8 @@ def _checked_basis(n: int, basis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph on vertices 0..n-1; no self-loops, no duplicate edges."""
+    """Undirected graph on vertices 0..n-1; no self-loops, no duplicate edges.
+    Each table derived from it is built on first use and lives on it, read-only."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -86,13 +86,66 @@ class Graph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbor ids of vertex u."""
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return tuple(sorted(out))
+        return tuple(sorted(b if a == u else a for a, b in self.edges if u in (a, b)))
+
+    @cached_property
+    def maxcut(self) -> DiagonalHamiltonian:
+        """build_maxcut of this graph."""
+        return build_maxcut(self)
+
+    @cached_property
+    def mis(self) -> tuple[DiagonalHamiltonian, DiagonalHamiltonian]:
+        """build_mis of this graph: the dense vertex and violation counts."""
+        return build_mis(self)
+
+    @cached_property
+    def mis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The penalty-free index of mis: one string per reached (size,
+        violations) pair, in ascending order, and each string's pair in the
+        smallest unsigned dtype."""
+        h, p = self.mis
+        key = (h.values * (self.m + 1) + p.values).astype(np.intp)
+        string = np.zeros(key.max() + 1, dtype=np.intp)
+        string[key] = np.arange(key.size)  # a string of each reached key
+        reached = np.flatnonzero(np.bincount(key))
+        pair = np.searchsorted(reached, key).astype(np.min_scalar_type(reached.size - 1))
+        return string[reached], pair
+
+    @cached_property
+    def subspace(self) -> DiagonalHamiltonian:
+        """The MIS cost, each set's vertex count, on the sorted basis of the
+        independent sets: adding u to each set so far free of its earlier
+        neighbours appends larger sets.  CapacityError, before any array is
+        allocated, when the count passes SUBSPACE_CAP."""
+        size = count_independent_sets(self)
+        if size > SUBSPACE_CAP:
+            raise CapacityError(
+                f"the {self.n}-vertex graph has {size} independent sets, "
+                f"past the subspace cap of {SUBSPACE_CAP}"
+            )
+        basis = np.zeros(size, dtype=np.int64)
+        count = np.zeros(size, dtype=np.float64)
+        filled = 1
+        for u in range(self.n):
+            free = (basis[:filled] & _mask(v for v in self.neighbors(u) if v < u)) == 0
+            grown = filled + np.count_nonzero(free)
+            basis[filled:grown] = basis[:filled][free] | (1 << u)
+            count[filled:grown] = count[:filled][free] + 1
+            filled = grown
+        basis.setflags(write=False)
+        return DiagonalHamiltonian(self.n, count, coeff_bounds=(0.0, float(self.n)), basis=basis)
+
+    @cached_property
+    def mixer_pairs(self) -> tuple[np.ndarray, ...]:
+        """Per vertex u in ascending order, the positions in subspace.basis of
+        every set S free of u and its neighbours, then those of each S | {u}:
+        the pairs the mis-controlled rotation on u mixes."""
+        basis = self.subspace.basis
+        pairs = []
+        for u in range(self.n):
+            i0 = np.flatnonzero((basis & _mask((u, *self.neighbors(u)))) == 0)
+            pairs.append(np.concatenate((i0, np.searchsorted(basis, basis[i0] | (1 << u)))))
+        return tuple(pairs)
 
     @classmethod
     def from_1indexed(cls, n: int, pairs) -> "Graph":
@@ -166,7 +219,7 @@ def count_independent_sets(graph: Graph) -> int:
 
 def independent_sets(graph: Graph) -> np.ndarray:
     """The independent sets, as the sorted, read-only int64 basis of subspace_cost."""
-    return subspace_cost(graph).basis
+    return graph.subspace.basis
 
 
 @dataclass(frozen=True)
@@ -226,11 +279,17 @@ class DiagonalHamiltonian:
         values[level] == self.values: exactly equal floats share a level, so a
         ufunc gives a level's value the bits it gives each entry.  Read-only.
         """
-        values, level = np.unique(self.values, return_inverse=True)
-        level = level.astype(np.min_scalar_type(values.size - 1))
-        for table in (values, level):
-            table.setflags(write=False)
-        return values, level
+        return _levels(self.values, ...)
+
+
+def _levels(values: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True), the inverse in the smallest
+    unsigned dtype and taken at index; both read-only."""
+    values, level = np.unique(values, return_inverse=True)
+    level = level.astype(np.min_scalar_type(values.size - 1))[index]
+    for table in (values, level):
+        table.setflags(write=False)
+    return values, level
 
 
 def build_maxcut(graph: Graph) -> DiagonalHamiltonian:
@@ -374,77 +433,35 @@ def feasible(instance: ProblemInstance, x: int) -> bool:
     return True
 
 
-class InstanceTables(NamedTuple):
-    """The dense tables of one instance; see instance_tables."""
-
-    drive: DiagonalHamiltonian
-    violations: DiagonalHamiltonian | None
-
-
-@lru_cache(maxsize=1)  # a run uses one instance; a dense table can take GiBs
-def instance_tables(instance: ProblemInstance) -> InstanceTables:
-    """Dense driving cost and violation counts of an instance, built once.
-
-    For MIS, violations counts the edges inside each set; it is None for
-    MaxCut.  A penalty weight lam drives with H - lam * P, otherwise the bare
-    cost drives (subspace_cost is the same cost on the independent sets
-    alone).  Cached for the last instance; the arrays are read-only.
-    """
-    if instance.kind == "maxcut":
-        return InstanceTables(build_maxcut(instance.graph), None)
-    h, p = build_mis(instance.graph)
-    if instance.penalty_weight is not None:
-        h = penalize(h, p, instance.penalty_weight)
-    return InstanceTables(h, p)
-
-
-@lru_cache(maxsize=1)  # a run uses one graph; the basis can take GiBs
 def subspace_cost(graph: Graph) -> DiagonalHamiltonian:
-    """The independent-set cost on the feasible subspace: each set's vertex count,
-    on the basis independent_sets(graph), with the dense cost's coefficient bounds.
-
-    Vertices are added in ascending order: every set so far that holds no
-    earlier neighbour of u gains u, and 1 to its count.  The new sets exceed
-    the old, so appending them keeps the basis sorted.  CapacityError, before
-    any array is allocated, when the count passes SUBSPACE_CAP.
-    """
-    size = count_independent_sets(graph)
-    if size > SUBSPACE_CAP:
-        raise CapacityError(
-            f"the {graph.n}-vertex graph has {size} independent sets, "
-            f"past the subspace cap of {SUBSPACE_CAP}"
-        )
-    basis = np.zeros(size, dtype=np.int64)
-    count = np.zeros(size, dtype=np.float64)
-    filled = 1
-    for u in range(graph.n):
-        free = (basis[:filled] & _mask(v for v in graph.neighbors(u) if v < u)) == 0
-        grown = filled + np.count_nonzero(free)
-        basis[filled:grown] = basis[:filled][free] | (1 << u)
-        count[filled:grown] = count[:filled][free] + 1
-        filled = grown
-    basis.setflags(write=False)
-    return DiagonalHamiltonian(graph.n, count, coeff_bounds=(0.0, float(graph.n)), basis=basis)
+    """The bare MIS cost on the independent sets alone: graph.subspace."""
+    return graph.subspace
 
 
 def feasible_mask(instance: ProblemInstance) -> np.ndarray:
     """Read-only boolean mask over all basis indices marking independent sets,
-    computed on each call from the cached violation counts."""
+    computed on each call from the graph's violation counts."""
     if instance.kind != "mis":
         raise ValueError("feasibility is defined for MIS instances only")
-    mask = instance_tables(instance).violations.values == 0
+    mask = instance.graph.mis[1].values == 0
     mask.setflags(write=False)
     return mask
 
 
 def cost_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
-    """The bare (unpenalized) cost Hamiltonian of the instance."""
-    return instance_tables(ProblemInstance(instance.graph, instance.kind)).drive
+    """The bare (unpenalized) dense cost Hamiltonian of the instance."""
+    return instance.graph.maxcut if instance.kind == "maxcut" else instance.graph.mis[0]
 
 
 def driving_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
     """The dense driving cost: H - lam * P for MIS with a penalty weight,
     otherwise the bare cost.  In feasible-subspace MIS the dynamics drive
-    subspace_cost, the same bare cost on the independent sets alone.
+    subspace_cost, the same bare cost on the independent sets alone.  A
+    penalised cost is built on each call, its levels from mis_pairs' values.
     """
-    return instance_tables(instance).drive
+    if instance.penalty_weight is None:
+        return cost_hamiltonian(instance)
+    cost = penalize(*instance.graph.mis, instance.penalty_weight)
+    string, pair = instance.graph.mis_pairs
+    cost.__dict__["levels"] = _levels(cost.values[string], pair)  # the cached_property's slot
+    return cost

@@ -137,10 +137,7 @@ def analytic_state(
     norm = np.linalg.norm(amps)
     log_norm = float(top + np.log(norm))
     if not np.isfinite(log_norm):
-        raise DegenerateCountsError(
-            f"all modulation weights vanish on the state support for counts "
-            f"({counts.k0}, {counts.k1})"
-        )
+        raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
     amps /= norm
     return StateVector._own(state0.n, amps, state0.basis), log_norm
 

@@ -366,21 +366,26 @@ def test_run_feasible_mis_trajectories(tmp_path):
     assert sidecar["resolved"]["rescaling"]["epsilon"] == pytest.approx(math.pi / 12)
 
 
-def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
-    # The driving cost, the feasible-uniform start, the control loop's level
-    # table and the mixer share one build: the independent sets in
-    # feasible-subspace mode, which builds no dense table, and the dense
-    # tables with a penalty weight.
-    import mdqo.mixers
+@pytest.fixture
+def builds(monkeypatch):
+    """The (name, n) of every build_mis and count_independent_sets call."""
     import mdqo.problems
 
-    builds = []
+    calls = []
     for name in ("build_mis", "count_independent_sets"):
         def counted(graph, original=getattr(mdqo.problems, name), name=name):
-            builds.append((name, graph.n))
+            calls.append((name, graph.n))
             return original(graph)
 
         monkeypatch.setattr(mdqo.problems, name, counted)
+    return calls
+
+
+def test_run_builds_mis_tables_once_before_the_loop(tmp_path, builds):
+    # The driving cost, the feasible-uniform start, the control loop's level
+    # table and the mixer share one build on the run's graph: the independent
+    # sets in feasible-subspace mode, which builds no dense table, and the
+    # dense tables with a penalty weight.
     payload = {
         "problem": {"kind": "mis", "graph": G5_BLOCK},
         "rescaling": {"mode": "brute-force"},
@@ -392,14 +397,39 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, monkeypatch):
     }
     penalised = _with(payload, ["problem", "penalty_weight"], 2.0)
     for config, built in ((payload, "count_independent_sets"), (penalised, "build_mis")):
-        for cached in (
-            mdqo.problems.instance_tables, mdqo.problems.subspace_cost, mdqo.mixers._pairs,
-        ):
-            cached.cache_clear()
         builds.clear()
         path = write_config(tmp_path, config)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert builds == [(built, 5)]
+
+
+def test_penalty_sweep_builds_each_graph_table_once(tmp_path, builds):
+    # the feasible variant and the three penalty weights read one graph: one
+    # count of its independent sets and one dense MIS build, whatever lam
+    from test_golden import ROOT
+
+    config = ROOT / "configs" / "mis_sweep_lambdas.json"
+    assert main(["sweep-counts", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert sorted(builds) == [("build_mis", 12), ("count_independent_sets", 12)]
+
+
+def test_transverse_field_scrambles_build_no_subspace(tmp_path, builds):
+    # a transverse field keeps the full basis of an edgeless graph without
+    # index pairs, so its scrambles build no table on a transient graph
+    payload = {
+        "problem": {"kind": "mis", "graph": {"n": 4, "edges": []}},
+        "rescaling": {"mode": "brute-force"},
+        "criteria": {"threshold_T": 3.9, "ceiling_KT": 30, "min_steps_ell": 2},
+        "initial_state": {"kind": "uniform"},
+        "mixer": {"kind": "transverse-field", "chi_tilde": 3},
+        "run": {"algorithm": 2, "budget": {"max_trajectories": 40}, "trajectory_csv": True},
+        "seed": 5,
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "trajectories.csv")
+    assert sum(int(row["scrambles"]) for row in rows) >= 3
+    assert builds == [("count_independent_sets", 4)]
 
 
 def test_penalised_feasible_uniform_start_bytes():
@@ -1457,7 +1487,7 @@ def test_degenerate_study_counts_exit_with_config_code(command, tmp_path, caplog
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert message.startswith("config error: all modulation weights vanish on the state support")
-    assert "\n" not in message
+    assert "\n" not in message and len(message) < 200
     assert list(out.iterdir()) == []
 
 

@@ -332,20 +332,54 @@ def test_basis_is_the_dense_feasible_mask(n):
     assert cost.values.tobytes() == cost_hamiltonian(instance).values[basis].tobytes()
 
 
-def test_each_cache_holds_the_one_build_a_run_uses():
-    # a run builds one graph and one instance, so every functools cache the
-    # package binds, on a module or a class, keeps one entry
-    caches = {}
+def test_package_binds_no_functools_cache():
+    # the tables derived from a graph live on the graph, so each lives as
+    # long as the graph a run holds: no module or class keeps a functools cache
+    caches = []
     for info in pkgutil.iter_modules(mdqo.__path__):
         members = list(vars(importlib.import_module(f"mdqo.{info.name}")).values())
         members += [v for cls in members if isinstance(cls, type) for v in vars(cls).values()]
-        caches.update({id(v): v for v in members if hasattr(v, "cache_parameters")})
-    assert {f"{c.__module__}.{c.__qualname__}": c.cache_parameters()["maxsize"]
-            for c in caches.values()} == {
-        "mdqo.problems.subspace_cost": 1,
-        "mdqo.problems.instance_tables": 1,
-        "mdqo.mixers._pairs": 1,
-    }
+        caches += [v for v in members if hasattr(v, "cache_parameters")]
+    assert caches == []
+
+
+def test_graph_tables_are_built_once_per_graph():
+    # an equal graph is another graph: it builds its own tables
+    graph = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    assert graph.maxcut is graph.maxcut and graph.mis is graph.mis
+    assert graph.subspace is graph.subspace and graph.mixer_pairs is graph.mixer_pairs
+    assert graph.mis_pairs is graph.mis_pairs
+    twin = Graph(4, graph.edges)
+    assert twin == graph and twin.mis is not graph.mis
+    instance = ProblemInstance(graph, "mis", 2.0)
+    assert cost_hamiltonian(instance) is graph.mis[0] and subspace_cost(graph) is graph.subspace
+    assert driving_hamiltonian(ProblemInstance(graph, "maxcut")) is graph.maxcut
+    # a penalised cost is built on each call, from the one dense build
+    assert driving_hamiltonian(instance) is not driving_hamiltonian(instance)
+
+
+def test_penalised_levels_are_the_dense_levels():
+    # levels gathered from the (size, violations) pairs are the levels a
+    # sort of the dense penalised values gives: values, level array, dtype
+    # and read-only flags; lam = 1 merges pairs such as (2, 0) and (3, 1)
+    for i in range(36):
+        n = 1 + i % 12
+        rng = np.random.default_rng([n, i, 26])
+        density = (0.2, 0.5, 0.8)[i % 3]
+        graph = Graph(
+            n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+        )
+        string, pair = graph.mis_pairs
+        assert pair.dtype == np.min_scalar_type(string.size - 1)
+        for lam in (0.0, 1e-300, 1 / 3, 0.5, 0.7, 1.0, 1.5, 3.0, 7.25, 1e8):
+            cost = driving_hamiltonian(ProblemInstance(graph, "mis", lam))
+            dense = DiagonalHamiltonian(n, cost.values).levels
+            unique, inverse = np.unique(cost.values, return_inverse=True)
+            for got, want in zip(cost.levels, dense):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable and not want.flags.writeable
+            assert dense[0].tobytes() == unique.tobytes()
+            assert np.array_equal(dense[1], inverse)
 
 
 def test_subspace_cost_is_the_dense_cost_on_the_basis(g5, mis_pair, mis_instance):

@@ -300,7 +300,6 @@ def test_states_on_a_basis(g5):
 
 
 def test_materialised_subspace_states_keep_the_basis(g5):
-    subspace_cost.cache_clear()
     cost = subspace_cost(g5)
     tables = prepare_tables(
         ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
