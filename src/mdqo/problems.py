@@ -279,14 +279,16 @@ class DiagonalHamiltonian:
         values[level] == self.values: exactly equal floats share a level, so a
         ufunc gives a level's value the bits it gives each entry.  Read-only.
         """
-        return _levels(self.values, ...)
+        return _levels(self.values)
 
 
-def _levels(values: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+def _levels(values: np.ndarray, index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(values, return_inverse=True), the inverse in the smallest
-    unsigned dtype and taken at index; both read-only."""
+    unsigned dtype and, given an index, gathered at it; both read-only."""
     values, level = np.unique(values, return_inverse=True)
-    level = level.astype(np.min_scalar_type(values.size - 1))[index]
+    level = level.astype(np.min_scalar_type(values.size - 1))
+    if index is not None:
+        level = level[index]
     for table in (values, level):
         table.setflags(write=False)
     return values, level

@@ -365,12 +365,18 @@ def test_penalised_levels_are_the_dense_levels():
     for i in range(36):
         n = 1 + i % 12
         rng = np.random.default_rng([n, i, 26])
-        density = (0.2, 0.5, 0.8)[i % 3]
+        density = (0.2, 0.5, 0.8)[i // 12]
         graph = Graph(
             n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
         )
+        # one string per reached (size, violations) pair, in ascending order
         string, pair = graph.mis_pairs
         assert pair.dtype == np.min_scalar_type(string.size - 1)
+        h, p = graph.mis
+        pairs = list(zip(h.values[string], p.values[string]))
+        assert pairs == sorted(set(pairs))
+        assert np.array_equal(h.values[string][pair], h.values)
+        assert np.array_equal(p.values[string][pair], p.values)
         for lam in (0.0, 1e-300, 1 / 3, 0.5, 0.7, 1.0, 1.5, 3.0, 7.25, 1e8):
             cost = driving_hamiltonian(ProblemInstance(graph, "mis", lam))
             dense = DiagonalHamiltonian(n, cost.values).levels
