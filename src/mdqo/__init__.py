@@ -60,12 +60,10 @@ from .problems import (
     driving_hamiltonian,
     feasible,
     feasible_mask,
-    independent_sets,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
     spectrum_bounds,
-    subspace_cost,
 )
 from .statevector import (
     CostDistribution,

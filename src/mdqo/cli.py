@@ -89,7 +89,6 @@ from .problems import (
     parse_edge_list,
     rescaling_from_bounds,
     spectrum_bounds,
-    subspace_cost,
 )
 from .statevector import (
     StateVector,
@@ -260,10 +259,15 @@ def _parse_problem(cfg: _Block, penalized: bool = True) -> ProblemInstance:
     except ValueError as exc:
         raise ConfigError(f"{graph_block.path}: {exc}") from exc
     penalty = problem.get("penalty_weight", float, None) if penalized else None
+    return _instance(graph, kind, penalty, "problem")
+
+
+def _instance(graph: Graph, kind: str, penalty: float | None, path: str) -> ProblemInstance:
+    """ProblemInstance(graph, kind, penalty), a ValueError a config error at path."""
     try:
-        return ProblemInstance(graph=graph, kind=kind, penalty_weight=penalty)
+        return ProblemInstance(graph, kind, penalty)
     except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _bound_entry(owner: _Block, value, path: str, named: bool = True) -> dict:
@@ -401,16 +405,17 @@ def _parse_initial_state(cfg: _Block, instance: ProblemInstance) -> dict:
     return echo
 
 
-def _initial_state(echo: dict, instance: ProblemInstance, cost: DiagonalHamiltonian) -> StateVector:
+def _initial_state(echo: dict, instance: ProblemInstance) -> StateVector:
     """Build the state a checked initial-state echo describes; qaoa1 adds its angles.
 
-    cost is the run's driving cost.  In feasible-subspace mode the state
-    lives on its basis, the independent sets: there the uniform start, which
-    only an edgeless graph allows, is the feasible-uniform one, and a qaoa1
-    start is dense, as the basis then holds every string in order.
+    The state lives on the basis of instance.cost, in feasible-subspace mode
+    the independent sets: there the uniform start, which only an edgeless
+    graph allows, is the feasible-uniform one, and a qaoa1 start is dense, as
+    the basis then holds every string in order.
     """
     n = instance.graph.n
     kind = echo["kind"]
+    cost = instance.cost
     basis = cost.basis
     if kind == "qaoa1":
         params = optimize_qaoa1(cost, echo["grid_resolution"])
@@ -484,35 +489,38 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
         default = ["feasible", "penalized"] if "penalty_weights" in sweep else ["feasible"]
         kinds = sweep.items("variants", str, default, choices=("feasible", "penalized"))
         lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
+        for i, lam in enumerate(lams):
+            _instance(instance.graph, "mis", lam, f"{sweep.key('penalty_weights')}[{i}]")
     cfg.close()
 
-    # one instance per variant: the feasible one lives on the independent sets,
-    # as run keeps it, the others on dense tables; penalised ones also report P
+    # one penalty weight per variant, None for the bare one: the feasible
+    # variant lives on the independent sets, as run keeps it, the others on
+    # dense tables; penalised ones also report P
     if instance.kind == "maxcut":
-        variants = [("maxcut", instance)]
+        variants = [("maxcut", None)]
     else:
-        variants = [("feasible", instance)] if "feasible" in kinds else []
-        variants += [(f"penalized_lam{lam:g}", ProblemInstance(instance.graph, "mis", lam))
-                     for lam in lams]
+        variants = [("feasible", None)] if "feasible" in kinds else []
+        variants += [(f"penalized_lam{lam:g}", lam) for lam in lams]
     headers = ["L"]
-    for label, inst in variants:
-        moments = ("H", "p1", "P")[: 3 if inst.penalty_weight is not None else 2]
+    for label, lam in variants:
+        moments = ("H", "p1", "P")[: 3 if lam is not None else 2]
         headers += [f"{m}_{label}_{entry['name']}_k0_{k0}"
                     for entry in bound_entries for k0 in k0_list for m in moments]
     _columns(headers)
 
+    # each variant's instance, and so its 2**n cost, lives only while its tables are built
     scaled, echoes = [], []
-    for label, inst in variants:
-        cost = subspace_cost(inst.graph) if inst.feasible_subspace else driving_hamiltonian(inst)
-        built = [_rescaled(e, cost, lambda r: prepare_tables(inst, r)) for e in bound_entries]
-        scaled.append((inst, [tables for tables, _ in built]))
+    for label, lam in variants:
+        inst = ProblemInstance(instance.graph, instance.kind, lam)
+        built = [_rescaled(e, inst.cost, lambda r: prepare_tables(inst, r)) for e in bound_entries]
+        scaled.append((lam is not None, [tables for tables, _ in built]))
         echoes += [{**echo, "variant": label} for _, echo in built]
 
     columns: list[tuple] = []
-    for inst, tables_list in scaled:
+    for penalised, tables_list in scaled:
         # a variant's tables share its levels, so its flat start is weighed once
-        flat = uniform_superposition(inst.graph.n, tables_list[0].basis)
-        base = weigh(tables_list[0], flat, inst.penalty_weight is not None)
+        flat = uniform_superposition(instance.graph.n, tables_list[0].basis)
+        base = weigh(tables_list[0], flat, penalised)
         for tables, k0 in itertools.product(tables_list, k0_list):
             qs = [level_posterior(tables, base.w, OutcomeCounts(k0, k0 + ell)) for ell in surplus]
             p1, h, p = zip(*(level_moments(tables, base, q) for q in qs))
@@ -666,17 +674,13 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     initial_echo = _parse_initial_state(cfg, instance)
     cfg.close()
 
-    if instance.feasible_subspace:
-        cost = subspace_cost(instance.graph)
-    else:
-        cost = driving_hamiltonian(instance)
-    rescaling, echo = _resolve_rescaling(entry, cost)
+    rescaling, echo = _resolve_rescaling(entry, instance.cost)
     try:
         # checked before the initial state, whose qaoa1 kind runs a grid search
         outer = OuterConfig(rescaling, None, criteria, mixer, **options)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from exc
-    initial = _initial_state(initial_echo, instance, cost)
+    initial = _initial_state(initial_echo, instance)
     outer = dataclasses.replace(outer, initial_state=initial)
 
     try:

@@ -23,14 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCountsError, StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
-from .problems import (
-    BOUND_TOL,
-    ProblemInstance,
-    Rescaling,
-    check_rescaled,
-    driving_hamiltonian,
-    subspace_cost,
-)
+from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
 from .statevector import StateVector, sample_index
 from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, peak_position
 
@@ -181,19 +174,16 @@ class ControlTables:
 def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTables:
     """Build the cost-level table for an instance, once per run.
 
-    The table is the driving cost's levels: subspace_cost's on the
-    independent sets in feasible-subspace mode, whose violation counts are
-    0, otherwise driving_hamiltonian's on the dense table.  The driving and
-    the rescaled cost are both constant on a level, so c is computed per
+    The table is the levels of instance.cost, whose entries, on the
+    independent sets in feasible-subspace mode, violate no edge.  The driving
+    and the rescaled cost are both constant on a level, so c is computed per
     level, with the bits the per-entry rescaling gives, and checked on the
     levels alone.
     """
-    if instance.feasible_subspace:
-        cost = subspace_cost(instance.graph)
-        p_viol = np.zeros(cost.basis.size)
-    else:
-        cost = driving_hamiltonian(instance)
-        p_viol = None if instance.kind == "maxcut" else instance.graph.mis[1].values
+    cost = instance.cost
+    p_viol = None
+    if instance.kind == "mis":
+        p_viol = instance.graph.mis[1].values if cost.basis is None else np.zeros(cost.basis.size)
     h, level = cost.levels
     c = rescaling.epsilon * (rescaling.alpha + h)
     check_rescaled(c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .problems import DiagonalHamiltonian, Graph, _check_capacity, independent_sets
+from .problems import DiagonalHamiltonian, Graph, _check_capacity
 from .statevector import (
     StateVector,
     _rotate,
@@ -103,7 +103,7 @@ def subspace_pairs(spec: MixerSpec, state: StateVector) -> tuple[np.ndarray, ...
     graph = spec.graph
     if graph.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, graph n={graph.n}")
-    basis = independent_sets(graph)
+    basis = graph.subspace.basis
     if state.basis is not basis and not np.array_equal(state.basis, basis):
         raise ValueError("the state's basis is not the independent sets of the mixer's graph")
     return graph.mixer_pairs
@@ -113,7 +113,7 @@ def feasible_initial_state(
     graph: Graph, chi0: float, basis: np.ndarray | None = None
 ) -> StateVector:
     """Feasible-supported state from |0...0> via one mis-controlled mixer pass,
-    dense or, given basis = independent_sets(graph), on that basis."""
+    dense or, given basis = graph.subspace.basis, on that basis."""
     spec = MixerSpec(MIS_CONTROLLED, chi0, graph)
     return apply_mixer(basis_state(graph.n, 0, basis), spec)
 

@@ -4,7 +4,7 @@ Basis convention used across the whole package: basis index x encodes the
 variable assignment via bit u of x = x_u, i.e. x = sum_u x_u * 2**u (vertex 0
 is the least significant bit).  A table is dense, one entry per index in
 order, or lives on a sorted int64 `basis` of indices: feasible-subspace MIS
-keeps only the independent sets (independent_sets).
+keeps only the independent sets (Graph.subspace).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _check_capacity(n: int) -> None:
 def _checked_basis(n: int, basis) -> np.ndarray:
     """The basis as a read-only int64 array; ValueError unless it is 1-d,
     strictly increasing and inside 0..2**n - 1.  A read-only int64 array,
-    e.g. independent_sets, is shared without a copy."""
+    e.g. Graph.subspace.basis, is shared without a copy."""
     basis = np.asarray(basis, dtype=np.int64)
     if basis.flags.writeable:
         basis = basis.copy()
@@ -217,14 +217,10 @@ def count_independent_sets(graph: Graph) -> int:
     return int(counts.sum())
 
 
-def independent_sets(graph: Graph) -> np.ndarray:
-    """The independent sets, as the sorted, read-only int64 basis of subspace_cost."""
-    return graph.subspace.basis
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A graph plus problem kind; penalty_weight is the MIS penalty multiplier."""
+    """A graph plus problem kind; penalty_weight is the MIS penalty multiplier.
+    The cost it drives is built on first use and kept on it, read-only."""
 
     graph: Graph
     kind: str  # "maxcut" | "mis"
@@ -238,17 +234,36 @@ class ProblemInstance:
                 raise ValueError("penalty_weight applies to MIS instances only")
             if self.penalty_weight < 0:
                 raise ValueError("penalty_weight must be nonnegative")
+            if not math.isfinite(self.penalty_weight * self.graph.m):
+                raise ValueError(
+                    f"penalty_weight {self.penalty_weight:g} times the edge count "
+                    f"{self.graph.m} is not a finite float"
+                )
 
     @property
     def feasible_subspace(self) -> bool:
         """MIS without a penalty weight: the dynamics stay on the independent sets."""
         return self.kind == "mis" and self.penalty_weight is None
 
+    @cached_property
+    def cost(self) -> DiagonalHamiltonian:
+        """The cost the dynamics drive: the bare MIS cost on the independent
+        sets in feasible-subspace mode, H - lam * P for a penalty weight, its
+        levels from mis_pairs' values, otherwise the bare dense cost."""
+        if self.kind == "maxcut":
+            return self.graph.maxcut
+        if self.penalty_weight is None:
+            return self.graph.subspace
+        cost = penalize(*self.graph.mis, self.penalty_weight)
+        string, pair = self.graph.mis_pairs
+        cost.__dict__["levels"] = _levels(cost.values[string], pair)  # the cached_property's slot
+        return cost
+
 
 @dataclass(frozen=True)
 class DiagonalHamiltonian:
     """Real cost value per basis index: a dense table of length 2**n, or one
-    value per entry of `basis` (sorted basis indices, e.g. independent_sets).
+    value per entry of `basis` (sorted basis indices, e.g. Graph.subspace's).
 
     coeff_bounds, when present, records structural spectrum bounds (s, t) with
     -s <= H <= t derived from the problem's coefficients rather than from
@@ -355,7 +370,7 @@ def spectrum_bounds(
     coefficient-sum reads the structural bounds recorded at construction;
     brute-force enumerates the table; user-supplied validates the given
     (s, t) against the table.  A table on a basis bounds those entries
-    alone: subspace_cost gives the feasible bounds of a constrained instance.
+    alone: Graph.subspace gives the feasible bounds of a constrained instance.
     """
     if mode == "coefficient-sum":
         if h.coeff_bounds is None:
@@ -435,11 +450,6 @@ def feasible(instance: ProblemInstance, x: int) -> bool:
     return True
 
 
-def subspace_cost(graph: Graph) -> DiagonalHamiltonian:
-    """The bare MIS cost on the independent sets alone: graph.subspace."""
-    return graph.subspace
-
-
 def feasible_mask(instance: ProblemInstance) -> np.ndarray:
     """Read-only boolean mask over all basis indices marking independent sets,
     computed on each call from the graph's violation counts."""
@@ -456,14 +466,6 @@ def cost_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
 
 
 def driving_hamiltonian(instance: ProblemInstance) -> DiagonalHamiltonian:
-    """The dense driving cost: H - lam * P for MIS with a penalty weight,
-    otherwise the bare cost.  In feasible-subspace MIS the dynamics drive
-    subspace_cost, the same bare cost on the independent sets alone.  A
-    penalised cost is built on each call, its levels from mis_pairs' values.
-    """
-    if instance.penalty_weight is None:
-        return cost_hamiltonian(instance)
-    cost = penalize(*instance.graph.mis, instance.penalty_weight)
-    string, pair = instance.graph.mis_pairs
-    cost.__dict__["levels"] = _levels(cost.values[string], pair)  # the cached_property's slot
-    return cost
+    """The dense driving cost: instance.cost, or in feasible-subspace MIS,
+    whose cost lives on the independent sets alone, the bare dense cost."""
+    return instance.graph.mis[0] if instance.feasible_subspace else instance.cost

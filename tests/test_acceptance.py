@@ -40,7 +40,6 @@ from mdqo import (
     rescaling_from_bounds,
     run_algorithm2,
     spectrum_bounds,
-    subspace_cost,
     success_probability,
     trajectory_rng,
     uniform_superposition,
@@ -101,7 +100,7 @@ def test_criterion_05_outcome_order_invariance(uniform5, c_tight):
 def test_criterion_06_constrained_modes(g5, mis_pair, uniform5):
     # feasible mode lives on the independent sets, penalised mode on all strings
     mis_h, violations = mis_pair
-    feas_h = subspace_cost(g5)
+    feas_h = g5.subspace
     feas_rescaling = rescaling_from_bounds(spectrum_bounds(feas_h, "brute-force"))
     c_feas = apply_rescaling(feas_rescaling, feas_h)
     feas_uniform = uniform_superposition(5, feas_h.basis)

@@ -20,7 +20,7 @@ from mdqo import (
     uniform_superposition,
     walk_monte_carlo,
 )
-from mdqo.problems import DiagonalHamiltonian, Graph, build_maxcut, subspace_cost
+from mdqo.problems import DiagonalHamiltonian, Graph, build_maxcut
 
 
 def test_run_rule_expected_steps():
@@ -353,7 +353,7 @@ def test_sweep_dimension_mismatch(maxcut_h):
 
 
 def test_sweep_pairs_a_state_and_a_cost_on_one_basis(g5, mis_pair):
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     on_basis = uniform_superposition(5, cost.basis)
     for state, h in ((on_basis, mis_pair[0]), (uniform_superposition(5), cost)):
         with pytest.raises(ValueError, match="^basis mismatch: the state and the Hamiltonian"):
@@ -431,7 +431,7 @@ def _moment_cases(g5, maxcut_h):
     yield StateVector(3, amps / np.sqrt(np.sum(np.abs(amps) ** 2))), h
     for index in (0, 2, 13):
         yield basis_state(5, index), maxcut_h
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     amps = rng.normal(size=cost.basis.size) + 1j * rng.normal(size=cost.basis.size)
     amps[1] = 0.0
     yield StateVector(5, amps / np.sqrt(np.sum(np.abs(amps) ** 2)), cost.basis), cost

@@ -368,14 +368,15 @@ def test_run_feasible_mis_trajectories(tmp_path):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (name, n) of every build_mis and count_independent_sets call."""
+    """The (name, n) of every build_mis, count_independent_sets and penalize
+    call, n the vertex count of its graph or cost."""
     import mdqo.problems
 
     calls = []
-    for name in ("build_mis", "count_independent_sets"):
-        def counted(graph, original=getattr(mdqo.problems, name), name=name):
-            calls.append((name, graph.n))
-            return original(graph)
+    for name in ("build_mis", "count_independent_sets", "penalize"):
+        def counted(first, *args, original=getattr(mdqo.problems, name), name=name):
+            calls.append((name, first.n))
+            return original(first, *args)
 
         monkeypatch.setattr(mdqo.problems, name, counted)
     return calls
@@ -385,7 +386,7 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, builds):
     # The driving cost, the feasible-uniform start, the control loop's level
     # table and the mixer share one build on the run's graph: the independent
     # sets in feasible-subspace mode, which builds no dense table, and the
-    # dense tables with a penalty weight.
+    # dense tables with a penalty weight, penalised once.
     payload = {
         "problem": {"kind": "mis", "graph": G5_BLOCK},
         "rescaling": {"mode": "brute-force"},
@@ -396,21 +397,25 @@ def test_run_builds_mis_tables_once_before_the_loop(tmp_path, builds):
         "seed": 1,
     }
     penalised = _with(payload, ["problem", "penalty_weight"], 2.0)
-    for config, built in ((payload, "count_independent_sets"), (penalised, "build_mis")):
+    for config, built in (
+        (payload, ["count_independent_sets"]), (penalised, ["build_mis", "penalize"])
+    ):
         builds.clear()
         path = write_config(tmp_path, config)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert builds == [(built, 5)]
+        assert builds == [(name, 5) for name in built]
 
 
 def test_penalty_sweep_builds_each_graph_table_once(tmp_path, builds):
     # the feasible variant and the three penalty weights read one graph: one
-    # count of its independent sets and one dense MIS build, whatever lam
+    # count of its independent sets and one dense MIS build, whatever lam, and
+    # one penalised cost per lam, whatever the number of bounds
     from test_golden import ROOT
 
     config = ROOT / "configs" / "mis_sweep_lambdas.json"
     assert main(["sweep-counts", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert sorted(builds) == [("build_mis", 12), ("count_independent_sets", 12)]
+    want = [("build_mis", 12), ("count_independent_sets", 12)] + [("penalize", 12)] * 3
+    assert sorted(builds) == want
 
 
 def test_transverse_field_scrambles_build_no_subspace(tmp_path, builds):
@@ -444,9 +449,7 @@ def test_penalised_feasible_uniform_start_bytes():
             n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
         )
         instance = ProblemInstance(graph, "mis", penalty_weight=2.0)
-        state = mdqo.cli._initial_state(
-            {"kind": "feasible-uniform"}, instance, driving_hamiltonian(instance)
-        )
+        state = mdqo.cli._initial_state({"kind": "feasible-uniform"}, instance)
         mask = feasible_mask(instance)
         amps = mask.astype(np.complex128)
         amps /= math.sqrt(int(mask.sum()))
@@ -1244,6 +1247,20 @@ BAD_CONFIGS = {
         ),
         [],
         "sweep.penalty_weights[0] must be a finite number, got nan",
+    ),
+    "penalty weight times the edge count past the float range": (
+        "run",
+        _with(_with(RUN, ["problem", "kind"], "mis"), ["problem", "penalty_weight"], 1e308),
+        [],
+        "problem: penalty_weight 1e+308 times the edge count 6 is not a finite float",
+    ),
+    "swept penalty weight times the edge count past the float range": (
+        "sweep-counts",
+        _with(
+            _with(SWEEP, ["problem", "kind"], "mis"), ["sweep", "penalty_weights"], [3, 1e308]
+        ),
+        [],
+        "sweep.penalty_weights[1]: penalty_weight 1e+308 times the edge count 6 is not a finite",
     ),
     "int past the float range": (
         "run", _with(RUN, ["criteria", "threshold_T"], 10**400), [],

@@ -32,7 +32,6 @@ from mdqo import (
 )
 from mdqo import control
 from mdqo.control import prepare_tables
-from mdqo.problems import independent_sets, subspace_cost
 
 from conftest import feasible_bounds, rescaled_table
 
@@ -280,7 +279,7 @@ def test_each_base_is_weighed_once(monkeypatch, g5, mis_instance, feasible_resca
         return weigh(*args)
 
     monkeypatch.setattr("mdqo.control.weigh", counted)
-    initial = uniform_superposition(5, independent_sets(g5))
+    initial = uniform_superposition(5, g5.subspace.basis)
     traj = run_algorithm2(
         mis_instance, feasible_rescaling, initial,
         CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=1),
@@ -503,7 +502,7 @@ def test_empirical_surplus_steps_respect_drift_bound(
 
 @pytest.mark.parametrize("n", [5, 9, 12])
 def test_subspace_level_table_is_the_dense_one(n):
-    # feasible-subspace mode reads subspace_cost's own cached levels, the
+    # feasible-subspace mode reads the cached levels of the graph's subspace, the
     # vertex counts some independent set reaches; on those levels the branch
     # and success weights get the bits the dense per-string rescaling gives
     rng = np.random.default_rng([n, 41])
@@ -518,7 +517,7 @@ def test_subspace_level_table_is_the_dense_one(n):
     c = np.empty_like(values)
     c[level] = rescaled_table(resc, h_dense).values
     tables = prepare_tables(inst, resc)
-    cost = subspace_cost(graph)
+    cost = graph.subspace
     assert tables.h is cost.levels[0] and tables.level is cost.levels[1]
     reached = tables.h.size
     assert reached < n + 1 and tables.h.tobytes() == values[:reached].tobytes()
@@ -532,7 +531,7 @@ def test_subspace_level_table_is_the_dense_one(n):
 
 def test_feasible_tables_hold_the_one_basis(g5, mis_instance, feasible_rescaling):
     # another graph's subspace in between must not leave the table an older
-    # copy of g5's basis than the one independent_sets returns
+    # copy of g5's basis than the one its subspace holds
     prepare_tables(mis_instance, feasible_rescaling)
-    subspace_cost(Graph(4, ((0, 1),)))
-    assert prepare_tables(mis_instance, feasible_rescaling).basis is independent_sets(g5)
+    Graph(4, ((0, 1),)).subspace
+    assert prepare_tables(mis_instance, feasible_rescaling).basis is g5.subspace.basis

@@ -38,7 +38,6 @@ from mdqo import (
     uniform_superposition,
     weak_step,
 )
-from mdqo.problems import subspace_cost
 
 from conftest import rescaled_table, tight
 
@@ -108,7 +107,7 @@ def sparse_feasible_mis_algorithm2(n):
     graph = Graph(
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1)
     )
-    assert subspace_cost(graph).levels[0].size >= 10
+    assert graph.subspace.levels[0].size >= 10
     return feasible_mis_run(graph)
 
 

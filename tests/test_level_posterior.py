@@ -27,7 +27,6 @@ from mdqo import (
     expectation,
     rescaling_from_bounds,
     spectrum_bounds,
-    subspace_cost,
     success_probability,
     uniform_superposition,
 )
@@ -50,16 +49,10 @@ def instances(graph: Graph) -> list[ProblemInstance]:
     ]
 
 
-def drive(instance: ProblemInstance):
-    if instance.feasible_subspace:
-        return subspace_cost(instance.graph)
-    return driving_hamiltonian(instance)
-
-
 def starts(instance: ProblemInstance, rng: np.random.Generator) -> list[StateVector]:
     """Flat, random with zeroed entries, one basis state and, for penalised MIS,
     the dense feasible-uniform state: all but the first leave levels at weight 0."""
-    n, basis = instance.graph.n, drive(instance).basis
+    n, basis = instance.graph.n, instance.cost.basis
     size = 2**n if basis is None else basis.size
     amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     amps[rng.random(size) < 0.5] = 0.0
@@ -80,7 +73,7 @@ def dense_moments(instance, c, state0, counts):
     penalty = None
     if instance.penalty_weight is not None:
         penalty = expectation(state, build_mis(instance.graph)[1])
-    return success_probability(state, c), expectation(state, drive(instance)), penalty
+    return success_probability(state, c), expectation(state, instance.cost), penalty
 
 
 def level_path(tables, base, counts):
@@ -94,7 +87,7 @@ GRAPHS = [random_graph(np.random.default_rng([7, n]), n) for n in range(3, 13)]
 def test_level_path_matches_the_dense_oracle(graph):
     rng = np.random.default_rng(graph.n)
     for instance in instances(graph):
-        cost = drive(instance)
+        cost = instance.cost
         rescaling = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
         c = apply_rescaling(rescaling, cost)
         tables = prepare_tables(instance, rescaling)

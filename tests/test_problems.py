@@ -1,5 +1,6 @@
 """Tests for graphs, cost tables, spectrum bounds, and the rescaling map."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -24,12 +25,10 @@ from mdqo import (
     driving_hamiltonian,
     feasible,
     feasible_mask,
-    independent_sets,
     parse_edge_list,
     penalize,
     rescaling_from_bounds,
     spectrum_bounds,
-    subspace_cost,
 )
 from mdqo.problems import SUBSPACE_CAP
 
@@ -154,7 +153,7 @@ def test_maxcut_spectrum_bounds(maxcut_h, mode, expected):
 
 def test_mis_bounds_feasible_support(g5, mis_pair):
     h, _ = mis_pair
-    tight = spectrum_bounds(subspace_cost(g5), "brute-force")
+    tight = spectrum_bounds(g5.subspace, "brute-force")
     assert (tight.s, tight.t) == (0.0, 3.0)
     loose = spectrum_bounds(h, "coefficient-sum")
     assert (loose.s, loose.t) == (0.0, 5.0)
@@ -220,7 +219,7 @@ def test_apply_rescaling_rejects_dishonest_bounds(maxcut_h):
 
 def test_apply_rescaling_support_restriction(g5, mis_pair, mis_instance):
     h, _ = mis_pair
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     r = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     with pytest.raises(ValueError):
         apply_rescaling(r, h)  # full spectrum reaches 5 > 3
@@ -232,7 +231,7 @@ def test_apply_rescaling_support_restriction(g5, mis_pair, mis_instance):
 
 def test_brute_force_optimum(g5, maxcut_h):
     assert brute_force_optimum(maxcut_h) == (5.0, [0b00110, 0b11001])
-    assert brute_force_optimum(subspace_cost(g5)) == (3.0, [0b11001])
+    assert brute_force_optimum(g5.subspace) == (3.0, [0b11001])
 
 
 def test_instance_hamiltonian_selection(g5):
@@ -250,6 +249,10 @@ def test_instance_validation(g5):
         ProblemInstance(g5, "maxcut", penalty_weight=1.0)
     with pytest.raises(ValueError):
         ProblemInstance(g5, "mis", penalty_weight=-2.0)
+    # lam * m overflows: H - lam * P would hold -inf
+    with pytest.raises(ValueError, match="penalty_weight 1e\\+308 times the edge count 6 is not"):
+        ProblemInstance(g5, "mis", penalty_weight=1e308)
+    assert ProblemInstance(Graph(2, ()), "mis", penalty_weight=1e308).cost.values.max() == 2.0
 
 
 def test_capacity_cap():
@@ -276,7 +279,7 @@ def test_hamiltonian_checks_its_basis(g5):
         DiagonalHamiltonian(2, [0.0, 1.0], basis=np.array([7, 9]))
     with pytest.raises(ValueError, match="strictly increasing"):
         DiagonalHamiltonian(2, [0.0], basis=np.zeros((1, 1), dtype=np.int64))
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     rescaling = rescaling_from_bounds(Bounds(0.0, 5.0, "brute-force"))
     assert apply_rescaling(rescaling, cost).basis is cost.basis
     copied = DiagonalHamiltonian(2, [0.0, 1.0], basis=[1, 3])
@@ -310,9 +313,9 @@ def test_independent_set_counts_of_paths_and_cycles(n):
     if n >= 3:
         assert count_independent_sets(cycle(n)) == fibonacci(n - 1) + fibonacci(n + 1)
     if n <= 24:
-        assert independent_sets(path(n)).size == fibonacci(n + 2)
+        assert path(n).subspace.basis.size == fibonacci(n + 2)
         if n >= 3:
-            assert independent_sets(cycle(n)).size == fibonacci(n - 1) + fibonacci(n + 1)
+            assert cycle(n).subspace.basis.size == fibonacci(n - 1) + fibonacci(n + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -323,11 +326,11 @@ def test_basis_is_the_dense_feasible_mask(n):
         n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
     )
     instance = ProblemInstance(graph, "mis")
-    basis = independent_sets(graph)
+    basis = graph.subspace.basis
     assert basis.dtype == np.int64 and not basis.flags.writeable
     assert np.array_equal(basis, np.flatnonzero(feasible_mask(instance)))
     assert count_independent_sets(graph) == basis.size
-    cost = subspace_cost(graph)
+    cost = graph.subspace
     assert cost.basis is basis
     assert cost.values.tobytes() == cost_hamiltonian(instance).values[basis].tobytes()
 
@@ -352,10 +355,17 @@ def test_graph_tables_are_built_once_per_graph():
     twin = Graph(4, graph.edges)
     assert twin == graph and twin.mis is not graph.mis
     instance = ProblemInstance(graph, "mis", 2.0)
-    assert cost_hamiltonian(instance) is graph.mis[0] and subspace_cost(graph) is graph.subspace
+    assert cost_hamiltonian(instance) is graph.mis[0]
     assert driving_hamiltonian(ProblemInstance(graph, "maxcut")) is graph.maxcut
-    # a penalised cost is built on each call, from the one dense build
-    assert driving_hamiltonian(instance) is not driving_hamiltonian(instance)
+    # a bare cost is the graph's own table; a penalised one is built once per
+    # instance from the one dense build, and an equal instance builds its own
+    assert ProblemInstance(graph, "maxcut").cost is graph.maxcut
+    assert ProblemInstance(graph, "mis").cost is graph.subspace
+    assert instance.cost is instance.cost and driving_hamiltonian(instance) is instance.cost
+    equal = ProblemInstance(graph, "mis", 2.0)
+    assert equal == instance and hash(equal) == hash(instance) and equal.cost is not instance.cost
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.cost = graph.maxcut
 
 
 def test_penalised_levels_are_the_dense_levels():
@@ -378,22 +388,23 @@ def test_penalised_levels_are_the_dense_levels():
         assert np.array_equal(h.values[string][pair], h.values)
         assert np.array_equal(p.values[string][pair], p.values)
         for lam in (0.0, 1e-300, 1 / 3, 0.5, 0.7, 1.0, 1.5, 3.0, 7.25, 1e8):
-            cost = driving_hamiltonian(ProblemInstance(graph, "mis", lam))
-            dense = DiagonalHamiltonian(n, cost.values).levels
-            unique, inverse = np.unique(cost.values, return_inverse=True)
-            for got, want in zip(cost.levels, dense):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                assert not got.flags.writeable and not want.flags.writeable
-            assert dense[0].tobytes() == unique.tobytes()
-            assert np.array_equal(dense[1], inverse)
+            instance = ProblemInstance(graph, "mis", lam)
+            for cost in (instance.cost, driving_hamiltonian(ProblemInstance(graph, "mis", lam))):
+                dense = DiagonalHamiltonian(n, cost.values).levels
+                unique, inverse = np.unique(cost.values, return_inverse=True)
+                for got, want in zip(cost.levels, dense):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable and not want.flags.writeable
+                assert dense[0].tobytes() == unique.tobytes()
+                assert np.array_equal(dense[1], inverse)
 
 
 def test_subspace_cost_is_the_dense_cost_on_the_basis(g5, mis_pair, mis_instance):
-    cost = subspace_cost(g5)
-    assert np.array_equal(cost.basis, independent_sets(g5))
+    cost = g5.subspace
+    mask = feasible_mask(mis_instance)
+    assert np.array_equal(cost.basis, np.flatnonzero(mask))
     assert cost.values.tobytes() == mis_pair[0].values[cost.basis].tobytes()
     assert cost.coeff_bounds == mis_pair[0].coeff_bounds
-    mask = feasible_mask(mis_instance)
     h = mis_pair[0].values
     assert spectrum_bounds(cost, "brute-force") == feasible_bounds(mis_pair[0], mask)
     loose = spectrum_bounds(cost, "coefficient-sum")
@@ -412,7 +423,7 @@ def test_subspace_cap(monkeypatch):
     # an int64 basis index holds 63 vertices
     assert fibonacci(36) <= SUBSPACE_CAP < fibonacci(37)
     with pytest.raises(CapacityError, match="past the subspace cap of 16777216"):
-        independent_sets(path(35))
+        path(35).subspace
     with pytest.raises(CapacityError, match="63 vertices"):
         count_independent_sets(Graph(64, tuple((u, u + 1) for u in range(63))))
     # a star whose centre comes last keeps every set of leaves apart until
@@ -420,7 +431,7 @@ def test_subspace_cap(monkeypatch):
     monkeypatch.setattr("mdqo.problems.SUBSPACE_CAP", 2**10)
     star = Graph(16, tuple((u, 15) for u in range(15)))
     with pytest.raises(CapacityError, match="more independent sets than the subspace cap of 1024"):
-        independent_sets(star)
+        star.subspace
     with pytest.raises(CapacityError, match="has 1025 independent sets, past the subspace cap"):
-        independent_sets(Graph(11, tuple((0, v) for v in range(1, 11))))
-    assert independent_sets(Graph(10, ())).size == 1024
+        Graph(11, tuple((0, v) for v in range(1, 11))).subspace
+    assert Graph(10, ()).subspace.basis.size == 1024

@@ -23,7 +23,6 @@ from mdqo import (
     apply_x_rotation_all,
     feasible_initial_state,
 )
-from mdqo.problems import independent_sets
 
 from conftest import random_state
 
@@ -123,7 +122,7 @@ def test_feasible_initial_state_matches_reference(graph):
 
 def subspace_state(graph: Graph, seed: int) -> StateVector:
     """A random state on the graph's independent sets."""
-    basis = independent_sets(graph)
+    basis = graph.subspace.basis
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return StateVector(graph.n, amps / np.linalg.norm(amps), basis)
@@ -163,8 +162,8 @@ def test_subspace_initial_state_matches_reference(graph):
     empty = np.zeros(2**graph.n, dtype=np.complex128)
     empty[0] = 1.0
     expected = reference_mixer(empty, graph.n, graph, 0.6)
-    state = feasible_initial_state(graph, 0.6, independent_sets(graph))
-    check_subspace(state, expected, independent_sets(graph))
+    state = feasible_initial_state(graph, 0.6, graph.subspace.basis)
+    check_subspace(state, expected, graph.subspace.basis)
 
 
 def test_subspace_mixer_rejects_another_basis():

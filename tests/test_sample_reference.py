@@ -28,7 +28,6 @@ from mdqo import (
     outer_loop,
     uniform_superposition,
 )
-from mdqo.problems import subspace_cost
 from mdqo import control
 from mdqo.statevector import sample_index
 
@@ -177,7 +176,7 @@ def weighed(n: int, probs: dict[int, float]):
         if not any((x >> u) & (x >> v) & 1 for x in probs)
     )
     graph = Graph(n, edges)
-    tables = control.prepare_tables(ProblemInstance(graph, "mis"), tight(subspace_cost(graph)))
+    tables = control.prepare_tables(ProblemInstance(graph, "mis"), tight(graph.subspace))
     amps = np.zeros(2**n, dtype=np.complex128)
     for x, p in probs.items():
         amps[x] = math.sqrt(p)

@@ -32,7 +32,7 @@ from mdqo import (
     uniform_superposition,
 )
 from mdqo.control import _materialise, prepare_tables, weigh
-from mdqo.problems import DiagonalHamiltonian, independent_sets, subspace_cost
+from mdqo.problems import DiagonalHamiltonian
 from mdqo.statevector import GROUP_TOL
 
 from conftest import random_state
@@ -275,7 +275,7 @@ def test_built_states_are_read_only_and_own_their_amplitudes(g5, c_tight, tight_
 
 
 def test_states_on_a_basis(g5):
-    basis = independent_sets(g5)
+    basis = g5.subspace.basis
     flat = uniform_superposition(5, basis)
     assert flat.basis is basis and flat.amps.shape == basis.shape
     dense = np.zeros(32, dtype=np.complex128)
@@ -300,7 +300,7 @@ def test_states_on_a_basis(g5):
 
 
 def test_materialised_subspace_states_keep_the_basis(g5):
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     tables = prepare_tables(
         ProblemInstance(g5, "mis"), rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     )
@@ -312,7 +312,7 @@ def test_materialised_subspace_states_keep_the_basis(g5):
 
 def on_basis(g5):
     """The flat state on the independent sets of g5, and their cost."""
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     return uniform_superposition(5, cost.basis), cost
 
 
@@ -342,23 +342,23 @@ def test_cost_distribution_needs_a_dense_state(g5):
 
 def test_diagonal_phase_needs_a_dense_cost(g5):
     with pytest.raises(ValueError, match="^apply_diagonal_phase needs a dense cost, not one on a"):
-        apply_diagonal_phase(uniform_superposition(5), subspace_cost(g5), 0.3)
+        apply_diagonal_phase(uniform_superposition(5), g5.subspace, 0.3)
     # an edgeless graph's basis holds every string, in order
     edgeless = Graph(3, ())
     assert np.array_equal(
-        apply_diagonal_phase(uniform_superposition(3), subspace_cost(edgeless), 0.3).amps,
+        apply_diagonal_phase(uniform_superposition(3), edgeless.subspace, 0.3).amps,
         apply_diagonal_phase(uniform_superposition(3), build_mis(edgeless)[0], 0.3).amps,
     )
 
 
 def test_cost_distribution_needs_a_dense_cost(g5):
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     # string 3 holds the edge (0, 1): no entry of the basis describes it
     for state in (basis_state(5, 3), uniform_superposition(5)):
         with pytest.raises(ValueError, match="^cost_distribution needs a dense cost, not one on"):
             cost_distribution(state, cost)
     edgeless = Graph(3, ())
-    dist = cost_distribution(uniform_superposition(3), subspace_cost(edgeless))
+    dist = cost_distribution(uniform_superposition(3), edgeless.subspace)
     dense = cost_distribution(uniform_superposition(3), build_mis(edgeless)[0])
     assert dist.support.tobytes() == dense.support.tobytes()
     assert dist.probs.tobytes() == dense.probs.tobytes()

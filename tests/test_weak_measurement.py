@@ -27,7 +27,6 @@ from mdqo.problems import (
     feasible_mask,
     rescaling_from_bounds,
     spectrum_bounds,
-    subspace_cost,
 )
 from mdqo.statevector import StateVector, uniform_superposition
 
@@ -274,7 +273,7 @@ def test_property_cost_improvement_identity(seed):
 
 
 def test_closed_forms_keep_the_basis(g5, mis_pair, mis_instance):
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     r = rescaling_from_bounds(spectrum_bounds(cost, "brute-force"))
     c = apply_rescaling(r, cost)
     state0 = uniform_superposition(5, cost.basis)
@@ -303,7 +302,7 @@ def test_closed_forms_keep_the_basis(g5, mis_pair, mis_instance):
 
 
 def test_closed_forms_reject_a_cost_on_another_basis(g5, mis_pair):
-    cost = subspace_cost(g5)
+    cost = g5.subspace
     c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(cost, "brute-force")), cost)
     on_basis = uniform_superposition(5, cost.basis)
     dense_c = DiagonalHamiltonian(5, np.zeros(32))
