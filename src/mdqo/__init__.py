@@ -83,6 +83,7 @@ from .weak_measurement import (
     OutcomeCounts,
     amplitude_modulation,
     analytic_state,
+    continuation,
     peak_position,
     posterior_state,
     success_probability,

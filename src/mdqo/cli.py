@@ -99,7 +99,7 @@ from .statevector import (
     level_distribution,
     uniform_superposition,
 )
-from .weak_measurement import OutcomeCounts, analytic_state
+from .weak_measurement import OutcomeCounts, analytic_state, continuation
 
 log = logging.getLogger("mdqo")
 
@@ -578,19 +578,20 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     mixer_kind = block.get("mixer_kind", str, TRANSVERSE_FIELD, choices=_MIXER_KINDS)
     if "top" not in block and "bottom" not in block:
         raise ConfigError("scramble: at least one of top/bottom panels is required")
+    chis: dict[int, float] = {}  # the mixer angle of each chi_tilde of either panel
     if "top" in block:
         top = block.block("top")
         top_k0 = top.get("k0_tilde", int, 0, minimum=0)
         _value(top_k0, top.key("k0_tilde"), float)
         chi_tildes = top.items("chi_tilde", int, [1, 2, 3, 4, 5, 6])
-        top_chis = {ct: _chi(ct, f"{top.key('chi_tilde')}[{i}]")
-                    for i, ct in enumerate(chi_tildes)}
+        chis.update((ct, _chi(ct, f"{top.key('chi_tilde')}[{i}]"))
+                    for i, ct in enumerate(chi_tildes))
         k1_grid = _float_sized(top.grid("k1_grid", minimum=0), top.key("k1_grid"))
         top_header = _columns(["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes])
     if "bottom" in block:
         bottom = block.block("bottom")
         chi_t = bottom.get("chi_tilde", int, 3)
-        bottom_chi = _chi(chi_t, bottom.key("chi_tilde"))
+        chis[chi_t] = _chi(chi_t, bottom.key("chi_tilde"))
         k0_tildes = _float_sized(
             bottom.items("k0_tilde", int, [0, 1, 2, 3], minimum=0), bottom.key("k0_tilde")
         )
@@ -607,35 +608,30 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
     start, _ = analytic_state(initial, c, start_counts)
 
     mixer_graph = instance.graph if mixer_kind == MIS_CONTROLLED else None
+    # one continuation per base, the start (None) or the start mixed by a
+    # chi_tilde of either panel, and one <H> per (base, k0, k1)
+    bases = {None: continuation(start, c)}
+    memo: dict[tuple, float] = {}
 
-    def scramble(chi: float) -> StateVector:
-        return apply_mixer(start, MixerSpec(mixer_kind, chi, mixer_graph))
-
-    def continued(base: StateVector, k0: int, k1: int) -> float:
-        state, _ = analytic_state(base, c, OutcomeCounts(k0, k1))
-        return expectation(state, h)
+    def continued(ct: int | None, k0: int, k1: int) -> float:
+        if ct not in bases:
+            mixed = apply_mixer(start, MixerSpec(mixer_kind, chis[ct], mixer_graph))
+            bases[ct] = continuation(mixed, c)
+        if (ct, k0, k1) not in memo:
+            state, _ = bases[ct](OutcomeCounts(k0, k1))
+            memo[ct, k0, k1] = expectation(state, h)
+        return memo[ct, k0, k1]
 
     resolved: dict = {"rescaling": echo, "start_counts": [start_counts.k0, start_counts.k1]}
 
     if "top" in block:
-        scrambled = {ct: scramble(chi) for ct, chi in top_chis.items()}
-        rows = []
-        for k1 in k1_grid:
-            row = [k1, continued(start, top_k0, k1)]
-            row += [continued(scrambled[ct], top_k0, k1) for ct in chi_tildes]
-            rows.append(row)
+        rows = [[k1] + [continued(ct, top_k0, k1) for ct in [None, *chi_tildes]] for k1 in k1_grid]
         _write_csv(outdir / "scramble_top.csv", top_header, rows)
         resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
 
     if "bottom" in block:
-        scrambled = scramble(bottom_chi)
-        rows = []
-        for ell in surplus:
-            row: list = [ell]
-            for k0_t in k0_tildes:
-                row.append(continued(scrambled, k0_t, k0_t + ell))
-                row.append(continued(start, k0_t, k0_t + ell))
-            rows.append(row)
+        rows = [[ell] + [continued(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)]
+                for ell in surplus]
         _write_csv(outdir / "scramble_bottom.csv", bottom_header, rows)
         resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
 

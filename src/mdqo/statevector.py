@@ -55,7 +55,8 @@ class StateVector:
         return self
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        weights = np.abs(self.amps)
+        return np.square(weights, out=weights)
 
 
 def uniform_superposition(n: int, basis: np.ndarray | None = None) -> StateVector:
@@ -214,7 +215,9 @@ def apply_controlled_x_rotation(
 def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:
     """Cost expectation sum_x |amps[x]|^2 * h(x) over the basis the state and h share."""
     _check_basis(state, h, "Hamiltonian")
-    return float(np.real(np.sum(state.probabilities() * h.values)))
+    weights = state.probabilities()
+    weights *= h.values
+    return float(np.sum(weights))
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,12 @@ def sample_bitstring(state: StateVector, rng: np.random.Generator) -> int:
 def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one index with probability weights[x], using one uniform draw.
 
-    The weights must sum to 1 up to rounding; the cumulative sum is taken in
-    index order and pinned to 1 from the first entry that reaches its total
-    S, so that entry, which has positive weight, takes the rounding slack:
-    when S falls below 1, a draw in [S, 1) returns it.
+    The weights must sum to 1 up to rounding, and are consumed: the
+    cumulative sum is taken over them in place, in index order, and pinned
+    to 1 from the first entry that reaches its total S, so that entry,
+    which has positive weight, takes the rounding slack: when S falls below
+    1, a draw in [S, 1) returns it.
     """
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(weights, out=weights)
     cdf[np.searchsorted(cdf, cdf[-1]):] = 1.0
     return int(np.searchsorted(cdf, rng.random(), side="right"))

@@ -9,6 +9,7 @@ an aggregated outcome record (k0, k1) determines the state regardless of order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,43 +104,59 @@ def weak_step(
     return b, post
 
 
-def analytic_state(
-    state0: StateVector, c: DiagonalHamiltonian, counts: OutcomeCounts
-) -> tuple[StateVector, float]:
-    """State after k0 failures and k1 successes from state0, plus the log-norm.
+def continuation(
+    state0: StateVector, c: DiagonalHamiltonian
+) -> Callable[[OutcomeCounts], tuple[StateVector, float]]:
+    """The closed form from state0 as a function of the counts: the state after
+    k0 failures and k1 successes, on state0's basis, and its log-norm.
 
-    The state keeps state0's basis.  Amplitudes are modulated by
-    cos^k0(c + pi/4) * sin^k1(c + pi/4) and renormalized once; log_norm is
-    the log of the pre-normalization norm.  The modulation is evaluated in
-    log space, so large counts neither underflow nor overflow, once per cost
-    level (c.levels) that state0's support reaches: the largest of those
-    log-weights anchors the rest, and off-support cost values, which may
-    fall outside [0, pi/4], would otherwise poison the whole state with NaNs
-    despite carrying zero amplitude.
+    The support checks and the log cos and log sin of each cost level
+    (c.levels) that state0's support reaches run once, here.  Per counts,
+    amplitudes are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4) in log
+    space, so large counts neither underflow nor overflow: the largest
+    log-weight anchors the rest, and off-support cost values, which may fall
+    outside [0, pi/4], would otherwise poison the state with NaNs despite
+    carrying zero amplitude.  log_norm is the log of the norm before the one
+    renormalization.
     """
     support, hit = _checked_support(state0, c)
     if not support.any():
         raise DegenerateCountsError("state has empty support")
+    off = None if support.all() else ~support
     values, level = c.levels
     angle = np.clip(values[hit], 0.0, math.pi / 4) + math.pi / 4
-    logw = np.zeros(angle.shape, dtype=np.float64)
-    weight = np.zeros(values.size)
-    # log(0) and huge counts give -inf, and -inf - -inf gives NaN (caught below)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if counts.k0:
-            logw += counts.k0 * np.log(np.cos(angle))
-        if counts.k1:
-            logw += counts.k1 * np.log(np.sin(angle))
-        top = logw.max()
-        weight[hit] = np.exp(logw - top)
-    amps = state0.amps * weight.take(level)
-    amps[~support] = 0.0  # +0 off the support, whatever zeros state0 holds there
-    norm = np.linalg.norm(amps)
-    log_norm = float(top + np.log(norm))
-    if not np.isfinite(log_norm):
-        raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
-    amps /= norm
-    return StateVector._own(state0.n, amps, state0.basis), log_norm
+    log_cos, log_sin = np.log(np.cos(angle)), np.log(np.sin(angle))
+
+    def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
+        logw = np.zeros(angle.shape, dtype=np.float64)
+        weight = np.zeros(values.size)
+        # huge counts give -inf, and -inf - -inf gives NaN (caught below)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if counts.k0:
+                logw += counts.k0 * log_cos
+            if counts.k1:
+                logw += counts.k1 * log_sin
+            top = logw.max()
+            weight[hit] = np.exp(logw - top)
+        amps = state0.amps * weight.take(level)
+        if off is not None:
+            amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
+        norm = np.linalg.norm(amps)
+        log_norm = float(top + np.log(norm))
+        if not np.isfinite(log_norm):
+            raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
+        amps /= norm
+        return StateVector._own(state0.n, amps, state0.basis), log_norm
+
+    return at
+
+
+def analytic_state(
+    state0: StateVector, c: DiagonalHamiltonian, counts: OutcomeCounts
+) -> tuple[StateVector, float]:
+    """State after k0 failures and k1 successes from state0, plus the log-norm:
+    continuation(state0, c)(counts)."""
+    return continuation(state0, c)(counts)
 
 
 def amplitude_modulation(c: float, counts: OutcomeCounts) -> float:

@@ -3,7 +3,8 @@
 analytic_state and success_probability evaluate their transcendentals once
 per cost level (DiagonalHamiltonian.levels).  The references below are the
 dense bodies, one evaluation per basis state; every state, log-norm, p1 and
-error message must match them exactly.
+error message must match them exactly.  One continuation per base, called
+on many counts, must match analytic_state called once per counts.
 """
 
 import math
@@ -24,6 +25,7 @@ from mdqo import (
     basis_state,
     build_maxcut,
     build_mis,
+    continuation,
     penalize,
     posterior_state,
     qaoa1_state,
@@ -229,3 +231,69 @@ def test_levels_table(graph):
         assert level.dtype == np.min_scalar_type(values.size - 1)
         assert not values.flags.writeable and not level.flags.writeable
         assert c.levels is c.levels
+
+
+def check_continuation(state0: StateVector, c: DiagonalHamiltonian, counts: list) -> None:
+    """One continuation of state0, called on every counts in turn, against a
+    fresh analytic_state per counts: the same bytes, log-norms and messages.
+    A base the support check rejects raises when its continuation is built,
+    with the message every analytic_state call from it gives."""
+    at = outcome(continuation, state0, c)
+    for k0, k1 in counts:
+        got = at if isinstance(at, tuple) else outcome(at, OutcomeCounts(k0, k1))
+        expected = outcome(analytic_state, state0, c, OutcomeCounts(k0, k1))
+        if isinstance(expected[0], type):
+            assert got == expected
+            continue
+        assert got[0].amps.tobytes() == expected[0].amps.tobytes()
+        assert got[0].basis is expected[0].basis is state0.basis
+        assert got[1] == expected[1]
+
+
+# every counts twice, in both orders: a call must leave nothing the next one reads
+RUN = COUNTS + COUNTS[::-1]
+
+
+def test_continuation_matches_analytic_state_per_call():
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED)
+    for _, c, feasible in costs(graph):
+        for state0 in starts(graph, feasible, np.random.default_rng(3)):
+            check_continuation(state0, c, RUN + [(0, 10**4), (3000, 0)])
+    # partial support: a start after large counts has exact zeros on the
+    # levels whose weights underflow
+    (_, c, _), *_ = costs(graph)
+    for counts in (OutcomeCounts(0, 10**4), OutcomeCounts(3000, 0)):
+        start, _ = analytic_state(uniform_superposition(5), c, counts)
+        assert 0 < np.count_nonzero(start.amps) < 32
+        check_continuation(start, c, RUN)
+
+
+def test_continuation_on_a_feasible_subspace_basis():
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED)
+    cost = graph.subspace
+    c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(cost, "brute-force")), cost)
+    flat = uniform_superposition(5, cost.basis)
+    start, _ = analytic_state(flat, c, OutcomeCounts(3000, 0))
+    assert 0 < np.count_nonzero(start.amps) < cost.basis.size
+    for state0 in (flat, start):
+        check_continuation(state0, c, RUN)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_continuation_degenerate_counts_and_empty_support():
+    c = DiagonalHamiltonian(2, [0.0, 0.3, math.pi / 4, 0.1])
+    # the vanishing counts raise at the same counts with the same message,
+    # and the continuation still serves the counts after them
+    run = [(1, 1), (10**308, 0), (2, 3), (10**308, 10**15), (0, 0)]
+    for state0 in (basis_state(2, 2), uniform_superposition(2)):
+        check_continuation(state0, c, run)
+    with pytest.raises(DegenerateCountsError, match=r"\(1e\+308, 0\)$"):
+        continuation(basis_state(2, 2), c)(OutcomeCounts(10**308, 0))
+    # an empty support raises when the continuation is built, before any counts
+    empty = object.__new__(StateVector)
+    object.__setattr__(empty, "n", 2)
+    object.__setattr__(empty, "amps", np.zeros(4, dtype=np.complex128))
+    object.__setattr__(empty, "basis", None)
+    with pytest.raises(DegenerateCountsError, match="empty support"):
+        continuation(empty, c)

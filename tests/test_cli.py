@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mdqo import ProblemInstance, bitstring_to_index, feasible, feasible_mask
-from mdqo.cli import main
+from mdqo.cli import CHI_TILDE_UNIT, main
 from mdqo.mixers import optimize_qaoa1
 from mdqo.problems import Graph, driving_hamiltonian
 
@@ -186,6 +186,70 @@ def test_scramble_study_artifacts(tmp_path):
         "L_tilde", "H_k0_0", "H_baseline_k0_0", "H_k0_1", "H_baseline_k0_1",
     ]
     assert [row["L_tilde"] for row in bottom] == ["0", "50"]
+
+
+@pytest.fixture
+def study_work(monkeypatch):
+    """Count the mixer calls, continuations and dense states of scramble-study.
+
+    The continuations are counted under mdqo.cli and under the name that
+    analytic_state calls, so the start state's own base counts too.
+    """
+    import mdqo.cli
+    from mdqo import weak_measurement
+
+    apply_mixer, continuation = mdqo.cli.apply_mixer, weak_measurement.continuation
+    work = {"chis": [], "bases": [], "states": []}
+
+    def counted_mixer(state, spec):
+        work["chis"].append(spec.chi)
+        return apply_mixer(state, spec)
+
+    def counted_continuation(state0, c):
+        at, base = continuation(state0, c), len(work["bases"])
+        work["bases"].append(state0)
+
+        def counted(counts):
+            work["states"].append((base, counts.k0, counts.k1))
+            return at(counts)
+
+        return counted
+
+    monkeypatch.setattr(mdqo.cli, "apply_mixer", counted_mixer)
+    monkeypatch.setattr(mdqo.cli, "continuation", counted_continuation)
+    monkeypatch.setattr(weak_measurement, "continuation", counted_continuation)
+    return work
+
+
+def test_scramble_study_does_each_piece_of_work_once(tmp_path, study_work):
+    config = Path(__file__).resolve().parent.parent / "configs" / "scramble.json"
+    assert main(["scramble-study", "--config", str(config), "--out", str(tmp_path)]) == 0
+    # one mixer call per distinct chi_tilde: the bottom panel's 3 is in the top's 1..6
+    assert len(study_work["chis"]) == len(set(study_work["chis"])) == 6
+    # one base each: the uniform state the start comes from, the start, six mixed
+    assert len({id(base) for base in study_work["bases"]}) == len(study_work["bases"]) == 8
+    # the start, 21 top rows of 7 columns and 21 bottom rows of 8, less the
+    # 42 bottom k0_tilde = 0 cells that repeat top cells
+    states = study_work["states"]
+    assert len(states) == len(set(states)) == 1 + 21 * 7 + 21 * 8 - 42
+
+
+def test_scramble_study_mixes_a_bottom_chi_the_top_lacks(tmp_path, study_work):
+    top = {"k1_grid": [0, 40, 80], "chi_tilde": [1, 2]}
+    bottom = {"surplus_grid": [0, 30], "chi_tilde": 5, "k0_tilde": [0, 2]}
+    panels = {
+        "both": {"top": top, "bottom": bottom}, "top": {"top": top}, "bottom": {"bottom": bottom},
+    }
+    for name, panel in panels.items():
+        scramble = {"start_counts": [50, 160], **panel}
+        payload = {"problem": {"kind": "maxcut", "graph": G5_BLOCK}, "scramble": scramble}
+        config = write_config(tmp_path, payload, f"{name}.json")
+        assert main(["scramble-study", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        if name == "both":
+            assert sorted(study_work["chis"]) == [ct * CHI_TILDE_UNIT for ct in (1, 2, 5)]
+    for panel in ("top", "bottom"):
+        csv_name = f"scramble_{panel}.csv"
+        assert (tmp_path / "both" / csv_name).read_bytes() == (tmp_path / panel / csv_name).read_bytes()
 
 
 def test_run_deterministic_zero_steps(tmp_path):
