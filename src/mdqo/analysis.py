@@ -18,6 +18,9 @@ from .statevector import StateVector, _check_basis
 # Aggregate Monte Carlo step budget; p <= 1/2 walks have infinite expectation.
 MC_STEP_CAP = 10**8
 
+# Running walks per block of a step: one block's uniforms and outcomes stay in cache.
+_BLOCK = 1 << 14
+
 # Relative tolerance for flagging closed-form vs exact agreement.
 CLOSED_FORM_RTOL = 1e-9
 
@@ -219,6 +222,11 @@ def walk_monte_carlo(
 
     Each step draws one uniform per running walk, in trial order, and costs
     O(running walks); `steps` stays 0 for a walk still running at the cap.
+    A step works through the running walks in blocks of _BLOCK, drawing each
+    block's uniforms from the same stream, and moves the survivors to the
+    front of the same arrays.  Memory is three length-`trials` integer arrays
+    (position, trial index, finishing step; int32 while trials and the cap
+    fit) plus a float64 and a bool buffer of one block.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -227,27 +235,48 @@ def walk_monte_carlo(
     if rule not in ("surplus", "consecutive"):
         raise ValueError(f"unknown stopping rule {rule!r}")
     p, L, R = model.p, model.L, model.R
-    pos = np.zeros(trials, dtype=np.int64)
-    idx = np.arange(trials)
-    steps = np.zeros(trials, dtype=np.int64)
+    dtype = np.int32 if max(trials, max_total_steps) < 2**31 else np.int64
+    pos = np.zeros(trials, dtype=dtype)
+    idx = np.arange(trials, dtype=dtype)
+    steps = np.zeros(trials, dtype=dtype)
+    block = min(trials, _BLOCK)
+    uniforms, success = np.empty(block), np.empty(block, dtype=bool)
+    n = trials
     total = t = 0
-    while pos.size and total + pos.size <= max_total_steps:
-        total += pos.size
+    while n and total + n <= max_total_steps:
+        total += n
         t += 1
-        success = rng.random(pos.size) < p
-        if rule == "consecutive":
-            pos = (pos + 1) * success
-        else:
-            pos += success
-            pos -= ~success
-            if R is not None:
-                pos[pos <= -R] = 0
-        done = pos >= L
-        if done.any():
-            steps[idx[done]] = t
-            running = ~done
-            pos, idx = pos[running], idx[running]
-    done_steps = steps[steps > 0].astype(np.float64)
+        kept = 0
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            x, i = pos[start:stop], idx[start:stop]
+            u, s = uniforms[: x.size], success[: x.size]
+            rng.random(out=u)
+            np.less(u, p, out=s)
+            if rule == "consecutive":
+                x += 1
+                x *= s
+            else:
+                x += s
+                x += s
+                x -= 1
+                if R is not None:
+                    x *= np.greater(x, -R, out=s)
+            if x.max() >= L:
+                # flatnonzero and take: a boolean-mask gather branches per entry,
+                # several times slower when about half the block finishes
+                done = np.greater_equal(x, L, out=s)
+                steps[i.take(np.flatnonzero(done))] = t
+                running = np.flatnonzero(~done)
+                x, i = x.take(running), i.take(running)
+            # kept <= start: the survivors only ever move toward the front
+            pos[kept : kept + x.size] = x
+            idx[kept : kept + x.size] = i
+            kept += x.size
+        n = kept
+    # integer sums below 2**53 are exact in any order, so mean and std see the
+    # same float64 values as on a float64 copy of these
+    done_steps = steps[steps > 0]
     n_done = done_steps.size
     if n_done == 0:
         return MonteCarloResult(math.nan, math.nan, 0, trials)

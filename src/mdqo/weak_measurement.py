@@ -117,7 +117,8 @@ def continuation(
     log-weight anchors the rest, and off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
     carrying zero amplitude.  log_norm is the log of the norm before the one
-    renormalization.
+    renormalization; where the squares of the modulated amplitudes underflow,
+    they are first scaled by an exact power of two, and log_norm corrected.
     """
     support, hit = _checked_support(state0, c)
     if not support.any():
@@ -142,7 +143,13 @@ def continuation(
         if off is not None:
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
         norm = np.linalg.norm(amps)
-        log_norm = float(top + np.log(norm))
+        shift = 0
+        if norm < 2.0**-500:  # the squares underflow: bring the largest entry into [1/2, 1)
+            shift = -math.frexp(float(np.abs(amps).max()))[1]
+            parts = amps.view(np.float64)
+            np.ldexp(parts, shift, out=parts)
+            norm = math.sqrt(np.sum(parts * parts))
+        log_norm = float(top + np.log(norm)) - shift * math.log(2.0)
         if not np.isfinite(log_norm):
             raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
         amps /= norm

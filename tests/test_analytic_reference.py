@@ -9,6 +9,7 @@ on many counts, must match analytic_state called once per counts.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,29 @@ def test_continuation_matches_analytic_state_per_call():
         start, _ = analytic_state(uniform_superposition(5), c, counts)
         assert 0 < np.count_nonzero(start.amps) < 32
         check_continuation(start, c, RUN)
+
+
+def test_continuation_from_amplitudes_whose_squares_underflow():
+    # after (0, 10^4) the lowest-cost entries left hold about 1e-218, and
+    # (3000, 0) puts all the weight on them: the dense norm of the modulated
+    # amplitudes underflows to 0, though the state is well defined
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED)
+    (_, c, _), *_ = costs(graph)
+    start, _ = analytic_state(uniform_superposition(5), c, OutcomeCounts(0, 10**4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log(0), no division by zero
+        state, log_norm = continuation(start, c)(OutcomeCounts(3000, 0))
+    assert math.isfinite(log_norm)
+    assert math.isclose(np.linalg.norm(state.amps), 1.0, rel_tol=1e-15)
+    # the log-norm summed in log space, one term per support entry
+    support = np.abs(start.amps) > 0
+    angle = c.values[support] + math.pi / 4
+    terms = np.log(np.abs(start.amps[support])) + 3000 * np.log(np.cos(angle))
+    peak = terms.max()
+    expected = peak + 0.5 * math.log(np.sum(np.exp(2 * (terms - peak))))
+    assert math.isclose(log_norm, expected, rel_tol=1e-12)
+    lowest = c.values[support].min()
+    assert np.all((np.abs(state.amps) > 0) == (support & (c.values == lowest)))
 
 
 def test_continuation_on_a_feasible_subspace_basis():

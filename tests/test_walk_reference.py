@@ -7,11 +7,13 @@ generator in the same state, i.e. consume exactly the same uniforms.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdqo import MonteCarloResult, WalkModel, walk_monte_carlo
+from mdqo.analysis import _BLOCK
 
 
 def reference_walk(
@@ -109,3 +111,38 @@ def test_cap_before_the_first_step_draws_nothing():
     assert math.isnan(result.mean) and math.isnan(result.stderr)
     assert rng.bit_generator.state == state
     check_same(WalkModel(0.9, 2), 10, 4, "surplus", 9)
+
+
+# p = 0.65, L = 5 over three full blocks and 7 walks: no block finishes before
+# step 5, and the surplus walks only ever finish on odd steps; with seed 11
+# each model also has a step on which some blocks finish walks and others none
+BLOCKED = [(WalkModel(0.65, 5, 1), "surplus"), (WalkModel(0.65, 5), "surplus"),
+           (WalkModel(0.65, 5), "consecutive")]
+
+
+@pytest.mark.parametrize(("model", "rule"), BLOCKED, ids=[f"{r}-R{m.R}" for m, r in BLOCKED])
+def test_matches_reference_across_blocks(model, rule):
+    trials = 3 * _BLOCK + 7
+    total = check_same(model, trials, 11, rule, 10**8)
+    check_same(model, trials, 11, rule, total // 2)
+
+
+@pytest.mark.parametrize(("model", "rule"), BLOCKED, ids=[f"{r}-R{m.R}" for m, r in BLOCKED])
+def test_matches_reference_on_int64_state(model, rule):
+    # a cap of 2^31 no longer fits the int32 state arrays
+    check_same(model, 1000, 5, rule, 2**31)
+
+
+def test_peak_memory_stays_below_32_bytes_per_trial():
+    # three int32 arrays of length trials plus the final statistics'
+    # temporaries come to about 25 bytes; int64 arrays with a fresh mask and
+    # gather per step took about 41
+    trials = 400_000
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        walk_monte_carlo(WalkModel(0.65, 5), trials, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * trials
