@@ -25,11 +25,13 @@ criteria.ceiling_KT = 0 and no run.budget.max_trajectories; a
 problem.graph.edges that is not a list, an empty one being an edgeless
 graph; a walk.mc_step_cap, given or default, below walk.mc_trials; a study
 whose outcome counts make every closed-form weight vanish, or whose output
-columns would repeat a name; and an --out that cannot be made a directory),
+columns would repeat a name; an --out that cannot be made a directory; and an
+artifact that cannot be written under --out),
 3 capacity error (n above the dense cap where a dense table is built, more
 independent sets than SUBSPACE_CAP or more than 63 vertices where
 feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
-to standard error.
+to standard error.  `_checked` is the one place where a library or I/O error
+becomes a config error.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -44,6 +46,7 @@ import json
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import (
@@ -81,7 +84,6 @@ from .problems import (
     DiagonalHamiltonian,
     Graph,
     ProblemInstance,
-    Rescaling,
     apply_rescaling,
     driving_hamiltonian,
     feasible,
@@ -118,15 +120,21 @@ _MIXER_KINDS = (TRANSVERSE_FIELD, MIS_CONTROLLED)
 # config reader
 
 
+@contextmanager
+def _checked(prefix: str, errors=ValueError):
+    """Re-raise errors from the block as ConfigError(f"{prefix}: {exc}"): the one
+    place where a library or I/O error becomes a config error."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
-    try:
+    with _checked(f"cannot read config file {path}", (OSError, UnicodeDecodeError)):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
+    with _checked(f"config file {path} is not valid JSON"):  # or a literal past 4300 digits
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past 4300 digits
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be a JSON object")
     return obj
@@ -245,7 +253,7 @@ def _parse_problem(cfg: _Block, penalized: bool = True) -> ProblemInstance:
     problem = cfg.block("problem")
     kind = problem.get("kind", str, choices=("maxcut", "mis"))
     graph_block = problem.block("graph")
-    try:
+    with _checked("cannot read graph file", OSError), _checked(graph_block.path):
         if "path" in graph_block:
             graph = parse_edge_list(Path(graph_block.get("path", str)).read_text())
         else:
@@ -254,20 +262,9 @@ def _parse_problem(cfg: _Block, penalized: bool = True) -> ProblemInstance:
                 raise ConfigError(f"{path} must be a list")
             pairs = [_pair(e, f"{path}[{i}]", int) for i, e in enumerate(edges)]
             graph = Graph.from_1indexed(graph_block.get("n", int), pairs)
-    except OSError as exc:
-        raise ConfigError(f"cannot read graph file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{graph_block.path}: {exc}") from exc
     penalty = problem.get("penalty_weight", float, None) if penalized else None
-    return _instance(graph, kind, penalty, "problem")
-
-
-def _instance(graph: Graph, kind: str, penalty: float | None, path: str) -> ProblemInstance:
-    """ProblemInstance(graph, kind, penalty), a ValueError a config error at path."""
-    try:
+    with _checked("problem"):
         return ProblemInstance(graph, kind, penalty)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _bound_entry(owner: _Block, value, path: str, named: bool = True) -> dict:
@@ -289,29 +286,20 @@ def _bound_entry(owner: _Block, value, path: str, named: bool = True) -> dict:
     return entry
 
 
-def _resolve_rescaling(entry: dict, h: DiagonalHamiltonian) -> tuple[Rescaling, dict]:
-    """Build the rescaling for a normalized bound entry; returns it plus an echo dict."""
+def _rescaled(entry: dict, h: DiagonalHamiltonian, build=lambda r: r) -> tuple:
+    """build(rescaling) of a bound entry on the cost h, plus its echo dict.  A ValueError
+    of the bounds, the rescaling or build is a config error naming the bound: the
+    range check of apply_rescaling and prepare_tables too, as coefficient-sum bounds
+    of a penalised MIS cost are not honest on every graph (an isolated vertex lowers
+    the minimum)."""
     user = entry["bounds"] if entry["mode"] == "user-supplied" else None
-    try:
+    with _checked(f"bound {entry['name']!r}"):
         bounds = spectrum_bounds(h, entry["mode"], user=user)
         rescaling = rescaling_from_bounds(bounds)
-    except ValueError as exc:  # DegenerateSpectrumError included
-        raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
+        built = build(rescaling)
     echo = {"name": entry["name"], "mode": entry["mode"], "s": bounds.s, "t": bounds.t,
             "alpha": rescaling.alpha, "epsilon": rescaling.epsilon}
-    return rescaling, echo
-
-
-def _rescaled(entry: dict, h: DiagonalHamiltonian, build) -> tuple:
-    """build(rescaling) of a study's bound entry on the cost h, plus its echo dict:
-    the range check of apply_rescaling and prepare_tables is a config error too, as
-    coefficient-sum bounds of a penalised MIS cost are not honest on every graph
-    (an isolated vertex lowers the minimum)."""
-    rescaling, echo = _resolve_rescaling(entry, h)
-    try:
-        return build(rescaling), echo
-    except ValueError as exc:
-        raise ConfigError(f"bound {entry['name']!r}: {exc}") from exc
+    return built, echo
 
 
 def _columns(header: list[str]) -> list[str]:
@@ -324,7 +312,7 @@ def _columns(header: list[str]) -> list[str]:
 
 def _parse_criteria(cfg: _Block) -> CriteriaConfig:
     block = cfg.block("criteria")
-    try:
+    with _checked("criteria"):
         return CriteriaConfig(
             threshold_T=block.get("threshold_T", float, None),
             surplus_L=block.get("surplus_L", int, None),
@@ -332,8 +320,6 @@ def _parse_criteria(cfg: _Block) -> CriteriaConfig:
             reset_R=block.get("reset_R", int, None),
             min_steps_ell=block.get("min_steps_ell", int, 0),
         )
-    except ValueError as exc:
-        raise ConfigError(f"criteria: {exc}") from exc
 
 
 def _chi(chi_tilde: int, path: str) -> float:
@@ -455,7 +441,7 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _checked(f"--out: cannot write {path.name}", OSError), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -464,7 +450,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _checked(f"--out: cannot write {path.name}", OSError):
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     log.info("wrote %s", path)
 
 
@@ -490,7 +477,8 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
         kinds = sweep.items("variants", str, default, choices=("feasible", "penalized"))
         lams = sweep.items("penalty_weights", float, minimum=0) if "penalized" in kinds else []
         for i, lam in enumerate(lams):
-            _instance(instance.graph, "mis", lam, f"{sweep.key('penalty_weights')}[{i}]")
+            with _checked(f"{sweep.key('penalty_weights')}[{i}]"):
+                ProblemInstance(instance.graph, "mis", lam)
     cfg.close()
 
     # one penalty weight per variant, None for the bare one: the feasible
@@ -648,14 +636,12 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     run = cfg.block("run")
     algorithm = run.get("algorithm", int, choices=(1, 2))
     budget = run.block("budget")
-    try:
+    with _checked("run"):
         budget = Budget(
             max_trajectories=budget.get("max_trajectories", int, None, null=True),
             max_total_steps=budget.get("max_total_steps", int, None, null=True),
             target_cost=budget.get("target_cost", float, None, null=True),
         )
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from exc
     options = {
         "adaptive_threshold": run.get("adaptive_threshold", bool, False),
         "surplus_delta": run.get("surplus_delta", int, 0),
@@ -670,21 +656,17 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
     initial_echo = _parse_initial_state(cfg, instance)
     cfg.close()
 
-    rescaling, echo = _resolve_rescaling(entry, instance.cost)
-    try:
+    rescaling, echo = _rescaled(entry, instance.cost)
+    with _checked("run"):
         # checked before the initial state, whose qaoa1 kind runs a grid search
         outer = OuterConfig(rescaling, None, criteria, mixer, **options)
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from exc
     initial = _initial_state(initial_echo, instance)
     outer = dataclasses.replace(outer, initial_state=initial)
 
-    try:
+    # setup-consistency failures (threshold range, infeasible support,
+    # unreachable criteria, ...)
+    with _checked("run", (ValueError, StepCapError)):
         summary = outer_loop(instance, outer, budget, seed)
-    except (ValueError, StepCapError) as exc:
-        # Setup-consistency failures (threshold range, infeasible support,
-        # unreachable criteria, ...)
-        raise ConfigError(f"run: {exc}") from exc
 
     n = instance.graph.n
     histogram: dict[str, int] = {}
@@ -734,11 +716,9 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
     cfg.close()
     if trials > 0 and seed is None:
         raise ConfigError("walk: Monte Carlo trials need a seed (config key seed or --seed)")
-    try:
+    with _checked("walk"):
         models = [WalkModel(p=p, L=length, R=r) for p in p_list for length in l_list
                   for r in r_values]
-    except ValueError as exc:
-        raise ConfigError(f"walk: {exc}") from exc
 
     streams = itertools.count()
 
@@ -831,10 +811,8 @@ def main(argv=None) -> int:
         cfg = _Block(_load_config(args.config), "")
         seed = _resolve_seed(cfg, args.seed, required=seed_required)
         outdir = Path(args.out)
-        try:
+        with _checked("--out: cannot create output directory", OSError):
             outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out: cannot create output directory: {exc}") from exc
         extra = {"threads": args.threads} if args.command == "run" else {}
         handler(cfg, outdir, seed, **extra)
     except (ConfigError, DegenerateCountsError) as exc:

@@ -676,6 +676,14 @@ def test_oversized_integer_literal_rejected(tmp_path, caplog):
     assert "is not valid JSON" in message
 
 
+def test_config_file_not_utf8_rejected(tmp_path, caplog):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"walk": {"p": [0.8], "L": [3]}, "note": "\xe9"}')
+    assert main(["walk", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(f"config error: cannot read config file {path}: 'utf-8' codec")
+
+
 def test_missing_config_file_rejected(tmp_path):
     assert (
         main(["walk", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
@@ -1120,8 +1128,28 @@ SWEEP = {
     "problem": {"kind": "maxcut", "graph": G5_BLOCK},
     "sweep": {"k0": [0, 5], "bounds": ["tight"], "surplus_grid": [0, 10]},
 }
+RUN_MAXCUT = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "run_maxcut.json").read_text()
+)
 
 BAD_CONFIGS = {
+    # a second --config overrides the written one
+    "missing config file": (
+        "walk", WALK_MC, ["--config", "/nonexistent.json"],
+        "config error: cannot read config file /nonexistent.json: "
+        "[Errno 2] No such file or directory: '/nonexistent.json'",
+    ),
+    "run without return criteria": (
+        "run", _with(RUN_MAXCUT, ["criteria"], {}), [],
+        "config error: criteria: at least one return criterion must be enabled",
+    ),
+    "run graph with a self-loop": (
+        "run",
+        _with(RUN_MAXCUT, ["problem", "graph", "edges"],
+              RUN_MAXCUT["problem"]["graph"]["edges"] + [[3, 3]]),
+        [],
+        "config error: problem.graph: self-loop at vertex 2",
+    ),
     "run step cap below 1": (
         "run", _with(RUN, ["run", "max_steps_per_trajectory"], -3), [],
         "run.max_steps_per_trajectory must be at least 1, got -3",
@@ -1570,6 +1598,17 @@ def test_degenerate_study_counts_exit_with_config_code(command, tmp_path, caplog
     assert message.startswith("config error: all modulation weights vanish on the state support")
     assert "\n" not in message and len(message) < 200
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, artifact", [("walk", "walk.csv"), ("run", "run_summary.json")])
+def test_unwritable_artifact_exits_with_config_code(command, artifact, tmp_path, caplog):
+    config = write_config(tmp_path, {"walk": WALK_MC, "run": RUN}[command])
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)  # a directory where the artifact goes
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(f"config error: --out: cannot write {artifact}: [Errno 21] ")
+    assert "\n" not in message
 
 
 def test_default_walk_step_cap_below_trials_exits_before_compute(

@@ -205,12 +205,30 @@ def test_algorithm2_requires_threshold(g5, tight_rescaling):
         )
 
 
-def test_feasible_mode_rejects_infeasible_start(mis_instance, feasible_rescaling):
+def test_feasible_mode_rejects_infeasible_start(
+    g5, mis_instance, feasible_rescaling, tight_rescaling
+):
     with pytest.raises(ValueError):
         run_algorithm1(
             mis_instance, feasible_rescaling, uniform_superposition(5),
             CriteriaConfig(surplus_L=3), np.random.default_rng(0),
         )
+    # a start that does not fit a dense instance is rejected on entry too
+    maxcut = ProblemInstance(g5, "maxcut")
+    for start, message in (
+        (uniform_superposition(6), "dimension mismatch: state n=6, cost n=5"),
+        (
+            uniform_superposition(5, g5.subspace.basis),
+            "state basis does not match the instance: feasible-subspace MIS needs its "
+            "independent sets or a dense state, every other instance a dense state",
+        ),
+    ):
+        with pytest.raises(ValueError) as info:
+            run_algorithm2(
+                maxcut, tight_rescaling, start, CriteriaConfig(threshold_T=2.5),
+                MixerSpec(TRANSVERSE_FIELD, 0.4), np.random.default_rng(0),
+            )
+        assert str(info.value) == message
 
 
 LEAK_MESSAGE = "state puts amplitude on infeasible strings in feasible-subspace mode"

@@ -74,6 +74,12 @@ def test_mixer_spec_validation(g5):
     with pytest.raises(ValueError):
         MixerSpec(MIS_CONTROLLED, 0.1)  # graph missing
     MixerSpec(MIS_CONTROLLED, 0.1, g5)
+    # the spec's graph must have the state's qubits, for a dense state and one on a basis
+    g6 = Graph(6, ((0, 1), (1, 2)))
+    for state in (uniform_superposition(5), uniform_superposition(5, g5.subspace.basis)):
+        with pytest.raises(ValueError) as info:
+            apply_mixer(state, MixerSpec(MIS_CONTROLLED, 0.1, g6))
+        assert str(info.value) == "dimension mismatch: state n=5, graph n=6"
 
 
 @pytest.mark.parametrize("kind", [TRANSVERSE_FIELD, MIS_CONTROLLED])
