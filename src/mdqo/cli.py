@@ -31,7 +31,8 @@ artifact that cannot be written under --out),
 independent sets than SUBSPACE_CAP or more than 63 vertices where
 feasible-subspace MIS lives on them, a depth-1 grid above GRID_CAP); logs go
 to standard error.  `_checked` is the one place where a library or I/O error
-becomes a config error.
+becomes a config error, and an invocation that fails removes every artifact
+it wrote.
 --threads is accepted and echoed into the run sidecar but has no effect:
 trajectories always run sequentially.
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -440,31 +442,48 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with _checked(f"--out: cannot write {path.name}", OSError), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
-    log.info("wrote %s (%d rows)", path, len(rows))
+class _Artifacts:
+    """The files one invocation writes under --out: remove() deletes those
+    written so far, so that a command that fails leaves all or none."""
+
+    def __init__(self, outdir: Path):
+        self.outdir, self.written = outdir, []
+
+    def write(self, name: str, text: str) -> Path:
+        path = self.outdir / name
+        with _checked(f"--out: cannot write {name}", OSError), open(path, "w", newline="") as fh:
+            self.written.append(path)
+            fh.write(text)
+        return path
+
+    def remove(self) -> None:
+        for path in self.written:
+            path.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with _checked(f"--out: cannot write {path.name}", OSError):
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    log.info("wrote %s", path)
+def _write_csv(out: _Artifacts, name: str, header: list[str], rows: list[list]) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt_cell(v) for v in row])
+    log.info("wrote %s (%d rows)", out.write(name, text.getvalue()), len(rows))
 
 
-def _write_sidecar(outdir: Path, command: str, cfg: _Block, seed, extra: dict) -> None:
+def _write_json(out: _Artifacts, name: str, payload: dict) -> None:
+    log.info("wrote %s", out.write(name, json.dumps(payload, sort_keys=True, indent=2) + "\n"))
+
+
+def _write_sidecar(out: _Artifacts, command: str, cfg: _Block, seed, extra: dict) -> None:
     payload = {"command": command, "config": cfg.data, "resolved": dict(extra), "seed": seed}
-    _write_json(outdir / f"{command.replace('-', '_')}_config.json", payload)
+    _write_json(out, f"{command.replace('-', '_')}_config.json", payload)
 
 
 # ---------------------------------------------------------------------------
 # sweep-counts
 
 
-def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
+def cmd_sweep_counts(cfg: _Block, out: _Artifacts, seed) -> None:
     instance = _parse_problem(cfg, penalized=False)  # it sweeps sweep.penalty_weights
     sweep = cfg.block("sweep")
     k0_list = _float_sized(sweep.items("k0", int, minimum=0), sweep.key("k0"))
@@ -515,15 +534,15 @@ def cmd_sweep_counts(cfg: _Block, outdir: Path, seed) -> None:
             columns += [h, p1] if base.penalty is None else [h, p1, p]
 
     rows = [[ell, *cells] for ell, cells in zip(surplus, zip(*columns))]
-    _write_csv(outdir / "sweep_counts.csv", headers, rows)
-    _write_sidecar(outdir, "sweep-counts", cfg, seed, {"rescalings": echoes})
+    _write_csv(out, "sweep_counts.csv", headers, rows)
+    _write_sidecar(out, "sweep-counts", cfg, seed, {"rescalings": echoes})
 
 
 # ---------------------------------------------------------------------------
 # postprocess
 
 
-def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
+def cmd_postprocess(cfg: _Block, out: _Artifacts, seed) -> None:
     instance = _parse_problem(cfg)
     _leaves_subspace(instance, "postprocess: the depth-1 ansatz", "study")
     post = cfg.block("postprocess", {})
@@ -544,19 +563,19 @@ def cmd_postprocess(cfg: _Block, outdir: Path, seed) -> None:
     # every distribution groups the same levels, so they share one support
     columns = [dists[0].support] + [dist.probs for dist in dists]
     rows = [[float(cell) for cell in row] for row in zip(*columns)]
-    _write_csv(outdir / "postprocess_density.csv", header, rows)
+    _write_csv(out, "postprocess_density.csv", header, rows)
 
     summary_rows = [[label, dist.mean] for label, dist in zip(labels, dists)]
-    _write_csv(outdir / "postprocess_summary.csv", ["state", "H"], summary_rows)
+    _write_csv(out, "postprocess_summary.csv", ["state", "H"], summary_rows)
     qaoa1 = {"gamma": params.gamma, "beta": params.beta, "grid_resolution": resolution}
-    _write_sidecar(outdir, "postprocess", cfg, seed, {"rescaling": echo, "qaoa1": qaoa1})
+    _write_sidecar(out, "postprocess", cfg, seed, {"rescaling": echo, "qaoa1": qaoa1})
 
 
 # ---------------------------------------------------------------------------
 # scramble-study
 
 
-def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
+def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
     instance = _parse_problem(cfg)
     _leaves_subspace(instance, "scramble: the uniform start", "study")
     block = cfg.block("scramble")
@@ -614,23 +633,23 @@ def cmd_scramble_study(cfg: _Block, outdir: Path, seed) -> None:
 
     if "top" in block:
         rows = [[k1] + [continued(ct, top_k0, k1) for ct in [None, *chi_tildes]] for k1 in k1_grid]
-        _write_csv(outdir / "scramble_top.csv", top_header, rows)
+        _write_csv(out, "scramble_top.csv", top_header, rows)
         resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
 
     if "bottom" in block:
         rows = [[ell] + [continued(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)]
                 for ell in surplus]
-        _write_csv(outdir / "scramble_bottom.csv", bottom_header, rows)
+        _write_csv(out, "scramble_bottom.csv", bottom_header, rows)
         resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
 
-    _write_sidecar(outdir, "scramble-study", cfg, seed, resolved)
+    _write_sidecar(out, "scramble-study", cfg, seed, resolved)
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
+def cmd_run(cfg: _Block, out: _Artifacts, seed, threads: int) -> None:
     instance = _parse_problem(cfg)
     entry = _bound_entry(cfg, *cfg.entry("rescaling"), named=False)
     run = cfg.block("run")
@@ -682,7 +701,7 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
         "total_steps": summary.total_steps,
         "trajectories_run": summary.trajectories_run,
     }
-    _write_json(outdir / "run_summary.json", payload)
+    _write_json(out, "run_summary.json", payload)
 
     if trajectory_csv:
         header = [
@@ -694,17 +713,17 @@ def cmd_run(cfg: _Block, outdir: Path, seed, threads: int) -> None:
              traj.terminal_reason, index_to_bitstring(traj.final_sample, n), traj.final_cost]
             for i, traj in enumerate(summary.trajectories)
         ]
-        _write_csv(outdir / "trajectories.csv", header, rows)
+        _write_csv(out, "trajectories.csv", header, rows)
 
     resolved = {"rescaling": echo, "initial_state": initial_echo, "threads": threads}
-    _write_sidecar(outdir, "run", cfg, seed, resolved)
+    _write_sidecar(out, "run", cfg, seed, resolved)
 
 
 # ---------------------------------------------------------------------------
 # walk
 
 
-def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
+def cmd_walk(cfg: _Block, out: _Artifacts, seed) -> None:
     block = cfg.block("walk")
     p_list = block.items("p", float)
     l_list = _float_sized(block.items("L", int), block.key("L"))
@@ -756,7 +775,7 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
             closed.corrected_matches if closed else None,
         ]
         rows.append(row + monte_carlo(model, exact))
-    _write_csv(outdir / "walk.csv", header, rows)
+    _write_csv(out, "walk.csv", header, rows)
 
     if include_run_rule:
         header2 = ["p", "L", "expected", "mc_mean", "mc_stderr", "mc_within_3sigma"]
@@ -768,10 +787,10 @@ def cmd_walk(cfg: _Block, outdir: Path, seed) -> None:
                     WalkModel(p=p, L=length), expected, "consecutive"
                 )
                 rows2.append([p, length, expected, mean, stderr, within])
-        _write_csv(outdir / "walk_runs.csv", header2, rows2)
+        _write_csv(out, "walk_runs.csv", header2, rows2)
 
     # the next stream index is the number of streams drawn
-    _write_sidecar(outdir, "walk", cfg, seed, {"mc_streams_used": next(streams)})
+    _write_sidecar(out, "walk", cfg, seed, {"mc_streams_used": next(streams)})
 
 
 # ---------------------------------------------------------------------------
@@ -805,17 +824,18 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
     handler, seed_required = _COMMANDS[args.command]
+    out = _Artifacts(Path(args.out))
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be a positive integer")
         cfg = _Block(_load_config(args.config), "")
         seed = _resolve_seed(cfg, args.seed, required=seed_required)
-        outdir = Path(args.out)
         with _checked("--out: cannot create output directory", OSError):
-            outdir.mkdir(parents=True, exist_ok=True)
+            out.outdir.mkdir(parents=True, exist_ok=True)
         extra = {"threads": args.threads} if args.command == "run" else {}
-        handler(cfg, outdir, seed, **extra)
+        handler(cfg, out, seed, **extra)
     except (ConfigError, DegenerateCountsError) as exc:
+        out.remove()
         log.error("config error: %s", exc)
         return 2
     except CapacityError as exc:

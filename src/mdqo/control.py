@@ -29,6 +29,7 @@ from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
+_SAMPLE_BLOCK = 2**14  # weights per block of the final sample, 128 KiB of float64
 
 THRESHOLD = "threshold"
 SURPLUS = "surplus"
@@ -312,18 +313,26 @@ def _sample(
     its position: the string there is the one sample_bitstring would draw
     from the dense state.
 
-    On the independent sets the draw is still the dense one: every string
-    left out has weight +0, and numpy's cumsum adds in order with x + 0 == x,
-    so the CDF kept equals the dense one where kept and the dense one is
-    flat in between.  The first entry to reach the total S has positive
-    weight, so it is kept, and the pinned 1.0 from there on exceeds every u
-    in [0, 1): cdf > u stays monotone even when S exceeds 1, and a draw in
-    [S, 1) when S < 1 lands on that kept entry in both CDFs.
+    The weights are made into one reused buffer, _SAMPLE_BLOCK entries at a
+    time, up to the block where the draw lands.  On the independent sets the
+    draw is still the dense one: every string left out has weight +0, and
+    numpy's cumsum adds in order with x + 0 == x, so the CDF kept equals the
+    dense one where kept and the dense one is flat in between.  The first
+    entry to reach the total S has positive weight, so it is kept, and a
+    draw in [S, 1) when S < 1 lands on that kept entry in both CDFs.
     """
-    weights = np.abs(base.state.amps)
-    weights *= weights
-    weights *= _ratio(base, q).take(tables.level)
-    return sample_index(weights, rng)
+    amps, ratio = base.state.amps, _ratio(base, q)
+    buffer = np.empty(min(amps.size, _SAMPLE_BLOCK))
+
+    def blocks():
+        for start in range(0, amps.size, _SAMPLE_BLOCK):
+            chunk = amps[start : start + _SAMPLE_BLOCK]
+            weights = np.abs(chunk, out=buffer[: chunk.size])
+            weights *= weights
+            weights *= ratio.take(tables.level[start : start + chunk.size])
+            yield weights
+
+    return sample_index(blocks(), rng)
 
 
 def _trajectory(

@@ -309,28 +309,42 @@ def _levels(values: np.ndarray, index: np.ndarray | None = None) -> tuple[np.nda
     return values, level
 
 
+def _counted(n: int, groups, coeff_bounds: tuple[float, float]) -> DiagonalHamiltonian:
+    """The table of how many groups, each a {vertex: bit} map, an index
+    matches, with its levels.  A group adds 1 on the (2,) * n view with its
+    bits fixed (axis n-1-u is bit u; the Ellipsis keeps a 0-d view) to byte
+    counts, since DENSE_CAP allows at most 190 edges.  The levels are those
+    np.unique would give, read off the counts' bincount with no float sort."""
+    counts = np.zeros(2**n, dtype=np.uint8)
+    tensor = counts.reshape((2,) * n)
+    for group in groups:
+        idx: list = [slice(None)] * n
+        for u, bit in group.items():
+            idx[n - 1 - u] = bit
+        tensor[(..., *idx)] += 1
+    table = DiagonalHamiltonian(n, counts, coeff_bounds=coeff_bounds)
+    tally = np.bincount(counts)
+    values = np.flatnonzero(tally).astype(np.float64)
+    rank = (np.cumsum(tally > 0) - 1).astype(np.min_scalar_type(values.size - 1))
+    level = rank.take(counts)
+    for array in (values, level):
+        array.setflags(write=False)
+    table.__dict__["levels"] = (values, level)  # the cached_property's slot
+    return table
+
+
 def build_maxcut(graph: Graph) -> DiagonalHamiltonian:
     """Cut-counting cost: values[x] = number of edges with unequal endpoint bits."""
     _check_capacity(graph.n)
-    idx = np.arange(2**graph.n, dtype=np.uint32)
-    vals = np.zeros(2**graph.n, dtype=np.float64)
-    for u, v in graph.edges:
-        vals += ((idx >> u) ^ (idx >> v)) & 1
-    return DiagonalHamiltonian(graph.n, vals, coeff_bounds=(0.0, float(graph.m)))
+    groups = [g for u, v in graph.edges for g in ({u: 0, v: 1}, {u: 1, v: 0})]
+    return _counted(graph.n, groups, (0.0, float(graph.m)))
 
 
 def build_mis(graph: Graph) -> tuple[DiagonalHamiltonian, DiagonalHamiltonian]:
     """Independent-set cost H (vertex count) and violation count P (edges inside the set)."""
     _check_capacity(graph.n)
-    idx = np.arange(2**graph.n, dtype=np.uint32)
-    occupancy = np.zeros(2**graph.n, dtype=np.float64)
-    for u in range(graph.n):
-        occupancy += (idx >> u) & 1
-    violations = np.zeros(2**graph.n, dtype=np.float64)
-    for u, v in graph.edges:
-        violations += (idx >> u) & (idx >> v) & 1
-    h = DiagonalHamiltonian(graph.n, occupancy, coeff_bounds=(0.0, float(graph.n)))
-    p = DiagonalHamiltonian(graph.n, violations, coeff_bounds=(0.0, float(graph.m)))
+    h = _counted(graph.n, [{u: 1} for u in range(graph.n)], (0.0, float(graph.n)))
+    p = _counted(graph.n, [{u: 1, v: 1} for u, v in graph.edges], (0.0, float(graph.m)))
     return h, p
 
 

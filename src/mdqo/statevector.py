@@ -268,19 +268,29 @@ def level_distribution(values: np.ndarray, weights: np.ndarray) -> CostDistribut
 
 def sample_bitstring(state: StateVector, rng: np.random.Generator) -> int:
     """Draw one basis index with probability |amps|^2 at its entry."""
-    i = sample_index(state.probabilities(), rng)
+    i = sample_index([state.probabilities()], rng)
     return i if state.basis is None else int(state.basis[i])
 
 
-def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index with probability weights[x], using one uniform draw.
+def sample_index(blocks, rng: np.random.Generator) -> int:
+    """Draw one index with probability weights[x], using one uniform draw u.
 
-    The weights must sum to 1 up to rounding, and are consumed: the
-    cumulative sum is taken over them in place, in index order, and pinned
-    to 1 from the first entry that reaches its total S, so that entry,
-    which has positive weight, takes the rounding slack: when S falls below
-    1, a draw in [S, 1) returns it.
+    The weights, summing to 1 up to rounding, come in consecutive blocks
+    that are consumed: each is summed in place after the total so far is
+    added to its first entry, the additions of one cumsum over all weights
+    in order, and the scan stops at the first block whose total exceeds u.
+    The first entry that reaches the total S, which has positive weight,
+    takes the rounding slack: when S falls below 1, a draw in [S, 1) returns it.
     """
-    cdf = np.cumsum(weights, out=weights)
-    cdf[np.searchsorted(cdf, cdf[-1]):] = 1.0
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    u = rng.random()
+    carry, start, pin = 0.0, 0, 0
+    for block in blocks:
+        block[0] += carry
+        cdf = np.cumsum(block, out=block)
+        if cdf[-1] > u:
+            return start + int(np.searchsorted(cdf, u, side="right"))
+        if cdf[-1] > carry:  # this block raised the total: S is first reached here
+            pin = start + int(np.searchsorted(cdf, cdf[-1]))
+        carry = cdf[-1]
+        start += cdf.size
+    return pin

@@ -1611,6 +1611,24 @@ def test_unwritable_artifact_exits_with_config_code(command, artifact, tmp_path,
     assert "\n" not in message
 
 
+def test_failed_artifact_write_removes_the_earlier_artifacts(tmp_path, caplog):
+    # run writes run_summary.json before trajectories.csv: a run leaves all
+    # its artifacts or none, and removes none that an earlier run wrote
+    config = write_config(tmp_path, RUN_MAXCUT)
+    earlier = tmp_path / "earlier"
+    assert main(["run", "--config", str(config), "--out", str(earlier)]) == 0
+    names = ["run_config.json", "run_summary.json", "trajectories.csv"]
+    assert sorted(p.name for p in earlier.iterdir()) == names
+    out = tmp_path / "out"
+    (out / "trajectories.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith("config error: --out: cannot write trajectories.csv: [Errno 21] ")
+    assert "\n" not in message
+    assert [p.name for p in out.iterdir()] == ["trajectories.csv"]
+    assert sorted(p.name for p in earlier.iterdir()) == names
+
+
 def test_default_walk_step_cap_below_trials_exits_before_compute(
     tmp_path, caplog, compute_stubs, monkeypatch
 ):

@@ -30,7 +30,7 @@ from mdqo import (
     rescaling_from_bounds,
     spectrum_bounds,
 )
-from mdqo.problems import SUBSPACE_CAP
+from mdqo.problems import DENSE_CAP, SUBSPACE_CAP
 
 from conftest import feasible_bounds, rescaled_table
 
@@ -435,3 +435,61 @@ def test_subspace_cap(monkeypatch):
     with pytest.raises(CapacityError, match="has 1025 independent sets, past the subspace cap"):
         Graph(11, tuple((0, v) for v in range(1, 11))).subspace
     assert Graph(10, ()).subspace.basis.size == 1024
+
+
+def shifted_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MaxCut, vertex-count and violation tables by shifting an index
+    table: the body the byte-count builders replaced."""
+    idx = np.arange(2**graph.n, dtype=np.uint32)
+    cut = np.zeros(2**graph.n)
+    occupancy = np.zeros(2**graph.n)
+    violations = np.zeros(2**graph.n)
+    for u, v in graph.edges:
+        cut += ((idx >> u) ^ (idx >> v)) & 1
+        violations += (idx >> u) & (idx >> v) & 1
+    for u in range(graph.n):
+        occupancy += (idx >> u) & 1
+    return cut, occupancy, violations
+
+
+def assert_seeded_levels(table: DiagonalHamiltonian) -> None:
+    # the levels a build seeds are those the cached property would sort out
+    values, level = table.__dict__["levels"]
+    unique, inverse = np.unique(table.values, return_inverse=True)
+    assert values.dtype == np.float64 and values.tobytes() == unique.tobytes()
+    assert level.dtype == np.min_scalar_type(unique.size - 1)
+    assert np.array_equal(level, inverse)
+    assert not values.flags.writeable and not level.flags.writeable
+
+
+def table_graphs():
+    for n in range(1, 13):
+        rng = np.random.default_rng([n, 41])
+        density = (0.2, 0.5, 0.9)[n % 3]
+        yield Graph(
+            n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
+        )
+    yield Graph(6, ())  # edgeless
+    yield Graph(9, ((0, 4), (4, 7), (0, 7), (2, 3)))  # vertices 1, 5, 6 and 8 isolated
+
+
+@pytest.mark.parametrize("graph", list(table_graphs()), ids=lambda g: f"n{g.n}-m{g.m}")
+def test_byte_count_tables_match_the_shifted_index_tables(graph):
+    cut, occupancy, violations = shifted_tables(graph)
+    tables = (build_maxcut(graph), *build_mis(graph))
+    for table, want in zip(tables, (cut, occupancy, violations)):
+        assert table.values.tobytes() == want.tobytes()
+        assert_seeded_levels(table)
+
+
+def test_complete_graph_counts_at_the_dense_cap_do_not_wrap():
+    # K20's 190 edges: a cut of k(20 - k) edges, C(k, 2) violations, k vertices
+    n = DENSE_CAP
+    graph = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    k = np.bitwise_count(np.arange(2**n)).astype(np.int64)
+    cut, (occupancy, violations) = build_maxcut(graph), build_mis(graph)
+    for table, want in [(cut, k * (n - k)), (occupancy, k), (violations, k * (k - 1) // 2)]:
+        assert table.values.tobytes() == want.astype(np.float64).tobytes()
+    assert violations.values.max() == 190.0
+    for table in (cut, occupancy, violations):
+        assert_seeded_levels(table)

@@ -1,14 +1,16 @@
-"""The final sample over the independent sets against the dense rule it replaced.
+"""The final sample against the dense one-array rule it replaced.
 
 The reference weighs all 2**n basis states, |amps|^2 * (q / w)[level], with
 a feasible-subspace base's amplitudes put back on their strings and 0
-everywhere else, and hands them to sample_index.  In feasible-subspace mode
-the control loop reads only the independent sets and must pick the same
-basis index for every draw, on the bases of real trajectories and on draws
-placed at the edges of the cumulative sum.
+everywhere else, and draws from one cumulative sum over all of them.  The
+control loop reads only the independent sets in feasible-subspace mode, and
+scans its weights block by block up to the draw, so it must pick the same
+basis index for every draw: on the bases of real trajectories, on draws
+placed at the edges of the cumulative sum and at every block boundary.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from mdqo import (
     uniform_superposition,
 )
 from mdqo import control
-from mdqo.statevector import sample_index
 
 from conftest import tight
 
@@ -57,9 +58,18 @@ def dense_weights(tables, base, q) -> np.ndarray:
     return weights
 
 
+def reference_index(weights: np.ndarray, u: float) -> int:
+    """The one-array rule: the first index whose cumulative sum, taken in
+    place and pinned to 1 from the first entry that reaches the total,
+    exceeds u."""
+    cdf = np.cumsum(weights, out=weights)
+    cdf[np.searchsorted(cdf, cdf[-1]):] = 1.0
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 def reference_sample(tables, base, q, rng) -> int:
     """The dense body: weigh every basis state, then draw."""
-    return sample_index(dense_weights(tables, base, q), rng)
+    return reference_index(dense_weights(tables, base, q), rng.random())
 
 
 def drawn(tables, base, q, rng) -> int:
@@ -156,7 +166,9 @@ def test_feasible_bases_sample_like_the_dense_rule(monkeypatch, n):
     assert_same_draws(scrambled)
 
 
-@pytest.mark.parametrize("case, n", [(penalised_mis, 8), (maxcut, 10)])
+@pytest.mark.parametrize(
+    "case, n", [(penalised_mis, 8), (maxcut, 10), (maxcut, 15), (penalised_mis, 16)]
+)
 def test_full_support_keeps_the_dense_path(monkeypatch, case, n):
     _, seen = sampled_bases(monkeypatch, case, n)
     assert seen and all(tables.basis is None for tables, _, _ in seen)
@@ -270,3 +282,108 @@ def test_zero_posterior_on_a_kept_entry():
     q[2] = 0.0  # level 2 holds the two-vertex set 3 alone
     q /= q.sum()
     assert set(check_edges(tables, base, q)) == {0, 1}
+
+
+def boundary_draws(cdf: np.ndarray, block: int) -> list[float]:
+    """The prefix sum at each block boundary with its neighbours, and, when the
+    total S falls below 1, draws in [S, 1)."""
+    draws = set()
+    for s in cdf[block - 1 :: block]:
+        for u in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0)):
+            if 0.0 <= u < 1.0:
+                draws.add(float(u))
+    total = float(cdf[-1])
+    if total < 1.0:
+        draws.update((total, (total + 1.0) / 2, math.nextafter(1.0, 0.0)))
+    return sorted(draws)
+
+
+def check_boundaries(tables, base, q, block) -> list[int]:
+    picks = []
+    for u in boundary_draws(dense_cdf(tables, base, q), block):
+        expected = reference_sample(tables, base, q, Draw(u))
+        assert drawn(tables, base, q, Draw(u)) == expected, u
+        picks.append(expected)
+    return picks
+
+
+BLOCKS = [8, 64]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("case, n", [(maxcut, 10), (penalised_mis, 8), (feasible_mis, 12)])
+def test_small_blocks_sample_like_one_cumulative_sum(monkeypatch, block, case, n):
+    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    _, seen = sampled_bases(monkeypatch, case, n)
+    assert seen and all(base.state.amps.size > block for _, base, _ in seen)
+    assert_same_draws(seen)
+    for tables, base, q in seen[:4]:
+        check_boundaries(tables, base, q, block)
+
+
+def dense_weighed(n: int, probs: dict[int, float]):
+    """A dense base with |amps|^2 = probs, so the sample weights are exactly
+    |amps|^2, as in weighed, on the MaxCut cost of the single edge (0, 1)."""
+    graph = Graph(n, ((0, 1),))
+    tables = control.prepare_tables(ProblemInstance(graph, "maxcut"), tight(graph.maxcut))
+    amps = np.zeros(2**n, dtype=np.complex128)
+    for x, p in probs.items():
+        amps[x] = math.sqrt(p)
+    base = control.weigh(tables, StateVector(n, amps), False)
+    return tables, base, base.w.copy()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_whole_weight_in_the_last_block(monkeypatch, block):
+    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    n = 9
+    last = range(2**n - block, 2**n, 3)
+    tables, base, q = dense_weighed(n, {x: 1.0 / len(last) for x in last})
+    picks = check_boundaries(tables, base, q, block)
+    assert set(picks) <= set(last)
+    assert set(check_edges(tables, base, q)) == set(last)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_draw_above_a_total_below_one_before_zero_blocks(monkeypatch, block):
+    # the total is reached in the first block, and every later block weighs 0
+    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    scale = 1.0 - 2.0**-36  # inside the state norm tolerance
+    tables, base, q = dense_weighed(8, {1: 0.5 * scale, 5: 0.5 * scale})
+    assert dense_cdf(tables, base, q)[-1] < 1.0
+    assert drawn(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == 5
+    assert set(check_boundaries(tables, base, q, block)) == {5}
+    assert set(check_edges(tables, base, q)) == {1, 5}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_absorbed_block_does_not_move_the_pin(monkeypatch, block):
+    # block 2 only adds weights that round away: carry + w == carry
+    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    scale = 1.0 - 2.0**-36  # inside the state norm tolerance
+    tiny = range(2 * block, 3 * block)
+    probs = {3: 0.5 * scale, block + 1: 0.5 * scale} | {x: 2.0**-70 for x in tiny}
+    tables, base, q = dense_weighed(8, probs)
+    cdf = dense_cdf(tables, base, q)
+    assert cdf[3 * block - 1] == cdf[2 * block - 1] < 1.0
+    assert drawn(tables, base, q, Draw(math.nextafter(1.0, 0.0))) == block + 1
+    assert set(check_boundaries(tables, base, q, block)) == {3, block + 1}
+    check_edges(tables, base, q)
+
+
+def test_sample_allocates_no_dense_temporary():
+    # a few blocks (the weights, the gathered ratios and take's intp copy of
+    # the levels) against the two 2**n temporaries of a one-array sample;
+    # numpy reports its buffers to tracemalloc
+    n = 18
+    inst, resc, initial, _, _ = maxcut(n)
+    tables = control.prepare_tables(inst, resc)
+    base = control.weigh(tables, initial)
+    q = base.w.copy()
+    tracemalloc.start()
+    try:
+        control._sample(tables, base, q, Draw(math.nextafter(1.0, 0.0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**n * 8 / 4
