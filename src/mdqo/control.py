@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCountsError, StepCapError, ZeroBranchError
+from .errors import StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
 from .statevector import StateVector, sample_index
-from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, peak_position
+from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, anchored_weights, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
@@ -260,17 +260,11 @@ def _p1(tables: ControlTables, q: np.ndarray) -> float:
 
 def level_posterior(tables: ControlTables, w: np.ndarray, counts: OutcomeCounts) -> np.ndarray:
     """The level posterior w * cos_sq**k0 * sin_sq**k1, normalised, after k0 failures
-    and k1 successes from level weights w.  The powers are taken in log space on the
-    levels w reaches, anchored at the largest, so huge counts neither underflow nor
-    overflow; DegenerateCountsError where all of them vanish, as in analytic_state."""
+    and k1 successes from level weights w, by the anchored_weights of the levels w
+    reaches: DegenerateCountsError where all of them vanish, as in analytic_state."""
     hit = w > 0
-    with np.errstate(over="ignore"):  # to -inf, which exp takes to 0
-        logw = counts.k0 * np.log(tables.cos_sq[hit]) + counts.k1 * np.log(tables.sin_sq[hit])
-        top = logw.max()
-    if not np.isfinite(top):
-        raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
     q = np.zeros_like(w)
-    q[hit] = w[hit] * np.exp(logw - top)
+    q[hit] = w[hit] * anchored_weights(tables.cos_sq[hit], tables.sin_sq[hit], counts)[0]
     return q / q.sum()
 
 

@@ -100,16 +100,10 @@ class Graph:
 
     @cached_property
     def mis_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The penalty-free index of mis: one string per reached (size,
-        violations) pair, in ascending order, and each string's pair in the
-        smallest unsigned dtype."""
+        """The penalty-free index of mis, the _ranked keys size * (m + 1) + violations
+        and each string's rank, off which ProblemInstance.cost stores penalised levels."""
         h, p = self.mis
-        key = (h.values * (self.m + 1) + p.values).astype(np.intp)
-        string = np.zeros(key.max() + 1, dtype=np.intp)
-        string[key] = np.arange(key.size)  # a string of each reached key
-        reached = np.flatnonzero(np.bincount(key))
-        pair = np.searchsorted(reached, key).astype(np.min_scalar_type(reached.size - 1))
-        return string[reached], pair
+        return _ranked((h.values * (self.m + 1) + p.values).astype(np.intp))
 
     @cached_property
     def subspace(self) -> DiagonalHamiltonian:
@@ -124,7 +118,7 @@ class Graph:
                 f"past the subspace cap of {SUBSPACE_CAP}"
             )
         basis = np.zeros(size, dtype=np.int64)
-        count = np.zeros(size, dtype=np.float64)
+        count = np.zeros(size, dtype=np.uint8)
         filled = 1
         for u in range(self.n):
             free = (basis[:filled] & _mask(v for v in self.neighbors(u) if v < u)) == 0
@@ -133,7 +127,9 @@ class Graph:
             count[filled:grown] = count[:filled][free] + 1
             filled = grown
         basis.setflags(write=False)
-        return DiagonalHamiltonian(self.n, count, coeff_bounds=(0.0, float(self.n)), basis=basis)
+        table = DiagonalHamiltonian(self.n, count, coeff_bounds=(0.0, float(self.n)), basis=basis)
+        table.__dict__["levels"] = _ranked(count)  # the cached_property's slot
+        return table
 
     @cached_property
     def mixer_pairs(self) -> tuple[np.ndarray, ...]:
@@ -249,14 +245,15 @@ class ProblemInstance:
     def cost(self) -> DiagonalHamiltonian:
         """The cost the dynamics drive: the bare MIS cost on the independent
         sets in feasible-subspace mode, H - lam * P for a penalty weight, its
-        levels from mis_pairs' values, otherwise the bare dense cost."""
+        levels from mis_pairs' keys with penalize's bits, otherwise the bare dense cost."""
         if self.kind == "maxcut":
             return self.graph.maxcut
         if self.penalty_weight is None:
             return self.graph.subspace
         cost = penalize(*self.graph.mis, self.penalty_weight)
-        string, pair = self.graph.mis_pairs
-        cost.__dict__["levels"] = _levels(cost.values[string], pair)  # the cached_property's slot
+        keys, rank = self.graph.mis_pairs
+        size, violations = np.divmod(keys, self.graph.m + 1)  # exact on integral floats
+        cost.__dict__["levels"] = _levels(size - self.penalty_weight * violations, rank)
         return cost
 
 
@@ -293,6 +290,8 @@ class DiagonalHamiltonian:
 
         values[level] == self.values: exactly equal floats share a level, so a
         ufunc gives a level's value the bits it gives each entry.  Read-only.
+        build_maxcut, build_mis and Graph.subspace store them (_ranked counts),
+        ProblemInstance.cost from mis_pairs; any other table sorts its values.
         """
         return _levels(self.values)
 
@@ -313,8 +312,7 @@ def _counted(n: int, groups, coeff_bounds: tuple[float, float]) -> DiagonalHamil
     """The table of how many groups, each a {vertex: bit} map, an index
     matches, with its levels.  A group adds 1 on the (2,) * n view with its
     bits fixed (axis n-1-u is bit u; the Ellipsis keeps a 0-d view) to byte
-    counts, since DENSE_CAP allows at most 190 edges.  The levels are those
-    np.unique would give, read off the counts' bincount with no float sort."""
+    counts, since DENSE_CAP allows at most 190 edges; its levels are _ranked."""
     counts = np.zeros(2**n, dtype=np.uint8)
     tensor = counts.reshape((2,) * n)
     for group in groups:
@@ -323,14 +321,20 @@ def _counted(n: int, groups, coeff_bounds: tuple[float, float]) -> DiagonalHamil
             idx[n - 1 - u] = bit
         tensor[(..., *idx)] += 1
     table = DiagonalHamiltonian(n, counts, coeff_bounds=coeff_bounds)
-    tally = np.bincount(counts)
-    values = np.flatnonzero(tally).astype(np.float64)
-    rank = (np.cumsum(tally > 0) - 1).astype(np.min_scalar_type(values.size - 1))
-    level = rank.take(counts)
-    for array in (values, level):
-        array.setflags(write=False)
-    table.__dict__["levels"] = (values, level)  # the cached_property's slot
+    table.__dict__["levels"] = _ranked(counts)  # the cached_property's slot
     return table
+
+
+def _ranked(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True) for nonnegative integer keys, off one
+    bincount with no sort: the reached keys as float64 and each key's rank, cast
+    to the smallest unsigned dtype before it is gathered at the keys; read-only."""
+    tally = np.bincount(keys)
+    reached = np.flatnonzero(tally).astype(np.float64)
+    rank = (np.cumsum(tally > 0) - 1).astype(np.min_scalar_type(reached.size - 1)).take(keys)
+    for array in (reached, rank):
+        array.setflags(write=False)
+    return reached, rank
 
 
 def build_maxcut(graph: Graph) -> DiagonalHamiltonian:
@@ -393,18 +397,15 @@ def spectrum_bounds(
         return Bounds(float(s), float(t), mode)
     lo, hi = float(h.values.min()), float(h.values.max())
     if mode == "brute-force":
-        s = -lo
-        if s == 0:
-            s = 0.0
-        return Bounds(s, hi, mode)
+        return Bounds(-lo + 0.0, hi, mode)  # + 0.0 turns -0.0 into 0.0
     if mode == "user-supplied":
         if user is None:
             raise ValueError("user-supplied mode requires explicit (s, t)")
         s, t = float(user[0]), float(user[1])
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError(f"user bounds ({-s}, {t}) are not finite")
         if -s > lo + BOUND_TOL or t < hi - BOUND_TOL:
-            raise ValueError(
-                f"user bounds (-{s}, {t}) are violated by the spectrum [{lo}, {hi}]"
-            )
+            raise ValueError(f"user bounds ({-s}, {t}) are violated by the spectrum [{lo}, {hi}]")
         return Bounds(s, t, mode)
     raise ValueError(f"unknown bounds mode {mode!r}")
 
@@ -418,8 +419,10 @@ class Rescaling:
 
 
 def rescaling_from_bounds(bounds: Bounds) -> Rescaling:
-    """alpha = s and epsilon = pi / (4 (s + t)); rejects degenerate spectra."""
+    """alpha = s and epsilon = pi / (4 (s + t)); rejects degenerate and non-finite spans."""
     span = bounds.s + bounds.t
+    if not math.isfinite(span):
+        raise ValueError(f"spectrum span s + t = {span} is not finite")
     if span <= 0:
         raise DegenerateSpectrumError(
             f"spectrum span s + t = {span} is not positive: constant cost function"
@@ -439,7 +442,7 @@ def apply_rescaling(r: Rescaling, h: DiagonalHamiltonian) -> DiagonalHamiltonian
 
 def check_rescaled(c: np.ndarray) -> None:
     """ValueError unless every rescaled cost in c lies in [0, pi/4] (within BOUND_TOL)."""
-    if c.size and (c.min() < -BOUND_TOL or c.max() > math.pi / 4 + BOUND_TOL):
+    if c.size and not (c.min() >= -BOUND_TOL and c.max() <= math.pi / 4 + BOUND_TOL):
         raise ValueError(
             "rescaled cost leaves [0, pi/4]; the bounds used to build the rescaling are not honest"
         )

@@ -104,17 +104,30 @@ def weak_step(
     return b, post
 
 
+def anchored_weights(
+    a: np.ndarray, b: np.ndarray, counts: OutcomeCounts
+) -> tuple[np.ndarray, float]:
+    """exp(k0 * log a + k1 * log b - top) and top, the largest exponent, so
+    huge counts neither underflow nor overflow; DegenerateCountsError where
+    no exponent is finite, as every weight then vanishes."""
+    with np.errstate(over="ignore"):  # to -inf, which exp takes to 0
+        logw = counts.k0 * np.log(a) + counts.k1 * np.log(b)
+        top = logw.max()
+    if not np.isfinite(top):
+        raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
+    return np.exp(logw - top), top
+
+
 def continuation(
     state0: StateVector, c: DiagonalHamiltonian
 ) -> Callable[[OutcomeCounts], tuple[StateVector, float]]:
     """The closed form from state0 as a function of the counts: the state after
     k0 failures and k1 successes, on state0's basis, and its log-norm.
 
-    The support checks and the log cos and log sin of each cost level
-    (c.levels) that state0's support reaches run once, here.  Per counts,
-    amplitudes are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4) in log
-    space, so large counts neither underflow nor overflow: the largest
-    log-weight anchors the rest, and off-support cost values, which may fall
+    The support checks and the cos and sin of each cost level (c.levels)
+    that state0's support reaches run once, here.  Per counts, amplitudes
+    are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4), the
+    anchored_weights of those levels: off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
     carrying zero amplitude.  log_norm is the log of the norm before the one
     renormalization; where the squares of the modulated amplitudes underflow,
@@ -126,19 +139,11 @@ def continuation(
     off = None if support.all() else ~support
     values, level = c.levels
     angle = np.clip(values[hit], 0.0, math.pi / 4) + math.pi / 4
-    log_cos, log_sin = np.log(np.cos(angle)), np.log(np.sin(angle))
+    cos, sin = np.cos(angle), np.sin(angle)
 
     def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
-        logw = np.zeros(angle.shape, dtype=np.float64)
         weight = np.zeros(values.size)
-        # huge counts give -inf, and -inf - -inf gives NaN (caught below)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if counts.k0:
-                logw += counts.k0 * log_cos
-            if counts.k1:
-                logw += counts.k1 * log_sin
-            top = logw.max()
-            weight[hit] = np.exp(logw - top)
+        weight[hit], top = anchored_weights(cos, sin, counts)
         amps = state0.amps * weight.take(level)
         if off is not None:
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
@@ -150,8 +155,6 @@ def continuation(
             np.ldexp(parts, shift, out=parts)
             norm = math.sqrt(np.sum(parts * parts))
         log_norm = float(top + np.log(norm)) - shift * math.log(2.0)
-        if not np.isfinite(log_norm):
-            raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
         amps /= norm
         return StateVector._own(state0.n, amps, state0.basis), log_norm
 

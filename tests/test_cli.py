@@ -1318,6 +1318,12 @@ BAD_CONFIGS = {
         [],
         "bound 'user-supplied': user bounds (-0.0, 3.0) are violated by the spectrum [0.0, 5.0]",
     ),
+    "user bounds with a negative s violated by the spectrum": (
+        "run",
+        _with(RUN, ["rescaling"], {"mode": "user-supplied", "bounds": [-1, 5]}),
+        [],
+        "bound 'user-supplied': user bounds (1.0, 5.0) are violated by the spectrum [0.0, 5.0]",
+    ),
     "surplus delta without surplus_L": (
         "run",
         _with(_with(RUN, ["criteria"], {"ceiling_KT": 5}), ["run", "surplus_delta"], 1),

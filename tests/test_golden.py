@@ -19,8 +19,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mdqo import Graph
 from mdqo.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +90,36 @@ def hashes_in_fresh_interpreter(tmp_path: Path, names, **blas_env) -> dict:
     command = [sys.executable, "-c", script, str(tmp_path), json.dumps(sorted(names))]
     subprocess.run(command, env=env, check=True)
     return json.loads((tmp_path / "hashes.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, c in COMMANDS.items() if c in ("run", "sweep-counts", "postprocess"))
+)
+def test_no_sort_passes_the_levels_or_pairs(name, tmp_path, monkeypatch):
+    # every table these commands drive stores its levels, read off integer
+    # counts or the penalty-free pairs, so np.unique never sorts more entries
+    # than the graph's cost has levels, or its MIS (size, violations) pairs;
+    # count_independent_sets merges vertex patterns, not costs
+    config = json.loads((ROOT / "configs" / name).read_text())
+    problem = config["problem"]
+    graph = Graph.from_1indexed(problem["graph"]["n"], problem["graph"]["edges"])
+    if problem["kind"] == "maxcut":
+        bound = graph.maxcut.levels[0].size
+    elif "penalty_weight" in problem or "penalty_weights" in config.get("sweep", {}):
+        bound = graph.mis_pairs[0].size
+    else:
+        bound = graph.subspace.levels[0].size
+    sizes = []
+    unique = np.unique
+
+    def sized(values, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "count_independent_sets":
+            sizes.append(np.size(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", sized)
+    artifact_hashes(name, tmp_path)
+    assert max(sizes, default=0) <= bound
 
 
 def test_golden_hashes_hold_under_one_blas_thread(tmp_path):

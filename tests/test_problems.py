@@ -30,7 +30,7 @@ from mdqo import (
     rescaling_from_bounds,
     spectrum_bounds,
 )
-from mdqo.problems import DENSE_CAP, SUBSPACE_CAP
+from mdqo.problems import DENSE_CAP, SUBSPACE_CAP, check_rescaled
 
 from conftest import feasible_bounds, rescaled_table
 
@@ -177,6 +177,14 @@ def test_user_bounds_validated(maxcut_h):
         spectrum_bounds(maxcut_h, "midpoint")
 
 
+@pytest.mark.parametrize(
+    "user", [(math.nan, 10.0), (0.0, math.nan), (math.inf, 10.0), (0.0, math.inf)]
+)
+def test_user_bounds_must_be_finite(maxcut_h, user):
+    with pytest.raises(ValueError, match="are not finite"):
+        spectrum_bounds(maxcut_h, "user-supplied", user=user)
+
+
 def test_coefficient_sum_requires_metadata():
     raw = DiagonalHamiltonian(1, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -202,6 +210,23 @@ def test_rescaling_epsilon(s, t, expected_eps):
 def test_rescaling_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         rescaling_from_bounds(Bounds(0.0, 0.0, "brute-force"))
+
+
+@pytest.mark.parametrize(
+    "s,t", [(math.nan, 10.0), (0.0, math.inf), (math.inf, 0.0), (1e308, 1e308)]
+)
+def test_rescaling_rejects_a_span_that_is_not_finite(s, t):
+    # NaN <= 0 is False, so only a finiteness check stops NaN, and inf gives epsilon = 0
+    with pytest.raises(ValueError, match="is not finite"):
+        rescaling_from_bounds(Bounds(s, t, "user-supplied"))
+
+
+def test_check_rescaled_rejects_nan():
+    # NaN compares False both ways, so a range check written as two
+    # violations would let it through
+    with pytest.raises(ValueError, match=r"leaves \[0, pi/4\]"):
+        check_rescaled(np.array([0.0, math.nan, 0.5]))
+    check_rescaled(np.array([0.0, math.pi / 4]))
 
 
 def test_apply_rescaling_range(maxcut_h):
@@ -379,14 +404,14 @@ def test_penalised_levels_are_the_dense_levels():
         graph = Graph(
             n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density)
         )
-        # one string per reached (size, violations) pair, in ascending order
-        string, pair = graph.mis_pairs
-        assert pair.dtype == np.min_scalar_type(string.size - 1)
+        # each reached (size, violations) key once, ascending, and each string's rank
+        keys, rank = graph.mis_pairs
+        assert np.all(keys[1:] > keys[:-1])
+        assert set(rank.tolist()) == set(range(keys.size))
+        assert rank.dtype == np.min_scalar_type(keys.size - 1)
+        assert not keys.flags.writeable and not rank.flags.writeable
         h, p = graph.mis
-        pairs = list(zip(h.values[string], p.values[string]))
-        assert pairs == sorted(set(pairs))
-        assert np.array_equal(h.values[string][pair], h.values)
-        assert np.array_equal(p.values[string][pair], p.values)
+        assert keys[rank].tobytes() == (h.values * (graph.m + 1) + p.values).tobytes()
         for lam in (0.0, 1e-300, 1 / 3, 0.5, 0.7, 1.0, 1.5, 3.0, 7.25, 1e8):
             instance = ProblemInstance(graph, "mis", lam)
             for cost in (instance.cost, driving_hamiltonian(ProblemInstance(graph, "mis", lam))):
@@ -480,6 +505,11 @@ def test_byte_count_tables_match_the_shifted_index_tables(graph):
     for table, want in zip(tables, (cut, occupancy, violations)):
         assert table.values.tobytes() == want.tobytes()
         assert_seeded_levels(table)
+
+
+@pytest.mark.parametrize("graph", list(table_graphs()), ids=lambda g: f"n{g.n}-m{g.m}")
+def test_subspace_stores_the_levels_of_its_counts(graph):
+    assert_seeded_levels(graph.subspace)
 
 
 def test_complete_graph_counts_at_the_dense_cap_do_not_wrap():
