@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import DiagonalHamiltonian
-from .statevector import StateVector, _check_basis
+from .statevector import _BLOCK, StateVector, _check_basis
 
 # Aggregate Monte Carlo step budget; p <= 1/2 walks have infinite expectation.
 MC_STEP_CAP = 10**8
-
-# Running walks per block of a step: one block's uniforms and outcomes stay in cache.
-_BLOCK = 1 << 14
 
 # Relative tolerance for flagging closed-form vs exact agreement.
 CLOSED_FORM_RTOL = 1e-9

@@ -611,38 +611,60 @@ def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
 
     h = driving_hamiltonian(instance)
     c, echo = _rescaled(bound_entry, h, lambda r: apply_rescaling(r, h))
-    initial = uniform_superposition(h.n)
-    start, _ = analytic_state(initial, c, start_counts)
-
+    start, _ = analytic_state(uniform_superposition(h.n), c, start_counts)
     mixer_graph = instance.graph if mixer_kind == MIS_CONTROLLED else None
-    # one continuation per base, the start (None) or the start mixed by a
-    # chi_tilde of either panel, and one <H> per (base, k0, k1)
-    bases = {None: continuation(start, c)}
-    memo: dict[tuple, float] = {}
-
-    def continued(ct: int | None, k0: int, k1: int) -> float:
-        if ct not in bases:
-            mixed = apply_mixer(start, MixerSpec(mixer_kind, chis[ct], mixer_graph))
-            bases[ct] = continuation(mixed, c)
-        if (ct, k0, k1) not in memo:
-            state, _ = bases[ct](OutcomeCounts(k0, k1))
-            memo[ct, k0, k1] = expectation(state, h)
-        return memo[ct, k0, k1]
-
     resolved: dict = {"rescaling": echo, "start_counts": [start_counts.k0, start_counts.k1]}
 
+    # each panel's rows: a label and the (base, k0, k1) of each <H> cell, the
+    # base the start (None) or the start mixed by a chi_tilde of either panel
+    panels = []
     if "top" in block:
-        rows = [[k1] + [continued(ct, top_k0, k1) for ct in [None, *chi_tildes]] for k1 in k1_grid]
-        _write_csv(out, "scramble_top.csv", top_header, rows)
+        rows = [(k1, [(ct, top_k0, k1) for ct in [None, *chi_tildes]]) for k1 in k1_grid]
+        panels.append(("scramble_top.csv", top_header, rows))
         resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
-
     if "bottom" in block:
-        rows = [[ell] + [continued(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)]
+        rows = [(ell, [(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)])
                 for ell in surplus]
-        _write_csv(out, "scramble_bottom.csv", bottom_header, rows)
+        panels.append(("scramble_bottom.csv", bottom_header, rows))
         resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
 
+    needs: dict = {}  # the distinct (k0, k1) each base's cells read
+    for ct, k0, k1 in (key for _, _, rows in panels for _, cells in rows for key in cells):
+        needs.setdefault(ct, {})[k0, k1] = None
+    # one base alive at a time: each mixed base lives only as the argument of
+    # its _continued call, so it is gone before the next mixer call
+    memo = {
+        ct: _continued(
+            start if ct is None else apply_mixer(start, MixerSpec(mixer_kind, chis[ct], mixer_graph)),
+            c, h, counts,
+        )
+        for ct, counts in needs.items()
+    }
+
+    def cell(ct: int | None, k0: int, k1: int) -> float:
+        value = memo[ct][k0, k1]
+        if isinstance(value, DegenerateCountsError):
+            raise value  # the first failing cell in the rows' order, as if computed here
+        return value
+
+    for name, header, rows in panels:
+        _write_csv(out, name, header, [[label] + [cell(*key) for key in cells] for label, cells in rows])
     _write_sidecar(out, "scramble-study", cfg, seed, resolved)
+
+
+def _continued(
+    base: StateVector, c: DiagonalHamiltonian, h: DiagonalHamiltonian, counts
+) -> dict:
+    """<H> after each (k0, k1) of counts from base, or the DegenerateCountsError
+    those counts raise, stripped of its traceback, whose frames hold base."""
+    at = continuation(base, c)
+    out: dict = {}
+    for k0, k1 in counts:
+        try:
+            out[k0, k1] = expectation(at(OutcomeCounts(k0, k1))[0], h)
+        except DegenerateCountsError as exc:
+            out[k0, k1] = exc.with_traceback(None)
+    return out
 
 
 # ---------------------------------------------------------------------------

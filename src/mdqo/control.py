@@ -24,12 +24,11 @@ import numpy as np
 from .errors import StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
-from .statevector import StateVector, sample_index
+from .statevector import _BLOCK, StateVector, sample_index
 from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, anchored_weights, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
-_SAMPLE_BLOCK = 2**14  # weights per block of the final sample, 128 KiB of float64
 
 THRESHOLD = "threshold"
 SURPLUS = "surplus"
@@ -307,7 +306,7 @@ def _sample(
     its position: the string there is the one sample_bitstring would draw
     from the dense state.
 
-    The weights are made into one reused buffer, _SAMPLE_BLOCK entries at a
+    The weights are made into one reused buffer, _BLOCK entries at a
     time, up to the block where the draw lands.  On the independent sets the
     draw is still the dense one: every string left out has weight +0, and
     numpy's cumsum adds in order with x + 0 == x, so the CDF kept equals the
@@ -316,11 +315,11 @@ def _sample(
     draw in [S, 1) when S < 1 lands on that kept entry in both CDFs.
     """
     amps, ratio = base.state.amps, _ratio(base, q)
-    buffer = np.empty(min(amps.size, _SAMPLE_BLOCK))
+    buffer = np.empty(min(amps.size, _BLOCK))
 
     def blocks():
-        for start in range(0, amps.size, _SAMPLE_BLOCK):
-            chunk = amps[start : start + _SAMPLE_BLOCK]
+        for start in range(0, amps.size, _BLOCK):
+            chunk = amps[start : start + _BLOCK]
             weights = np.abs(chunk, out=buffer[: chunk.size])
             weights *= weights
             weights *= ratio.take(tables.level[start : start + chunk.size])

@@ -291,7 +291,8 @@ class DiagonalHamiltonian:
         values[level] == self.values: exactly equal floats share a level, so a
         ufunc gives a level's value the bits it gives each entry.  Read-only.
         build_maxcut, build_mis and Graph.subspace store them (_ranked counts),
-        ProblemInstance.cost from mis_pairs; any other table sorts its values.
+        ProblemInstance.cost from mis_pairs and apply_rescaling from the
+        unscaled table's; any other table sorts its values.
         """
         return _levels(self.values)
 
@@ -433,11 +434,16 @@ def rescaling_from_bounds(bounds: Bounds) -> Rescaling:
 def apply_rescaling(r: Rescaling, h: DiagonalHamiltonian) -> DiagonalHamiltonian:
     """Rescaled cost table C with c(x) = epsilon * (alpha + h(x)), on h's basis.
 
-    Verifies 0 <= c <= pi/4 (within BOUND_TOL) on every entry.
+    Verifies 0 <= c <= pi/4 (within BOUND_TOL) on every entry.  C's levels
+    are h's, rescaled by the same ufuncs, so each gets the bits its entries
+    get; two that round to one value merge, so no 2**n sort is needed.
     """
     c = r.epsilon * (r.alpha + h.values)
     check_rescaled(c)
-    return DiagonalHamiltonian(h.n, c, basis=h.basis)
+    table = DiagonalHamiltonian(h.n, c, basis=h.basis)
+    values, level = h.levels
+    table.__dict__["levels"] = _levels(r.epsilon * (r.alpha + values), level)
+    return table
 
 
 def check_rescaled(c: np.ndarray) -> None:

@@ -8,6 +8,7 @@ functions here take dense states, expectation and the mixers both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,10 @@ from .problems import DiagonalHamiltonian, _check_capacity, _checked_basis
 
 NORM_TOL = 1e-10
 GROUP_TOL = 1e-9  # tolerance when grouping probabilities by cost value
+# Entries (rotation pairs in _rotate) per block of the passes that would
+# otherwise make 2**n temporaries: 128 KiB of float64 stays in cache.  A power
+# of two, so a rotation block is whole trailing axes of the (2,) * n view.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,16 +133,20 @@ def _rotate(
     pairs are mixed only where every control bit is 0.  Bit u is axis n-1-u
     of amps viewed as (2,) * n: basic slicing fixes each control axis to 0
     and splits the target axis, and the leading Ellipsis keeps a 0-d view
-    when every other qubit is a control.  Both halves are copied into
-    contiguous buffers reused for every target and mixed by _mix.
+    when every other qubit is a control.  Each half is worked through in
+    blocks of at most _BLOCK pairs, one per value of its leading axes, and
+    the trailing Ellipsis keeps a 0-d block a view.  A block's halves are
+    copied into contiguous buffers one block long, reused for every block
+    and target, and mixed by _mix.
     Contiguous operands keep numpy on one inner loop whatever the view's
-    strides, so the bytes match the plain expression; reused buffers spare
-    a fresh 2**(n-1) temporary, and its page faults, per target.
+    strides, so the bytes match the plain expression; the buffers stay in
+    cache and spare a 2**(n-1) temporary, and its page faults, per target.
     """
     n = amps.size.bit_length() - 1
     c, js = math.cos(chi), 1j * math.sin(chi)
     tensor = amps.reshape((2,) * n)
-    size = max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets)
+    width = _BLOCK.bit_length() - 1  # trailing axes per block
+    size = min(max(2 ** (n - 1 - len(set(ctl))) for _, ctl in targets), _BLOCK)
     buffers = np.empty((2, 2 * size), dtype=np.complex128)
     for u, controls in targets:
         idx: list = [slice(None)] * n
@@ -147,10 +156,12 @@ def _rotate(
         view0 = tensor[(..., *idx)]
         idx[n - 1 - u] = 1
         view1 = tensor[(..., *idx)]
-        a, t = (b[: 2 * view0.size].reshape((2, *view0.shape)) for b in buffers)
-        np.copyto(a[0, ...], view0)  # a[0, ...] stays a view when view0 is 0-d
-        np.copyto(a[1, ...], view1)
-        _mix(c, js, a, t, view0, view1)
+        for lead in itertools.product((0, 1), repeat=max(view0.ndim - width, 0)):
+            half0, half1 = view0[(*lead, ...)], view1[(*lead, ...)]
+            a, t = (b[: 2 * half0.size].reshape((2, *half0.shape)) for b in buffers)
+            np.copyto(a[0, ...], half0)  # a[0, ...] stays a view when half0 is 0-d
+            np.copyto(a[1, ...], half1)
+            _mix(c, js, a, t, half0, half1)
     return amps
 
 

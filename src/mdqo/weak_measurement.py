@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import DegenerateCountsError, ZeroBranchError
 from .problems import BOUND_TOL, DiagonalHamiltonian
-from .statevector import StateVector, _check_basis
+from .statevector import _BLOCK, StateVector, _check_basis
 
 ZERO_BRANCH_TOL = 1e-30
+_NEG_ZERO = np.float64(-0.0).view(np.int64)  # the bits of -0.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,12 @@ def continuation(
     are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4), the
     anchored_weights of those levels: off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
-    carrying zero amplitude.  log_norm is the log of the norm before the one
-    renormalization; where the squares of the modulated amplitudes underflow,
-    they are first scaled by an exact power of two, and log_norm corrected.
+    carrying zero amplitude.  The level weights are gathered and applied
+    _BLOCK entries at a time into one fresh array: no 2**n weight table, and
+    no 2**n intp copy of the level index.  log_norm is the log of the norm
+    before the one renormalization, a product with the bits of a division;
+    where the squares of the modulated amplitudes underflow, they are first
+    scaled by an exact power of two, and log_norm corrected.
     """
     support, hit = _checked_support(state0, c)
     if not support.any():
@@ -144,18 +148,29 @@ def continuation(
     def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
         weight = np.zeros(values.size)
         weight[hit], top = anchored_weights(cos, sin, counts)
-        amps = state0.amps * weight.take(level)
+        amps = np.empty_like(state0.amps)
+        for start in range(0, amps.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            np.multiply(state0.amps[block], weight.take(level[block]), out=amps[block])
         if off is not None:
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
         norm = np.linalg.norm(amps)
         shift = 0
+        parts = amps.view(np.float64).reshape(-1, 2)  # one (re, im) row per entry
         if norm < 2.0**-500:  # the squares underflow: bring the largest entry into [1/2, 1)
             shift = -math.frexp(float(np.abs(amps).max()))[1]
-            parts = amps.view(np.float64)
             np.ldexp(parts, shift, out=parts)
             norm = math.sqrt(np.sum(parts * parts))
         log_norm = float(top + np.log(norm)) - shift * math.log(2.0)
-        amps /= norm
+        # amps /= norm, bit for bit: numpy divides (re, im) by a real norm as
+        # ((re + im*0) * s, (im - re*0) * s) with s = 1/norm.  Adding a signed
+        # zero leaves every part but -0 as it is, so the additions run only on
+        # the entries holding a -0 part, before every part is scaled.
+        rows = np.flatnonzero(parts.view(np.int64) == _NEG_ZERO) >> 1
+        re, im = parts[rows, 0], parts[rows, 1]
+        parts[rows, 0] = re + im * 0.0
+        parts[rows, 1] = im - re * 0.0
+        parts *= 1.0 / norm
         return StateVector._own(state0.n, amps, state0.basis), log_norm
 
     return at

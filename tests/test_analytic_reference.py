@@ -35,6 +35,7 @@ from mdqo import (
     success_probability,
     uniform_superposition,
 )
+from mdqo import weak_measurement
 from mdqo.problems import BOUND_TOL
 
 from conftest import G5_EDGES_1INDEXED, feasible_bounds, rescaled_table
@@ -321,3 +322,69 @@ def test_continuation_degenerate_counts_and_empty_support():
     object.__setattr__(empty, "basis", None)
     with pytest.raises(DegenerateCountsError, match="empty support"):
         continuation(empty, c)
+
+
+@pytest.mark.parametrize("graph", all_graphs()[:7], ids=lambda g: f"n{g.n}m{g.m}")
+def test_blocked_continuation_matches_reference(graph, monkeypatch):
+    # blocks of 4 entries: the weights are gathered across many block
+    # boundaries, and a basis of independent sets ends in a partial block
+    monkeypatch.setattr(weak_measurement, "_BLOCK", 4)
+    rng = np.random.default_rng(graph.n)
+    for _, c, feasible in costs(graph):
+        for state0 in starts(graph, feasible, rng):
+            for k0, k1 in COUNTS:
+                check_same(state0, c, k0, k1)
+    cost = graph.subspace
+    if cost.values.min() < cost.values.max():
+        c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(cost, "brute-force")), cost)
+        for k0, k1 in COUNTS:
+            check_same(uniform_superposition(graph.n, cost.basis), c, k0, k1)
+
+
+def modulated(
+    state0: StateVector, c: DiagonalHamiltonian, counts: OutcomeCounts
+) -> tuple[np.ndarray, float, int]:
+    """The modulated amplitudes, weighed per entry, before the one
+    normalisation: brought up by 2**shift where their squares underflow,
+    their norm, and shift."""
+    support = np.abs(state0.amps) > 0
+    angle = np.clip(c.values[support], 0.0, math.pi / 4) + math.pi / 4
+    logw = counts.k0 * np.log(np.cos(angle)) + counts.k1 * np.log(np.sin(angle))
+    amps = np.zeros_like(state0.amps)
+    amps[support] = state0.amps[support] * np.exp(logw - logw.max())
+    norm, shift = np.linalg.norm(amps), 0
+    if norm < 2.0**-500:
+        parts = amps.view(np.float64)
+        shift = -math.frexp(float(np.abs(amps).max()))[1]
+        np.ldexp(parts, shift, out=parts)
+        norm = math.sqrt(np.sum(parts * parts))
+    return amps, norm, shift
+
+
+def test_signed_zero_parts_normalise_as_a_division():
+    # -0 real parts, -0 imaginary parts and (-0, -0), beside parts of both
+    # signs, on cost 0 with amplitudes near 1e-200 and on higher costs with
+    # normal ones; (3000, 0) makes every weight off cost 0 vanish, so the
+    # squares of what is left underflow
+    c = DiagonalHamiltonian(4, [0.0] * 6 + [0.3, 0.5, 0.3, math.pi / 4] * 2 + [0.5, 0.3])
+    tiny = 1e-200
+    parts = np.array([
+        [-0.0, tiny], [-tiny, -0.0], [tiny, -0.0], [-0.0, -tiny], [-0.0, -0.0], [tiny, tiny],
+        [-0.0, 0.6], [0.5, -0.0], [-0.4, -0.0], [-0.0, -0.3], [-0.0, -0.0], [0.0, -0.0],
+        [-0.0, 0.0], [0.2, -0.7], [-0.1, 0.3], [-0.8, -0.2],
+    ])
+    parts[6:] /= math.sqrt(np.sum(parts[6:] ** 2))  # a real divisor keeps every sign
+    state0 = StateVector(4, parts.view(np.complex128).ravel())
+    shifts, flips = [], 0
+    for counts in (OutcomeCounts(0, 0), OutcomeCounts(1, 2), OutcomeCounts(3000, 0)):
+        amps, norm, shift = modulated(state0, c, counts)
+        expected = amps.copy()
+        expected /= norm
+        for state in (continuation(state0, c)(counts)[0], analytic_state(state0, c, counts)[0]):
+            assert state.amps.tobytes() == expected.tobytes()
+        scaled = amps.view(np.float64) * (1.0 / norm)
+        flips += np.count_nonzero(np.signbit(scaled) != np.signbit(expected.view(np.float64)))
+        shifts.append(shift)
+    # both branches ran, and a product alone would have kept some -0 parts
+    assert shifts[0] == shifts[1] == 0 and shifts[2] > 0
+    assert flips > 0

@@ -30,7 +30,7 @@ from mdqo import (
     rescaling_from_bounds,
     spectrum_bounds,
 )
-from mdqo.problems import DENSE_CAP, SUBSPACE_CAP, check_rescaled
+from mdqo.problems import DENSE_CAP, SUBSPACE_CAP, Rescaling, check_rescaled
 
 from conftest import feasible_bounds, rescaled_table
 
@@ -510,6 +510,28 @@ def test_byte_count_tables_match_the_shifted_index_tables(graph):
 @pytest.mark.parametrize("graph", list(table_graphs()), ids=lambda g: f"n{g.n}-m{g.m}")
 def test_subspace_stores_the_levels_of_its_counts(graph):
     assert_seeded_levels(graph.subspace)
+
+
+def test_rescaled_tables_store_the_levels_of_their_values():
+    # apply_rescaling rescales h's levels with the ufuncs it applies to the
+    # values: the levels a sort of the rescaled values gives, with no sort
+    rng = np.random.default_rng(53)
+    tables = []
+    for graph in table_graphs():
+        tables += [graph.maxcut, graph.subspace, ProblemInstance(graph, "mis", 1.5).cost]
+    for n in (1, 3, 6, 9):
+        tables.append(DiagonalHamiltonian(n, rng.normal(size=2**n)))
+        tables.append(DiagonalHamiltonian(n, rng.integers(-3, 4, size=2**n) / 7))
+    for h in tables:
+        bounds = spectrum_bounds(h, "brute-force")
+        if bounds.s + bounds.t > 0:
+            assert_seeded_levels(apply_rescaling(rescaling_from_bounds(bounds), h))
+    # 1 + 1e-17 rounds to 1: h's levels 0 and 1e-17 merge into one
+    h = DiagonalHamiltonian(2, [1e-17, 0.5, 0.0, 1.0])
+    c = apply_rescaling(Rescaling(alpha=1.0, epsilon=math.pi / 8), h)
+    assert h.levels[0].size == 4
+    assert_seeded_levels(c)
+    assert c.levels[0].size == 3 and c.levels[1].tolist() == [0, 1, 0, 2]
 
 
 def test_complete_graph_counts_at_the_dense_cap_do_not_wrap():

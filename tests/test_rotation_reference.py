@@ -23,6 +23,7 @@ from mdqo import (
     apply_x_rotation_all,
     feasible_initial_state,
 )
+from mdqo import statevector
 
 from conftest import random_state
 
@@ -109,6 +110,25 @@ def test_controlled_rotation_matches_reference(graph):
             expected = reference_controlled_rotation(state.amps, n, u, controls, 0.81)
             out = apply_controlled_x_rotation(state, u, controls, 0.81)
             check_same(state, out, expected, before)
+
+
+@pytest.mark.parametrize("graph", [g for g in all_graphs() if g.n <= 10], ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("block", [1, 4])
+def test_blocked_rotation_matches_reference(graph, block, monkeypatch):
+    # blocks of 1 or 4 pairs: each half spans many blocks, and a target
+    # controlled on every other qubit still gets its one 0-d block
+    monkeypatch.setattr(statevector, "_BLOCK", block)
+    n = graph.n
+    state = random_state(n + 300, n)
+    before = state.amps.tobytes()
+    for spec_graph, kind in ((None, TRANSVERSE_FIELD), (graph, MIS_CONTROLLED)):
+        expected = reference_mixer(state.amps, n, spec_graph, 0.37)
+        check_same(state, apply_mixer(state, MixerSpec(kind, 0.37, spec_graph)), expected, before)
+    everyone = tuple(range(n))
+    for u in range(n):
+        others = everyone[:u] + everyone[u + 1:]
+        expected = reference_controlled_rotation(state.amps, n, u, others, 0.81)
+        check_same(state, apply_controlled_x_rotation(state, u, others, 0.81), expected, before)
 
 
 @pytest.mark.parametrize("graph", all_graphs(), ids=lambda g: f"n{g.n}m{g.m}")

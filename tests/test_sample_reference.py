@@ -313,7 +313,7 @@ BLOCKS = [8, 64]
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("case, n", [(maxcut, 10), (penalised_mis, 8), (feasible_mis, 12)])
 def test_small_blocks_sample_like_one_cumulative_sum(monkeypatch, block, case, n):
-    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(control, "_BLOCK", block)
     _, seen = sampled_bases(monkeypatch, case, n)
     assert seen and all(base.state.amps.size > block for _, base, _ in seen)
     assert_same_draws(seen)
@@ -335,7 +335,7 @@ def dense_weighed(n: int, probs: dict[int, float]):
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_whole_weight_in_the_last_block(monkeypatch, block):
-    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(control, "_BLOCK", block)
     n = 9
     last = range(2**n - block, 2**n, 3)
     tables, base, q = dense_weighed(n, {x: 1.0 / len(last) for x in last})
@@ -347,7 +347,7 @@ def test_whole_weight_in_the_last_block(monkeypatch, block):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_draw_above_a_total_below_one_before_zero_blocks(monkeypatch, block):
     # the total is reached in the first block, and every later block weighs 0
-    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(control, "_BLOCK", block)
     scale = 1.0 - 2.0**-36  # inside the state norm tolerance
     tables, base, q = dense_weighed(8, {1: 0.5 * scale, 5: 0.5 * scale})
     assert dense_cdf(tables, base, q)[-1] < 1.0
@@ -359,7 +359,7 @@ def test_draw_above_a_total_below_one_before_zero_blocks(monkeypatch, block):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_absorbed_block_does_not_move_the_pin(monkeypatch, block):
     # block 2 only adds weights that round away: carry + w == carry
-    monkeypatch.setattr(control, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(control, "_BLOCK", block)
     scale = 1.0 - 2.0**-36  # inside the state norm tolerance
     tiny = range(2 * block, 3 * block)
     probs = {3: 0.5 * scale, block + 1: 0.5 * scale} | {x: 2.0**-70 for x in tiny}
