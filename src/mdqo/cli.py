@@ -586,6 +586,9 @@ def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
     if "top" not in block and "bottom" not in block:
         raise ConfigError("scramble: at least one of top/bottom panels is required")
     chis: dict[int, float] = {}  # the mixer angle of each chi_tilde of either panel
+    # each panel's rows: a label and the (base, k0, k1) of each <H> cell, the
+    # base the start (None) or the start mixed by a chi_tilde of either panel
+    panels, resolved = [], {"start_counts": [start_counts.k0, start_counts.k1]}
     if "top" in block:
         top = block.block("top")
         top_k0 = top.get("k0_tilde", int, 0, minimum=0)
@@ -594,7 +597,10 @@ def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
         chis.update((ct, _chi(ct, f"{top.key('chi_tilde')}[{i}]"))
                     for i, ct in enumerate(chi_tildes))
         k1_grid = _float_sized(top.grid("k1_grid", minimum=0), top.key("k1_grid"))
-        top_header = _columns(["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes])
+        header = _columns(["k1_tilde", "H_baseline"] + [f"H_chi_{ct}" for ct in chi_tildes])
+        rows = [(k1, [(ct, top_k0, k1) for ct in [None, *chi_tildes]]) for k1 in k1_grid]
+        panels.append(("scramble_top.csv", header, rows))
+        resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
     if "bottom" in block:
         bottom = block.block("bottom")
         chi_t = bottom.get("chi_tilde", int, 3)
@@ -605,66 +611,38 @@ def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
         surplus = bottom.grid("surplus_grid", minimum=0)
         _value(max(k0_tildes) + max(surplus),
                f"k1 = {bottom.key('k0_tilde')} + {bottom.key('surplus_grid')}", float)
-        bottom_header = _columns(["L_tilde"] + [f"H{kind}_k0_{k0_t}" for k0_t in k0_tildes
-                                                for kind in ("", "_baseline")])
+        header = _columns(["L_tilde"] + [f"H{kind}_k0_{k0_t}" for k0_t in k0_tildes
+                                         for kind in ("", "_baseline")])
+        rows = [(ell, [(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)])
+                for ell in surplus]
+        panels.append(("scramble_bottom.csv", header, rows))
+        resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
     cfg.close()
 
     h = driving_hamiltonian(instance)
-    c, echo = _rescaled(bound_entry, h, lambda r: apply_rescaling(r, h))
+    c, resolved["rescaling"] = _rescaled(bound_entry, h, lambda r: apply_rescaling(r, h))
     start, _ = analytic_state(uniform_superposition(h.n), c, start_counts)
     mixer_graph = instance.graph if mixer_kind == MIS_CONTROLLED else None
-    resolved: dict = {"rescaling": echo, "start_counts": [start_counts.k0, start_counts.k1]}
 
-    # each panel's rows: a label and the (base, k0, k1) of each <H> cell, the
-    # base the start (None) or the start mixed by a chi_tilde of either panel
-    panels = []
-    if "top" in block:
-        rows = [(k1, [(ct, top_k0, k1) for ct in [None, *chi_tildes]]) for k1 in k1_grid]
-        panels.append(("scramble_top.csv", top_header, rows))
-        resolved["top"] = {"k0_tilde": top_k0, "chi_tilde": chi_tildes}
-    if "bottom" in block:
-        rows = [(ell, [(ct, k0_t, k0_t + ell) for k0_t in k0_tildes for ct in (chi_t, None)])
-                for ell in surplus]
-        panels.append(("scramble_bottom.csv", bottom_header, rows))
-        resolved["bottom"] = {"chi_tilde": chi_t, "k0_tilde": k0_tildes}
-
-    needs: dict = {}  # the distinct (k0, k1) each base's cells read
-    for ct, k0, k1 in (key for _, _, rows in panels for _, cells in rows for key in cells):
-        needs.setdefault(ct, {})[k0, k1] = None
-    # one base alive at a time: each mixed base lives only as the argument of
-    # its _continued call, so it is gone before the next mixer call
-    memo = {
-        ct: _continued(
-            start if ct is None else apply_mixer(start, MixerSpec(mixer_kind, chis[ct], mixer_graph)),
-            c, h, counts,
-        )
-        for ct, counts in needs.items()
-    }
-
-    def cell(ct: int | None, k0: int, k1: int) -> float:
-        value = memo[ct][k0, k1]
+    # the distinct cells in the rows' order, evaluated base by base in the
+    # order the rows first read the bases, one mixed base alive at a time
+    cells = dict.fromkeys(key for _, _, rows in panels for _, keys in rows for key in keys)
+    for base in dict.fromkeys(ct for ct, _, _ in cells):
+        spec = None if base is None else MixerSpec(mixer_kind, chis[base], mixer_graph)
+        at = continuation(start if spec is None else apply_mixer(start, spec), c)
+        for ct, k0, k1 in cells:
+            if ct == base:
+                try:
+                    cells[ct, k0, k1] = expectation(at(OutcomeCounts(k0, k1))[0], h)
+                except DegenerateCountsError as exc:  # kept without the frames that hold the base
+                    cells[ct, k0, k1] = exc.with_traceback(None)
+        del at  # the base dies here, before the next mixer call
+    for value in cells.values():
         if isinstance(value, DegenerateCountsError):
-            raise value  # the first failing cell in the rows' order, as if computed here
-        return value
-
+            raise value  # the first failing cell in the rows' order, before any file is written
     for name, header, rows in panels:
-        _write_csv(out, name, header, [[label] + [cell(*key) for key in cells] for label, cells in rows])
+        _write_csv(out, name, header, [[label] + [cells[k] for k in keys] for label, keys in rows])
     _write_sidecar(out, "scramble-study", cfg, seed, resolved)
-
-
-def _continued(
-    base: StateVector, c: DiagonalHamiltonian, h: DiagonalHamiltonian, counts
-) -> dict:
-    """<H> after each (k0, k1) of counts from base, or the DegenerateCountsError
-    those counts raise, stripped of its traceback, whose frames hold base."""
-    at = continuation(base, c)
-    out: dict = {}
-    for k0, k1 in counts:
-        try:
-            out[k0, k1] = expectation(at(OutcomeCounts(k0, k1))[0], h)
-        except DegenerateCountsError as exc:
-            out[k0, k1] = exc.with_traceback(None)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import StepCapError, ZeroBranchError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
-from .statevector import _BLOCK, StateVector, sample_index
+from .statevector import _BLOCK, StateVector, _scaled, sample_index
 from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, anchored_weights, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
@@ -295,8 +295,8 @@ def _ratio(base: _Base, q: np.ndarray) -> np.ndarray:
 
 
 def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVector:
-    scale = np.sqrt(_ratio(base, q)).take(tables.level)
-    return StateVector._own(base.state.n, base.state.amps * scale, tables.basis)
+    amps = _scaled(base.state.amps, np.sqrt(_ratio(base, q)), tables.level)
+    return StateVector._own(base.state.n, amps, tables.basis)
 
 
 def _sample(

@@ -118,6 +118,16 @@ def _check_basis(state: StateVector, h: DiagonalHamiltonian, name: str) -> None:
         raise ValueError(f"basis mismatch: the state and the {name} live on different bases")
 
 
+def _scaled(amps: np.ndarray, factor: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """amps * factor[level] in one fresh array, gathered and multiplied _BLOCK
+    entries at a time: no 2**n gather and no 2**n intp copy of a narrow level index."""
+    out = np.empty_like(amps)
+    for start in range(0, amps.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        np.multiply(amps[block], factor.take(level[block]), out=out[block])
+    return out
+
+
 def apply_diagonal_phase(state: StateVector, h: DiagonalHamiltonian, gamma: float) -> StateVector:
     """Multiply amplitudes by exp(-i * gamma * h(x))."""
     _check_dense(state, "apply_diagonal_phase", h)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateCountsError, ZeroBranchError
 from .problems import BOUND_TOL, DiagonalHamiltonian
-from .statevector import _BLOCK, StateVector, _check_basis
+from .statevector import StateVector, _check_basis, _scaled
 
 ZERO_BRANCH_TOL = 1e-30
 _NEG_ZERO = np.float64(-0.0).view(np.int64)  # the bits of -0.0
@@ -130,10 +130,9 @@ def continuation(
     are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4), the
     anchored_weights of those levels: off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
-    carrying zero amplitude.  The level weights are gathered and applied
-    _BLOCK entries at a time into one fresh array: no 2**n weight table, and
-    no 2**n intp copy of the level index.  log_norm is the log of the norm
-    before the one renormalization, a product with the bits of a division;
+    carrying zero amplitude.  The level weights are applied by _scaled, with
+    no 2**n weight table.  log_norm is the log of the norm before the one
+    renormalization, a product with the bits of a division;
     where the squares of the modulated amplitudes underflow, they are first
     scaled by an exact power of two, and log_norm corrected.
     """
@@ -148,10 +147,7 @@ def continuation(
     def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
         weight = np.zeros(values.size)
         weight[hit], top = anchored_weights(cos, sin, counts)
-        amps = np.empty_like(state0.amps)
-        for start in range(0, amps.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            np.multiply(state0.amps[block], weight.take(level[block]), out=amps[block])
+        amps = _scaled(state0.amps, weight, level)
         if off is not None:
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
         norm = np.linalg.norm(amps)

@@ -35,7 +35,7 @@ from mdqo import (
     success_probability,
     uniform_superposition,
 )
-from mdqo import weak_measurement
+from mdqo import statevector
 from mdqo.problems import BOUND_TOL
 
 from conftest import G5_EDGES_1INDEXED, feasible_bounds, rescaled_table
@@ -328,7 +328,7 @@ def test_continuation_degenerate_counts_and_empty_support():
 def test_blocked_continuation_matches_reference(graph, monkeypatch):
     # blocks of 4 entries: the weights are gathered across many block
     # boundaries, and a basis of independent sets ends in a partial block
-    monkeypatch.setattr(weak_measurement, "_BLOCK", 4)
+    monkeypatch.setattr(statevector, "_BLOCK", 4)
     rng = np.random.default_rng(graph.n)
     for _, c, feasible in costs(graph):
         for state0 in starts(graph, feasible, rng):

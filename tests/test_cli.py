@@ -312,6 +312,27 @@ def test_scramble_study_reports_the_first_failing_cell_in_row_order(tmp_path, ca
         assert list(out.iterdir()) == []
 
 
+def test_scramble_study_failing_cell_stops_before_any_file_is_written(
+    tmp_path, caplog, monkeypatch
+):
+    # a clean top panel is not written when a bottom cell vanishes
+    import mdqo.cli
+
+    written = []
+    monkeypatch.setattr(mdqo.cli._Artifacts, "write", lambda self, name, text: written.append(name))
+    scramble = {
+        "start_counts": [0, 0],
+        "bound": PATH_BOUND,
+        "top": {"k1_grid": [0, 7], "chi_tilde": [2, 5]},
+        "bottom": {"surplus_grid": [0, 9], "chi_tilde": 4, "k0_tilde": [10**308]},
+    }
+    config = write_config(tmp_path, {"problem": PATH_PROBLEM, "scramble": scramble})
+    assert main(["scramble-study", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.endswith("vanish on the state support for counts (1e+308, 1e+308)")
+    assert written == []
+
+
 def test_run_deterministic_zero_steps(tmp_path):
     config = write_config(
         tmp_path,

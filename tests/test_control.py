@@ -26,6 +26,7 @@ from mdqo import (
     rescaling_from_bounds,
     run_algorithm1,
     run_algorithm2,
+    spectrum_bounds,
     success_probability,
     trajectory_rng,
     uniform_superposition,
@@ -553,3 +554,41 @@ def test_feasible_tables_hold_the_one_basis(g5, mis_instance, feasible_rescaling
     prepare_tables(mis_instance, feasible_rescaling)
     Graph(4, ((0, 1),)).subspace
     assert prepare_tables(mis_instance, feasible_rescaling).basis is g5.subspace.basis
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for a chi-square variable with dof degrees of freedom, in closed form."""
+    h = x / 2
+    if dof % 2 == 0:
+        return math.exp(-h) * sum(h**i / math.factorial(i) for i in range(dof // 2))
+    tail = sum(h ** (i - 0.5) / math.gamma(i + 0.5) for i in range(1, (dof + 1) // 2))
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * tail
+
+
+def test_penalised_mis_draws_the_feasible_final_costs():
+    # the mis-controlled mixer keeps a feasible-uniform start on the
+    # independent sets, where the penalty is 0, so under one user-supplied
+    # rescaling a penalised run is the feasible-subspace run in distribution,
+    # whatever lambda: a two-sample chi-square of the final-cost histograms,
+    # from independent seeds.  Each instance's brute-force bounds read p below
+    # 1e-20 here, and a transverse-field mixer, which leaves the sets, p = 0
+    n, trajectories = 6, 10_000
+    graph = Graph(n, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
+    mask = feasible_mask(ProblemInstance(graph, "mis"))
+    start = StateVector(n, mask / math.sqrt(mask.sum()))
+    criteria = CriteriaConfig(threshold_T=2.5, ceiling_KT=40, min_steps_ell=1)
+    mixer = MixerSpec(MIS_CONTROLLED, 0.5, graph)
+    runs = {}
+    for seed, lam in enumerate((None, 0.5, 3.0)):
+        inst = ProblemInstance(graph, "mis", penalty_weight=lam)
+        bounds = spectrum_bounds(driving_hamiltonian(inst), "user-supplied", (15.0, 40.0))
+        config = OuterConfig(rescaling_from_bounds(bounds), start, criteria, mixer)
+        runs[lam] = outer_loop(inst, config, Budget(max_trajectories=trajectories), seed)
+        assert sum(len(t.scramble_events) for t in runs[lam].trajectories) > trajectories / 4
+    feasible_costs = runs.pop(None).cost_histogram
+    assert sorted(feasible_costs) == [0.0, 1.0, 2.0, 3.0]
+    for run in runs.values():
+        a, b = feasible_costs, run.cost_histogram
+        assert sorted(b) == sorted(a)
+        x = sum((a[v] - b[v]) ** 2 / (a[v] + b[v]) for v in a)
+        assert chi2_sf(x, len(a) - 1) > 1e-3

@@ -23,6 +23,7 @@ from mdqo import (
     Graph,
     MixerSpec,
     OuterConfig,
+    OutcomeCounts,
     ProblemInstance,
     StateVector,
     driving_hamiltonian,
@@ -387,3 +388,22 @@ def test_sample_allocates_no_dense_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2**n * 8 / 4
+
+
+def test_materialise_allocates_its_state_and_a_few_blocks():
+    # the 16-byte amplitudes of the result, against 24 bytes per entry when
+    # the scale was gathered whole (and take copied the levels to intp)
+    n = 18
+    inst, resc, initial, _, _ = maxcut(n)
+    tables = control.prepare_tables(inst, resc)
+    base = control.weigh(tables, initial)
+    q = control.level_posterior(tables, base.w, OutcomeCounts(3, 5))
+    tracemalloc.start()
+    try:
+        state = control._materialise(tables, base, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**n
+    ratio = np.sqrt(q / base.w).take(tables.level)
+    assert state.amps.tobytes() == (initial.amps * ratio).tobytes()
