@@ -217,13 +217,13 @@ def walk_monte_carlo(
     step cap keeps divergent parameter choices (p <= 1/2, no reset) bounded;
     walks still running at the cap are reported, not averaged.
 
-    Each step draws one uniform per running walk, in trial order, and costs
-    O(running walks); `steps` stays 0 for a walk still running at the cap.
-    A step works through the running walks in blocks of _BLOCK, drawing each
-    block's uniforms from the same stream, and moves the survivors to the
-    front of the same arrays.  Memory is three length-`trials` integer arrays
-    (position, trial index, finishing step; int32 while trials and the cap
-    fit) plus a float64 and a bool buffer of one block.
+    Each step draws one uniform per running walk, in trial order, in blocks
+    of _BLOCK, and moves the survivors to the front of one position array:
+    an int8 per walk (the success flags are added as an int8 view), widened to
+    int16 at step 127 and to int64 at step 32767, as during step t |x| <= t + 1.
+    The f walks that finish at step t add t f and t^2 f to two integer sums,
+    so mean and stderr are exact ratios rounded once.  Beside the positions,
+    memory is a float64 and a bool buffer of one block.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -232,54 +232,59 @@ def walk_monte_carlo(
     if rule not in ("surplus", "consecutive"):
         raise ValueError(f"unknown stopping rule {rule!r}")
     p, L, R = model.p, model.L, model.R
-    dtype = np.int32 if max(trials, max_total_steps) < 2**31 else np.int64
-    pos = np.zeros(trials, dtype=dtype)
-    idx = np.arange(trials, dtype=dtype)
-    steps = np.zeros(trials, dtype=dtype)
+    pos = np.zeros(trials, dtype=np.int8)
     block = min(trials, _BLOCK)
     uniforms, success = np.empty(block), np.empty(block, dtype=bool)
+    flags = success.view(np.int8)  # int8 + bool would take a casting loop
     n = trials
-    total = t = 0
+    total = t = s1 = s2 = 0
     while n and total + n <= max_total_steps:
         total += n
         t += 1
+        if t in (2**7 - 1, 2**15 - 1):
+            pos = pos[:n].astype(np.int16 if t < 2**15 - 1 else np.int64)
         kept = 0
         for start in range(0, n, block):
-            stop = min(start + block, n)
-            x, i = pos[start:stop], idx[start:stop]
-            u, s = uniforms[: x.size], success[: x.size]
+            x = pos[start : min(start + block, n)]
+            u, s, f = uniforms[: x.size], success[: x.size], flags[: x.size]
             rng.random(out=u)
             np.less(u, p, out=s)
             if rule == "consecutive":
                 x += 1
-                x *= s
+                x *= f
             else:
-                x += s
-                x += s
+                x += f
+                x += f
                 x -= 1
                 if R is not None:
-                    x *= np.greater(x, -R, out=s)
+                    np.greater(x, -R, out=s)
+                    x *= f
             if x.max() >= L:
                 # flatnonzero and take: a boolean-mask gather branches per entry,
                 # several times slower when about half the block finishes
-                done = np.greater_equal(x, L, out=s)
-                steps[i.take(np.flatnonzero(done))] = t
-                running = np.flatnonzero(~done)
-                x, i = x.take(running), i.take(running)
+                x = x.take(np.flatnonzero(np.less(x, L, out=s)))
             # kept <= start: the survivors only ever move toward the front
             pos[kept : kept + x.size] = x
-            idx[kept : kept + x.size] = i
             kept += x.size
+        s1, s2 = s1 + t * (n - kept), s2 + t * t * (n - kept)
         n = kept
-    # integer sums below 2**53 are exact in any order, so mean and std see the
-    # same float64 values as on a float64 copy of these
-    done_steps = steps[steps > 0]
-    n_done = done_steps.size
+    n_done = trials - n
     if n_done == 0:
         return MonteCarloResult(math.nan, math.nan, 0, trials)
-    mean = float(done_steps.mean())
-    stderr = float(done_steps.std(ddof=1) / math.sqrt(n_done)) if n_done > 1 else math.inf
-    return MonteCarloResult(mean, stderr, n_done, trials - n_done)
+    # s1 / n_done rounds one exact ratio once, as numpy's mean does while s1 < 2**53
+    var = (n_done * s2 - s1 * s1, n_done**2 * (n_done - 1))
+    stderr = _sqrt_ratio(*var) if n_done > 1 else math.inf
+    return MonteCarloResult(s1 / n_done, stderr, n_done, n)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for integers num >= 0 and den > 0: the
+    integer root, scaled to at least 55 bits, gets its last bit set when inexact
+    (rounding to odd, Boldo & Melquiond 2008), so float() rounds it as the real root."""
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled, rem = divmod(num << 2 * k, den)
+    root = math.isqrt(scaled)
+    return math.ldexp(float(root | (rem > 0 or root * root != scaled)), -k)
 
 
 @dataclass(frozen=True)

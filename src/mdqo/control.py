@@ -84,7 +84,9 @@ def evaluate_return(
 
     Priority is fixed: threshold, surplus, ceiling, reset.  The threshold
     comparison needs at least one recorded outcome; reset fires on
-    k0 - k1 >= R only once k0 + k1 >= min_steps_ell.
+    k0 - k1 >= R only once k0 + k1 >= min_steps_ell.  A scramble resets the
+    counts, and k0 = 0 < k1 peaks at pi/4 >= E(T): with a mixer and
+    min_steps_ell <= 1 each trajectory returns at its first success, whatever T.
     """
     if criteria.threshold_T is not None and counts.total >= 1:
         if peak_position(counts) >= rescaled_threshold(criteria.threshold_T, rescaling):

@@ -592,3 +592,34 @@ def test_penalised_mis_draws_the_feasible_final_costs():
         assert sorted(b) == sorted(a)
         x = sum((a[v] - b[v]) ** 2 / (a[v] + b[v]) for v in a)
         assert chi2_sf(x, len(a) - 1) > 1e-3
+
+
+def test_threshold_returns_at_the_first_success_whatever_t():
+    # a scramble resets the counts, and counts with k0 = 0 < k1 read a peak of
+    # pi/4, at least any admissible E(T): with a mixer and min_steps_ell <= 1
+    # every failure scrambles and the first success returns by threshold, so
+    # T changes no trajectory
+    n = 6
+    graph = Graph(n, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
+    instance = ProblemInstance(graph, "mis")
+    mask = feasible_mask(instance)
+    start = StateVector(n, mask / math.sqrt(mask.sum()))
+    rescaling = rescaling_from_bounds(
+        spectrum_bounds(driving_hamiltonian(instance), "user-supplied", (15.0, 40.0))
+    )
+    mixer = MixerSpec(MIS_CONTROLLED, 0.5, graph)
+    runs = [
+        outer_loop(
+            instance,
+            OuterConfig(rescaling, start, CriteriaConfig(threshold_T=t, min_steps_ell=1), mixer),
+            Budget(max_trajectories=300),
+            3,
+        ).trajectories
+        for t in (0.5, 2.5)
+    ]
+    assert runs[0] == runs[1]
+    assert max(t.steps for t in runs[0]) > 2
+    for t in runs[0]:
+        assert t.terminal_reason == control.THRESHOLD
+        assert t.outcomes == (0,) * (t.steps - 1) + (1,)
+        assert t.scramble_events == tuple(range(1, t.steps))
