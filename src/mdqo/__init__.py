@@ -84,6 +84,7 @@ from .weak_measurement import (
     amplitude_modulation,
     analytic_state,
     continuation,
+    continued_expectation,
     peak_position,
     posterior_state,
     success_probability,

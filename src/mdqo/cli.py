@@ -98,12 +98,11 @@ from .statevector import (
     StateVector,
     basis_state,
     bitstring_to_index,
-    expectation,
     index_to_bitstring,
     level_distribution,
     uniform_superposition,
 )
-from .weak_measurement import OutcomeCounts, analytic_state, continuation
+from .weak_measurement import OutcomeCounts, analytic_state, continued_expectation
 
 log = logging.getLogger("mdqo")
 
@@ -629,11 +628,11 @@ def cmd_scramble_study(cfg: _Block, out: _Artifacts, seed) -> None:
     cells = dict.fromkeys(key for _, _, rows in panels for _, keys in rows for key in keys)
     for base in dict.fromkeys(ct for ct, _, _ in cells):
         spec = None if base is None else MixerSpec(mixer_kind, chis[base], mixer_graph)
-        at = continuation(start if spec is None else apply_mixer(start, spec), c)
+        at = continued_expectation(start if spec is None else apply_mixer(start, spec), c, h)
         for ct, k0, k1 in cells:
             if ct == base:
                 try:
-                    cells[ct, k0, k1] = expectation(at(OutcomeCounts(k0, k1))[0], h)
+                    cells[ct, k0, k1] = at(OutcomeCounts(k0, k1))
                 except DegenerateCountsError as exc:  # kept without the frames that hold the base
                     cells[ct, k0, k1] = exc.with_traceback(None)
         del at  # the base dies here, before the next mixer call

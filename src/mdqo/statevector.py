@@ -236,8 +236,22 @@ def apply_controlled_x_rotation(
 def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:
     """Cost expectation sum_x |amps[x]|^2 * h(x) over the basis the state and h share."""
     _check_basis(state, h, "Hamiltonian")
-    weights = state.probabilities()
-    weights *= h.values
+    return _expect(state.amps, h.values, 1.0)
+
+
+def _expect(amps: np.ndarray, values: np.ndarray, scale: float) -> float:
+    """sum_x |amps[x] * scale|^2 * values[x], with the bits of scaling the
+    (re, im) parts by the real scale and summing probabilities() * values:
+    _BLOCK entries at a time through one buffer into one weights array, as
+    elementwise ufuncs give the same bits blocked or not, and one np.sum."""
+    parts, weights = amps.view(np.float64), np.empty(amps.size)
+    buffer = np.empty(2 * min(amps.size, _BLOCK))
+    for start in range(0, amps.size, _BLOCK):
+        block = weights[start : start + _BLOCK]
+        scaled = buffer[: 2 * block.size]
+        np.multiply(parts[2 * start : 2 * start + scaled.size], scale, out=scaled)
+        np.square(np.abs(scaled.view(np.complex128), out=block), out=block)
+        block *= values[start : start + block.size]
     return float(np.sum(weights))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateCountsError, ZeroBranchError
 from .problems import BOUND_TOL, DiagonalHamiltonian
-from .statevector import StateVector, _check_basis, _scaled
+from .statevector import StateVector, _check_basis, _expect, _scaled
 
 ZERO_BRANCH_TOL = 1e-30
 _NEG_ZERO = np.float64(-0.0).view(np.int64)  # the bits of -0.0
@@ -119,11 +119,11 @@ def anchored_weights(
     return np.exp(logw - top), top
 
 
-def continuation(
+def _continued(
     state0: StateVector, c: DiagonalHamiltonian
-) -> Callable[[OutcomeCounts], tuple[StateVector, float]]:
-    """The closed form from state0 as a function of the counts: the state after
-    k0 failures and k1 successes, on state0's basis, and its log-norm.
+) -> Callable[[OutcomeCounts], tuple[np.ndarray, float, float]]:
+    """The closed form from state0 up to its normalisation, as a function of
+    the counts: the modulated amplitudes, their norm and the state's log-norm.
 
     The support checks and the cos and sin of each cost level (c.levels)
     that state0's support reaches run once, here.  Per counts, amplitudes
@@ -131,10 +131,9 @@ def continuation(
     anchored_weights of those levels: off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
     carrying zero amplitude.  The level weights are applied by _scaled, with
-    no 2**n weight table.  log_norm is the log of the norm before the one
-    renormalization, a product with the bits of a division;
-    where the squares of the modulated amplitudes underflow, they are first
-    scaled by an exact power of two, and log_norm corrected.
+    no 2**n weight table, into a fresh array the caller owns.  Where their
+    squares underflow, they are first scaled by an exact power of two, which
+    norm includes and log_norm, the log of the norm before it, corrects.
     """
     support, hit = _checked_support(state0, c)
     if not support.any():
@@ -144,7 +143,7 @@ def continuation(
     angle = np.clip(values[hit], 0.0, math.pi / 4) + math.pi / 4
     cos, sin = np.cos(angle), np.sin(angle)
 
-    def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
+    def at(counts: OutcomeCounts) -> tuple[np.ndarray, float, float]:
         weight = np.zeros(values.size)
         weight[hit], top = anchored_weights(cos, sin, counts)
         amps = _scaled(state0.amps, weight, level)
@@ -152,22 +151,54 @@ def continuation(
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there
         norm = np.linalg.norm(amps)
         shift = 0
-        parts = amps.view(np.float64).reshape(-1, 2)  # one (re, im) row per entry
         if norm < 2.0**-500:  # the squares underflow: bring the largest entry into [1/2, 1)
+            parts = amps.view(np.float64)
             shift = -math.frexp(float(np.abs(amps).max()))[1]
             np.ldexp(parts, shift, out=parts)
             norm = math.sqrt(np.sum(parts * parts))
-        log_norm = float(top + np.log(norm)) - shift * math.log(2.0)
+        return amps, norm, float(top + np.log(norm)) - shift * math.log(2.0)
+
+    return at
+
+
+def continuation(
+    state0: StateVector, c: DiagonalHamiltonian
+) -> Callable[[OutcomeCounts], tuple[StateVector, float]]:
+    """The closed form from state0 as a function of the counts: the state after
+    k0 failures and k1 successes, on state0's basis, and its log-norm.  The
+    amplitudes of _continued are normalised with the bits of a division."""
+    continued = _continued(state0, c)
+
+    def at(counts: OutcomeCounts) -> tuple[StateVector, float]:
+        amps, norm, log_norm = continued(counts)
         # amps /= norm, bit for bit: numpy divides (re, im) by a real norm as
         # ((re + im*0) * s, (im - re*0) * s) with s = 1/norm.  Adding a signed
         # zero leaves every part but -0 as it is, so the additions run only on
         # the entries holding a -0 part, before every part is scaled.
+        parts = amps.view(np.float64).reshape(-1, 2)  # one (re, im) row per entry
         rows = np.flatnonzero(parts.view(np.int64) == _NEG_ZERO) >> 1
         re, im = parts[rows, 0], parts[rows, 1]
         parts[rows, 0] = re + im * 0.0
         parts[rows, 1] = im - re * 0.0
         parts *= 1.0 / norm
         return StateVector._own(state0.n, amps, state0.basis), log_norm
+
+    return at
+
+
+def continued_expectation(
+    state0: StateVector, c: DiagonalHamiltonian, h: DiagonalHamiltonian
+) -> Callable[[OutcomeCounts], float]:
+    """<h> as a function of the counts, with the bits expectation reads off
+    the state continuation(state0, c) gives, but no state built: _expect
+    scales the amplitudes of _continued by 1/norm block by block, and |.|^2
+    ignores the signed zeros continuation fixes.  h shares state0's basis."""
+    continued = _continued(state0, c)
+    _check_basis(state0, h, "Hamiltonian")
+
+    def at(counts: OutcomeCounts) -> float:
+        amps, norm, _ = continued(counts)
+        return _expect(amps, h.values, 1.0 / norm)
 
     return at
 

@@ -4,7 +4,8 @@ analytic_state and success_probability evaluate their transcendentals once
 per cost level (DiagonalHamiltonian.levels).  The references below are the
 dense bodies, one evaluation per basis state; every state, log-norm, p1 and
 error message must match them exactly.  One continuation per base, called
-on many counts, must match analytic_state called once per counts.
+on many counts, must match analytic_state called once per counts, and
+continued_expectation must give the bits expectation reads off its states.
 """
 
 import math
@@ -27,6 +28,8 @@ from mdqo import (
     build_maxcut,
     build_mis,
     continuation,
+    continued_expectation,
+    expectation,
     penalize,
     posterior_state,
     qaoa1_state,
@@ -388,3 +391,92 @@ def test_signed_zero_parts_normalise_as_a_division():
     # both branches ran, and a product alone would have kept some -0 parts
     assert shifts[0] == shifts[1] == 0 and shifts[2] > 0
     assert flips > 0
+
+
+def reference_expectation(state: StateVector, h: DiagonalHamiltonian) -> float:
+    """The body expectation had before its blocked kernel."""
+    return float(np.sum(state.probabilities() * h.values))
+
+
+def check_continued_expectation(
+    state0: StateVector, c: DiagonalHamiltonian, h: DiagonalHamiltonian, counts: list
+) -> None:
+    """continued_expectation of state0, per counts, against expectation of the
+    state one continuation gives: the same bits, or the same error and
+    message; and expectation against its old body on that state."""
+    at = outcome(continued_expectation, state0, c, h)
+    states = outcome(continuation, state0, c)
+    for k0, k1 in counts:
+        got = at if isinstance(at, tuple) else outcome(at, OutcomeCounts(k0, k1))
+        state = states if isinstance(states, tuple) else outcome(states, OutcomeCounts(k0, k1))
+        if isinstance(state[0], type):
+            assert got == state
+            continue
+        expected = expectation(state[0], h)
+        assert got.hex() == expected.hex()
+        assert expected.hex() == reference_expectation(state[0], h).hex()
+
+
+def signed_zero_start(state: StateVector) -> StateVector:
+    """state with -0 real parts on every 5th entry and (-0, -0) on every 7th,
+    renormalised by a real product that keeps each sign: zero amplitudes off
+    the support, and -0 parts on it."""
+    parts = state.amps.copy().view(np.float64).reshape(-1, 2)
+    parts[::5, 0] = -0.0
+    parts[::7] = -0.0
+    parts *= 1.0 / math.sqrt(np.sum(parts * parts))
+    signed = StateVector(state.n, parts.view(np.complex128).ravel(), state.basis)
+    assert np.any(np.signbit(signed.amps.view(np.float64)) & (signed.amps.view(np.float64) == 0))
+    return signed
+
+
+# below, at and above one statevector._BLOCK of 2**14 entries, and in
+# blocks of 4 entries at n = 5, where a basis of independent sets ends in a
+# partial block
+@pytest.mark.parametrize("n, block", [(5, 4), (5, None), (14, None), (15, None), (17, None)])
+def test_continued_expectation_has_the_bits_of_the_continued_state(n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(statevector, "_BLOCK", block)
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED) if n == 5 else random_graph(
+        np.random.default_rng(n), n
+    )
+    h = build_maxcut(graph)
+    c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(h, "brute-force")), h)
+    complex_start = qaoa1_state(h, AnsatzParams(0.37, 0.81))
+    for state0 in (uniform_superposition(n), complex_start, signed_zero_start(complex_start)):
+        check_continued_expectation(state0, c, h, RUN)
+    cost = graph.subspace
+    assert cost.basis.size & (cost.basis.size - 1)  # not a power of two
+    c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(cost, "brute-force")), cost)
+    flat = uniform_superposition(n, cost.basis)
+    for state0 in (flat, signed_zero_start(flat)):
+        check_continued_expectation(state0, c, cost, RUN)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_continued_expectation_where_squares_underflow_or_weights_vanish():
+    # the start of test_continuation_from_amplitudes_whose_squares_underflow:
+    # (3000, 0) takes the norm's power-of-two branch
+    graph = Graph.from_1indexed(5, G5_EDGES_1INDEXED)
+    (_, c, _), *_ = costs(graph)
+    h = build_maxcut(graph)
+    start, _ = analytic_state(uniform_superposition(5), c, OutcomeCounts(0, 10**4))
+    check_continued_expectation(start, c, h, [(3000, 0), (0, 0), (3000, 0)])
+    # vanishing weights raise at the same counts with the same message, and
+    # the function still serves the counts after them; an empty support
+    # raises when the function is built
+    c = DiagonalHamiltonian(2, [0.0, 0.3, math.pi / 4, 0.1])
+    h = DiagonalHamiltonian(2, [1.0, -2.0, 0.5, 3.0])
+    run = [(1, 1), (10**308, 0), (2, 3), (10**308, 10**15), (0, 0)]
+    for state0 in (basis_state(2, 2), uniform_superposition(2)):
+        check_continued_expectation(state0, c, h, run)
+    with pytest.raises(DegenerateCountsError, match=r"\(1e\+308, 0\)$"):
+        continued_expectation(basis_state(2, 2), c, h)(OutcomeCounts(10**308, 0))
+    empty = object.__new__(StateVector)
+    object.__setattr__(empty, "n", 2)
+    object.__setattr__(empty, "amps", np.zeros(4, dtype=np.complex128))
+    object.__setattr__(empty, "basis", None)
+    check_continued_expectation(empty, c, h, run)
+    with pytest.raises(DegenerateCountsError, match="empty support"):
+        continued_expectation(empty, c, h)

@@ -192,34 +192,38 @@ def test_scramble_study_artifacts(tmp_path):
 
 @pytest.fixture
 def study_work(monkeypatch):
-    """Count the mixer calls, continuations and dense states of scramble-study.
+    """Count the mixer calls, bases and continued states of scramble-study.
 
-    The continuations are counted under mdqo.cli and under the name that
-    analytic_state calls, so the start state's own base counts too.
+    Bases and states are counted through continued_expectation under
+    mdqo.cli, and through the continuation that analytic_state calls, so the
+    start state's own base counts too.
     """
     import mdqo.cli
     from mdqo import weak_measurement
 
-    apply_mixer, continuation = mdqo.cli.apply_mixer, weak_measurement.continuation
+    apply_mixer = mdqo.cli.apply_mixer
     work = {"chis": [], "bases": [], "states": []}
 
     def counted_mixer(state, spec):
         work["chis"].append(spec.chi)
         return apply_mixer(state, spec)
 
-    def counted_continuation(state0, c):
-        at, base = continuation(state0, c), len(work["bases"])
-        work["bases"].append(state0)
+    def counted(make):
+        def counted_make(state0, *tables):
+            at, base = make(state0, *tables), len(work["bases"])
+            work["bases"].append(state0)
 
-        def counted(counts):
-            work["states"].append((base, counts.k0, counts.k1))
-            return at(counts)
+            def counted_at(counts):
+                work["states"].append((base, counts.k0, counts.k1))
+                return at(counts)
 
-        return counted
+            return counted_at
+
+        return counted_make
 
     monkeypatch.setattr(mdqo.cli, "apply_mixer", counted_mixer)
-    monkeypatch.setattr(mdqo.cli, "continuation", counted_continuation)
-    monkeypatch.setattr(weak_measurement, "continuation", counted_continuation)
+    monkeypatch.setattr(mdqo.cli, "continued_expectation", counted(mdqo.cli.continued_expectation))
+    monkeypatch.setattr(weak_measurement, "continuation", counted(weak_measurement.continuation))
     return work
 
 

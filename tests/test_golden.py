@@ -74,10 +74,10 @@ def test_shipped_config_artifacts_match_golden(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == expected
 
 
-def hashes_in_fresh_interpreter(tmp_path: Path, names, **blas_env) -> dict:
+def hashes_in_fresh_interpreter(tmp_path: Path, names, **settings) -> dict:
     """every_artifact_hash of `names` in a subprocess whose environment adds
-    blas_env: OpenBLAS reads its variables once, when numpy loads."""
-    env = dict(os.environ, **blas_env)
+    settings: OpenBLAS and numpy's CPU dispatch read theirs once, when numpy loads."""
+    env = dict(os.environ, **settings)
     paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     script = (
@@ -122,25 +122,30 @@ def test_no_sort_passes_the_levels_or_pairs(name, tmp_path, monkeypatch):
     assert max(sizes, default=0) <= bound
 
 
-def test_golden_hashes_hold_under_one_blas_thread(tmp_path):
-    # only the n = 18 closed forms depend on the BLAS thread count, and no
-    # shipped config reaches n = 18
-    hashes = hashes_in_fresh_interpreter(
-        tmp_path, COMMANDS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
-    )
+# the platform settings the goldens must survive: the OpenBLAS thread count
+# and kernel, and numpy's CPU dispatch cut to its X86_V2 baseline.  Only the
+# n = 18 closed forms read BLAS, and no shipped config reaches n = 18; the
+# run path and the level-space studies make no BLAS call at all
+KERNEL_SETTINGS = {
+    "one-blas-thread": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    "blas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "blas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "numpy-x86-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_golden_hashes_hold_under_every_kernel_setting(setting, tmp_path):
+    env = KERNEL_SETTINGS[setting]
+    # numpy refuses dispatch names this build or machine lacks with an
+    # ImportWarning, which is ignored by default: the case would pass untested
+    probe = [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"]
+    refused = subprocess.run(probe, env=dict(os.environ, **env), capture_output=True, text=True)
+    if refused.returncode:
+        message = " ".join(refused.stderr.split("ImportWarning:")[-1].split())
+        pytest.skip(f"numpy refuses {env}: {message}")
+    hashes = hashes_in_fresh_interpreter(tmp_path, COMMANDS, **env)
     assert hashes == json.loads(GOLDEN.read_text())
-
-
-@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
-def test_run_hashes_hold_under_other_blas_kernels(coretype, tmp_path):
-    # the run path and the level-space studies (sweep-counts, postprocess)
-    # make no BLAS call, so the OpenBLAS kernel cannot move the summation
-    # order of any of their artifacts
-    studies = ["maxcut_sweep.json", "mis_sweep.json", "postprocess.json"]
-    names = [name for name in COMMANDS if COMMANDS[name] == "run"] + studies
-    hashes = hashes_in_fresh_interpreter(tmp_path, names, OPENBLAS_CORETYPE=coretype)
-    golden = json.loads(GOLDEN.read_text())
-    assert hashes == {name: golden[name] for name in names}
 
 
 # einsum reaches BLAS only when asked to optimize its contraction order
