@@ -167,6 +167,20 @@ def test_matches_reference_on_int64_state(model, rule):
     check_same(model, 1000, 5, rule, 2**31)
 
 
+def test_peak_memory_stays_below_32_bytes_per_trial():
+    # a coarse ceiling: three per-trial int64 arrays and their statistics
+    # would cross it; the tight bound is one position byte per trial below
+    trials = 400_000
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        walk_monte_carlo(WalkModel(0.65, 5), trials, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * trials
+
+
 # each case runs past the step in its last entry, so it crosses a bound of
 # the position dtype (int8 -> int16 at step 127, int16 -> int64 at step
 # 32767) or puts L or -R beyond int8's range while positions are int8
