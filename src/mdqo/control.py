@@ -8,27 +8,31 @@ a step/trajectory/target budget, optionally adapting criteria between runs.
 
 Trajectories run on cost levels.  The branch operators are diagonal and
 commute, so between scrambles the state is a fixed base state times a factor
-that depends only on the cost level: a step updates one weight per distinct
-cost, and the amplitudes are touched only to weigh a base state, to
-scramble and to draw the final sample.  Feasible-subspace MIS keeps its
-amplitudes on the independent sets alone, never on all 2**n strings.
+that depends only on the cost level and the counts (k0, k1): a trajectory is
+a walk on (base, counts), and the amplitudes are touched only to weigh a
+base state, to scramble and to draw the final sample.  Feasible-subspace MIS
+keeps its amplitudes on the independent sets alone, never on all 2**n strings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import StepCapError, ZeroBranchError
+from .errors import StepCapError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
 from .statevector import _BLOCK, StateVector, _scaled, sample_index
-from .weak_measurement import ZERO_BRANCH_TOL, OutcomeCounts, anchored_weights, peak_position
+from .weak_measurement import OutcomeCounts, anchored_weights, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
+
+# A base stores the p1 of at most this many (k0, k1) nodes: at about 125 B
+# per entry (key, value and dict slot, measured), 7.8 MiB at the cap.
+P1_MEMO_CAP = 2**16
 
 THRESHOLD = "threshold"
 SURPLUS = "surplus"
@@ -208,14 +212,17 @@ class _Base:
     """A state on the tables' entries that stays fixed between scrambles,
     weighed by cost level.
 
-    A trajectory's current state is state.amps * sqrt(q / w)[level] for its
-    level posterior q.  penalty holds the per-level sums of |amps|^2 times
-    the violation count, kept only when weigh is asked for diagnostics.
+    A trajectory's current state is state.amps * sqrt(q / w)[level] for the
+    level posterior q at its counts.  penalty holds the per-level sums of
+    |amps|^2 times the violation count, kept only when weigh is asked for
+    diagnostics.  p1_memo holds the success probability at each (k0, k1)
+    read from this base, up to P1_MEMO_CAP nodes, and dies with the base.
     """
 
     state: StateVector
     w: np.ndarray
     penalty: np.ndarray | None
+    p1_memo: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 def _on_basis(tables: ControlTables, state: StateVector) -> StateVector:
@@ -277,18 +284,20 @@ def level_moments(
     return _p1(tables, q), float(np.sum(q * tables.h)), penalty
 
 
-def _level_step(
-    tables: ControlTables, q: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """One weak step on the level posterior: draw the outcome, reweight, renormalize."""
-    b = 1 if rng.random() < _p1(tables, q) else 0
-    branch = q * (tables.sin_sq if b == 1 else tables.cos_sq)
-    branch_prob = float(branch.sum())
-    if branch_prob < ZERO_BRANCH_TOL:
-        raise ZeroBranchError(
-            f"conditioning on outcome {b} with branch probability {branch_prob}"
-        )
-    return b, branch / branch_prob
+def _posterior(tables: ControlTables, base: _Base, counts: OutcomeCounts) -> np.ndarray:
+    """The level posterior at counts: base.w at (0, 0), else level_posterior."""
+    return base.w if counts.total == 0 else level_posterior(tables, base.w, counts)
+
+
+def _p1_at(tables: ControlTables, base: _Base, counts: OutcomeCounts) -> float:
+    """p1 at counts, memoised on the base up to P1_MEMO_CAP nodes."""
+    key = (counts.k0, counts.k1)
+    p1 = base.p1_memo.get(key)
+    if p1 is None:
+        p1 = _p1(tables, _posterior(tables, base, counts))
+        if len(base.p1_memo) < P1_MEMO_CAP:
+            base.p1_memo[key] = p1
+    return p1
 
 
 def _ratio(base: _Base, q: np.ndarray) -> np.ndarray:
@@ -339,14 +348,15 @@ def _trajectory(
 ) -> Trajectory:
     """The trajectory loop under a validated config, from a weighed initial state.
 
-    A weak step reweights only the level posterior q.  A scramble is one
-    step from (base, q) to the next weighed base: it materialises the state,
-    releases the old base, mixes, and weighs the result, which weigh checks
-    for amplitude off the independent sets at the scramble that made it.
+    The state is (base, counts): a step draws against p1 at the counts, and
+    q is read off them only at a scramble, the final sample and the
+    diagnostics.  A scramble materialises the state, releases the old base,
+    mixes, and weighs the result, which weigh checks for amplitude off the
+    independent sets at the scramble that made it.
     """
     rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
     max_steps = config.max_steps_per_trajectory
-    base, q = start, start.w
+    base = start
     counts = OutcomeCounts(0, 0)
     outcomes: list[int] = []
     scramble_events: list[int] = []
@@ -357,23 +367,22 @@ def _trajectory(
                 f"no return criterion fired within {max_steps} steps; "
                 "the criteria may be unreachable under this rescaling"
             )
-        b, q = _level_step(tables, q, rng)
+        b = 1 if rng.random() < _p1_at(tables, base, counts) else 0
         outcomes.append(b)
         counts = OutcomeCounts(counts.k0 + (b == 0), counts.k1 + (b == 1))
         scrambled = mixer is not None and _scramble_fires(criteria, counts, rescaling)
         if scrambled:
-            state = _materialise(tables, base, q)
+            state = _materialise(tables, base, _posterior(tables, base, counts))
             base = None  # the old base must not outlive the mixer's copies
             state = apply_mixer(state, mixer)
             base = weigh(tables, state, record_diagnostics)
-            q = base.w
             scramble_events.append(len(outcomes))
             counts = OutcomeCounts(0, 0)
         if record_diagnostics:
-            p1, cost, penalty = level_moments(tables, base, q)
+            p1, cost, penalty = level_moments(tables, base, _posterior(tables, base, counts))
             peak = peak_position(counts) if counts.total >= 1 else None
             records.append(StepRecord(len(outcomes), b, p1, cost, peak, scrambled, penalty))
-    i = _sample(tables, base, q, rng)
+    i = _sample(tables, base, _posterior(tables, base, counts), rng)
     return Trajectory(
         outcomes=tuple(outcomes),
         scramble_events=tuple(scramble_events),

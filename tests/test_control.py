@@ -623,3 +623,83 @@ def test_threshold_returns_at_the_first_success_whatever_t():
         assert t.terminal_reason == control.THRESHOLD
         assert t.outcomes == (0,) * (t.steps - 1) + (1,)
         assert t.scramble_events == tuple(range(1, t.steps))
+
+
+def maxcut_n12():
+    """Algorithm 1 on a seeded 12-vertex, 18-edge MaxCut graph from the uniform start."""
+    rng = np.random.default_rng(12)
+    pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    graph = Graph(12, tuple(pairs[i] for i in sorted(rng.choice(len(pairs), 18, replace=False))))
+    inst = ProblemInstance(graph, "maxcut")
+    rescaling = rescaling_from_bounds(spectrum_bounds(driving_hamiltonian(inst), "brute-force"))
+    return inst, rescaling, uniform_superposition(12)
+
+
+def test_every_path_to_a_node_reads_one_p1():
+    # with no scramble the state is fixed by the counts, so every path to a
+    # (k0, k1) node must read the same p1 bits, however its outcomes were ordered
+    inst, rescaling, initial = maxcut_n12()
+    crit = CriteriaConfig(surplus_L=6, reset_R=4)
+    bits, paths = {}, {}
+    for seed in range(30):
+        traj = run_algorithm1(
+            inst, rescaling, initial, crit, trajectory_rng(seed, 0), record_diagnostics=True
+        )
+        for record in traj.diagnostics:
+            prefix = traj.outcomes[: record.step]
+            node = (prefix.count(0), prefix.count(1))
+            bits.setdefault(node, set()).add(np.float64(record.p1).tobytes())
+            paths.setdefault(node, set()).add(prefix)
+    assert sum(len(paths[node]) > 1 for node in paths) >= 10
+    assert {node: len(b) for node, b in bits.items() if len(b) > 1} == {}
+
+
+def memo_cases(g5, mis_instance, feasible_rescaling):
+    inst, rescaling, initial = maxcut_n12()
+    algorithm1 = (inst, OuterConfig(rescaling, initial, CriteriaConfig(surplus_L=6, reset_R=4)))
+    mask = feasible_mask(mis_instance)
+    algorithm2 = (
+        mis_instance,
+        OuterConfig(
+            feasible_rescaling,
+            StateVector(5, mask / np.sqrt(mask.sum())),
+            CriteriaConfig(threshold_T=2.9, ceiling_KT=30, min_steps_ell=5),
+            MixerSpec(MIS_CONTROLLED, 0.5, g5),
+        ),
+    )
+    return algorithm1, algorithm2
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["algorithm1", "algorithm2"])
+def test_p1_memo_changes_no_draw_and_holds_its_cap(
+    monkeypatch, case, g5, mis_instance, feasible_rescaling
+):
+    # the memo only saves work: no cap changes a trajectory or a sample, each
+    # base stores at most the cap, and every stored p1 has the bits of the
+    # closed form at its counts
+    inst, config = memo_cases(g5, mis_instance, feasible_rescaling)[case]
+    tables = prepare_tables(inst, config.rescaling)
+    weigh = control.weigh
+    summaries, start_sizes = [], []
+    for cap in (0, 3, control.P1_MEMO_CAP):
+        bases = []
+
+        def kept(*args):
+            bases.append(weigh(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(control, "P1_MEMO_CAP", cap)
+        monkeypatch.setattr(control, "weigh", kept)
+        summaries.append(outer_loop(inst, config, Budget(max_trajectories=40), seed=5))
+        start_sizes.append(len(bases[0].p1_memo))
+        for base in bases:
+            assert len(base.p1_memo) <= cap
+            for (k0, k1), p1 in base.p1_memo.items():
+                q = base.w if k0 + k1 == 0 else control.level_posterior(
+                    tables, base.w, OutcomeCounts(k0, k1)
+                )
+                assert np.float64(p1).tobytes() == np.float64(control._p1(tables, q)).tobytes()
+    assert start_sizes[:2] == [0, 3] and start_sizes[2] > 3
+    assert summaries[0] == summaries[1] == summaries[2]
+    if case == 1:
+        assert len(bases) > 1

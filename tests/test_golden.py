@@ -156,8 +156,9 @@ BLAS_CALL = re.compile(
 
 def test_only_analytic_state_calls_blas():
     # BLAS sums in an order that follows the OpenBLAS kernel and thread count;
-    # analytic_state's norm is the one documented call left, and it feeds
-    # only the study commands
+    # the norm in weak_measurement._continued is the one documented call left,
+    # shared by analytic_state and continued_expectation, and it feeds only
+    # the study commands
     hits = [
         (path.name, line.strip())
         for path in sorted((ROOT / "src" / "mdqo").glob("*.py"))
