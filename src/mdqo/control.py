@@ -30,9 +30,12 @@ from .weak_measurement import OutcomeCounts, anchored_weights, peak_position
 # Hard per-trajectory step cap guarding against unreachable criteria.
 DEFAULT_MAX_STEPS = 1_000_000
 
-# A base stores the p1 of at most this many (k0, k1) nodes: at about 125 B
-# per entry (key, value and dict slot, measured), 7.8 MiB at the cap.
-P1_MEMO_CAP = 2**16
+# The node memos of one run store at most this many bytes in all: a p1 at
+# P1_BYTES (key, value and dict slot, measured), a mixed base at the bytes of
+# its arrays and a final-sample CDF at 8 B per entry.  Past it nothing new
+# is stored; what is stored dies with the run.
+MEMO_BYTES = 2**25
+P1_BYTES = 125
 
 THRESHOLD = "threshold"
 SURPLUS = "surplus"
@@ -158,9 +161,10 @@ class ControlTables:
 
     h and level are the driving cost's own levels: entry i of a state sits
     on level level[i] and has the driving cost h[level[i]], and every level
-    holds some entry.  Of the rescaled cost c only the branch
-    weights sin_sq and cos_sq, sin^2(c + pi/4) and cos^2(c + pi/4), and the
-    success weight sin(2c) are kept.  In feasible-subspace mode basis holds
+    holds some entry.  Of the rescaled cost c only the logs of the branch
+    weights, log_sin_sq and log_cos_sq of sin^2(c + pi/4) and
+    cos^2(c + pi/4), taken once here, and the success weight sin(2c) are
+    kept.  In feasible-subspace mode basis holds
     the independent sets and entry i is basis[i]; otherwise basis is None
     and entry i is basis index i.  p_viol holds the violation counts of MIS
     instances per entry.
@@ -170,8 +174,8 @@ class ControlTables:
     rescaling: Rescaling
     level: np.ndarray
     h: np.ndarray
-    sin_sq: np.ndarray
-    cos_sq: np.ndarray
+    log_sin_sq: np.ndarray
+    log_cos_sq: np.ndarray
     sin_2c: np.ndarray
     basis: np.ndarray | None
     p_viol: np.ndarray | None
@@ -199,8 +203,8 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
         rescaling=rescaling,
         level=level,
         h=h,
-        sin_sq=np.sin(angle) ** 2,
-        cos_sq=np.cos(angle) ** 2,
+        log_sin_sq=np.log(np.sin(angle) ** 2),
+        log_cos_sq=np.log(np.cos(angle) ** 2),
         sin_2c=np.sin(2.0 * c),
         basis=cost.basis,
         p_viol=p_viol,
@@ -210,19 +214,37 @@ def prepare_tables(instance: ProblemInstance, rescaling: Rescaling) -> ControlTa
 @dataclass(frozen=True)
 class _Base:
     """A state on the tables' entries that stays fixed between scrambles,
-    weighed by cost level.
+    weighed by cost level, and the memos of the nodes (base, counts) a run
+    reads from it.
 
     A trajectory's current state is state.amps * sqrt(q / w)[level] for the
     level posterior q at its counts.  penalty holds the per-level sums of
     |amps|^2 times the violation count, kept only when weigh is asked for
-    diagnostics.  p1_memo holds the success probability at each (k0, k1)
-    read from this base, up to P1_MEMO_CAP nodes, and dies with the base.
+    diagnostics.  Keyed by (k0, k1), p1_memo holds the success probability,
+    children the weighed base a scramble there mixed, and cdfs the final
+    sample's cumulative weights when they fit one _BLOCK.  A run stores
+    entries under its _Memo's byte budget; the start base holds the tree of
+    mixed bases, which lives as long as the run holds the start.
     """
 
     state: StateVector
     w: np.ndarray
     penalty: np.ndarray | None
     p1_memo: dict[tuple[int, int], float] = field(default_factory=dict)
+    children: dict[tuple[int, int], _Base] = field(default_factory=dict)
+    cdfs: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+
+class _Memo:
+    """The bytes one run's node memos may still store, from MEMO_BYTES."""
+
+    def __init__(self) -> None:
+        self.left = MEMO_BYTES
+
+    def keep(self, table: dict, key: tuple[int, int], value, size: int) -> None:
+        if size <= self.left:
+            table[key] = value
+            self.left -= size
 
 
 def _on_basis(tables: ControlTables, state: StateVector) -> StateVector:
@@ -267,12 +289,13 @@ def _p1(tables: ControlTables, q: np.ndarray) -> float:
 
 
 def level_posterior(tables: ControlTables, w: np.ndarray, counts: OutcomeCounts) -> np.ndarray:
-    """The level posterior w * cos_sq**k0 * sin_sq**k1, normalised, after k0 failures
-    and k1 successes from level weights w, by the anchored_weights of the levels w
-    reaches: DegenerateCountsError where all of them vanish, as in analytic_state."""
+    """The level posterior w * cos^2k0 * sin^2k1 (of c + pi/4), normalised, after k0
+    failures and k1 successes from level weights w, by the anchored_weights of the
+    levels w reaches, from the tables' logs: DegenerateCountsError where all of
+    them vanish, as in analytic_state."""
     hit = w > 0
     q = np.zeros_like(w)
-    q[hit] = w[hit] * anchored_weights(tables.cos_sq[hit], tables.sin_sq[hit], counts)[0]
+    q[hit] = w[hit] * anchored_weights(tables.log_cos_sq[hit], tables.log_sin_sq[hit], counts)[0]
     return q / q.sum()
 
 
@@ -289,14 +312,13 @@ def _posterior(tables: ControlTables, base: _Base, counts: OutcomeCounts) -> np.
     return base.w if counts.total == 0 else level_posterior(tables, base.w, counts)
 
 
-def _p1_at(tables: ControlTables, base: _Base, counts: OutcomeCounts) -> float:
-    """p1 at counts, memoised on the base up to P1_MEMO_CAP nodes."""
+def _p1_at(tables: ControlTables, base: _Base, counts: OutcomeCounts, memo: _Memo) -> float:
+    """p1 at counts, memoised on the base."""
     key = (counts.k0, counts.k1)
     p1 = base.p1_memo.get(key)
     if p1 is None:
         p1 = _p1(tables, _posterior(tables, base, counts))
-        if len(base.p1_memo) < P1_MEMO_CAP:
-            base.p1_memo[key] = p1
+        memo.keep(base.p1_memo, key, p1, P1_BYTES)
     return p1
 
 
@@ -310,6 +332,19 @@ def _materialise(tables: ControlTables, base: _Base, q: np.ndarray) -> StateVect
     return StateVector._own(base.state.n, amps, tables.basis)
 
 
+def _weights(tables: ControlTables, base: _Base, q: np.ndarray):
+    """|amps|^2 * (q / w)[level] in basis order, _BLOCK entries at a time,
+    each block made into one reused buffer once the one before is used."""
+    amps, ratio = base.state.amps, _ratio(base, q)
+    buffer = np.empty(min(amps.size, _BLOCK))
+    for start in range(0, amps.size, _BLOCK):
+        chunk = amps[start : start + _BLOCK]
+        weights = np.abs(chunk, out=buffer[: chunk.size])
+        weights *= weights
+        weights *= ratio.take(tables.level[start : start + chunk.size])
+        yield weights
+
+
 def _sample(
     tables: ControlTables, base: _Base, q: np.ndarray, rng: np.random.Generator
 ) -> int:
@@ -317,32 +352,75 @@ def _sample(
     its position: the string there is the one sample_bitstring would draw
     from the dense state.
 
-    The weights are made into one reused buffer, _BLOCK entries at a
-    time, up to the block where the draw lands.  On the independent sets the
-    draw is still the dense one: every string left out has weight +0, and
-    numpy's cumsum adds in order with x + 0 == x, so the CDF kept equals the
-    dense one where kept and the dense one is flat in between.  The first
-    entry to reach the total S has positive weight, so it is kept, and a
-    draw in [S, 1) when S < 1 lands on that kept entry in both CDFs.
+    sample_index scans the _weights up to the block where the draw lands.
+    On the independent sets the draw is still the dense one: every string
+    left out has weight +0, and numpy's cumsum adds in order with
+    x + 0 == x, so the CDF kept equals the dense one where kept and the
+    dense one is flat in between.  The first entry to reach the total S has
+    positive weight, so it is kept, and a draw in [S, 1) when S < 1 lands on
+    that kept entry in both CDFs.
     """
-    amps, ratio = base.state.amps, _ratio(base, q)
-    buffer = np.empty(min(amps.size, _BLOCK))
+    return sample_index(_weights(tables, base, q), rng)
 
-    def blocks():
-        for start in range(0, amps.size, _BLOCK):
-            chunk = amps[start : start + _BLOCK]
-            weights = np.abs(chunk, out=buffer[: chunk.size])
-            weights *= weights
-            weights *= ratio.take(tables.level[start : start + chunk.size])
-            yield weights
 
-    return sample_index(blocks(), rng)
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """sample_index on one block whose cumulative sum cdf is taken: the first
+    entry above the draw, or, for a draw that reaches the total, the first
+    entry to reach it (0 when the total is 0)."""
+    u = rng.random()
+    if cdf[-1] > u:
+        return int(np.searchsorted(cdf, u, side="right"))
+    return int(np.searchsorted(cdf, cdf[-1])) if cdf[-1] > 0.0 else 0
+
+
+def _final_sample(
+    tables: ControlTables,
+    base: _Base,
+    counts: OutcomeCounts,
+    memo: _Memo,
+    rng: np.random.Generator,
+) -> int:
+    """_sample at the level posterior at counts.  On a base of at most _BLOCK
+    entries the one block's cumsum, which sample_index would take in place
+    after adding 0.0 to its first entry, is memoised on the base and drawn on
+    by sample_index's rules; larger bases keep the early-stopping scan."""
+    if base.state.amps.size > _BLOCK:
+        return _sample(tables, base, _posterior(tables, base, counts), rng)
+    key = (counts.k0, counts.k1)
+    cdf = base.cdfs.get(key)
+    if cdf is None:
+        (weights,) = _weights(tables, base, _posterior(tables, base, counts))
+        cdf = np.cumsum(weights, out=weights)
+        memo.keep(base.cdfs, key, cdf, cdf.nbytes)
+    return _draw(cdf, rng)
+
+
+def _mixed(
+    tables: ControlTables,
+    base: _Base,
+    counts: OutcomeCounts,
+    mixer: MixerSpec,
+    memo: _Memo,
+    diagnostics: bool,
+) -> _Base:
+    """The weighed base a scramble at (base, counts) makes: the state there,
+    materialised and mixed, memoised on the base.  weigh checks it for
+    amplitude off the independent sets at the scramble that first makes it."""
+    key = (counts.k0, counts.k1)
+    child = base.children.get(key)
+    if child is None:
+        state = apply_mixer(_materialise(tables, base, _posterior(tables, base, counts)), mixer)
+        child = weigh(tables, state, diagnostics)
+        size = sum(a.nbytes for a in (child.state.amps, child.w, child.penalty) if a is not None)
+        memo.keep(base.children, key, child, size)
+    return child
 
 
 def _trajectory(
     tables: ControlTables,
     start: _Base,
     config: OuterConfig,
+    memo: _Memo,
     rng: np.random.Generator,
     record_diagnostics: bool,
 ) -> Trajectory:
@@ -350,9 +428,9 @@ def _trajectory(
 
     The state is (base, counts): a step draws against p1 at the counts, and
     q is read off them only at a scramble, the final sample and the
-    diagnostics.  A scramble materialises the state, releases the old base,
-    mixes, and weighs the result, which weigh checks for amplitude off the
-    independent sets at the scramble that made it.
+    diagnostics.  A scramble moves to the mixed base of its node, and each
+    node's p1, mixed base and one-block CDF are computed once per run while
+    memo has room for them.
     """
     rescaling, criteria, mixer = tables.rescaling, config.criteria, config.mixer
     max_steps = config.max_steps_per_trajectory
@@ -367,22 +445,19 @@ def _trajectory(
                 f"no return criterion fired within {max_steps} steps; "
                 "the criteria may be unreachable under this rescaling"
             )
-        b = 1 if rng.random() < _p1_at(tables, base, counts) else 0
+        b = 1 if rng.random() < _p1_at(tables, base, counts, memo) else 0
         outcomes.append(b)
         counts = OutcomeCounts(counts.k0 + (b == 0), counts.k1 + (b == 1))
         scrambled = mixer is not None and _scramble_fires(criteria, counts, rescaling)
         if scrambled:
-            state = _materialise(tables, base, _posterior(tables, base, counts))
-            base = None  # the old base must not outlive the mixer's copies
-            state = apply_mixer(state, mixer)
-            base = weigh(tables, state, record_diagnostics)
+            base = _mixed(tables, base, counts, mixer, memo, record_diagnostics)
             scramble_events.append(len(outcomes))
             counts = OutcomeCounts(0, 0)
         if record_diagnostics:
             p1, cost, penalty = level_moments(tables, base, _posterior(tables, base, counts))
             peak = peak_position(counts) if counts.total >= 1 else None
             records.append(StepRecord(len(outcomes), b, p1, cost, peak, scrambled, penalty))
-    i = _sample(tables, base, _posterior(tables, base, counts), rng)
+    i = _final_sample(tables, base, counts, memo, rng)
     return Trajectory(
         outcomes=tuple(outcomes),
         scramble_events=tuple(scramble_events),
@@ -430,7 +505,7 @@ def run_algorithm2(
         rescaling, initial_state, criteria, mixer, max_steps_per_trajectory=max_steps
     )
     tables, start = _start(instance, config, record_diagnostics)
-    return _trajectory(tables, start, config, rng, record_diagnostics)
+    return _trajectory(tables, start, config, _Memo(), rng, record_diagnostics)
 
 
 def run_algorithm1(
@@ -537,6 +612,7 @@ def outer_loop(
     if budget.max_trajectories is None and config.criteria.ceiling_KT == 0:
         raise ValueError("ceiling_KT = 0 returns every trajectory at 0 steps: cap max_trajectories")
     tables, start = _start(instance, config, False)
+    memo = _Memo()
     adaptive = config.adaptive_threshold or config.surplus_delta != 0
     param_log = [asdict(config.criteria)]
     trajectories: list[Trajectory] = []
@@ -558,7 +634,7 @@ def outer_loop(
                 )
             config = replace(config, criteria=criteria)
             param_log.append(asdict(criteria))
-        traj = _trajectory(tables, start, config, trajectory_rng(seed, index), False)
+        traj = _trajectory(tables, start, config, memo, trajectory_rng(seed, index), False)
         index += 1
         trajectories.append(traj)
         total_steps += traj.steps

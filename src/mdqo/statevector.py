@@ -65,11 +65,14 @@ class StateVector:
 
 
 def uniform_superposition(n: int, basis: np.ndarray | None = None) -> StateVector:
-    """The flat state: equal real amplitudes on all 2**n indices (|+>^n) or on basis."""
+    """The flat state: equal real amplitudes on all 2**n indices (|+>^n) or on
+    basis, made once and handed over uncopied."""
     if basis is None:
         _check_capacity(n)
+    else:
+        basis = _checked_basis(n, basis)
     dim = 2**n if basis is None else basis.size
-    return StateVector(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128), basis)
+    return StateVector._own(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128), basis)
 
 
 def basis_state(n: int, x: int, basis: np.ndarray | None = None) -> StateVector:

@@ -106,13 +106,14 @@ def weak_step(
 
 
 def anchored_weights(
-    a: np.ndarray, b: np.ndarray, counts: OutcomeCounts
+    log_a: np.ndarray, log_b: np.ndarray, counts: OutcomeCounts
 ) -> tuple[np.ndarray, float]:
-    """exp(k0 * log a + k1 * log b - top) and top, the largest exponent, so
+    """exp(k0 * log_a + k1 * log_b - top) and top, the largest exponent, so
     huge counts neither underflow nor overflow; DegenerateCountsError where
-    no exponent is finite, as every weight then vanishes."""
+    no exponent is finite, as every weight then vanishes.  Callers take the
+    logs once per table, not once per counts."""
     with np.errstate(over="ignore"):  # to -inf, which exp takes to 0
-        logw = counts.k0 * np.log(a) + counts.k1 * np.log(b)
+        logw = counts.k0 * log_a + counts.k1 * log_b
         top = logw.max()
     if not np.isfinite(top):
         raise DegenerateCountsError.vanishing(counts.k0, counts.k1)
@@ -125,9 +126,9 @@ def _continued(
     """The closed form from state0 up to its normalisation, as a function of
     the counts: the modulated amplitudes, their norm and the state's log-norm.
 
-    The support checks and the cos and sin of each cost level (c.levels)
-    that state0's support reaches run once, here.  Per counts, amplitudes
-    are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4), the
+    The support checks and the logs of the cos and sin of each cost level
+    (c.levels) that state0's support reaches run once, here.  Per counts,
+    amplitudes are modulated by cos^k0(c + pi/4) * sin^k1(c + pi/4), the
     anchored_weights of those levels: off-support cost values, which may fall
     outside [0, pi/4], would otherwise poison the state with NaNs despite
     carrying zero amplitude.  The level weights are applied by _scaled, with
@@ -141,11 +142,11 @@ def _continued(
     off = None if support.all() else ~support
     values, level = c.levels
     angle = np.clip(values[hit], 0.0, math.pi / 4) + math.pi / 4
-    cos, sin = np.cos(angle), np.sin(angle)
+    log_cos, log_sin = np.log(np.cos(angle)), np.log(np.sin(angle))
 
     def at(counts: OutcomeCounts) -> tuple[np.ndarray, float, float]:
         weight = np.zeros(values.size)
-        weight[hit], top = anchored_weights(cos, sin, counts)
+        weight[hit], top = anchored_weights(log_cos, log_sin, counts)
         amps = _scaled(state0.amps, weight, level)
         if off is not None:
             amps[off] = 0.0  # +0 off the support, whatever zeros state0 holds there

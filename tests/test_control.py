@@ -1,6 +1,7 @@
 """Tests for the control loops, return criteria, and the outer restart loop."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -541,8 +542,8 @@ def test_subspace_level_table_is_the_dense_one(n):
     reached = tables.h.size
     assert reached < n + 1 and tables.h.tobytes() == values[:reached].tobytes()
     angle = c[:reached] + math.pi / 4
-    assert tables.sin_sq.tobytes() == (np.sin(angle) ** 2).tobytes()
-    assert tables.cos_sq.tobytes() == (np.cos(angle) ** 2).tobytes()
+    assert tables.log_sin_sq.tobytes() == np.log(np.sin(angle) ** 2).tobytes()
+    assert tables.log_cos_sq.tobytes() == np.log(np.cos(angle) ** 2).tobytes()
     assert tables.sin_2c.tobytes() == np.sin(2.0 * c[:reached]).tobytes()
     assert np.array_equal(tables.basis, np.flatnonzero(mask))
     assert np.array_equal(tables.level, level[tables.basis])
@@ -670,36 +671,126 @@ def memo_cases(g5, mis_instance, feasible_rescaling):
     return algorithm1, algorithm2
 
 
+def stored_bytes(base) -> int:
+    """The bytes the run's budget counts for what base's memos hold."""
+    children = (
+        sum(a.nbytes for a in (child.state.amps, child.w, child.penalty) if a is not None)
+        for child in base.children.values()
+    )
+    cdfs = (cdf.nbytes for cdf in base.cdfs.values())
+    return control.P1_BYTES * len(base.p1_memo) + sum(children) + sum(cdfs)
+
+
 @pytest.mark.parametrize("case", [0, 1], ids=["algorithm1", "algorithm2"])
-def test_p1_memo_changes_no_draw_and_holds_its_cap(
+def test_node_memos_change_no_draw_and_hold_the_budget(
     monkeypatch, case, g5, mis_instance, feasible_rescaling
 ):
-    # the memo only saves work: no cap changes a trajectory or a sample, each
-    # base stores at most the cap, and every stored p1 has the bits of the
-    # closed form at its counts
+    # the memos only save work: no budget changes a trajectory or a sample,
+    # the bases of a run store at most the budget between them, and every
+    # stored p1, mixed base and CDF has the bits of its node's computation
     inst, config = memo_cases(g5, mis_instance, feasible_rescaling)[case]
     tables = prepare_tables(inst, config.rescaling)
-    weigh = control.weigh
-    summaries, start_sizes = [], []
-    for cap in (0, 3, control.P1_MEMO_CAP):
+    weigh, apply_mixer = control.weigh, control.apply_mixer
+    small = 3 * control.P1_BYTES
+    summaries, stored, start_sizes = [], [], []
+    for budget in (0, small, control.MEMO_BYTES):
         bases = []
 
         def kept(*args):
             bases.append(weigh(*args))
             return bases[-1]
 
-        monkeypatch.setattr(control, "P1_MEMO_CAP", cap)
+        monkeypatch.setattr(control, "MEMO_BYTES", budget)
         monkeypatch.setattr(control, "weigh", kept)
         summaries.append(outer_loop(inst, config, Budget(max_trajectories=40), seed=5))
+        stored.append(sum(stored_bytes(base) for base in bases))
         start_sizes.append(len(bases[0].p1_memo))
+        assert stored[-1] <= budget
         for base in bases:
-            assert len(base.p1_memo) <= cap
             for (k0, k1), p1 in base.p1_memo.items():
-                q = base.w if k0 + k1 == 0 else control.level_posterior(
-                    tables, base.w, OutcomeCounts(k0, k1)
-                )
+                q = control._posterior(tables, base, OutcomeCounts(k0, k1))
                 assert np.float64(p1).tobytes() == np.float64(control._p1(tables, q)).tobytes()
-    assert start_sizes[:2] == [0, 3] and start_sizes[2] > 3
+            for (k0, k1), child in base.children.items():
+                q = control._posterior(tables, base, OutcomeCounts(k0, k1))
+                mixed = weigh(tables, apply_mixer(control._materialise(tables, base, q), config.mixer))
+                assert child.state.amps.tobytes() == mixed.state.amps.tobytes()
+                assert child.w.tobytes() == mixed.w.tobytes()
+            for (k0, k1), cdf in base.cdfs.items():
+                q = control._posterior(tables, base, OutcomeCounts(k0, k1))
+                (weights,) = control._weights(tables, base, q)
+                assert cdf.tobytes() == np.cumsum(weights).tobytes()
+    assert stored[0] == start_sizes[0] == 0
+    assert 0 < stored[1] <= small < stored[2] and 0 < start_sizes[1] <= 3 < start_sizes[2]
     assert summaries[0] == summaries[1] == summaries[2]
     if case == 1:
-        assert len(bases) > 1
+        assert len(bases) > 1 and any(base.children for base in bases)
+
+
+def mis_n12():
+    """Algorithm 2 under configs/run_mis_feasible_n12.json's graph, criteria and
+    mixer, from the feasible-uniform start."""
+    graph = Graph.from_1indexed(
+        12,
+        [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9),
+         (10, 11), (11, 12), (10, 12), (1, 4), (2, 7), (3, 10), (5, 8), (6, 11), (9, 12)],
+    )
+    inst = ProblemInstance(graph, "mis")
+    rescaling = rescaling_from_bounds(spectrum_bounds(graph.subspace, "brute-force"))
+    config = OuterConfig(
+        rescaling,
+        uniform_superposition(12, graph.subspace.basis),
+        CriteriaConfig(threshold_T=3.5, ceiling_KT=40, min_steps_ell=2),
+        MixerSpec(MIS_CONTROLLED, 4 * math.pi / 28, graph),
+    )
+    return inst, config
+
+
+def test_each_scramble_node_is_mixed_and_weighed_once(monkeypatch):
+    # a scramble's node is its parent base and the counts there, so its key
+    # is the counts at each scramble of its trajectory so far: across 200
+    # trajectories the mixer and weigh run once per distinct key, besides
+    # the start's weigh
+    inst, config = mis_n12()
+    calls = {"apply_mixer": 0, "weigh": 0}
+
+    def counted(name):
+        call = getattr(control, name)
+
+        def counted_call(*args):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(control, name, counted_call)
+
+    counted("apply_mixer")
+    counted("weigh")
+    summary = outer_loop(inst, config, Budget(max_trajectories=200), seed=3)
+    keys = set()
+    for traj in summary.trajectories:
+        key, last = (), 0
+        for event in traj.scramble_events:
+            segment = traj.outcomes[last:event]
+            key += ((segment.count(0), segment.count(1)),)
+            keys.add(key)
+            last = event
+    scrambles = sum(len(traj.scramble_events) for traj in summary.trajectories)
+    assert scrambles > 2 * len(keys) and max(len(key) for key in keys) > 1
+    assert calls["apply_mixer"] == calls["weigh"] - 1 == len(keys)
+
+
+def test_the_tree_of_bases_dies_with_the_run(monkeypatch):
+    # the start base holds every mixed base of the run, and nothing holds
+    # the start once outer_loop returns
+    inst, config = mis_n12()
+    refs = []
+    weigh = control.weigh
+
+    def tracked(*args):
+        base = weigh(*args)
+        refs.append(weakref.ref(base))
+        return base
+
+    monkeypatch.setattr(control, "weigh", tracked)
+    outer_loop(inst, config, Budget(max_trajectories=50), seed=3)
+    assert len(refs) > 1
+    assert all(ref() is None for ref in refs)

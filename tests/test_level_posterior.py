@@ -30,8 +30,12 @@ from mdqo import (
     success_probability,
     uniform_superposition,
 )
+from mdqo import control
+from mdqo.cli import main
 from mdqo.control import level_moments, level_posterior, prepare_tables, weigh
 from mdqo.problems import Bounds
+
+from test_golden import COMMANDS, ROOT
 
 COUNTS = [(0, 0), (0, 7), (5, 0), (4, 9), (50, 160), (10**6, 10**6 + 3), (10**300, 10**300)]
 LAMBDAS = (0.7, 1.5, 3.0)
@@ -123,3 +127,44 @@ def test_degenerate_counts_raise_where_the_oracle_raises():
     got = level_path(tables, base, OutcomeCounts(0, 10**308))
     want = dense_moments(instance, c, uniform_superposition(3), OutcomeCounts(0, 10**308))
     assert got[:2] == pytest.approx(want[:2], rel=1e-12)
+
+
+def shipped_tables(monkeypatch, tmp_path) -> list:
+    """The control tables every shipped config that builds them makes."""
+    import mdqo.cli
+
+    made = []
+
+    def kept(instance, rescaling):
+        made.append(prepare_tables(instance, rescaling))
+        return made[-1]
+
+    monkeypatch.setattr(control, "prepare_tables", kept)
+    monkeypatch.setattr(mdqo.cli, "prepare_tables", kept)
+    for name, command in sorted(COMMANDS.items()):
+        if command in ("run", "sweep-counts", "postprocess"):
+            config = str(ROOT / "configs" / name)
+            assert main([command, "--config", config, "--out", str(tmp_path / name)]) == 0
+    return made
+
+
+def test_logs_taken_once_have_the_bits_of_logs_of_the_levels_reached(monkeypatch, tmp_path):
+    # level_posterior reads log(x)[hit] from the tables where it took
+    # log(x[hit]) on each call: on the shipped tables the two agree bit for
+    # bit, for every set of levels a base can reach (a sample of them past
+    # 2**12 sets)
+    rng = np.random.default_rng(0)
+    tables_seen = shipped_tables(monkeypatch, tmp_path)
+    assert len(tables_seen) > len(COMMANDS) // 2
+    for tables in tables_seen:
+        resc = tables.rescaling
+        angle = resc.epsilon * (resc.alpha + tables.h) + math.pi / 4
+        size = angle.size
+        if size <= 12:
+            hits = [np.array([(m >> i) & 1 for i in range(size)], bool) for m in range(1, 2**size)]
+        else:
+            hits = list(np.eye(size, dtype=bool)) + list(rng.random((4096, size)) < 0.5)
+        for x, logs in ((np.sin(angle) ** 2, tables.log_sin_sq), (np.cos(angle) ** 2, tables.log_cos_sq)):
+            assert logs.tobytes() == np.log(x).tobytes()
+            for hit in hits:
+                assert logs[hit].tobytes() == np.log(x[hit]).tobytes()

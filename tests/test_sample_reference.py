@@ -124,18 +124,18 @@ def maxcut(n):
     return inst, tight(driving_hamiltonian(inst)), uniform_superposition(n), crit, None
 
 
-def sampled_bases(monkeypatch, case, n):
-    """(tables, base, q) of every final sample of a seeded outer loop."""
+def sampled_nodes(monkeypatch, case, n):
+    """(tables, base, counts) of every final sample of a seeded outer loop."""
     inst, resc, initial, crit, mixer = case(n)
     seen = []
-    sample = control._sample
+    final_sample = control._final_sample
 
-    def record(tables, base, q, rng):
-        seen.append((tables, base, q))
-        return sample(tables, base, q, rng)
+    def record(tables, base, counts, memo, rng):
+        seen.append((tables, base, counts))
+        return final_sample(tables, base, counts, memo, rng)
 
     with monkeypatch.context() as patch:
-        patch.setattr(control, "_sample", record)
+        patch.setattr(control, "_final_sample", record)
         outer_loop(
             inst,
             OuterConfig(resc, initial, crit, mixer),
@@ -143,6 +143,15 @@ def sampled_bases(monkeypatch, case, n):
             seed=n,
         )
     return initial, seen
+
+
+def sampled_bases(monkeypatch, case, n):
+    """(tables, base, q) of every final sample of a seeded outer loop: q is
+    the level posterior the sample draws from."""
+    initial, seen = sampled_nodes(monkeypatch, case, n)
+    return initial, [
+        (tables, base, control._posterior(tables, base, counts)) for tables, base, counts in seen
+    ]
 
 
 def assert_same_draws(cases):
@@ -211,11 +220,21 @@ def edge_draws(cdf: np.ndarray) -> list[float]:
     return sorted(draws)
 
 
+def final_drawn(tables, base, rng) -> int:
+    """The basis index the trajectory's final sample draws at the base's own
+    level weights, the posterior at (0, 0), on a copy of the base with no memo."""
+    bare = control._Base(base.state, base.w, base.penalty)
+    i = control._final_sample(tables, bare, OutcomeCounts(0, 0), control._Memo(), rng)
+    return i if tables.basis is None else int(tables.basis[i])
+
+
 def check_edges(tables, base, q) -> list[int]:
     picks = []
     for u in edge_draws(dense_cdf(tables, base, q)):
         expected = reference_sample(tables, base, q, Draw(u))
         assert drawn(tables, base, q, Draw(u)) == expected, u
+        if q.tobytes() == base.w.tobytes():
+            assert final_drawn(tables, base, Draw(u)) == expected, u
         picks.append(expected)
     return picks
 
@@ -372,6 +391,25 @@ def test_absorbed_block_does_not_move_the_pin(monkeypatch, block):
     check_edges(tables, base, q)
 
 
+@pytest.mark.parametrize("case, n", [(feasible_mis, 12), (penalised_mis, 8), (maxcut, 10)])
+def test_memoised_cdf_draws_like_the_scan(monkeypatch, case, n):
+    # at every one-block node of a seeded run the stored CDF, and a CDF
+    # made afresh on a base with no memo, draw what sample_index draws at
+    # every edge draw of the cumulative sum
+    _, seen = sampled_nodes(monkeypatch, case, n)
+    nodes = {(id(base), counts): (tables, base, counts) for tables, base, counts in seen}
+    assert nodes and all(base.state.amps.size <= control._BLOCK for _, base, _ in nodes.values())
+    for tables, base, counts in nodes.values():
+        assert (counts.k0, counts.k1) in base.cdfs
+        bare = control._Base(base.state, base.w, base.penalty)
+        q = control._posterior(tables, base, counts)
+        for u in edge_draws(dense_cdf(tables, base, q)):
+            expected = control._sample(tables, base, q, Draw(u))
+            assert control._final_sample(tables, base, counts, control._Memo(), Draw(u)) == expected
+            assert control._final_sample(tables, bare, counts, control._Memo(), Draw(u)) == expected
+            bare.cdfs.clear()
+
+
 def test_sample_allocates_no_dense_temporary():
     # a few blocks (the weights, the gathered ratios and take's intp copy of
     # the levels) against the two 2**n temporaries of a one-array sample;
@@ -407,3 +445,15 @@ def test_materialise_allocates_its_state_and_a_few_blocks():
     assert peak < 20 * 2**n
     ratio = np.sqrt(q / base.w).take(tables.level)
     assert state.amps.tobytes() == (initial.amps * ratio).tobytes()
+
+
+def test_one_block_draw_above_a_total_below_one_takes_the_pin():
+    # the entries after the last positive one weigh 0: a draw that reaches
+    # the total returns the first entry to reach it, not the block's last
+    scale = 1.0 - 2.0**-36  # inside the state norm tolerance
+    tables, base, q = dense_weighed(8, {1: 0.5 * scale, 5: 0.5 * scale})
+    total = dense_cdf(tables, base, q)[-1]
+    assert total < 1.0 and base.state.amps.size <= control._BLOCK
+    for u in (total, math.nextafter(1.0, 0.0)):
+        assert final_drawn(tables, base, Draw(u)) == 5
+    assert set(check_edges(tables, base, q)) == {1, 5}

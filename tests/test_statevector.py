@@ -1,6 +1,7 @@
 """Tests for the statevector operations and cost statistics, dense and on a basis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,27 @@ from conftest import random_state
 def test_uniform_superposition():
     state = uniform_superposition(5)
     np.testing.assert_allclose(state.amps, np.full(32, 1 / math.sqrt(32)))
+
+
+def test_uniform_superposition_makes_its_amplitudes_once():
+    # one complex array and the basis check, against two arrays when the
+    # amplitudes were copied into the state; numpy reports its buffers to
+    # tracemalloc, and a read-only int64 basis is shared, not copied
+    n = 16
+    basis = np.arange(0, 2**n, 2)
+    basis.setflags(write=False)
+    for b, size in ((None, 2**n), (basis, basis.size)):
+        tracemalloc.start()
+        try:
+            state = uniform_superposition(n, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * size
+        assert state.amps.tobytes() == np.full(size, 1 / math.sqrt(size), dtype=complex).tobytes()
+        assert not state.amps.flags.writeable
+    with pytest.raises(ValueError, match="strictly increasing"):
+        uniform_superposition(3, [2, 1])
 
 
 def test_basis_state_and_bit_convention():
