@@ -366,11 +366,11 @@ def _sample(
 def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """sample_index on one block whose cumulative sum cdf is taken: the first
     entry above the draw, or, for a draw that reaches the total, the first
-    entry to reach it (0 when the total is 0)."""
+    entry to reach it (entry 0 when every weight is 0, as there)."""
     u = rng.random()
     if cdf[-1] > u:
         return int(np.searchsorted(cdf, u, side="right"))
-    return int(np.searchsorted(cdf, cdf[-1])) if cdf[-1] > 0.0 else 0
+    return int(np.searchsorted(cdf, cdf[-1]))
 
 
 def _final_sample(
