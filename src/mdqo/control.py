@@ -24,7 +24,7 @@ import numpy as np
 from .errors import StepCapError
 from .mixers import MixerSpec, apply_mixer, subspace_pairs
 from .problems import BOUND_TOL, ProblemInstance, Rescaling, check_rescaled
-from .statevector import _BLOCK, StateVector, _scaled, sample_index
+from .statevector import _BLOCK, StateVector, _scaled, running_sum, sample_index
 from .weak_measurement import OutcomeCounts, anchored_weights, peak_position
 
 # Hard per-trajectory step cap guarding against unreachable criteria.
@@ -221,10 +221,11 @@ class _Base:
     level posterior q at its counts.  penalty holds the per-level sums of
     |amps|^2 times the violation count, kept only when weigh is asked for
     diagnostics.  Keyed by (k0, k1), p1_memo holds the success probability,
-    children the weighed base a scramble there mixed, and cdfs the final
-    sample's cumulative weights when they fit one _BLOCK.  A run stores
-    entries under its _Memo's byte budget; the start base holds the tree of
-    mixed bases, which lives as long as the run holds the start.
+    children the weighed base a scramble there mixed, and cdfs the one
+    running_sum block the final sample searches when the base fits one
+    _BLOCK.  A run stores entries under its _Memo's byte budget; the start
+    base holds the tree of mixed bases, which lives as long as the run
+    holds the start.
     """
 
     state: StateVector
@@ -276,8 +277,7 @@ def weigh(tables: ControlTables, state: StateVector, diagnostics: bool = False) 
     cumulative sum with the bits of the dense ones.
     """
     state = _on_basis(tables, state)
-    mag = np.abs(state.amps)
-    probs = np.square(mag, out=mag)
+    probs = state.probabilities()
     penalty = None  # every level holds an entry, so each bincount has h.size bins
     if diagnostics and tables.p_viol is not None:
         penalty = np.bincount(tables.level, probs * tables.p_viol)
@@ -345,34 +345,6 @@ def _weights(tables: ControlTables, base: _Base, q: np.ndarray):
         yield weights
 
 
-def _sample(
-    tables: ControlTables, base: _Base, q: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Draw an entry from |amps|^2 * (q / w)[level] in basis order and return
-    its position: the string there is the one sample_bitstring would draw
-    from the dense state.
-
-    sample_index scans the _weights up to the block where the draw lands.
-    On the independent sets the draw is still the dense one: every string
-    left out has weight +0, and numpy's cumsum adds in order with
-    x + 0 == x, so the CDF kept equals the dense one where kept and the
-    dense one is flat in between.  The first entry to reach the total S has
-    positive weight, so it is kept, and a draw in [S, 1) when S < 1 lands on
-    that kept entry in both CDFs.
-    """
-    return sample_index(_weights(tables, base, q), rng)
-
-
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """sample_index on one block whose cumulative sum cdf is taken: the first
-    entry above the draw, or, for a draw that reaches the total, the first
-    entry to reach it (entry 0 when every weight is 0, as there)."""
-    u = rng.random()
-    if cdf[-1] > u:
-        return int(np.searchsorted(cdf, u, side="right"))
-    return int(np.searchsorted(cdf, cdf[-1]))
-
-
 def _final_sample(
     tables: ControlTables,
     base: _Base,
@@ -380,19 +352,28 @@ def _final_sample(
     memo: _Memo,
     rng: np.random.Generator,
 ) -> int:
-    """_sample at the level posterior at counts.  On a base of at most _BLOCK
-    entries the one block's cumsum, which sample_index would take in place
-    after adding 0.0 to its first entry, is memoised on the base and drawn on
-    by sample_index's rules; larger bases keep the early-stopping scan."""
-    if base.state.amps.size > _BLOCK:
-        return _sample(tables, base, _posterior(tables, base, counts), rng)
+    """Draw an entry from |amps|^2 * (q / w)[level] in basis order, q the level
+    posterior at counts, and return its position: the string there is the one
+    sample_bitstring would draw from the dense state.
+
+    sample_index searches the running_sum of the _weights up to the block
+    where the draw lands.  On a base of at most _BLOCK entries that one
+    cumulative block is memoised on the base at counts.  On the independent
+    sets the draw is still the dense one: every string left out has weight
+    +0, and running_sum adds in order with x + 0 == x, so the CDF kept
+    equals the dense one where kept and the dense one is flat in between.
+    The first entry to reach the total S has positive weight, so it is kept,
+    and a draw in [S, 1) when S < 1 lands on that kept entry in both CDFs.
+    """
     key = (counts.k0, counts.k1)
     cdf = base.cdfs.get(key)
     if cdf is None:
-        (weights,) = _weights(tables, base, _posterior(tables, base, counts))
-        cdf = np.cumsum(weights, out=weights)
+        cdfs = running_sum(_weights(tables, base, _posterior(tables, base, counts)))
+        if base.state.amps.size > _BLOCK:
+            return sample_index(cdfs, rng)
+        (cdf,) = cdfs
         memo.keep(base.cdfs, key, cdf, cdf.nbytes)
-    return _draw(cdf, rng)
+    return sample_index([cdf], rng)
 
 
 def _mixed(

@@ -93,7 +93,8 @@ def basis_state(n: int, x: int, basis: np.ndarray | None = None) -> StateVector:
 
 def index_to_bitstring(x: int, n: int) -> str:
     """Render a basis index as x_0 x_1 ... x_{n-1} left to right."""
-    return "".join(str((x >> u) & 1) for u in range(n))
+    # bit n pads the digits to n + 1; the slice reverses them and drops "0b1"
+    return bin((x & ((1 << n) - 1)) | (1 << n))[:2:-1]
 
 
 def bitstring_to_index(bits: str) -> int:
@@ -306,25 +307,34 @@ def level_distribution(values: np.ndarray, weights: np.ndarray) -> CostDistribut
 
 def sample_bitstring(state: StateVector, rng: np.random.Generator) -> int:
     """Draw one basis index with probability |amps|^2 at its entry."""
-    i = sample_index([state.probabilities()], rng)
+    i = sample_index(running_sum([state.probabilities()]), rng)
     return i if state.basis is None else int(state.basis[i])
 
 
-def sample_index(blocks, rng: np.random.Generator) -> int:
-    """Draw one index with probability weights[x], using one uniform draw u.
-
-    The weights, summing to 1 up to rounding, come in consecutive blocks
-    that are consumed: each is summed in place after the total so far is
-    added to its first entry, the additions of one cumsum over all weights
-    in order, and the scan stops at the first block whose total exceeds u.
-    The first entry that reaches the total S, which has positive weight,
-    takes the rounding slack: when S falls below 1, a draw in [S, 1) returns it.
-    """
-    u = rng.random()
-    carry, start, pin = 0.0, 0, 0
+def running_sum(blocks):
+    """Consecutive weight blocks, consumed, each summed in place as it is asked
+    for, after the total so far is added to its first entry: the additions of
+    one cumsum over all weights in order."""
+    carry = 0.0
     for block in blocks:
         block[0] += carry
         cdf = np.cumsum(block, out=block)
+        carry = cdf[-1]
+        yield cdf
+
+
+def sample_index(cdfs, rng: np.random.Generator) -> int:
+    """Draw one index with probability weights[x] from the running_sum blocks
+    of weights that sum to 1 up to rounding, using one uniform draw u.
+
+    The first entry above u is drawn, and the search stops at the first
+    block whose total exceeds u.  The first entry that reaches the total S,
+    which has positive weight, takes the rounding slack: when S falls below
+    1, a draw in [S, 1) returns it.
+    """
+    u = rng.random()
+    carry, start, pin = 0.0, 0, 0
+    for cdf in cdfs:
         if cdf[-1] > u:
             return start + int(np.searchsorted(cdf, u, side="right"))
         if cdf[-1] > carry:  # this block raised the total: S is first reached here

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from mdqo import (
     trajectory_rng,
     uniform_superposition,
 )
-from mdqo import control
+from mdqo import control, statevector
 from mdqo.control import prepare_tables
 
 from conftest import feasible_bounds, rescaled_table
@@ -794,3 +795,56 @@ def test_the_tree_of_bases_dies_with_the_run(monkeypatch):
     outer_loop(inst, config, Budget(max_trajectories=50), seed=3)
     assert len(refs) > 1
     assert all(ref() is None for ref in refs)
+
+
+def test_every_final_sample_is_one_sample_index_search(monkeypatch):
+    # one search per trajectory, with the samples of the unwrapped run: on
+    # the one-block bases of mis_n12 where every failure scrambles, whose
+    # memoised CDFs are searched again, and on multi-block bases of a
+    # MaxCut run under 64-entry blocks, whose weights are made per sample
+    inst, config = mis_n12()
+    every_failure = CriteriaConfig(threshold_T=3.5, ceiling_KT=40, min_steps_ell=0)
+    rng = np.random.default_rng(10)
+    edges = tuple((u, v) for u in range(10) for v in range(u + 1, 10) if rng.random() < 0.4)
+    maxcut = ProblemInstance(Graph(10, edges), "maxcut")
+    cases = [
+        (inst, replace(config, criteria=every_failure), Budget(max_total_steps=400), None),
+        (
+            maxcut,
+            OuterConfig(
+                rescaling_from_bounds(spectrum_bounds(driving_hamiltonian(maxcut), "brute-force")),
+                uniform_superposition(10),
+                CriteriaConfig(surplus_L=6, reset_R=4),
+            ),
+            Budget(max_trajectories=40),
+            64,
+        ),
+    ]
+    calls = {"sample_index": 0, "_weights": 0}
+
+    def counted(name):
+        call = getattr(control, name)
+
+        def counted_call(*args):
+            calls[name] += 1
+            return call(*args)
+
+        return counted_call
+
+    for inst, config, budget, block in cases:
+        for seed in (0, 1):
+            plain = outer_loop(inst, config, budget, seed)
+            with monkeypatch.context() as patch:
+                if block is not None:
+                    patch.setattr(statevector, "_BLOCK", block)
+                    patch.setattr(control, "_BLOCK", block)
+                for name in calls:
+                    patch.setattr(control, name, counted(name))
+                    calls[name] = 0
+                summary = outer_loop(inst, config, budget, seed)
+            assert summary == plain
+            assert calls["sample_index"] == summary.trajectories_run > 1
+            if block is None:
+                assert calls["_weights"] < calls["sample_index"]
+            else:
+                assert calls["_weights"] == calls["sample_index"]

@@ -44,3 +44,24 @@ def test_cli_imports_no_private_name():
     tree = ast.parse((SRC / "cli.py").read_text())
     private = sorted(name for name in imported(tree).values() if name.startswith("_"))
     assert private == []
+
+
+def test_every_private_definition_is_used():
+    # a private module-level function or class that src names nowhere but
+    # at its own definition is dead, whatever the tests still call
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    defined = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    assert len(defined) > 40
+    assert sorted(d for d in defined if d[1] not in named) == []

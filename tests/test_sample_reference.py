@@ -32,6 +32,7 @@ from mdqo import (
     uniform_superposition,
 )
 from mdqo import control
+from mdqo.statevector import running_sum, sample_index
 
 from conftest import tight
 
@@ -73,9 +74,15 @@ def reference_sample(tables, base, q, rng) -> int:
     return reference_index(dense_weights(tables, base, q), rng.random())
 
 
+def scanned(tables, base, q, rng) -> int:
+    """The position sample_index draws from the running_sum of control's
+    _weights, block by block up to the draw."""
+    return sample_index(running_sum(control._weights(tables, base, q)), rng)
+
+
 def drawn(tables, base, q, rng) -> int:
-    """The basis index of the entry control._sample draws."""
-    i = control._sample(tables, base, q, rng)
+    """The basis index of the entry the scan draws."""
+    i = scanned(tables, base, q, rng)
     return i if tables.basis is None else int(tables.basis[i])
 
 
@@ -404,7 +411,7 @@ def test_memoised_cdf_draws_like_the_scan(monkeypatch, case, n):
         bare = control._Base(base.state, base.w, base.penalty)
         q = control._posterior(tables, base, counts)
         for u in edge_draws(dense_cdf(tables, base, q)):
-            expected = control._sample(tables, base, q, Draw(u))
+            expected = scanned(tables, base, q, Draw(u))
             assert control._final_sample(tables, base, counts, control._Memo(), Draw(u)) == expected
             assert control._final_sample(tables, bare, counts, control._Memo(), Draw(u)) == expected
             bare.cdfs.clear()
@@ -418,10 +425,11 @@ def test_sample_allocates_no_dense_temporary():
     inst, resc, initial, _, _ = maxcut(n)
     tables = control.prepare_tables(inst, resc)
     base = control.weigh(tables, initial)
-    q = base.w.copy()
     tracemalloc.start()
     try:
-        control._sample(tables, base, q, Draw(math.nextafter(1.0, 0.0)))
+        control._final_sample(
+            tables, base, OutcomeCounts(0, 0), control._Memo(), Draw(math.nextafter(1.0, 0.0))
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

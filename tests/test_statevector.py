@@ -75,6 +75,21 @@ def test_basis_state_and_bit_convention():
         assert bitstring_to_index(index_to_bitstring(x, 3)) == x
 
 
+def test_bitstring_rendering_is_the_per_bit_rule():
+    # character u is bit u of x, for the n low bits of any int (two's
+    # complement below 0), and bitstring_to_index reads those bits back
+    def per_bit(x, n):
+        return "".join(str((x >> u) & 1) for u in range(n))
+
+    cases = [(x, 10) for x in range(2**10)]
+    cases += [(x, 63) for x in (0, 2**63 - 1, 0x5555_5555_5555_5555, -1)]
+    for x, n in cases:
+        bits = index_to_bitstring(x, n)
+        assert bits == per_bit(x, n)
+        assert bitstring_to_index(bits) == x & (2**n - 1)
+    assert index_to_bitstring(5, 0) == per_bit(5, 0) == ""
+
+
 def test_bitstring_validation():
     with pytest.raises(ValueError):
         bitstring_to_index("10a")
