@@ -33,6 +33,11 @@ SUBSPACE_CAP = 2**24
 # Absolute tolerance for spectrum-bound validation.
 BOUND_TOL = 1e-12
 
+# Entries (rotation pairs in statevector._rotate) per block of the passes that
+# would otherwise make 2**n temporaries: 128 KiB of float64 stays in cache.  A
+# power of two, so a rotation block is whole trailing axes of the (2,) * n view.
+_BLOCK = 1 << 14
+
 
 def _check_capacity(n: int) -> None:
     if n > DENSE_CAP:
@@ -127,9 +132,9 @@ class Graph:
             count[filled:grown] = count[:filled][free] + 1
             filled = grown
         basis.setflags(write=False)
-        table = DiagonalHamiltonian(self.n, count, coeff_bounds=(0.0, float(self.n)), basis=basis)
-        table.__dict__["levels"] = _ranked(count)  # the cached_property's slot
-        return table
+        return DiagonalHamiltonian.on_levels(
+            self.n, _ranked(count), count, coeff_bounds=(0.0, float(self.n)), basis=basis
+        )
 
     @cached_property
     def mixer_pairs(self) -> tuple[np.ndarray, ...]:
@@ -253,8 +258,8 @@ class ProblemInstance:
         cost = penalize(*self.graph.mis, self.penalty_weight)
         keys, rank = self.graph.mis_pairs
         size, violations = np.divmod(keys, self.graph.m + 1)  # exact on integral floats
-        cost.__dict__["levels"] = _levels(size - self.penalty_weight * violations, rank)
-        return cost
+        levels = _levels(size - self.penalty_weight * violations, rank)
+        return DiagonalHamiltonian.on_levels(cost.n, levels, cost.values, cost.coeff_bounds)
 
 
 @dataclass(frozen=True)
@@ -273,16 +278,51 @@ class DiagonalHamiltonian:
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.basis is not None:
-            object.__setattr__(self, "basis", _checked_basis(self.n, self.basis))
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        size = 2**self.n if self.basis is None else self.basis.size
-        if vals.shape != (size,):
-            raise ValueError(f"expected {size} values for n={self.n}, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("cost values must be finite")
+        vals = self.values  # a read-only float64 array that owns its data is shared
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and not vals.flags.writeable and vals.base is None):
+            vals = np.array(vals, dtype=np.float64)
+        self._check(vals.shape, vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def on_levels(
+        cls, n: int, levels: tuple, values=None, coeff_bounds=None, basis=None
+    ) -> DiagonalHamiltonian:
+        """The table whose levels are `levels`, as _levels and _ranked give them.
+
+        Given values, they are its entries, checked as the constructor checks
+        them.  Without, the level values, exactly the set of its entries, are
+        checked finite, and values are gathered from the levels on first read.
+        """
+        if values is not None:
+            table = cls(n, values, coeff_bounds, basis)
+        else:
+            table = object.__new__(cls)
+            table.__dict__.update(n=n, coeff_bounds=coeff_bounds, basis=basis)
+            table._check(levels[1].shape, levels[0])
+        table.__dict__["levels"] = levels  # the cached_property's slot
+        return table
+
+    def _check(self, shape: tuple[int, ...], entries: np.ndarray) -> None:
+        """Adopt the checked basis; ValueError unless shape holds one entry per
+        basis index and every value in entries is finite."""
+        if self.basis is not None:
+            object.__setattr__(self, "basis", _checked_basis(self.n, self.basis))
+        size = 2**self.n if self.basis is None else self.basis.size
+        if shape != (size,):
+            raise ValueError(f"expected {size} values for n={self.n}, got shape {shape}")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("cost values must be finite")
+
+    def __getattr__(self, name: str):
+        """values, on the first read, of a table built on its levels alone."""
+        if name != "values" or "levels" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = _gather(*self.__dict__["levels"])
+        self.__dict__["values"] = values
+        return values
 
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,23 +330,34 @@ class DiagonalHamiltonian:
 
         values[level] == self.values: exactly equal floats share a level, so a
         ufunc gives a level's value the bits it gives each entry.  Read-only.
-        build_maxcut, build_mis and Graph.subspace store them (_ranked counts),
-        ProblemInstance.cost from mis_pairs and apply_rescaling from the
-        unscaled table's; any other table sorts its values.
+        build_maxcut, build_mis, Graph.subspace, ProblemInstance.cost and
+        apply_rescaling build their tables on_levels; any other table sorts
+        its values.
         """
         return _levels(self.values)
 
 
 def _levels(values: np.ndarray, index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(values, return_inverse=True), the inverse in the smallest
-    unsigned dtype and, given an index, gathered at it; both read-only."""
+    unsigned dtype and, given an index, _gather'ed at it; both read-only."""
     values, level = np.unique(values, return_inverse=True)
     level = level.astype(np.min_scalar_type(values.size - 1))
     if index is not None:
-        level = level[index]
+        level = _gather(level, index)
     for table in (values, level):
         table.setflags(write=False)
     return values, level
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] in one fresh read-only array, gathered _BLOCK entries at a
+    time: no 2**n intp copy of a narrow index."""
+    out = np.empty(index.size, dtype=table.dtype)
+    for start in range(0, index.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        table.take(index[block], out=out[block])
+    out.setflags(write=False)
+    return out
 
 
 def _counted(n: int, groups, coeff_bounds: tuple[float, float]) -> DiagonalHamiltonian:
@@ -321,21 +372,18 @@ def _counted(n: int, groups, coeff_bounds: tuple[float, float]) -> DiagonalHamil
         for u, bit in group.items():
             idx[n - 1 - u] = bit
         tensor[(..., *idx)] += 1
-    table = DiagonalHamiltonian(n, counts, coeff_bounds=coeff_bounds)
-    table.__dict__["levels"] = _ranked(counts)  # the cached_property's slot
-    return table
+    return DiagonalHamiltonian.on_levels(n, _ranked(counts), counts, coeff_bounds)
 
 
 def _ranked(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(keys, return_inverse=True) for nonnegative integer keys, off one
     bincount with no sort: the reached keys as float64 and each key's rank, cast
-    to the smallest unsigned dtype before it is gathered at the keys; read-only."""
+    to the smallest unsigned dtype before it is _gather'ed at the keys; read-only."""
     tally = np.bincount(keys)
     reached = np.flatnonzero(tally).astype(np.float64)
-    rank = (np.cumsum(tally > 0) - 1).astype(np.min_scalar_type(reached.size - 1)).take(keys)
-    for array in (reached, rank):
-        array.setflags(write=False)
-    return reached, rank
+    reached.setflags(write=False)
+    rank = (np.cumsum(tally > 0) - 1).astype(np.min_scalar_type(reached.size - 1))
+    return reached, _gather(rank, keys)
 
 
 def build_maxcut(graph: Graph) -> DiagonalHamiltonian:
@@ -434,16 +482,16 @@ def rescaling_from_bounds(bounds: Bounds) -> Rescaling:
 def apply_rescaling(r: Rescaling, h: DiagonalHamiltonian) -> DiagonalHamiltonian:
     """Rescaled cost table C with c(x) = epsilon * (alpha + h(x)), on h's basis.
 
-    Verifies 0 <= c <= pi/4 (within BOUND_TOL) on every entry.  C's levels
-    are h's, rescaled by the same ufuncs, so each gets the bits its entries
-    get; two that round to one value merge, so no 2**n sort is needed.
+    C is built on_levels: h's levels, rescaled by the same ufuncs, so each
+    gets the bits its entries get; two that round to one value merge, so no
+    2**n sort is needed.  0 <= c <= pi/4 (within BOUND_TOL) is verified on
+    the level values, exactly the set of entries, and C.values, which the
+    closed forms never read, are gathered from the levels on first read.
     """
-    c = r.epsilon * (r.alpha + h.values)
-    check_rescaled(c)
-    table = DiagonalHamiltonian(h.n, c, basis=h.basis)
     values, level = h.levels
-    table.__dict__["levels"] = _levels(r.epsilon * (r.alpha + values), level)
-    return table
+    c = r.epsilon * (r.alpha + values)
+    check_rescaled(c)
+    return DiagonalHamiltonian.on_levels(h.n, _levels(c, level), basis=h.basis)
 
 
 def check_rescaled(c: np.ndarray) -> None:

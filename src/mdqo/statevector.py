@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import DiagonalHamiltonian, _check_capacity, _checked_basis
+from .problems import _BLOCK, DiagonalHamiltonian, _check_capacity, _checked_basis
 
 NORM_TOL = 1e-10
 GROUP_TOL = 1e-9  # tolerance when grouping probabilities by cost value
-# Entries (rotation pairs in _rotate) per block of the passes that would
-# otherwise make 2**n temporaries: 128 KiB of float64 stays in cache.  A power
-# of two, so a rotation block is whole trailing axes of the (2,) * n view.
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -245,18 +241,35 @@ def expectation(state: StateVector, h: DiagonalHamiltonian) -> float:
 
 def _expect(amps: np.ndarray, values: np.ndarray, scale: float) -> float:
     """sum_x |amps[x] * scale|^2 * values[x], with the bits of scaling the
-    (re, im) parts by the real scale and summing probabilities() * values:
-    _BLOCK entries at a time through one buffer into one weights array, as
-    elementwise ufuncs give the same bits blocked or not, and one np.sum."""
-    parts, weights = amps.view(np.float64), np.empty(amps.size)
-    buffer = np.empty(2 * min(amps.size, _BLOCK))
-    for start in range(0, amps.size, _BLOCK):
-        block = weights[start : start + _BLOCK]
-        scaled = buffer[: 2 * block.size]
-        np.multiply(parts[2 * start : 2 * start + scaled.size], scale, out=scaled)
-        np.square(np.abs(scaled.view(np.complex128), out=block), out=block)
-        block *= values[start : start + block.size]
-    return float(np.sum(weights))
+    (re, im) parts by the real scale and taking np.sum(probabilities() * values),
+    but no 2**n array: _pairwise splits the range as np.sum does, and each
+    node of at most max(_BLOCK, 128) entries has its weights computed into one
+    buffer, by elementwise ufuncs that give the same bits blocked or not, and
+    np.sum adds them with that node's bits."""
+    parts = amps.view(np.float64)
+    leaf = max(_BLOCK, 128)
+    scaled, weights = np.empty(2 * min(amps.size, leaf)), np.empty(min(amps.size, leaf))
+
+    def node(start: int, stop: int) -> float:
+        block, out = weights[: stop - start], scaled[: 2 * (stop - start)]
+        np.multiply(parts[2 * start : 2 * stop], scale, out=out)
+        np.square(np.abs(out.view(np.complex128), out=block), out=block)
+        block *= values[start:stop]
+        return np.sum(block)
+
+    return float(_pairwise(node, 0, amps.size, leaf))
+
+
+def _pairwise(node, start: int, stop: int, leaf: int) -> float:
+    """node(start, stop) summed along np.sum's pairwise tree: numpy adds more
+    than 128 contiguous float64 entries as the sum of two halves, the first
+    rounded down to a multiple of 8, so any node np.sum gives that node's bits;
+    ranges of at most leaf entries are left to node."""
+    if stop - start <= leaf:
+        return node(start, stop)
+    half = (stop - start) // 2
+    half -= half % 8
+    return _pairwise(node, start, start + half, leaf) + _pairwise(node, start + half, stop, leaf)
 
 
 @dataclass(frozen=True)

@@ -258,11 +258,9 @@ def test_scramble_study_mixes_a_bottom_chi_the_top_lacks(tmp_path, study_work):
         assert (tmp_path / "both" / csv_name).read_bytes() == (tmp_path / panel / csv_name).read_bytes()
 
 
-def test_scramble_study_holds_one_mixed_base_at_a_time(tmp_path, monkeypatch):
-    # every mixed base, and its amplitudes, is gone before the next mixer
-    # call, so the traced peak is a fixed number of 2**n states, whatever
-    # the number of chi_tilde values: 6.66 states here, against 12.58 when
-    # every base lived to the end of the command
+def scramble_study_peak(tmp_path, monkeypatch) -> float:
+    """The traced peak, in 2**n states, of an n = 14 scramble-study over six
+    mixed bases, asserting that each base is gone before the next mixer call."""
     import mdqo.cli
 
     n = 14
@@ -291,7 +289,44 @@ def test_scramble_study_holds_one_mixed_base_at_a_time(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(mixed) == 2 * 6
     assert all(ref() is None for ref in mixed)
-    assert peak < 8 * 2**n * np.dtype(np.complex128).itemsize
+    return peak / (2**n * np.dtype(np.complex128).itemsize)
+
+
+def test_scramble_study_holds_one_mixed_base_at_a_time(tmp_path, monkeypatch):
+    # every mixed base, and its amplitudes, is gone before the next mixer
+    # call, so the traced peak is a fixed number of 2**n states, whatever
+    # the number of chi_tilde values: 5.6 states here, against 12.58 when
+    # every base lived to the end of the command
+    assert scramble_study_peak(tmp_path, monkeypatch) < 8
+
+
+def test_scramble_study_holds_no_dense_float_table_beside_its_states(tmp_path, monkeypatch):
+    # in blocks of 2**10 entries the peak reads 4.0 states: no rescaled
+    # table and no weights array of 2**n floats, against 5.0 with both, and
+    # far more when a reference cycle keeps each cell's amplitudes alive
+    from mdqo import statevector
+
+    monkeypatch.setattr(statevector, "_BLOCK", 2**10)
+    assert scramble_study_peak(tmp_path, monkeypatch) < 4.5
+
+
+def test_scramble_study_rejects_a_dishonest_user_bound(tmp_path, caplog):
+    # the bounds pass the spectrum check within BOUND_TOL, but their span
+    # of 4e-13 puts the all-zero cost of an edgeless graph far below 0
+    scramble = {
+        "start_counts": [1, 2],
+        "bound": {"name": "u", "mode": "user-supplied", "bounds": [-5e-13, 9e-13]},
+        "top": {"k1_grid": [0, 1], "chi_tilde": [1]},
+    }
+    payload = {"problem": {"kind": "maxcut", "graph": {"n": 3, "edges": []}}, "scramble": scramble}
+    out = tmp_path / "out"
+    assert main(["scramble-study", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == (
+        "config error: bound 'u': rescaled cost leaves [0, pi/4]; "
+        "the bounds used to build the rescaling are not honest"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_scramble_study_reports_the_first_failing_cell_in_row_order(tmp_path, caplog):

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,11 @@ def test_hamiltonian_checks_its_basis(g5):
 def test_values_are_write_protected(maxcut_h):
     with pytest.raises(ValueError):
         maxcut_h.values[0] = 7.0
+    # a read-only float64 array that owns its data is shared; anything else is copied
+    assert DiagonalHamiltonian(maxcut_h.n, maxcut_h.values).values is maxcut_h.values
+    writeable = maxcut_h.values.copy()
+    for values in (writeable, maxcut_h.values[:], writeable.astype(np.float32)):
+        assert DiagonalHamiltonian(maxcut_h.n, values).values is not values
 
 
 def fibonacci(k: int) -> int:
@@ -532,6 +538,65 @@ def test_rescaled_tables_store_the_levels_of_their_values():
     assert h.levels[0].size == 4
     assert_seeded_levels(c)
     assert c.levels[0].size == 3 and c.levels[1].tolist() == [0, 1, 0, 2]
+
+
+def lazy_rescaling_tables():
+    """MaxCut at n = 16, feasible-subspace and penalised MIS, and a random float table."""
+    rng = np.random.default_rng(71)
+    graph = Graph(16, tuple((u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.3))
+    yield "maxcut", graph.maxcut
+    yield "subspace", graph.subspace
+    yield "penalised", ProblemInstance(graph, "mis", 1.5).cost
+    yield "random", DiagonalHamiltonian(10, rng.normal(size=2**10) * 10.0 ** rng.integers(-8, 9, 2**10))
+
+
+@pytest.mark.parametrize("name, h", list(lazy_rescaling_tables()), ids=lambda x: x if isinstance(x, str) else "")
+def test_rescaled_values_are_gathered_on_first_read(name, h):
+    # a rescaled table is built on its levels alone; its values, read
+    # later, have the bytes of the per-entry rescaling
+    r = rescaling_from_bounds(spectrum_bounds(h, "brute-force"))
+    c = apply_rescaling(r, h)
+    assert "values" not in c.__dict__
+    values = c.values
+    assert values.tobytes() == (r.epsilon * (r.alpha + h.values)).tobytes()
+    assert values.dtype == np.float64 and not values.flags.writeable
+    assert c.values is values and c.basis is h.basis
+    assert_seeded_levels(c)
+
+
+def test_rescaling_makes_no_dense_float_table_until_values_are_read():
+    # numpy reports its buffers to tracemalloc: the levels' uint8 index and
+    # the gather's blocks stay below one 2**n float64 table, which the first
+    # read of values allocates
+    n = 16
+    h = build_maxcut(Graph(n, tuple((u, (u + 1) % n) for u in range(n))))
+    r = rescaling_from_bounds(spectrum_bounds(h, "coefficient-sum"))
+    dense = 2**n * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        c = apply_rescaling(r, h)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        c.values
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < dense / 2
+    assert read >= dense
+
+
+def test_built_on_levels_keeps_the_value_checks(g5):
+    # a table built on its levels checks its shape and the level values;
+    # other missing attributes still raise AttributeError
+    level = np.zeros(4, dtype=np.uint8)
+    with pytest.raises(ValueError, match="must be finite"):
+        DiagonalHamiltonian.on_levels(2, (np.array([np.inf]), level))
+    with pytest.raises(ValueError, match="expected 8 values for n=3"):
+        DiagonalHamiltonian.on_levels(3, (np.array([0.5]), level))
+    table = DiagonalHamiltonian.on_levels(2, (np.array([0.5]), level))
+    assert table.values.tolist() == [0.5] * 4
+    with pytest.raises(AttributeError, match="no attribute 'weights'"):
+        table.weights
 
 
 def test_complete_graph_counts_at_the_dense_cap_do_not_wrap():

@@ -32,9 +32,10 @@ from mdqo import (
     spectrum_bounds,
     uniform_superposition,
 )
+from mdqo import statevector
 from mdqo.control import _materialise, prepare_tables, weigh
 from mdqo.problems import DiagonalHamiltonian
-from mdqo.statevector import GROUP_TOL
+from mdqo.statevector import GROUP_TOL, _expect
 
 from conftest import random_state
 
@@ -174,6 +175,30 @@ def test_expectation_examples(maxcut_h, mis_pair, uniform5):
     assert expectation(basis_state(5, 0b00110), maxcut_h) == pytest.approx(5.0)
     h_mis, _ = mis_pair
     assert expectation(uniform5, h_mis) == pytest.approx(2.5)
+
+
+EXPECT_SIZES = [1, 7, 8, 9, 127, 128, 129, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5, 100_003, 2**18]
+
+
+@pytest.mark.parametrize("block", [4, 64, None])
+@pytest.mark.parametrize("size", EXPECT_SIZES)
+def test_expect_has_the_bits_of_np_sum_over_one_weights_array(size, block, monkeypatch):
+    # _expect follows np.sum's pairwise tree without the 2**n weights array:
+    # sizes around numpy's 8-entry unroll and 128-entry leaf and around one
+    # _BLOCK, with zero, subnormal and widely spread weights of both signs
+    if block is not None:
+        monkeypatch.setattr(statevector, "_BLOCK", block)
+    rng = np.random.default_rng([size, 17])
+    parts = rng.normal(size=(size, 2)) * 10.0 ** rng.integers(-150, 100, size=(size, 1))
+    parts[rng.random(size) < 0.1] = 0.0
+    parts[rng.random(size) < 0.05] = 5e-324
+    amps = parts.view(np.complex128).ravel()
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size=size)
+    values[rng.random(size) < 0.1] = 0.0
+    values[rng.random(size) < 0.05] = -1e-310
+    for scale in (1.0, 1 / 0.7, 3e-160):
+        weights = np.square(np.abs((amps.view(np.float64) * scale).view(np.complex128))) * values
+        assert _expect(amps, values, scale).hex() == float(np.sum(weights)).hex()
 
 
 def test_cost_distribution_uniform(maxcut_h, uniform5):
