@@ -106,7 +106,7 @@ def _check_dense(state: StateVector, what: str, h: DiagonalHamiltonian | None = 
         raise ValueError(f"{what} needs a dense state, not one on a basis")
     if h is not None and h.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, Hamiltonian n={h.n}")
-    if h is not None and h.values.size != 2**h.n:
+    if h is not None and h.basis is not None and h.basis.size != 2**h.n:
         raise ValueError(f"{what} needs a dense cost, not one on a basis")
 
 

@@ -18,6 +18,7 @@ from mdqo import (
     apply_mixer,
     apply_controlled_x_rotation,
     apply_diagonal_phase,
+    apply_rescaling,
     apply_x_rotation_all,
     basis_state,
     bitstring_to_index,
@@ -185,20 +186,33 @@ EXPECT_SIZES = [1, 7, 8, 9, 127, 128, 129, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**1
 def test_expect_has_the_bits_of_np_sum_over_one_weights_array(size, block, monkeypatch):
     # _expect follows np.sum's pairwise tree without the 2**n weights array:
     # sizes around numpy's 8-entry unroll and 128-entry leaf and around one
-    # _BLOCK, with zero, subnormal and widely spread weights of both signs
+    # _BLOCK, with zero, subnormal and widely spread weights of both signs.
+    # No magnitude swamps the rest, so a sum in another order, such as a
+    # tree whose halves are not rounded to a multiple of 8, moves the bits
     if block is not None:
         monkeypatch.setattr(statevector, "_BLOCK", block)
     rng = np.random.default_rng([size, 17])
-    parts = rng.normal(size=(size, 2)) * 10.0 ** rng.integers(-150, 100, size=(size, 1))
+    parts = rng.normal(size=(size, 2)) * 10.0 ** rng.integers(-4, 5, size=(size, 1))
     parts[rng.random(size) < 0.1] = 0.0
     parts[rng.random(size) < 0.05] = 5e-324
     amps = parts.view(np.complex128).ravel()
-    values = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size=size)
+    values = rng.normal(size=size)
     values[rng.random(size) < 0.1] = 0.0
     values[rng.random(size) < 0.05] = -1e-310
+    values[rng.random(size) < 0.01] *= 1e12
     for scale in (1.0, 1 / 0.7, 3e-160):
         weights = np.square(np.abs((amps.view(np.float64) * scale).view(np.complex128))) * values
         assert _expect(amps, values, scale).hex() == float(np.sum(weights)).hex()
+
+
+def test_cost_distribution_reads_a_rescaled_table_on_its_levels(maxcut_h, uniform5):
+    # the dense check reads the basis, so the rescaled table gathers no values
+    c = apply_rescaling(rescaling_from_bounds(spectrum_bounds(maxcut_h, "brute-force")), maxcut_h)
+    dist = cost_distribution(uniform5, c)
+    assert "values" not in c.__dict__
+    dense = cost_distribution(uniform5, DiagonalHamiltonian(5, c.values))
+    assert dist.support.tobytes() == dense.support.tobytes()
+    assert dist.probs.tobytes() == dense.probs.tobytes()
 
 
 def test_cost_distribution_uniform(maxcut_h, uniform5):
